@@ -57,10 +57,8 @@
 #include <cstddef>
 #include <vector>
 
-#include "phch/core/simd_scan.h"
 #include "phch/core/table_common.h"
 #include "phch/core/table_concepts.h"
-#include "phch/core/tag_array.h"
 #include "phch/obs/histogram.h"
 #include "phch/obs/telemetry.h"
 #include "phch/parallel/atomics.h"
@@ -93,24 +91,6 @@ namespace detail {
 inline void prefetch_ro(const void* p) noexcept { __builtin_prefetch(p, 0, 3); }
 inline void prefetch_rw(const void* p) noexcept { __builtin_prefetch(p, 1, 3); }
 }  // namespace detail
-
-// Backwards-compatible name for the concept the engine dispatches on (the
-// definition moved to core/table_concepts.h as `batchable_table`).
-template <typename Table>
-concept pipelined_probe_table = batchable_table<Table>;
-
-// The SIMD backend a batch over this table should drive the tag-sidecar
-// engines with, or `off` when the table has no sidecar / the active backend
-// cannot cover its capacity — the caller then uses the full-slot pipelined
-// engines.
-template <typename Table>
-simd::backend batch_tag_backend(const Table& t) noexcept {
-  if constexpr (tagged_probe_table<Table>) {
-    const simd::backend b = simd::active();
-    if (simd::usable(b, t.capacity())) return b;
-  }
-  return simd::backend::off;
-}
 
 namespace batch_detail {
 
@@ -400,415 +380,6 @@ void erase_block_pipelined(Table& t, const K* keys, std::size_t n,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Tag-sidecar pipelined engines. Same AMAC ring as above, but a lane
-// consumes one *group* of fingerprint tags per rotation (core/simd_scan.h)
-// instead of one cache line of full slots, prefetching the tag line on
-// group advance and the slot line before each candidate confirmation /
-// scalar handoff. Soundness per operation mirrors the scalar tagged loops
-// in probe_engine.h — every conclusion is either confirmed against a slot
-// or handed to a scalar continuation that re-verifies.
-// ---------------------------------------------------------------------------
-
-template <typename Table, typename K>
-void find_block_tagged(const Table& t, const K* keys, std::size_t n,
-                       typename Table::value_type* out, std::size_t width,
-                       simd::backend b) {
-  using Traits = typename Table::traits;
-  using value_type = typename Table::value_type;
-  const value_type* slots = t.raw_slots();
-  const std::uint8_t* tags = t.raw_tags();
-  const std::size_t cap = t.capacity();
-  const std::size_t mask = cap - 1;
-  const std::size_t w = simd::group_width(b);
-  const std::size_t max_groups = cap / w + 1;
-  if (width > kMaxBatchWidth) width = kMaxBatchWidth;
-  if (width < 1) width = 1;
-
-  struct op {
-    std::size_t idx;       // position in the batch (where the result goes)
-    std::size_t g;         // current group base
-    std::uint32_t lanes;   // first-group lane mask (home onward), then ~0
-    std::uint32_t cand;    // unconfirmed fingerprint matches in group g
-    std::uint32_t empty;   // empty-tag lanes of group g
-    std::size_t groups;    // groups consumed (wrap detection)
-    std::size_t loads;     // slot confirmations (probe-depth sample)
-    std::uint8_t fp;
-    typename Table::key_type kq;
-  };
-  std::array<op, kMaxBatchWidth> ring;
-  std::size_t issued = 0;
-  std::size_t live = 0;
-  std::uint64_t t_slots = 0, t_rot = 0, t_hits = 0;
-  std::uint64_t t_groups = 0, t_cand = 0, t_fp = 0;
-  [[maybe_unused]] obs::hist_accum t_depth;
-
-  auto start = [&](op& o) {
-    const std::size_t idx = issued++;
-    const typename Table::key_type kq = keys[idx];
-    const std::uint64_t h = Traits::hash(kq);
-    const std::size_t ihome = static_cast<std::size_t>(h) & mask;
-    const std::size_t g = ihome & ~(w - 1);
-    o = op{idx,  g, ~0u << (ihome - g), 0, 0, 0, 0,
-           tag_array::fingerprint(h), kq};
-    detail::prefetch_ro(tags + g);
-  };
-  while (live < width && issued < n) start(ring[live++]);
-
-  std::size_t r = 0;
-  while (live > 0) {
-    op& o = ring[r];
-    bool done = false;
-    value_type result{};
-    if (o.cand != 0) {
-      // Confirm the candidate whose slot line was prefetched last rotation.
-      const std::size_t s =
-          o.g + static_cast<std::size_t>(std::countr_zero(o.cand));
-      o.cand &= o.cand - 1;
-      const value_type c = atomic_load(&slots[s]);
-      ++t_slots;
-      ++t_cand;
-      ++o.loads;
-      if (Table::is_present(c) &&
-          Traits::key_equal(Traits::key(c), o.kq)) {
-        done = true;
-        result = c;
-        ++t_hits;
-      } else {
-        ++t_fp;
-        if (o.cand != 0) {
-          detail::prefetch_ro(
-              &slots[o.g + static_cast<std::size_t>(std::countr_zero(o.cand))]);
-        } else if (o.empty != 0) {
-          done = true;
-          result = Traits::empty();
-        } else if (++o.groups >= max_groups) {
-          if constexpr (Table::bounded_probes) {
-            done = true;
-            result = Traits::empty();
-          } else {
-            throw table_full_error();
-          }
-        } else {
-          o.g = (o.g + w) & mask;
-          detail::prefetch_ro(tags + o.g);
-        }
-      }
-    } else {
-      // Scan the group whose tag line was prefetched last rotation.
-      simd::group_masks m =
-          simd::scan_group(tags + o.g, o.fp, tag_array::kEmpty, b);
-      ++t_groups;
-      m.match &= o.lanes;
-      m.empty &= o.lanes;
-      o.lanes = ~0u;
-      o.empty = m.empty;
-      o.cand = m.match & simd::below_lowest(m.empty);
-      if (o.cand != 0) {
-        detail::prefetch_ro(
-            &slots[o.g + static_cast<std::size_t>(std::countr_zero(o.cand))]);
-      } else if (m.empty != 0) {
-        done = true;
-        result = Traits::empty();
-      } else if (++o.groups >= max_groups) {
-        if constexpr (Table::bounded_probes) {
-          done = true;
-          result = Traits::empty();
-        } else {
-          throw table_full_error();
-        }
-      } else {
-        o.g = (o.g + w) & mask;
-        detail::prefetch_ro(tags + o.g);
-      }
-    }
-    if (done) {
-      // Probe-depth sample: slot confirmations, matching the scalar
-      // tagged loop's tally (0 when the tags alone resolved the op).
-      if constexpr (requires { t.hists(); }) {
-        t_depth.note(o.loads);
-      }
-      out[o.idx] = result;
-      if (issued < n) {
-        start(o);
-      } else {
-        ring[r] = ring[--live];
-        if (r == live) r = 0;
-        continue;  // the moved-in op already has a prefetch in flight
-      }
-    }
-    ++t_rot;
-    if (++r >= live) r = 0;
-  }
-  obs::count(obs::counter::find_ops, n);
-  obs::count(obs::counter::find_hits, t_hits);
-  obs::count(obs::counter::batch_probe_slots, t_slots);
-  obs::count(obs::counter::batch_rotations, t_rot);
-  obs::count(obs::counter::tag_groups_scanned, t_groups);
-  obs::count(obs::counter::tag_candidates, t_cand);
-  obs::count(obs::counter::tag_false_positives, t_fp);
-  obs::count(obs::counter::batch_blocks);
-  if constexpr (requires { t.hists(); }) {
-    t.hists().record_block(obs::table_hist::probe_depth, t_depth);
-  }
-}
-
-// Arrival-order tables only (the dispatcher guards): the group scan finds
-// the first potential commit point — fingerprint match (possible
-// duplicate) or empty tag (possible claim) — prefetches that slot line,
-// and hands off to insert_from one rotation later. Stale tags in an insert
-// phase can only stop the scan early (see probe_engine.h), and the scalar
-// continuation re-verifies from the handoff slot.
-template <typename Table, typename V>
-void insert_block_tagged(Table& t, const V* values, std::size_t n,
-                         std::size_t width, simd::backend b) {
-  using Traits = typename Table::traits;
-  using value_type = typename Table::value_type;
-  static_assert(!Table::ordered_probes,
-                "tagged insert prefix is sound for arrival order only");
-  const value_type* slots = t.raw_slots();
-  const std::uint8_t* tags = t.raw_tags();
-  const std::size_t cap = t.capacity();
-  const std::size_t mask = cap - 1;
-  const std::size_t w = simd::group_width(b);
-  const std::size_t max_groups = cap / w + 1;
-  if (width > kMaxBatchWidth) width = kMaxBatchWidth;
-  if (width < 1) width = 1;
-
-  struct op {
-    std::size_t home;
-    std::size_t g;
-    std::uint32_t lanes;
-    std::size_t groups;
-    std::size_t stop;     // handoff slot, valid when has_stop
-    bool has_stop;
-    std::uint8_t fp;
-    value_type v;
-  };
-  std::array<op, kMaxBatchWidth> ring;
-  std::size_t issued = 0;
-  std::size_t live = 0;
-  std::uint64_t t_rot = 0, t_handoffs = 0, t_groups = 0;
-
-  auto start = [&](op& o) {
-    const value_type v = values[issued++];
-    const std::uint64_t h = Traits::hash(Traits::key(v));
-    const std::size_t ihome = static_cast<std::size_t>(h) & mask;
-    const std::size_t g = ihome & ~(w - 1);
-    o = op{ihome, g, ~0u << (ihome - g), 0, 0, false,
-           tag_array::fingerprint(h), v};
-    detail::prefetch_ro(tags + g);
-  };
-  while (live < width && issued < n) start(ring[live++]);
-
-  std::size_t r = 0;
-  while (live > 0) {
-    op& o = ring[r];
-    bool done = false;
-    if (o.has_stop) {
-      ++t_handoffs;
-      t.insert_from(o.v, o.stop, (o.stop - o.home) & mask);
-      done = true;
-    } else {
-      const simd::group_masks m =
-          simd::scan_group(tags + o.g, o.fp, tag_array::kEmpty, b);
-      ++t_groups;
-      const std::uint32_t stop = (m.match | m.empty) & o.lanes;
-      o.lanes = ~0u;
-      if (stop != 0) {
-        o.stop = o.g + static_cast<std::size_t>(std::countr_zero(stop));
-        o.has_stop = true;
-        detail::prefetch_rw(&slots[o.stop]);
-      } else if (++o.groups >= max_groups) {
-        throw table_full_error();
-      } else {
-        o.g = (o.g + w) & mask;
-        detail::prefetch_ro(tags + o.g);
-      }
-    }
-    if (done) {
-      if (issued < n) {
-        start(o);
-      } else {
-        ring[r] = ring[--live];
-        if (r == live) r = 0;
-        continue;
-      }
-    }
-    ++t_rot;
-    if (++r >= live) r = 0;
-  }
-  obs::count(obs::counter::batch_rotations, t_rot);
-  obs::count(obs::counter::batch_handoffs, t_handoffs);
-  obs::count(obs::counter::tag_groups_scanned, t_groups);
-  obs::count(obs::counter::batch_blocks);
-}
-
-// Both delete policies, with the same split as the scalar tagged erase:
-// tombstone lanes hand any fingerprint match straight to erase_from (which
-// re-verifies and continues forward on a collision) and resolve an empty
-// tag as absent; backshift lanes must confirm candidates in-engine, because
-// erase_from's downward scan needs a start position at or past the key —
-// an unconfirmed (possibly false-positive) match bit is not that.
-template <typename Table, typename K>
-void erase_block_tagged(Table& t, const K* keys, std::size_t n,
-                        std::size_t width, simd::backend b) {
-  using Traits = typename Table::traits;
-  using value_type = typename Table::value_type;
-  const value_type* slots = t.raw_slots();
-  const std::uint8_t* tags = t.raw_tags();
-  const std::size_t cap = t.capacity();
-  const std::size_t mask = cap - 1;
-  const std::size_t w = simd::group_width(b);
-  const std::size_t max_groups = cap / w + 1;
-  if (width > kMaxBatchWidth) width = kMaxBatchWidth;
-  if (width < 1) width = 1;
-
-  struct op {
-    std::size_t home;
-    std::size_t g;
-    std::uint32_t lanes;
-    std::uint32_t cand;    // backshift: unconfirmed matches in group g
-    std::uint32_t empty;   // empty-tag lanes of group g
-    std::size_t groups;
-    std::size_t handoff;   // pending erase_from fwd_advances (has_handoff)
-    bool has_handoff;
-    std::uint8_t fp;
-    typename Table::key_type kq;
-  };
-  std::array<op, kMaxBatchWidth> ring;
-  std::size_t issued = 0;
-  std::size_t live = 0;
-  std::uint64_t t_slots = 0, t_rot = 0, t_handoffs = 0, t_dropped = 0;
-  std::uint64_t t_groups = 0, t_cand = 0, t_fp = 0;
-  [[maybe_unused]] obs::hist_accum t_depth;
-
-  auto start = [&](op& o) {
-    const typename Table::key_type kq = keys[issued++];
-    const std::uint64_t h = Traits::hash(kq);
-    const std::size_t ihome = static_cast<std::size_t>(h) & mask;
-    const std::size_t g = ihome & ~(w - 1);
-    o = op{ihome, g, ~0u << (ihome - g), 0, 0, 0, 0, false,
-           tag_array::fingerprint(h), kq};
-    detail::prefetch_ro(tags + g);
-  };
-  while (live < width && issued < n) start(ring[live++]);
-
-  std::size_t r = 0;
-  while (live > 0) {
-    op& o = ring[r];
-    bool done = false;
-    if (o.has_handoff) {
-      ++t_handoffs;
-      t.erase_from(o.kq, o.handoff);
-      done = true;
-    } else if (o.cand != 0) {
-      // Backshift candidate confirmation (slot line prefetched).
-      const std::size_t s =
-          o.g + static_cast<std::size_t>(std::countr_zero(o.cand));
-      o.cand &= o.cand - 1;
-      const value_type c = atomic_load(&slots[s]);
-      ++t_slots;
-      ++t_cand;
-      if (Table::is_present(c) &&
-          Traits::key_equal(Traits::key(c), o.kq)) {
-        // The slot line is hot from the confirm load; run the downward
-        // scan now rather than spending a rotation on a prefetch.
-        ++t_handoffs;
-        t.erase_from(o.kq, (s - o.home) & mask);
-        done = true;
-      } else {
-        ++t_fp;
-        if (o.cand != 0) {
-          detail::prefetch_rw(
-              &slots[o.g + static_cast<std::size_t>(std::countr_zero(o.cand))]);
-        } else if (o.empty != 0) {
-          const std::size_t s2 =
-              o.g + static_cast<std::size_t>(std::countr_zero(o.empty));
-          o.handoff = (s2 - o.home) & mask;
-          o.has_handoff = true;
-          detail::prefetch_rw(&slots[s2]);
-        } else if (++o.groups >= max_groups) {
-          throw table_full_error();
-        } else {
-          o.g = (o.g + w) & mask;
-          detail::prefetch_ro(tags + o.g);
-        }
-      }
-    } else {
-      simd::group_masks m =
-          simd::scan_group(tags + o.g, o.fp, tag_array::kEmpty, b);
-      ++t_groups;
-      m.match &= o.lanes;
-      m.empty &= o.lanes;
-      o.lanes = ~0u;
-      const std::uint32_t cand = m.match & simd::below_lowest(m.empty);
-      if constexpr (Table::bounded_probes) {
-        // Tombstone: no moves this phase, so a match bit can go straight
-        // to the scalar forward continuation and an empty tag is absence.
-        if (cand != 0) {
-          const std::size_t s =
-              o.g + static_cast<std::size_t>(std::countr_zero(cand));
-          o.handoff = (s - o.home) & mask;
-          o.has_handoff = true;
-          detail::prefetch_rw(&slots[s]);
-        } else if (m.empty != 0 || ++o.groups >= max_groups) {
-          // The scalar continuation never runs for an absent key, so its
-          // erase_ops tick (below) and probe-depth sample land here.
-          ++t_dropped;
-          if constexpr (requires { t.hists(); }) {
-            t_depth.note(0);
-          }
-          done = true;
-        } else {
-          o.g = (o.g + w) & mask;
-          detail::prefetch_ro(tags + o.g);
-        }
-      } else {
-        o.empty = m.empty;
-        o.cand = cand;
-        if (cand != 0) {
-          detail::prefetch_rw(
-              &slots[o.g + static_cast<std::size_t>(std::countr_zero(cand))]);
-        } else if (m.empty != 0) {
-          const std::size_t s =
-              o.g + static_cast<std::size_t>(std::countr_zero(m.empty));
-          o.handoff = (s - o.home) & mask;
-          o.has_handoff = true;
-          detail::prefetch_rw(&slots[s]);
-        } else if (++o.groups >= max_groups) {
-          throw table_full_error();
-        } else {
-          o.g = (o.g + w) & mask;
-          detail::prefetch_ro(tags + o.g);
-        }
-      }
-    }
-    if (done) {
-      if (issued < n) {
-        start(o);
-      } else {
-        ring[r] = ring[--live];
-        if (r == live) r = 0;
-        continue;
-      }
-    }
-    ++t_rot;
-    if (++r >= live) r = 0;
-  }
-  obs::count(obs::counter::erase_ops, t_dropped);
-  obs::count(obs::counter::batch_probe_slots, t_slots);
-  obs::count(obs::counter::batch_rotations, t_rot);
-  obs::count(obs::counter::batch_handoffs, t_handoffs);
-  obs::count(obs::counter::tag_groups_scanned, t_groups);
-  obs::count(obs::counter::tag_candidates, t_cand);
-  obs::count(obs::counter::tag_false_positives, t_fp);
-  obs::count(obs::counter::batch_blocks);
-  if constexpr (requires { t.hists(); }) {
-    t.hists().record_block(obs::table_hist::probe_depth, t_depth);
-  }
-}
-
 }  // namespace batch_detail
 
 // ---------------------------------------------------------------------------
@@ -904,14 +475,7 @@ void insert_batch_range(Table& t, const V* values, std::size_t n) {
   if constexpr (batchable_table<Table>) {
     auto scope = t.batch_insert_scope();
     const std::size_t width = batch_width();
-    [[maybe_unused]] const simd::backend b = batch_tag_backend(t);
     blocked_for(0, n, 2048, [&](std::size_t, std::size_t s, std::size_t e) {
-      if constexpr (tagged_probe_table<Table> && !Table::ordered_probes) {
-        if (b != simd::backend::off) {
-          batch_detail::insert_block_tagged(t, values + s, e - s, width, b);
-          return;
-        }
-      }
       batch_detail::insert_block_pipelined(t, values + s, e - s, width);
     });
   } else {
@@ -939,16 +503,8 @@ std::vector<typename Table::value_type> find_batch(const Table& t,
     std::vector<typename Table::value_type> out(keys.size());
     auto scope = t.batch_query_scope();
     const std::size_t width = batch_width();
-    [[maybe_unused]] const simd::backend b = batch_tag_backend(t);
     blocked_for(0, keys.size(), 2048,
                 [&](std::size_t, std::size_t s, std::size_t e) {
-                  if constexpr (tagged_probe_table<Table>) {
-                    if (b != simd::backend::off) {
-                      batch_detail::find_block_tagged(t, keys.data() + s, e - s,
-                                                      out.data() + s, width, b);
-                      return;
-                    }
-                  }
                   batch_detail::find_block_pipelined(t, keys.data() + s, e - s,
                                                      out.data() + s, width);
                 });
@@ -966,16 +522,8 @@ void erase_batch(Table& t, const std::vector<K>& keys) {
   } else if constexpr (batchable_table<Table>) {
     auto scope = t.batch_erase_scope();
     const std::size_t width = batch_width();
-    [[maybe_unused]] const simd::backend b = batch_tag_backend(t);
     blocked_for(0, keys.size(), 2048,
                 [&](std::size_t, std::size_t s, std::size_t e) {
-                  if constexpr (tagged_probe_table<Table>) {
-                    if (b != simd::backend::off) {
-                      batch_detail::erase_block_tagged(t, keys.data() + s,
-                                                       e - s, width, b);
-                      return;
-                    }
-                  }
                   batch_detail::erase_block_pipelined(t, keys.data() + s, e - s,
                                                       width);
                 });

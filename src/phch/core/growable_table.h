@@ -216,8 +216,8 @@ class growable_table {
     return growths_.load(std::memory_order_relaxed);
   }
 
-  // Read-only view of the current flat table, for layout and tag-sidecar
-  // inspection at quiescent points (racy against a concurrent grow()).
+  // Read-only view of the current flat table, for layout inspection at
+  // quiescent points (racy against a concurrent grow()).
   const inner_table& inner() const noexcept { return *cur(); }
 
   // The *current* incarnation's distribution block. Growth replaces the

@@ -17,7 +17,6 @@
 
 #include <concepts>
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "phch/core/phase_runtime.h"
@@ -89,17 +88,6 @@ concept batchable_table =
       ct.batch_query_scope();
       t.batch_insert_scope();
       t.batch_erase_scope();
-    };
-
-// A batchable table that also carries the 1-byte fingerprint sidecar
-// (core/tag_array.h): raw tag access lets the batch engine scan probe
-// groups with core/simd_scan.h instead of loading full slots.
-template <typename T>
-concept tagged_probe_table =
-    batchable_table<T> &&
-    requires(const T& ct, typename T::value_type v) {
-      { ct.raw_tags() } -> std::convertible_to<const std::uint8_t*>;
-      { T::is_present(v) } -> std::convertible_to<bool>;
     };
 
 // A table that implements its own whole-batch operations (the growable

@@ -400,7 +400,7 @@ inline void reset_histograms() {
 
 // RAII probe-depth recorder. Declared *after* the op's probe_tally so it
 // destructs first on every exit path and reads the tally's final slot
-// count; `base` carries the pipelined/tagged prefix distance already
+// count; `base` carries the pipelined prefix distance already
 // travelled before the scalar continuation took over.
 class probe_depth_scope {
  public:

@@ -66,10 +66,6 @@ enum class counter : std::uint8_t {
   batch_rotations,   // ring-lane rotations (one per line crossed per op)
   batch_handoffs,    // pipelined-prefix -> scalar-continuation handoffs
   batch_blocks,      // pipelined blocks executed
-  // core/simd_scan.h tag-sidecar probing (scalar and batched loops).
-  tag_groups_scanned,  // vector/SWAR group scans over the tag sidecar
-  tag_candidates,      // fingerprint-match candidates confirmed against slots
-  tag_false_positives, // candidates whose slot did not hold the probed key
   // parallel/scheduler.cpp.
   steals,            // tasks stolen from another worker's deque
   steal_failures,    // full victim sweeps that found nothing
@@ -98,8 +94,7 @@ inline const char* counter_name(counter c) noexcept {
       "probe_slots",       "cas_attempts",  "cas_failures",   "insert_ops",
       "insert_commits",    "insert_dups",   "insert_aborts",  "erase_ops",
       "erase_hits",        "find_ops",      "find_hits",      "batch_probe_slots",
-      "batch_rotations",   "batch_handoffs", "batch_blocks",
-      "tag_groups_scanned", "tag_candidates", "tag_false_positives", "steals",
+      "batch_rotations",   "batch_handoffs", "batch_blocks",   "steals",
       "steal_failures",    "backoff_sleeps", "growths",       "migrated_elements",
       "cuckoo_evictions",  "hopscotch_displacements", "chained_chain_links",
       "phase_transitions", "reclaim_retired", "reclaim_freed", "room_waits",
@@ -219,22 +214,6 @@ struct probe_tally {
   }
 };
 
-// Scratch tally for the tag-sidecar scans (core/simd_scan.h consumers),
-// same pattern as probe_tally: plain locals, flushed on destruction.
-struct tag_tally {
-  std::uint64_t groups = 0;
-  std::uint64_t candidates = 0;
-  std::uint64_t false_positives = 0;
-  tag_tally() = default;
-  tag_tally(const tag_tally&) = delete;
-  tag_tally& operator=(const tag_tally&) = delete;
-  ~tag_tally() {
-    if (groups != 0) count(counter::tag_groups_scanned, groups);
-    if (candidates != 0) count(counter::tag_candidates, candidates);
-    if (false_positives != 0) count(counter::tag_false_positives, false_positives);
-  }
-};
-
 #else  // !PHCH_TELEMETRY_ENABLED — every entry point is an empty inline no-op
 
 inline constexpr bool enabled() noexcept { return false; }
@@ -250,12 +229,6 @@ struct probe_tally {
   std::uint64_t slots = 0;
   std::uint64_t cas = 0;
   std::uint64_t cas_failed = 0;
-};
-
-struct tag_tally {
-  std::uint64_t groups = 0;
-  std::uint64_t candidates = 0;
-  std::uint64_t false_positives = 0;
 };
 
 #endif  // PHCH_TELEMETRY_ENABLED

@@ -360,8 +360,8 @@ TEST(BatchOpsTombstone, InsertWidthOneSingleThreadMatchesScalarLayout) {
 TEST(BatchOpsTombstone, BoundedProbesResolveMissesOnGarbageFullTable) {
   // Fill a 64-slot table completely with 32 live keys + 32 tombstones: no
   // empty slot remains, so an absent-key probe wraps the whole table. The
-  // bounded-probe path must resolve that as a miss (scalar find semantics),
-  // not a table_full_error, in both find and erase batches.
+  // bounded-probe path must resolve that as a miss, not a table_full_error,
+  // in both find and erase batches and in the scalar find and erase.
   tombstone_table<int_entry<>> t(64);
   const auto first = test::unique_keys(32, 53);
   const auto second = test::unique_keys(32, 59);
@@ -375,6 +375,10 @@ TEST(BatchOpsTombstone, BoundedProbesResolveMissesOnGarbageFullTable) {
   const auto out = find_batch(t, absent);  // must not throw
   for (const auto& v : out) ASSERT_TRUE(int_entry<>::is_empty(v));
   EXPECT_NO_THROW(erase_batch(t, absent));
+  for (const auto k : absent) {
+    EXPECT_FALSE(t.contains(k));
+    t.erase(k);
+  }
   ASSERT_EQ(t.count(), second.size());
   for (const auto k : second) ASSERT_TRUE(t.contains(k));
 }

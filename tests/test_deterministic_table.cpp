@@ -8,6 +8,7 @@
 #include <set>
 #include <vector>
 
+#include "phch/core/batch_ops.h"
 #include "phch/core/deterministic_table.h"
 #include "phch/core/serial_table.h"
 #include "phch/parallel/scheduler.h"
@@ -177,6 +178,31 @@ TEST(DeterministicTable, ApproxSizeTracksOccupancyAtPhaseBoundaries) {
   test::parallel_erase(t, elems);
   EXPECT_EQ(t.approx_size(), 0u);
   EXPECT_EQ(t.count(), 0u);
+}
+
+// Every key a multi-worker insert phase inserted is found afterwards, by the
+// scalar find and by the pipelined batch find. At load 0.5 displacing CASes
+// often race on one slot, so a find that decided from anything but the slot
+// words could stop short of a present key.
+TEST(DeterministicTable, FindSeesEveryKeyAfterConcurrentInsertPhase) {
+  scheduler& sched = scheduler::get();
+  const int original = sched.num_workers();
+  sched.set_num_workers(4);
+  std::size_t scalar_misses = 0;
+  std::size_t batch_misses = 0;
+  for (std::uint64_t round = 0; round < 500; ++round) {
+    itable t(1 << 10);
+    const auto keys = test::unique_keys(512, round + 1);
+    test::parallel_insert(t, keys);
+    const auto batched = find_batch(t, keys);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      scalar_misses += t.find(keys[i]) != keys[i];
+      batch_misses += batched[i] != keys[i];
+    }
+  }
+  sched.set_num_workers(original);
+  EXPECT_EQ(scalar_misses, 0u);
+  EXPECT_EQ(batch_misses, 0u);
 }
 
 // --- key-value combining ---------------------------------------------------

@@ -26,7 +26,7 @@ import sys
 # Environment facts: value differences are expected across machines/configs.
 ENV_KEYS = {
     "threads", "reps", "capacity", "initial_capacity", "batch", "width",
-    "increments", "n", "simd_backend", "compiled", "bench", "growths",
+    "increments", "n", "compiled", "bench", "growths",
 }
 
 findings = []

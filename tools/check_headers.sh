@@ -5,10 +5,9 @@
 #
 #   tools/check_headers.sh [compiler]
 #
-# Every header (including src/phch/obs/) is compiled four times: with and
-# without -DPHCH_TELEMETRY=1, each with and without -DPHCH_FORCE_SWAR=1, so
-# both sides of the telemetry gate and both SIMD configurations (vector
-# backends compiled in / SWAR only) stay self-contained.
+# Every header (including src/phch/obs/) is compiled twice: with and
+# without -DPHCH_TELEMETRY=1, so both sides of the telemetry gate stay
+# self-contained.
 #
 # Each header must also carry a `#pragma once` include guard — a missing
 # guard compiles fine standalone and only explodes at a distance.
@@ -44,28 +43,25 @@ while IFS= read -r header; do
     echo "MISSING #pragma once: ${header#"$root"/}"
     failures=$((failures + 1))
   fi
-  for tele in "" "-DPHCH_TELEMETRY=1"; do
-    for simd in "" "-DPHCH_FORCE_SWAR=1"; do
-      extra="$tele $simd"
+  for extra in "" "-DPHCH_TELEMETRY=1"; do
+    checked=$((checked + 1))
+    # shellcheck disable=SC2086  # $extra is intentionally word-split
+    if ! "$cxx" -std=c++20 -fsyntax-only -I"$root/src" $extra -x c++ "$header" \
+        2>/tmp/hdr_err.$$; then
+      echo "NOT SELF-CONTAINED (${extra}): ${header#"$root"/}"
+      sed 's/^/    /' </tmp/hdr_err.$$ | head -15
+      failures=$((failures + 1))
+    fi
+    if [ -n "$clangxx" ]; then
       checked=$((checked + 1))
-      # shellcheck disable=SC2086  # $extra is intentionally word-split
-      if ! "$cxx" -std=c++20 -fsyntax-only -I"$root/src" $extra -x c++ "$header" \
-          2>/tmp/hdr_err.$$; then
-        echo "NOT SELF-CONTAINED (${extra# }): ${header#"$root"/}"
+      # shellcheck disable=SC2086
+      if ! "$clangxx" -std=c++20 -fsyntax-only -Wthread-safety -Werror \
+          -I"$root/src" $extra -x c++ "$header" 2>/tmp/hdr_err.$$; then
+        echo "CLANG THREAD-SAFETY (${extra}): ${header#"$root"/}"
         sed 's/^/    /' </tmp/hdr_err.$$ | head -15
         failures=$((failures + 1))
       fi
-      if [ -n "$clangxx" ]; then
-        checked=$((checked + 1))
-        # shellcheck disable=SC2086
-        if ! "$clangxx" -std=c++20 -fsyntax-only -Wthread-safety -Werror \
-            -I"$root/src" $extra -x c++ "$header" 2>/tmp/hdr_err.$$; then
-          echo "CLANG THREAD-SAFETY (${extra# }): ${header#"$root"/}"
-          sed 's/^/    /' </tmp/hdr_err.$$ | head -15
-          failures=$((failures + 1))
-        fi
-      fi
-    done
+    fi
   done
 done < <(find "$root/src/phch" -name '*.h' | sort)
 
