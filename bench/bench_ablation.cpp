@@ -17,8 +17,7 @@
 //     per-op loops — memory-level parallelism for the phase-batch pattern.
 //  9. Phase-epoch runtime: room-transition cost on mixed auto_phased
 //     streams (single-class vs alternating-class, telemetry on/off when
-//     compiled) and deferred vs immediate reclamation on a growth-heavy
-//     insert loop. This section also writes BENCH_phase.json (or argv[1])
+//     compiled). This section also writes BENCH_phase.json (or argv[1])
 //     for the CI artifact.
 #include <cinttypes>
 #include <cstdio>
@@ -34,7 +33,6 @@
 #include "phch/obs/export.h"
 #include "phch/obs/telemetry.h"
 #include "phch/parallel/parallel_for.h"
-#include "phch/parallel/reclaim.h"
 #include "phch/workloads/sequences.h"
 
 using namespace phch;
@@ -220,9 +218,9 @@ int main(int argc, char** argv) {
                 batch_find, plain_find / batch_find);
   }
 
-  // 9. phase-epoch runtime: room-transition cost and reclamation ablation
+  // 9. phase-epoch runtime: room-transition cost
   {
-    std::printf("\n--- phase-epoch runtime: room transitions and reclamation ---\n");
+    std::printf("\n--- phase-epoch runtime: room transitions ---\n");
     const std::size_t m = n / 8;
     const std::size_t cap = round_up_pow2(4 * m);
     const auto keys = workloads::random_int_seq(m, 9);
@@ -274,27 +272,6 @@ int main(int argc, char** argv) {
                   "for the on/off split)\n");
     }
 
-    // Reclamation ablation: growth-heavy inserts with deferred reclamation
-    // (production) vs immediate free (the pre-reclaim lifetime discipline).
-    // Immediate free is safe *here only* because the stream is insert-only:
-    // grow() drains in-flight writers before it retires the old array, and
-    // no finds run concurrently, so nobody can still hold the old pointer.
-    const auto rs_before = reclaim::stats();
-    std::optional<growable_table<int_entry<>>> g;
-    const auto grow_insert = [&] {
-      parallel_for(0, m, [&](std::size_t i) { g->insert(keys[i]); });
-    };
-    const double reclaim_deferred_s = time_median([&] { g.emplace(1024); }, grow_insert);
-    const bool prev_deferred = reclaim::set_deferred(false);
-    const double reclaim_immediate_s = time_median([&] { g.emplace(1024); }, grow_insert);
-    reclaim::set_deferred(prev_deferred);
-    const auto rs_after = reclaim::stats();
-    std::printf("  growable inserts: reclaim deferred %8.3f s, immediate %8.3f s "
-                "(%.2fx, %" PRIu64 " arrays retired)\n",
-                reclaim_deferred_s, reclaim_immediate_s,
-                reclaim_deferred_s / reclaim_immediate_s,
-                rs_after.retired - rs_before.retired);
-
     FILE* f = std::fopen(json_path, "w");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot write %s\n", json_path);
@@ -310,13 +287,6 @@ int main(int argc, char** argv) {
                  "  \"telemetry\": {\"compiled\": %s, \"off_s\": %.6f, "
                  "\"on_s\": %.6f},\n",
                  obs::compiled ? "true" : "false", tele_off_s, tele_on_s);
-    std::fprintf(f,
-                 "  \"reclaim\": {\"deferred_s\": %.6f, \"immediate_s\": %.6f, "
-                 "\"retired\": %" PRIu64 ", \"freed\": %" PRIu64
-                 ", \"pending\": %zu},\n",
-                 reclaim_deferred_s, reclaim_immediate_s,
-                 rs_after.retired - rs_before.retired,
-                 rs_after.freed - rs_before.freed, rs_after.pending);
     std::fprintf(f, "  \"counters\": ");
     obs::write_counters_json(f, obs::snapshot(), "  ");
     std::fprintf(f, "\n}\n");

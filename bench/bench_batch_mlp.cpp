@@ -64,12 +64,20 @@ void find_serial(const Table& t, const std::vector<std::uint64_t>& keys,
   for (std::size_t i = 0; i < keys.size(); ++i) out[i] = t.find(keys[i]);
 }
 
+// The prefetch-ahead baseline: hash the key kPrefetchAhead positions down
+// the batch and prefetch its home slot, where every Figure-1 probe starts.
+constexpr std::size_t kPrefetchAhead = 8;
+
+const void* home_slot(const table_t& t, std::uint64_t k) {
+  return t.raw_slots() + (table_t::traits::hash(k) & (t.capacity() - 1));
+}
+
 void find_serial_prefetch(const table_t& t, const std::vector<std::uint64_t>& keys,
                           std::vector<std::uint64_t>& out) {
   const std::size_t n = keys.size();
   for (std::size_t i = 0; i < n; ++i) {
     if (i + kPrefetchAhead < n)
-      detail::prefetch_ro(t.home_address(keys[i + kPrefetchAhead]));
+      detail::prefetch_ro(home_slot(t, keys[i + kPrefetchAhead]));
     out[i] = t.find(keys[i]);
   }
 }
@@ -150,14 +158,14 @@ int main(int argc, char** argv) {
         [&] {
           for (std::size_t i = 0; i < dbatch; ++i) {
             if (i + kPrefetchAhead < dbatch)
-              detail::prefetch_rw(t.home_address(dkeys[i + kPrefetchAhead]));
+              detail::prefetch_rw(home_slot(t, dkeys[i + kPrefetchAhead]));
             t.insert(dkeys[i]);
           }
         },
         [&] {
           for (std::size_t i = 0; i < dbatch; ++i) {
             if (i + kPrefetchAhead < dbatch)
-              detail::prefetch_rw(t.home_address(dkeys[i + kPrefetchAhead]));
+              detail::prefetch_rw(home_slot(t, dkeys[i + kPrefetchAhead]));
             t.erase(dkeys[i]);
           }
         });

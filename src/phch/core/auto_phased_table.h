@@ -17,14 +17,6 @@
 // (same class, no second edge), and for elements()/count() — which scan raw
 // slots without entering an operation scope — it is the only announcement.
 //
-// Reclamation guarantee: completing an operation on this wrapper is a
-// reclamation quiescent point for the calling thread (parallel/reclaim.h).
-// Room transitions are therefore grace-period edges: memory retired before
-// a transition is freed once every participating thread has completed an
-// operation (or otherwise announced quiescence) after it. Callers must not
-// invoke these operations while holding raw pointers into reclaim-protected
-// structures (e.g. a growable_table's inner table or raw_slots view).
-//
 // Determinism caveat (inherent, not an implementation artifact): automatic
 // phasing makes mixing *safe*, but the induced phase boundaries depend on
 // arrival timing, so a mixed workload is NOT deterministic — exactly why the
@@ -39,7 +31,6 @@
 #include "phch/core/deterministic_table.h"
 #include "phch/core/table_concepts.h"
 #include "phch/obs/histogram.h"
-#include "phch/parallel/reclaim.h"
 #include "phch/parallel/room_sync.h"
 
 namespace phch {
@@ -65,43 +56,27 @@ class auto_phased_table {
   std::size_t capacity() const noexcept { return table_.capacity(); }
 
   void insert(value_type v) {
-    {
-      room_sync::guard g(rooms_, kInsertRoom);
-      note_room(op_kind::insert);
-      table_.insert(v);
-    }
-    reclaim::quiescent();  // see reclamation guarantee above
+    room_sync::guard g(rooms_, kInsertRoom);
+    note_room(op_kind::insert);
+    table_.insert(v);
   }
 
   void erase(key_type k) {
-    {
-      room_sync::guard g(rooms_, kEraseRoom);
-      note_room(op_kind::erase);
-      table_.erase(k);
-    }
-    reclaim::quiescent();
+    room_sync::guard g(rooms_, kEraseRoom);
+    note_room(op_kind::erase);
+    table_.erase(k);
   }
 
   value_type find(key_type k) const {
-    value_type r;
-    {
-      room_sync::guard g(rooms_, kQueryRoom);
-      note_room(op_kind::query);
-      r = table_.find(k);
-    }
-    reclaim::quiescent();
-    return r;
+    room_sync::guard g(rooms_, kQueryRoom);
+    note_room(op_kind::query);
+    return table_.find(k);
   }
 
   bool contains(key_type k) const {
-    bool r;
-    {
-      room_sync::guard g(rooms_, kQueryRoom);
-      note_room(op_kind::query);
-      r = table_.contains(k);
-    }
-    reclaim::quiescent();
-    return r;
+    room_sync::guard g(rooms_, kQueryRoom);
+    note_room(op_kind::query);
+    return table_.contains(k);
   }
 
   // elements() and count() scan the slots *serially* here: running a
@@ -110,29 +85,23 @@ class auto_phased_table {
   // caller-separated phases, use the underlying table's parallel
   // elements().)
   std::vector<value_type> elements() const {
+    room_sync::guard g(rooms_, kQueryRoom);
+    note_room(op_kind::query);
     std::vector<value_type> out;
-    {
-      room_sync::guard g(rooms_, kQueryRoom);
-      note_room(op_kind::query);
-      const value_type* slots = table_.raw_slots();
-      for (std::size_t s = 0; s < table_.capacity(); ++s) {
-        if (!traits::is_empty(slots[s])) out.push_back(slots[s]);
-      }
+    const value_type* slots = table_.raw_slots();
+    for (std::size_t s = 0; s < table_.capacity(); ++s) {
+      if (!traits::is_empty(slots[s])) out.push_back(slots[s]);
     }
-    reclaim::quiescent();
     return out;
   }
 
   // Count is a query (shares the find/elements room).
   std::size_t count() const {
+    room_sync::guard g(rooms_, kQueryRoom);
+    note_room(op_kind::query);
     std::size_t c = 0;
-    {
-      room_sync::guard g(rooms_, kQueryRoom);
-      note_room(op_kind::query);
-      const value_type* slots = table_.raw_slots();
-      for (std::size_t s = 0; s < table_.capacity(); ++s) c += !traits::is_empty(slots[s]);
-    }
-    reclaim::quiescent();
+    const value_type* slots = table_.raw_slots();
+    for (std::size_t s = 0; s < table_.capacity(); ++s) c += !traits::is_empty(slots[s]);
     return c;
   }
 

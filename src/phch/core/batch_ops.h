@@ -67,9 +67,6 @@
 
 namespace phch {
 
-// Retained for the prefetch-ahead reference paths (bench baselines).
-inline constexpr std::size_t kPrefetchAhead = 8;
-
 // Hard cap on in-flight probes per worker; beyond the hardware's miss
 // handling capacity (~10-20 line fill buffers) extra streams only thrash.
 inline constexpr std::size_t kMaxBatchWidth = 64;
@@ -409,52 +406,6 @@ std::vector<typename Table::value_type> find_batch_scalar(
 template <typename Table, typename K>
 void erase_batch_scalar(Table& t, const std::vector<K>& keys) {
   parallel_for(0, keys.size(), [&](std::size_t i) { t.erase(keys[i]); });
-}
-
-// ---------------------------------------------------------------------------
-// Prefetch-ahead reference batches: the previous engine (home line hashed
-// kPrefetchAhead positions down the batch), kept as the bench baseline the
-// pipelined engine is measured against.
-// ---------------------------------------------------------------------------
-
-template <typename Table, typename V>
-void insert_batch_prefetch(Table& t, const std::vector<V>& values) {
-  blocked_for(0, values.size(), 2048, [&](std::size_t, std::size_t s, std::size_t e) {
-    for (std::size_t i = s; i < e; ++i) {
-      if (i + kPrefetchAhead < e) {
-        detail::prefetch_rw(
-            t.home_address(Table::traits::key(values[i + kPrefetchAhead])));
-      }
-      t.insert(values[i]);
-    }
-  });
-}
-
-template <typename Table, typename K>
-std::vector<typename Table::value_type> find_batch_prefetch(
-    const Table& t, const std::vector<K>& keys) {
-  std::vector<typename Table::value_type> out(keys.size());
-  blocked_for(0, keys.size(), 2048, [&](std::size_t, std::size_t s, std::size_t e) {
-    for (std::size_t i = s; i < e; ++i) {
-      if (i + kPrefetchAhead < e) {
-        detail::prefetch_ro(t.home_address(keys[i + kPrefetchAhead]));
-      }
-      out[i] = t.find(keys[i]);
-    }
-  });
-  return out;
-}
-
-template <typename Table, typename K>
-void erase_batch_prefetch(Table& t, const std::vector<K>& keys) {
-  blocked_for(0, keys.size(), 2048, [&](std::size_t, std::size_t s, std::size_t e) {
-    for (std::size_t i = s; i < e; ++i) {
-      if (i + kPrefetchAhead < e) {
-        detail::prefetch_rw(t.home_address(keys[i + kPrefetchAhead]));
-      }
-      t.erase(keys[i]);
-    }
-  });
 }
 
 // ---------------------------------------------------------------------------

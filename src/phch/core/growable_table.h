@@ -21,18 +21,11 @@
 // Only inserts can trigger growth; finds and deletes see a single table, as
 // in the paper.
 //
-// Lifetime of the old slot array: the table pointer is an atomic that grow()
-// publishes with a release store, and the superseded table is handed to
-// quiescence-based reclamation (parallel/reclaim.h) instead of being deleted
-// in place. Readers therefore need no exclusion at all — a find may still be
-// probing the old array while the swap happens and simply completes against
-// a stale (but alive and immutable-to-it) table; the array is freed only
-// after every participating thread has passed a quiescent point. This
-// removes the old "all reads must happen inside the enter()/leave() window"
-// seam: enter()/leave() now gates *writers only*, because a migration must
-// observe every committed insert. Each public operation runs under a
-// reclaim::op_guard, which registers the thread before the first pointer
-// load and announces one quiescent point when the operation ends.
+// Lifetime of the old slot array: grow() deletes it right after publishing
+// the new table. Writers cannot still be using it, because grow() drains
+// them through enter()/leave() first; readers cannot, because the phase
+// discipline (Definition 1) keeps finds and erases out of insert phases, and
+// only inserts grow.
 //
 // The wrapper implements its own insert_batch/find_batch/erase_batch, so
 // the free batch functions (core/batch_ops.h) forward to it
@@ -52,7 +45,6 @@
 #include "phch/core/deterministic_table.h"
 #include "phch/core/table_concepts.h"
 #include "phch/obs/trace.h"
-#include "phch/parallel/reclaim.h"
 #include "phch/parallel/spinlock.h"  // cpu_relax
 #include "phch/utils/phase_caps.h"
 
@@ -78,31 +70,18 @@ class growable_table {
   growable_table(const growable_table&) = delete;
   growable_table& operator=(const growable_table&) = delete;
 
-  // The destructor deletes only the *current* table; superseded tables are
-  // already in reclaim limbo and are freed when their grace period passes
-  // (at the latest, at process teardown — LeakSanitizer-clean either way).
   ~growable_table() { delete table_.load(std::memory_order_relaxed); }
 
-  std::size_t capacity() const noexcept {
-    reclaim::op_guard qp;
-    return cur()->capacity();
-  }
-  std::size_t count() const {
-    reclaim::op_guard qp;
-    return cur()->count();
-  }
+  std::size_t capacity() const noexcept { return cur()->capacity(); }
+  std::size_t count() const { return cur()->count(); }
 
   // The inner table's striped occupancy counter (exact at phase boundaries),
   // surfaced so callers see the same size API on the wrapper as on the flat
   // tables.
-  std::size_t approx_size() const noexcept {
-    reclaim::op_guard qp;
-    return cur()->approx_size();
-  }
+  std::size_t approx_size() const noexcept { return cur()->approx_size(); }
 
   void insert(value_type v) PHCH_REQUIRES_PHASE(insert) {
     using result = typename inner_table::insert_result;
-    reclaim::op_guard qp;
     for (;;) {
       enter();
       result r;
@@ -141,23 +120,15 @@ class growable_table {
   }
 
   // Erases and queries take no enter()/leave(): the phase discipline keeps
-  // them out of insert phases (only inserts grow), and even a racy overlap
-  // with a migration is memory-safe now — the superseded array stays alive
-  // until reclaim's grace period passes.
-  void erase(key_type kq) PHCH_REQUIRES_PHASE(erase) {
-    reclaim::op_guard qp;
-    cur()->erase(kq);
-  }
+  // them out of insert phases, and only inserts grow.
+  void erase(key_type kq) PHCH_REQUIRES_PHASE(erase) { cur()->erase(kq); }
   value_type find(key_type kq) const PHCH_REQUIRES_PHASE(query) {
-    reclaim::op_guard qp;
     return cur()->find(kq);
   }
   bool contains(key_type kq) const PHCH_REQUIRES_PHASE(query) {
-    reclaim::op_guard qp;
     return cur()->contains(kq);
   }
   std::vector<value_type> elements() const PHCH_REQUIRES_PHASE(query) {
-    reclaim::op_guard qp;
     return cur()->elements();
   }
 
@@ -173,7 +144,6 @@ class growable_table {
 
   void insert_batch(const value_type* values, std::size_t n)
       PHCH_REQUIRES_PHASE(insert) {
-    reclaim::op_guard qp;
     for (std::size_t s = 0; s < n;) {
       const std::size_t chunk = std::min(kGrowChunk, n - s);
       enter();
@@ -202,13 +172,11 @@ class growable_table {
 
   std::vector<value_type> find_batch(const std::vector<key_type>& keys) const
       PHCH_REQUIRES_PHASE(query) {
-    reclaim::op_guard qp;
     return phch::find_batch(*cur(), keys);
   }
 
   void erase_batch(const std::vector<key_type>& keys)
       PHCH_REQUIRES_PHASE(erase) {
-    reclaim::op_guard qp;
     phch::erase_batch(*cur(), keys);
   }
 
@@ -224,11 +192,9 @@ class growable_table {
   // inner table, so a registered growable table's per-table histograms
   // cover the incarnation live at sample time; samples recorded by
   // superseded incarnations stay in the global graveyard totals
-  // (obs::table_hist_totals), which remain exact.
-  obs::table_hists& hists() const noexcept {
-    reclaim::op_guard qp;
-    return cur()->hists();
-  }
+  // (obs::table_hist_totals), which remain exact. Like inner(), the
+  // reference dies at the next growth.
+  obs::table_hists& hists() const noexcept { return cur()->hists(); }
 
   // The current incarnation's phase word (same caveat as hists()).
   phase_runtime& phase_rt() const noexcept { return cur()->phase_rt(); }
@@ -258,10 +224,15 @@ class growable_table {
     return std::min(probe_limit_factor_ * lg, cap / 2);
   }
 
+  // enter() and grow() form a store-buffering (Dekker) pair: each side
+  // stores its own flag, then loads the other's. The store and the load on
+  // each side are seq_cst so at least one side sees the other — with
+  // acquire/release alone both could read the old value, and a writer would
+  // insert into a table grow() is migrating and then frees.
   void enter() noexcept {
     for (;;) {
-      active_.fetch_add(1, std::memory_order_acquire);
-      if (!resizing_.load(std::memory_order_acquire)) return;
+      active_.fetch_add(1, std::memory_order_seq_cst);
+      if (!resizing_.load(std::memory_order_seq_cst)) return;
       // A resize is pending; back out and wait for it to finish.
       active_.fetch_sub(1, std::memory_order_release);
       while (resizing_.load(std::memory_order_acquire)) cpu_relax();
@@ -275,11 +246,9 @@ class growable_table {
     if (old->capacity() >= target_capacity) return;  // someone else grew it
     obs::span sp("grow");
     const std::uint64_t grow_t0 = obs::now_if_enabled();
-    resizing_.store(true, std::memory_order_release);
-    // Drain in-flight inserts on the old table (writers only — concurrent
-    // readers keep probing the old array unexcluded; reclamation keeps it
-    // alive for them).
-    while (active_.load(std::memory_order_acquire) != 0) cpu_relax();
+    resizing_.store(true, std::memory_order_seq_cst);
+    // Drain in-flight inserts on the old table (seq_cst: see enter()).
+    while (active_.load(std::memory_order_seq_cst) != 0) cpu_relax();
     auto fresh = std::make_unique<inner_table>(target_capacity);
     // Migrate: deterministic re-insertion of the old contents through the
     // pipelined batch engine (worker threads stuck in enter() spin, so on an
@@ -294,11 +263,10 @@ class growable_table {
     sp.a = static_cast<std::uint32_t>(
         live.size() < 0xffffffffu ? live.size() : 0xffffffffu);
     sp.b = target_capacity;
-    // Publish the new table, then retire the old one: readers that loaded
-    // the old pointer before the store finish against an array whose grace
-    // period has not yet passed.
+    // Publish the new table, then free the old one: no writer holds it (they
+    // are drained) and no reader can (see "Lifetime" in the header comment).
     table_.store(fresh.release(), std::memory_order_release);
-    reclaim::retire(old);
+    delete old;
     growths_.fetch_add(1, std::memory_order_relaxed);
     resizing_.store(false, std::memory_order_release);
     obs::hist_record_since(obs::global_hist::growth_ns, grow_t0);

@@ -8,9 +8,8 @@
 // policies carry exactly one phase-state word — a phase_runtime — which is
 // the table's sole source of phase truth: every operation (scalar or
 // batched) announces its class through it, the class-transition edge feeds
-// the obs tracer exactly once per boundary, and the monotone phase epoch is
-// what quiescence-based reclamation (parallel/reclaim.h) keys its grace
-// periods to.
+// the obs tracer exactly once per boundary, and the monotone phase epoch
+// counts the boundaries.
 //
 // These policies are the *dynamic* half of the phase contract; the static
 // half is the capability annotations of utils/phase_caps.h (DESIGN.md §15).

@@ -26,8 +26,7 @@
 //
 // The epoch is not just observational: it increases monotonically by
 // exactly one per class transition, so "the table changed phase" is a
-// checkable predicate, and the quiescence-based reclamation layer
-// (parallel/reclaim.h) can treat phase boundaries as grace-period edges.
+// checkable predicate.
 //
 // The phase policies in core/phase_guard.h are thin views over this class:
 // unchecked_phases is the runtime alone, checked_phases adds the in-flight

@@ -505,10 +505,6 @@ class probe_engine {
   // Raw slot view for tests (layout/ordering-invariant verification).
   const value_type* raw_slots() const noexcept { return slots_.data(); }
 
-  // Address of the key's home slot, for software prefetching in batched
-  // operations (see core/batch_ops.h).
-  const void* home_address(key_type k) const noexcept { return &slots_[home(k)]; }
-
   // The table's single phase-state word (core/phase_runtime.h): current
   // operation class plus the monotone phase epoch. Exposed so wrappers —
   // auto_phased_table's room transitions, the trace-ledger validation in

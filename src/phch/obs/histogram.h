@@ -3,10 +3,10 @@
 //
 // The counters (obs/telemetry.h) say how many events happened; this layer
 // says how they are *distributed* — probe depth per operation, sampled
-// operation latency, room-wait durations, limbo ages at free, and growth
-// migration times. Distributions are what the paper's phase-concurrency
-// argument actually claims things about (expected O(1) probes at fixed
-// load, contention-free phases), and what tail-latency engineering needs.
+// operation latency, room-wait durations, and growth migration times.
+// Distributions are what the paper's phase-concurrency argument actually
+// claims things about (expected O(1) probes at fixed load, contention-free
+// phases), and what tail-latency engineering needs.
 //
 // Encoding. HDR-style log-linear buckets: values 0..3 get their own bucket,
 // and every octave above that is split into 2^kHistSubBits = 4 sub-buckets,
@@ -31,7 +31,7 @@
 // exact across table destruction, which is what makes the probe-depth
 // ledger (sum of samples == find_ops + insert_ops + erase_ops) checkable
 // after a workload's tables are gone. The global_hist histograms
-// (room_wait_ns, limbo_age_ns, growth_ns) are plain process-wide singletons.
+// (room_wait_ns, growth_ns) are plain process-wide singletons.
 //
 // Latency sampling. Timestamps are too expensive per op, so op latency is
 // sampled 1-in-N per thread (N from PHCH_LATENCY_SAMPLE, default 256): a
@@ -149,7 +149,6 @@ inline const char* table_hist_name(table_hist h) noexcept {
 // Process-global histogram kinds (no per-table attribution).
 enum class global_hist : std::uint8_t {
   room_wait_ns,   // wall time blocked in room_sync::enter
-  limbo_age_ns,   // retire -> deleter-run age in the reclamation limbo lists
   growth_ns,      // growable_table migration duration
   kCount
 };
@@ -158,7 +157,7 @@ inline constexpr std::size_t kNumGlobalHists =
 
 inline const char* global_hist_name(global_hist h) noexcept {
   static constexpr const char* names[kNumGlobalHists] = {
-      "room_wait_ns", "limbo_age_ns", "growth_ns"};
+      "room_wait_ns", "growth_ns"};
   const auto i = static_cast<std::size_t>(h);
   return i < kNumGlobalHists ? names[i] : "?";
 }

@@ -3,9 +3,9 @@
 // render_prometheus() serializes, into one std::string:
 //  * every counter as `phch_<name>_total`,
 //  * the process-global histograms (merged probe depth and op latency over
-//    all tables incl. destroyed ones, room-wait / limbo-age / growth
-//    durations) in the native histogram exposition (`_bucket{le=...}`
-//    cumulative counts, `_sum`, `_count`),
+//    all tables incl. destroyed ones, room-wait / growth durations) in the
+//    native histogram exposition (`_bucket{le=...}` cumulative counts,
+//    `_sum`, `_count`),
 //  * per-table gauges from the registry (capacity, size, load factor,
 //    phase epoch) labelled {table="<name>"},
 //  * per-table probe-depth / op-latency histograms, same labels.

@@ -15,7 +15,9 @@
 // The stored callables reference the table, so the registration must not
 // outlive it — scoped_registration ties the two lifetimes together, and
 // growable_table re-resolves its current inner table on every read (its
-// callables go through the outer object, which is stable across growth).
+// callables go through the outer object, which is stable across growth;
+// growth frees the old inner table, so sample a growable table outside its
+// insert phases, as phch_monitor does between workload cycles).
 //
 // Reads (snapshot_tables) materialize the gauge values under the registry
 // mutex; unregistration takes the same mutex, so a table is never sampled

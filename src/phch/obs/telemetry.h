@@ -79,9 +79,6 @@ enum class counter : std::uint8_t {
   chained_chain_links,     // chain nodes walked by finds and batch walks
   // core/phase_runtime.h transition edge.
   phase_transitions, // per-table operation-class changes (insert->query, ...)
-  // parallel/reclaim.h (quiescence-based deferred reclamation).
-  reclaim_retired,   // objects handed to reclaim::retire
-  reclaim_freed,     // retired objects whose grace period passed (deleter ran)
   // parallel/room_sync.h (auto_phased_table's automatic phase separation).
   room_waits,        // enters that blocked because another room was occupied
   kCount
@@ -97,7 +94,7 @@ inline const char* counter_name(counter c) noexcept {
       "batch_rotations",   "batch_handoffs", "batch_blocks",   "steals",
       "steal_failures",    "backoff_sleeps", "growths",       "migrated_elements",
       "cuckoo_evictions",  "hopscotch_displacements", "chained_chain_links",
-      "phase_transitions", "reclaim_retired", "reclaim_freed", "room_waits",
+      "phase_transitions", "room_waits",
   };
   const auto i = static_cast<std::size_t>(c);
   return i < kNumCounters ? names[i] : "?";

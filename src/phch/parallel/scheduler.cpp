@@ -6,7 +6,6 @@
 
 #include "phch/obs/telemetry.h"
 #include "phch/obs/trace.h"
-#include "phch/parallel/reclaim.h"
 #include "phch/parallel/spinlock.h"
 
 namespace phch {
@@ -57,12 +56,6 @@ scheduler::scheduler() : num_workers_(default_workers()) { start_workers(); }
 scheduler::~scheduler() { stop_workers(); }
 
 void scheduler::start_workers() {
-  // Construct the reclamation registry (a function-local static) before the
-  // scheduler singleton finishes constructing and before any worker thread
-  // exists: static destruction then tears the scheduler down first, so the
-  // registry destructor frees remaining limbo single-threadedly. Also
-  // registers the calling thread (worker 0) as a reclamation participant.
-  reclaim::online();
   generation_ = global_generation.fetch_add(1, std::memory_order_relaxed) + 1;
   workers_.reserve(static_cast<std::size_t>(num_workers_));
   for (int id = 0; id < num_workers_; ++id) {
@@ -108,7 +101,6 @@ void scheduler::worker_loop(int id) {
   detail::tl_worker = &self;
   detail::tl_worker_gen = generation_;
   obs::bind_worker(id);
-  reclaim::online();  // participate in grace periods from the first task
   int failures = 0;
   while (!shutdown_.load(std::memory_order_acquire)) {
     if (detail::ws_task* t = try_steal(self)) {
@@ -116,12 +108,6 @@ void scheduler::worker_loop(int id) {
       t->run();
       failures = 0;
     } else {
-      // An idle worker between top-level tasks holds no references into any
-      // reclaim-protected structure — this is the scheduler quiescent point
-      // the reclamation layer's grace periods are built on. (wait_for
-      // deliberately does NOT announce: a blocked join has stolen-task
-      // frames on its stack that may hold such references.)
-      reclaim::quiescent();
       if (++failures < kSpinFailures) {
         cpu_relax();
       } else if (failures < kYieldFailures) {
@@ -129,17 +115,14 @@ void scheduler::worker_loop(int id) {
       } else {
         // Deep idle: sleep until fork_join signals new work (or 1 ms passes
         // — the timeout bounds the cost of a missed notify, so signal_work
-        // can stay lock-free on the push path). Going offline keeps a
-        // sleeping pool from stalling epoch advancement.
+        // can stay lock-free on the push path).
         obs::count(obs::counter::backoff_sleeps);
-        reclaim::offline();
         {
           std::unique_lock<std::mutex> lock(sleep_m_);
           num_sleeping_.fetch_add(1, std::memory_order_relaxed);
           sleep_cv_.wait_for(lock, std::chrono::milliseconds(1));
           num_sleeping_.fetch_sub(1, std::memory_order_relaxed);
         }
-        reclaim::online();
         failures = kSpinFailures;  // resume at yield-level polling
       }
     }

@@ -10,27 +10,16 @@
 //
 // The ring buffer grows geometrically when full. A concurrent thief may
 // still be reading a slot from a superseded ring (the subsequent CAS on
-// `top_` detects and discards any such stale read), so retired rings cannot
-// be deleted in place — but hoarding them for the deque's whole lifetime
-// (the old scheme) made a long-lived deque's memory grow without bound.
-// Instead, grow() hands the old ring to quiescence-based reclamation
-// (parallel/reclaim.h): it is freed once every registered thread has passed
-// a quiescent point after the retirement, which scheduler workers do
-// between top-level tasks. steal() registers the calling thread *before*
-// its first load of `buf_`, which is what makes stale reads safe: any ring
-// freed after that point must have been retired after registration, and a
-// retired ring is unreachable through `buf_` by then. Threads outside the
-// scheduler pool that steal from a growing deque get the same protection
-// automatically; they simply never announce quiescence, so rings retired
-// while they run stay in limbo until process teardown (safe, merely
-// deferred).
+// `top_` detects and discards any such stale read), so superseded rings
+// cannot be deleted in place. grow() instead chains the old ring to the new
+// one (`ring::prev`), and the chain is freed with the deque: a stale read
+// always hits live memory. Capacities double, so the retained rings together
+// are smaller than the live ring.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-
-#include "phch/parallel/reclaim.h"
 
 namespace phch {
 namespace detail {
@@ -68,9 +57,8 @@ class work_stealing_deque {
   work_stealing_deque(const work_stealing_deque&) = delete;
   work_stealing_deque& operator=(const work_stealing_deque&) = delete;
 
-  // Destroying the deque requires quiescence (no concurrent thieves), as
-  // before; superseded rings are already in reclaim limbo and freed when
-  // their grace period passes.
+  // Destroying the deque requires quiescence (no concurrent thieves); it
+  // frees the live ring and, through its prev chain, every superseded one.
   ~work_stealing_deque() { delete buf_.load(std::memory_order_relaxed); }
 
   // Owner only. Pushes `x` at the bottom, growing the ring if full.
@@ -120,10 +108,6 @@ class work_stealing_deque {
   // Any thread. Steals the oldest task, or returns nullptr when the deque
   // is empty or another thief (or the owner) won the race.
   T* steal() {
-    // Must precede the buf_ load (see header comment): registration makes
-    // any ring reachable through buf_ unfree-able until this thread next
-    // announces quiescence — which it does not do mid-steal.
-    reclaim::ensure_registered();
     std::int64_t t = top_.load(mo(std::memory_order_acquire));
     seq_cst_fence();
     const std::int64_t b = bottom_.load(mo(std::memory_order_acquire));
@@ -156,16 +140,14 @@ class work_stealing_deque {
     const std::int64_t capacity;
     const std::int64_t mask;  // capacity is a power of two
     std::unique_ptr<std::atomic<T*>[]> slots;
+    std::unique_ptr<ring> prev;  // the ring this one superseded, if any
   };
 
   ring* grow(ring* old, std::int64_t t, std::int64_t b) {
     ring* bigger = new ring(2 * old->capacity);
     for (std::int64_t i = t; i < b; ++i) bigger->put(i, old->get(i));
+    bigger->prev.reset(old);  // kept alive for thieves still reading it
     buf_.store(bigger, mo(std::memory_order_release));
-    // Owner-only: publish first, then retire. Racing thieves that loaded
-    // the old ring finish their (possibly stale, CAS-discarded) reads
-    // before their next quiescent point, so the grace period covers them.
-    reclaim::retire(old);
     return bigger;
   }
 

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 
 #include "phch/core/growable_table.h"
 #include "phch/core/table_concepts.h"
+#include "phch/parallel/parallel_for.h"
 #include "table_test_util.h"
 
 namespace phch {
@@ -123,13 +125,23 @@ TEST(GrowableTable, FindAndEraseBatchesForwardThroughWrapper) {
 
 TEST(GrowableTable, StressManyConcurrentGrowers) {
   // Small initial size + many threads maximizes the chance of concurrent
-  // growth attempts racing in enter()/grow().
-  for (int rep = 0; rep < 5; ++rep) {
+  // growth attempts racing in enter()/grow(). Each growth frees the old slot
+  // array in place, so a writer that slipped past the drain would lose its
+  // insert (or, under ASan, touch freed memory).
+  std::size_t growths = 0;
+  for (int rep = 0; rep < 12; ++rep) {
     gtable t(16);
-    const auto keys = test::unique_keys(8000, 100 + rep);
+    const auto keys = test::unique_keys(20000, 100 + rep);
     test::parallel_insert(t, keys);
     ASSERT_EQ(t.count(), keys.size());
+    std::atomic<std::size_t> missing{0};
+    parallel_for(0, keys.size(), [&](std::size_t i) {
+      if (!t.contains(keys[i])) missing.fetch_add(1, std::memory_order_relaxed);
+    });
+    ASSERT_EQ(missing.load(), 0u) << "rep " << rep;
+    growths += t.growth_count();
   }
+  EXPECT_GE(growths, 100u);  // 16 -> 32768 is 11 doublings, x12 repetitions
 }
 
 }  // namespace

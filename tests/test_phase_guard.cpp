@@ -129,8 +129,8 @@ TEST(PhaseGuard, RestoringDefaultHandlerReturnsInstalledOne) {
 
 TEST(PhaseGuard, PoliciesCarryExactlyOnePhaseStateWord) {
   // Both policies are views over a single phase_runtime cache line — the
-  // table's sole phase-state word (it drives the obs tracer and reclamation
-  // grace periods, so it is functional state, not instrumentation). The
+  // table's sole phase-state word (it drives the obs tracer and the phase
+  // epoch, so it is functional state, not instrumentation). The
   // default policy adds nothing beyond it; checked adds only the in-flight
   // counters and the debug name. Compile-time property, asserted via size.
   static_assert(sizeof(unchecked_phases) == sizeof(phase_runtime));

@@ -41,8 +41,8 @@ TEST(TelemetryOff, LayerIsCompiledOut) {
   if (obs::compiled) GTEST_SKIP() << "telemetry compiled in";
   // The phase policies carry no telemetry state: unchecked_phases is
   // exactly the one phase_runtime cache line. That word is functional (it
-  // drives reclamation grace periods and phase tracking), not telemetry —
-  // compiling obs in must not widen it.
+  // drives phase tracking), not telemetry — compiling obs in must not widen
+  // it.
   EXPECT_EQ(sizeof(unchecked_phases), sizeof(phase_runtime));
   EXPECT_FALSE(obs::enabled());
   obs::set_enabled(true);  // no-op when compiled out

@@ -29,7 +29,16 @@ class good_table {
     return find(k) != 0;  // delegation counts as a scope
   }
 
+  void insert_batch(const int* v, std::size_t n) PHCH_REQUIRES_PHASE(insert) {
+    insert_batch_range(v, n);  // so does delegation to a *_range form
+  }
+
  private:
+  void insert_batch_range(const int* v, std::size_t n) {
+    typename fixture_phase::scope guard(phase_, 0);
+    if (n != 0) last_.store(v[n - 1], std::memory_order_release);
+  }
+
   mutable int phase_ = 0;
   std::atomic<int> last_{0};
 };

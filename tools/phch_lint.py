@@ -10,8 +10,9 @@ because they are *project policy*, not C++ rules:
                             cannot silently skip the static phase contract.
   phase-scope-missing       every public table operation must open a phase
                             or batch scope (Phase::scope guard, a
-                            batch_*_scope window, a reclaim::op_guard pin,
-                            or a delegation to an operation that does).
+                            batch_*_scope window, or a delegation to an
+                            operation, or its *_impl / *_range form, that
+                            does).
   atomic-implicit-order     no atomic access may rely on the implicit
                             seq_cst default: every load/store/RMW spells
                             its std::memory_order explicitly.
@@ -531,10 +532,10 @@ REQUIRED_OPS = (
 )
 
 SCOPE_EVIDENCE_RE = re.compile(
-    r"(Phase\s*::\s*scope|::\s*scope\s+\w+\s*\(|\bop_guard\b|"
+    r"(Phase\s*::\s*scope|::\s*scope\s+\w+\s*\(|"
     r"\bbatch_(?:insert|erase|query)_scope\s*\(|"
     r"\b(?:" + "|".join(REQUIRED_OPS) + r")\s*\(|"      # delegation to an op
-    r"\b\w+_(?:impl|tagged)\s*\(|"                      # ... or its impl
+    r"\b\w+_(?:impl|range)\s*\(|"                       # ... or its impl/range
     r"\bphch\s*::\s*(?:insert|find|erase)_batch\s*\()")
 
 
@@ -613,8 +614,8 @@ def check_phase_contract(sf: SourceFile) -> list:
                 "phase-scope-missing", sf.path, line,
                 f"public table operation `{name}` opens no phase/batch "
                 f"scope (expected a Phase::scope guard, a batch_*_scope "
-                f"window, a reclaim::op_guard, or delegation to an "
-                f"operation that has one)", name))
+                f"window, or delegation to an operation, or its _impl/"
+                f"_range form, that opens one)", name))
     return findings
 
 
