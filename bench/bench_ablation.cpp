@@ -16,9 +16,9 @@
 //  8. Batched operations with software prefetch (core/batch_ops.h) vs plain
 //     per-op loops — memory-level parallelism for the phase-batch pattern.
 //  9. Phase-epoch runtime: room-transition cost on mixed auto_phased
-//     streams (single-class vs alternating-class, telemetry on/off when
-//     compiled). This section also writes BENCH_phase.json (or argv[1])
-//     for the CI artifact.
+//     streams (single-class vs alternating-class). This section also
+//     writes BENCH_phase.json (or argv[1]) for the CI artifact, with the
+//     section's telemetry snapshot delta (all zeros when compiled out).
 #include <cinttypes>
 #include <cstdio>
 #include <optional>
@@ -225,6 +225,7 @@ int main(int argc, char** argv) {
     const std::size_t cap = round_up_pow2(4 * m);
     const auto keys = workloads::random_int_seq(m, 9);
     using apt = auto_phased_table<deterministic_table<int_entry<>>>;
+    const obs::metrics_snapshot before = obs::snapshot();  // this section only
 
     // Single-class stream: every operation enters the same room, so the
     // whole run is one phase transition — the room fast path.
@@ -255,23 +256,6 @@ int main(int argc, char** argv) {
                 "crossed %" PRIu64 " phase boundaries)\n",
                 single_s, alt_s, alt_s / single_s, transitions);
 
-    // Telemetry cost on the transition-heavy stream (when compiled in, each
-    // boundary also feeds a striped counter and the trace ring).
-    double tele_on_s = 0.0, tele_off_s = 0.0;
-    if (obs::compiled) {
-      const bool was = obs::enabled();
-      obs::set_enabled(false);
-      tele_off_s = time_median([&] { t.emplace(cap); }, alternating);
-      obs::set_enabled(true);
-      tele_on_s = time_median([&] { t.emplace(cap); }, alternating);
-      obs::set_enabled(was);
-      std::printf("  alternating w/ telemetry off %8.3f s, on %8.3f s (%.2fx)\n",
-                  tele_off_s, tele_on_s, tele_on_s / tele_off_s);
-    } else {
-      std::printf("  (telemetry compiled out; rebuild with -DPHCH_TELEMETRY=ON "
-                  "for the on/off split)\n");
-    }
-
     FILE* f = std::fopen(json_path, "w");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot write %s\n", json_path);
@@ -283,12 +267,9 @@ int main(int argc, char** argv) {
                  "  \"room\": {\"single_class_s\": %.6f, \"alternating_s\": %.6f, "
                  "\"transitions\": %" PRIu64 ", \"room_waits\": %" PRIu64 "},\n",
                  single_s, alt_s, transitions, room_waits);
-    std::fprintf(f,
-                 "  \"telemetry\": {\"compiled\": %s, \"off_s\": %.6f, "
-                 "\"on_s\": %.6f},\n",
-                 obs::compiled ? "true" : "false", tele_off_s, tele_on_s);
-    std::fprintf(f, "  \"counters\": ");
-    obs::write_counters_json(f, obs::snapshot(), "  ");
+    std::fprintf(f, "  \"telemetry\": {\"compiled\": %s},\n  ",
+                 obs::compiled ? "true" : "false");
+    obs::write_snapshot_json(f, obs::snapshot() - before, "  ");
     std::fprintf(f, "\n}\n");
     std::fclose(f);
     std::printf("  wrote %s\n", json_path);

@@ -394,40 +394,6 @@ int main(int argc, char** argv) {
                 "cuckoo at this load)\n");
   }
 
-  // --- telemetry overhead guard --------------------------------------------
-  //
-  // The obs layer's contract: with PHCH_TELEMETRY compiled in and recording
-  // enabled, the pipelined find at load 0.5 stays within 5% of the disabled
-  // run. When the layer is compiled out (the default) both runs measure the
-  // same object code, so off_ns == on_ns up to noise and the section doubles
-  // as a noise floor for the comparison.
-  double tele_off = 0, tele_on = 0;
-  {
-    table_t t(cap);
-    const std::size_t fill = cap / 2;
-    parallel_for(0, fill, [&](std::size_t i) { t.insert(pool[i]); });
-    const auto qkeys = tabulate(qbatch, [&](std::size_t i) {
-      return pool[hash64(i ^ 0xc2b2ae3d27d4eb4fULL) % fill];
-    });
-    std::vector<std::uint64_t> out(qbatch);
-    const double per_q = 1e9 / static_cast<double>(qbatch);
-    const bool was_enabled = obs::enabled();
-    obs::set_enabled(false);
-    tele_off = per_q * time_median([] {}, [&] {
-      batch_detail::find_block_pipelined(t, qkeys.data(), qbatch, out.data(), width);
-    });
-    obs::set_enabled(true);
-    tele_on = per_q * time_median([] {}, [&] {
-      batch_detail::find_block_pipelined(t, qkeys.data(), qbatch, out.data(), width);
-    });
-    obs::set_enabled(was_enabled);
-    std::printf("\ntelemetry overhead (pipelined find, load 0.50, %s):\n",
-                obs::compiled ? "compiled in" : "compiled out");
-    std::printf("  %-22s %8.1f ns/op\n", "recording off", tele_off);
-    std::printf("  %-22s %8.1f ns/op   (%+.1f%%)\n", "recording on", tele_on,
-                100.0 * (tele_on - tele_off) / tele_off);
-  }
-
   // Occupancy-counter contention: every worker hammering one cache line vs
   // each worker hammering its own stripe.
   const std::size_t incs = scaled_size(std::size_t{1} << 22);
@@ -508,17 +474,11 @@ int main(int argc, char** argv) {
                "  \"counter\": {\"threads\": %d, \"increments\": %zu, "
                "\"shared_atomic_ns\": %.2f, \"striped_ns\": %.2f},\n",
                num_workers(), incs, g_ns, s_ns);
-  std::fprintf(f,
-               "  \"telemetry\": {\"compiled\": %s, \"off_ns\": %.2f, "
-               "\"on_ns\": %.2f, \"overhead_pct\": %.2f,\n    \"counters\": ",
-               obs::compiled ? "true" : "false", tele_off, tele_on,
-               100.0 * (tele_on - tele_off) / tele_off);
-  obs::write_counters_json(f, obs::snapshot(), "    ");
-  // The probe-depth distribution behind the overhead numbers (empty when
-  // telemetry is compiled out): what the "on" run actually recorded.
-  std::fprintf(f, ",\n    \"probe_depth\": ");
-  obs::write_hist_json(f, obs::table_hist_totals(obs::table_hist::probe_depth),
-                       "    ");
+  // Everything the runs above recorded (all zeros when telemetry is
+  // compiled out).
+  std::fprintf(f, "  \"telemetry\": {\"compiled\": %s,\n    ",
+               obs::compiled ? "true" : "false");
+  obs::write_snapshot_json(f, obs::snapshot(), "    ");
   std::fprintf(f, "}\n");
   std::fprintf(f, "}\n");
   std::fclose(f);

@@ -5,9 +5,8 @@
 // clearly faster than cuckooHash; chainedHash-CR slowest.
 //
 // Writes BENCH_dedup.json (or argv[1]) with the measured seconds and, per
-// panel, the obs counter deltas the runs generated — all zeros unless the
-// build has PHCH_TELEMETRY=ON and recording is enabled (PHCH_TELEMETRY=1
-// in the environment).
+// panel, the obs snapshot delta the runs generated — all zeros unless the
+// build has PHCH_TELEMETRY=ON.
 #include <string>
 #include <vector>
 
@@ -27,7 +26,7 @@ namespace {
 struct panel_result {
   std::string name;
   double d = 0, nd = 0, ck = 0, ch = 0;  // seconds
-  obs::metrics_snapshot counters;        // obs delta across the panel
+  obs::metrics_snapshot metrics;         // obs delta across the panel
 };
 
 std::vector<panel_result> results;
@@ -46,7 +45,7 @@ void panel(const char* name, const std::vector<V>& input, const double paper[4])
     return time_median([] {},
                        [&] { apps::remove_duplicates<Table>(input, c); });
   });
-  r.counters = obs::snapshot() - before;
+  r.metrics = obs::snapshot() - before;
   r.d = secs[0];
   r.nd = secs[1];
   r.ck = secs[2];
@@ -90,10 +89,9 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "%s\n    {\"name\": \"%s\",\n"
                  "     \"linearHash_D_s\": %.4f, \"linearHash_ND_s\": %.4f,\n"
-                 "     \"cuckoo_s\": %.4f, \"chained_CR_s\": %.4f,\n"
-                 "     \"counters\": ",
+                 "     \"cuckoo_s\": %.4f, \"chained_CR_s\": %.4f,\n     ",
                  i == 0 ? "" : ",", r.name.c_str(), r.d, r.nd, r.ck, r.ch);
-    obs::write_counters_json(f, r.counters, "     ");
+    obs::write_snapshot_json(f, r.metrics, "     ");
     std::fprintf(f, "}");
   }
   std::fprintf(f, "\n  ]\n}\n");

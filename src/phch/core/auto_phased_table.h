@@ -30,7 +30,6 @@
 
 #include "phch/core/deterministic_table.h"
 #include "phch/core/table_concepts.h"
-#include "phch/obs/histogram.h"
 #include "phch/parallel/room_sync.h"
 
 namespace phch {
@@ -109,15 +108,9 @@ class auto_phased_table {
   Table& underlying() noexcept { return table_; }
   const Table& underlying() const noexcept { return table_; }
 
-  // Observability passthroughs: the wrapper performs every operation on the
-  // wrapped table, so its distribution block and phase word *are* this
-  // table's — surfacing them here lets obs::register_table attribute
-  // histograms and the phase epoch to the wrapper directly.
-  obs::table_hists& hists() const noexcept
-    requires requires(const Table& t) { t.hists(); }
-  {
-    return table_.hists();
-  }
+  // Observability passthrough: the wrapper performs every operation on the
+  // wrapped table, so its phase word *is* this table's — surfacing it here
+  // lets obs::register_table attribute the phase epoch to the wrapper.
   phase_runtime& phase_rt() const noexcept
     requires phase_epoch_table<Table>
   {

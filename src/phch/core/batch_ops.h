@@ -137,7 +137,7 @@ void find_block_pipelined(const Table& t, const K* keys, std::size_t n,
   std::size_t live = 0;
   // Local tallies flushed once per block (dead stores when obs is off).
   std::uint64_t t_slots = 0, t_rot = 0, t_hits = 0;
-  [[maybe_unused]] obs::hist_accum t_depth;
+  obs::hist_accum t_depth;
 
   auto start = [&](op& o) {
     const std::size_t idx = issued++;
@@ -183,9 +183,7 @@ void find_block_pipelined(const Table& t, const K* keys, std::size_t n,
       // Probe-depth ledger: pipelined finds never reach a scalar
       // continuation, so their depth sample is noted here (advances
       // plus the resolving load) and flushed with the other tallies.
-      if constexpr (requires { t.hists(); }) {
-        t_depth.note(o.advances + 1);
-      }
+      t_depth.note(o.advances + 1);
       out[o.idx] = result;
       if (issued < n) {
         start(o);  // refill the lane, keep rotating
@@ -205,9 +203,7 @@ void find_block_pipelined(const Table& t, const K* keys, std::size_t n,
   obs::count(obs::counter::batch_probe_slots, t_slots);
   obs::count(obs::counter::batch_rotations, t_rot);
   obs::count(obs::counter::batch_blocks);
-  if constexpr (requires { t.hists(); }) {
-    t.hists().record_block(obs::table_hist::probe_depth, t_depth);
-  }
+  obs::hist_record(obs::hist::probe_depth, t_depth);
 }
 
 template <typename Table, typename V>
@@ -303,7 +299,7 @@ void erase_block_pipelined(Table& t, const K* keys, std::size_t n,
   std::size_t issued = 0;
   std::size_t live = 0;
   std::uint64_t t_slots = 0, t_rot = 0, t_handoffs = 0, t_dropped = 0;
-  [[maybe_unused]] obs::hist_accum t_depth;
+  obs::hist_accum t_depth;
 
   auto start = [&](op& o) {
     const typename Table::key_type kq = keys[issued++];
@@ -350,9 +346,7 @@ void erase_block_pipelined(Table& t, const K* keys, std::size_t n,
         // dropped key's erase_ops tick and probe-depth sample are
         // accounted here.
         ++t_dropped;
-        if constexpr (requires { t.hists(); }) {
-          t_depth.note(o.advances);
-        }
+        t_depth.note(o.advances);
       }
       if (issued < n) {
         start(o);
@@ -372,9 +366,7 @@ void erase_block_pipelined(Table& t, const K* keys, std::size_t n,
   obs::count(obs::counter::batch_rotations, t_rot);
   obs::count(obs::counter::batch_handoffs, t_handoffs);
   obs::count(obs::counter::batch_blocks);
-  if constexpr (requires { t.hists(); }) {
-    t.hists().record_block(obs::table_hist::probe_depth, t_depth);
-  }
+  obs::hist_record(obs::hist::probe_depth, t_depth);
 }
 
 }  // namespace batch_detail

@@ -45,6 +45,7 @@
 #include "phch/core/deterministic_table.h"
 #include "phch/core/table_concepts.h"
 #include "phch/obs/trace.h"
+#include "phch/parallel/scheduler.h"
 #include "phch/parallel/spinlock.h"  // cpu_relax
 #include "phch/utils/phase_caps.h"
 
@@ -188,15 +189,8 @@ class growable_table {
   // quiescent points (racy against a concurrent grow()).
   const inner_table& inner() const noexcept { return *cur(); }
 
-  // The *current* incarnation's distribution block. Growth replaces the
-  // inner table, so a registered growable table's per-table histograms
-  // cover the incarnation live at sample time; samples recorded by
-  // superseded incarnations stay in the global graveyard totals
-  // (obs::table_hist_totals), which remain exact. Like inner(), the
-  // reference dies at the next growth.
-  obs::table_hists& hists() const noexcept { return cur()->hists(); }
-
-  // The current incarnation's phase word (same caveat as hists()).
+  // The current incarnation's phase word. Like inner(), the reference dies
+  // at the next growth.
   phase_runtime& phase_rt() const noexcept { return cur()->phase_rt(); }
 
   // Phase-capability tokens (utils/phase_caps.h): the static half of the
@@ -245,19 +239,31 @@ class growable_table {
     inner_table* old = cur();
     if (old->capacity() >= target_capacity) return;  // someone else grew it
     obs::span sp("grow");
-    const std::uint64_t grow_t0 = obs::now_if_enabled();
+    obs::hist_timer timer(obs::hist::growth_ns);
     resizing_.store(true, std::memory_order_seq_cst);
     // Drain in-flight inserts on the old table (seq_cst: see enter()).
     while (active_.load(std::memory_order_seq_cst) != 0) cpu_relax();
-    auto fresh = std::make_unique<inner_table>(target_capacity);
-    // Migrate: deterministic re-insertion of the old contents through the
-    // pipelined batch engine (worker threads stuck in enter() spin, so on an
-    // oversubscribed machine migration may serialize; correctness is
-    // unaffected). Theorem 1 makes the migrated layout identical to a fresh
-    // build regardless of re-insertion order, so batching changes nothing
-    // observable.
-    std::vector<value_type> live = old->elements();
-    insert_batch_range(*fresh, live.data(), live.size());
+    // Allocate and migrate: deterministic re-insertion of the old contents
+    // through the pipelined batch engine. Theorem 1 makes the migrated layout
+    // identical to a fresh build regardless of re-insertion order, so
+    // batching changes nothing observable. Inside a parallel region this
+    // runs serially: the other workers are spinning in enter() anyway, and a
+    // join here (the slot array's parallel clear, the pack, the batch) could
+    // steal one of the phase's pending inserts, which would then spin in
+    // enter() on this thread's own resize forever.
+    std::unique_ptr<inner_table> fresh;
+    std::vector<value_type> live;
+    const auto migrate = [&] {
+      fresh = std::make_unique<inner_table>(target_capacity);
+      live = old->elements();
+      insert_batch_range(*fresh, live.data(), live.size());
+    };
+    if (scheduler::in_parallel()) {
+      serial_region serial;
+      migrate();
+    } else {
+      migrate();
+    }
     obs::count(obs::counter::growths);
     obs::count(obs::counter::migrated_elements, live.size());
     sp.a = static_cast<std::uint32_t>(
@@ -269,7 +275,6 @@ class growable_table {
     delete old;
     growths_.fetch_add(1, std::memory_order_relaxed);
     resizing_.store(false, std::memory_order_release);
-    obs::hist_record_since(obs::global_hist::growth_ns, grow_t0);
   }
 
   std::size_t probe_limit_factor_;

@@ -217,7 +217,7 @@ class probe_engine {
   // value: commutativity is with respect to table state, and "was it new?"
   // is not well defined under concurrent merging.
   void insert(value_type v) PHCH_REQUIRES_PHASE(insert) {
-    obs::latency_sampler lat(hists_);
+    obs::latency_sampler lat;
     insert_impl(v, capacity() + 1, home(Traits::key(v)), 0);
   }
 
@@ -237,7 +237,7 @@ class probe_engine {
   // insert completes and merely reports `lengthy`.
   insert_result insert_bounded(value_type v, std::size_t probe_limit)
       PHCH_REQUIRES_PHASE(insert) {
-    obs::latency_sampler lat(hists_);
+    obs::latency_sampler lat;
     return insert_impl(v, probe_limit, home(Traits::key(v)), 0);
   }
 
@@ -259,7 +259,7 @@ class probe_engine {
     obs::probe_tally tally;
     // `advances` slots were already walked by the pipelined prefix; the
     // scope reads the tally's final slot count on every exit path below.
-    obs::probe_depth_scope depth(&hists_, tally, advances);
+    obs::probe_depth_scope depth(tally, advances);
     const std::size_t cap = capacity();
     bool committed = false;
     for (;;) {
@@ -346,14 +346,14 @@ class probe_engine {
   // Tombstone: marks the entry's slot with Traits::busy().
   void erase(key_type kq) PHCH_REQUIRES_PHASE(erase) {
     typename Phase::scope guard(phase_, op_kind::erase);
-    obs::latency_sampler lat(hists_);
+    obs::latency_sampler lat;
     obs::count(obs::counter::erase_ops);
     if constexpr (Delete::uses_tombstones) {
       tombstone_erase(kq, home(kq), 0);
     } else {
       const std::size_t cap = capacity();
       obs::probe_tally tally;
-      obs::probe_depth_scope depth(&hists_, tally);
+      obs::probe_depth_scope depth(tally);
       // Unwrapped coordinates, offset by one capacity so they never
       // underflow. Initial forward scan (lines 27-29): past every slot the
       // ordering policy says could still precede the key.
@@ -382,7 +382,7 @@ class probe_engine {
       tombstone_erase(kq, (home(kq) + fwd_advances) & slots_.mask(), fwd_advances);
     } else {
       obs::probe_tally tally;
-      obs::probe_depth_scope depth(&hists_, tally, fwd_advances);
+      obs::probe_depth_scope depth(tally, fwd_advances);
       const std::uint64_t i = capacity() + home(kq);
       erase_downward(tally, kq, i, i + fwd_advances);
     }
@@ -392,7 +392,7 @@ class probe_engine {
   void tombstone_erase(key_type kq, std::size_t i, std::size_t advances) {
     const std::size_t cap = capacity();
     obs::probe_tally tally;
-    obs::probe_depth_scope depth(&hists_, tally, advances);
+    obs::probe_depth_scope depth(tally, advances);
     for (;;) {
       const value_type c = atomic_load(&slots_[i]);
       ++tally.slots;
@@ -451,10 +451,10 @@ class probe_engine {
   // linear probing.
   value_type find(key_type kq) const PHCH_REQUIRES_PHASE(query) {
     typename Phase::scope guard(phase_, op_kind::query);
-    obs::latency_sampler lat(hists_);
+    obs::latency_sampler lat;
     obs::count(obs::counter::find_ops);
     obs::probe_tally tally;
-    obs::probe_depth_scope depth(&hists_, tally);
+    obs::probe_depth_scope depth(tally);
     const std::size_t cap = capacity();
     std::size_t i = home(kq);
     std::size_t advances = 0;
@@ -511,11 +511,6 @@ class probe_engine {
   // tools/phch_trace — read and advance the same state the operation scopes
   // use, instead of keeping a parallel phase word.
   phase_runtime& phase_rt() const noexcept { return phase_.runtime(); }
-
-  // The table's distribution block (probe depth, sampled op latency). The
-  // batch engines record pipelined finds here; the registry (obs/registry.h)
-  // exposes it per named table. Zero-size when telemetry is compiled out.
-  obs::table_hists& hists() const noexcept { return hists_; }
 
   // Batch-engine phase hooks: one scope spanning a whole pipelined block
   // (routed through the same phase_runtime as scalar operations), so
@@ -609,7 +604,6 @@ class probe_engine {
   slot_array<Traits> slots_;
   striped_counter occupied_;
   mutable Phase phase_;
-  [[no_unique_address]] mutable obs::table_hists hists_;
 
  public:
   // Phase-capability tokens (utils/phase_caps.h): the static half of the

@@ -1,21 +1,30 @@
-// Telemetry exporters: JSON metrics snapshots and chrome://tracing files.
+// Telemetry exporters: the snapshot JSON writer, the metrics file, and
+// chrome://tracing files.
 //
-//  * write_metrics_json(path)  — counter totals, marks (with per-phase
-//    counter deltas between consecutive marks), and trace bookkeeping, as a
-//    single JSON object. The `table_stats`-style programmatic equivalents
-//    are obs::snapshot() / obs::marks() / obs::drain_trace().
+//  * write_snapshot_json(f, s, indent) — the one JSON writer for the one
+//    snapshot type (obs::metrics_snapshot): its "counters" and
+//    "histograms" members, spliced into the caller's object. The metrics
+//    file, the chrome trace's mark events, and the benches that embed
+//    telemetry all write snapshots through it.
+//  * write_metrics_json(path)  — the current snapshot plus every mark (its
+//    snapshot and the delta since the previous mark: the per-phase sums),
+//    as a single JSON object. The programmatic equivalents are
+//    obs::snapshot() / obs::marks() / obs::drain_trace().
 //  * write_chrome_trace(path)  — the drained event rings in the Trace Event
 //    Format consumed by chrome://tracing and https://ui.perfetto.dev:
 //    phase transitions as instant events, spans as complete ("X") events,
-//    marks as instant events; tid = telemetry stripe (worker id).
+//    marks as instant events carrying their per-phase snapshot delta;
+//    tid = telemetry stripe (worker id).
 //
-// Both return false (and write nothing useful) when telemetry is compiled
-// out or produced no data; callers typically gate on obs::enabled().
+// The two file writers return false (and write nothing) when telemetry is
+// compiled out.
 #pragma once
 
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "phch/obs/histogram.h"
 #include "phch/obs/telemetry.h"
@@ -23,21 +32,10 @@
 
 namespace phch::obs {
 
-// Emits {"name": value, ...} for every counter in `m` to `f` at the given
-// indentation. Shared with benches that embed a snapshot in their own JSON.
-inline void write_counters_json(std::FILE* f, const metrics_snapshot& m,
-                                const char* indent) {
-  std::fprintf(f, "{");
-  for (std::size_t i = 0; i < kNumCounters; ++i) {
-    std::fprintf(f, "%s\n%s  \"%s\": %" PRIu64, i == 0 ? "" : ",", indent,
-                 counter_name(static_cast<counter>(i)), m.totals[i]);
-  }
-  std::fprintf(f, "\n%s}", indent);
-}
+namespace detail {
 
-// Emits one histogram as {"count", "sum", "max", "mean", "p50", "p90",
-// "p99", "buckets": [[lower_bound, count], ...]} (occupied buckets only).
-// Shared with benches that embed distribution summaries in their own JSON.
+// One histogram as {"count", "sum", "max", "mean", "p50", "p90", "p99",
+// "buckets": [[lower_bound, count], ...]} (occupied buckets only).
 inline void write_hist_json(std::FILE* f, const hist_snapshot& h,
                             const char* indent) {
   std::fprintf(f,
@@ -54,6 +52,28 @@ inline void write_hist_json(std::FILE* f, const hist_snapshot& h,
     first = false;
   }
   std::fprintf(f, "]}");
+}
+
+}  // namespace detail
+
+// Emits `"counters": {"name": value, ...}, "histograms": {"name": {...}, ...}`
+// for `s` — the members only, so callers splice them into their own object.
+// Available in both build modes (a compiled-out snapshot is all zeros).
+inline void write_snapshot_json(std::FILE* f, const metrics_snapshot& s,
+                                const char* indent) {
+  std::fprintf(f, "\"counters\": {");
+  for (std::size_t i = 0; i < kNumCounters; ++i) {
+    std::fprintf(f, "%s\n%s  \"%s\": %" PRIu64, i == 0 ? "" : ",", indent,
+                 counter_name(static_cast<counter>(i)), s.totals[i]);
+  }
+  std::fprintf(f, "\n%s},\n%s\"histograms\": {", indent, indent);
+  const std::string inner = std::string(indent) + "  ";
+  for (std::size_t i = 0; i < kNumHists; ++i) {
+    std::fprintf(f, "%s\n%s\"%s\": ", i == 0 ? "" : ",", inner.c_str(),
+                 hist_name(static_cast<hist>(i)));
+    detail::write_hist_json(f, s.hists[i], inner.c_str());
+  }
+  std::fprintf(f, "\n%s}", indent);
 }
 
 #if PHCH_TELEMETRY_ENABLED
@@ -81,42 +101,28 @@ inline void write_escaped(std::FILE* f, const char* s) {
     }
   }
 }
+
+// Mark i's per-phase sums: its snapshot minus the previous mark's.
+inline metrics_snapshot mark_delta(const std::vector<mark_entry>& ms, std::size_t i) {
+  return i == 0 ? ms[0].metrics : ms[i].metrics - ms[i - 1].metrics;
+}
 }  // namespace detail
 
 inline bool write_metrics_json(const char* path) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) return false;
-  const metrics_snapshot now = snapshot();
-  std::fprintf(f, "{\n  \"telemetry\": true,\n  \"stripes\": %zu,\n", kStripes);
-  std::fprintf(f, "  \"counters\": ");
-  write_counters_json(f, now, "  ");
-  // Distribution summaries: merged per-table histograms (live + graveyard)
-  // and the process-global duration histograms.
-  std::fprintf(f, ",\n  \"histograms\": {");
-  std::fprintf(f, "\n    \"probe_depth\": ");
-  write_hist_json(f, table_hist_totals(table_hist::probe_depth), "    ");
-  std::fprintf(f, ",\n    \"op_latency_ns\": ");
-  write_hist_json(f, table_hist_totals(table_hist::op_latency_ns), "    ");
-  for (std::size_t i = 0; i < kNumGlobalHists; ++i) {
-    const auto kind = static_cast<global_hist>(i);
-    std::fprintf(f, ",\n    \"%s\": ", global_hist_name(kind));
-    write_hist_json(f, hist_totals(kind), "    ");
-  }
-  std::fprintf(f, "\n  }");
+  std::fprintf(f, "{\n  \"telemetry\": true,\n  \"stripes\": %zu,\n  ", kStripes);
+  write_snapshot_json(f, snapshot(), "  ");
   const auto ms = marks();
   std::fprintf(f, ",\n  \"marks\": [");
   for (std::size_t i = 0; i < ms.size(); ++i) {
     std::fprintf(f, "%s\n    {\"label\": \"", i == 0 ? "" : ",");
     detail::write_escaped(f, ms[i].label.c_str());
-    std::fprintf(f, "\", \"ts_ns\": %" PRIu64 ",\n     \"counters\": ", ms[i].ts_ns);
-    write_counters_json(f, ms[i].counters, "     ");
-    // Delta since the previous mark: the per-phase counter sums.
-    std::fprintf(f, ",\n     \"delta\": ");
-    write_counters_json(
-        f, i == 0 ? ms[i].counters : ms[i].counters - ms[i - 1].counters, "     ");
-    std::fprintf(f, ",\n     \"probe_depth\": ");
-    write_hist_json(f, ms[i].probe_depth, "     ");
-    std::fprintf(f, "}");
+    std::fprintf(f, "\", \"ts_ns\": %" PRIu64 ",\n     ", ms[i].ts_ns);
+    write_snapshot_json(f, ms[i].metrics, "     ");
+    std::fprintf(f, ",\n     \"delta\": {");
+    write_snapshot_json(f, detail::mark_delta(ms, i), "      ");
+    std::fprintf(f, "}}");
   }
   std::fprintf(f, "\n  ]\n}\n");
   std::fclose(f);
@@ -127,11 +133,11 @@ inline bool write_chrome_trace(const char* path) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) return false;
   const drained_trace tr = drain_trace();
+  const auto ms = marks();
   std::fprintf(f, "{\"displayTimeUnit\": \"ns\",\n \"droppedEvents\": %" PRIu64
                   ",\n \"traceEvents\": [\n",
                tr.dropped);
   bool first = true;
-  // Name the "threads" (stripes) once so the viewer shows worker ids.
   for (const trace_event& e : tr.events) {
     const double ts_us = static_cast<double>(e.ts_ns) / 1000.0;
     std::fprintf(f, "%s  {\"name\": \"", first ? "" : ",\n");
@@ -151,24 +157,15 @@ inline bool write_chrome_trace(const char* path) {
         break;
       case event_kind::mark:
         std::fprintf(f, ", \"ph\": \"i\", \"s\": \"g\"");
-        std::fprintf(f, ", \"args\": {\"mark\": %" PRIu64 "}", e.b);
+        std::fprintf(f, ", \"args\": {\"mark\": %" PRIu64, e.b);
+        if (e.b < ms.size()) {
+          std::fprintf(f, ",\n   ");
+          write_snapshot_json(f, detail::mark_delta(ms, e.b), "   ");
+        }
+        std::fprintf(f, "}");
         break;
     }
     std::fprintf(f, "}");
-  }
-  // Counter tracks: the probe-depth distribution summary at every mark
-  // (cumulative count and tail quantiles), rendered by Perfetto as "C"
-  // counter series on their own track.
-  for (const mark_entry& m : marks()) {
-    const double ts_us = static_cast<double>(m.ts_ns) / 1000.0;
-    std::fprintf(f,
-                 "%s  {\"name\": \"probe_depth\", \"ph\": \"C\", \"pid\": 1, "
-                 "\"tid\": 0, \"ts\": %.3f, \"args\": {\"count\": %" PRIu64
-                 ", \"p50\": %.3f, \"p99\": %.3f, \"max\": %" PRIu64 "}}",
-                 first ? "" : ",\n", ts_us, m.probe_depth.count,
-                 m.probe_depth.quantile(0.50), m.probe_depth.quantile(0.99),
-                 m.probe_depth.max);
-    first = false;
   }
   std::fprintf(f, "\n]}\n");
   std::fclose(f);

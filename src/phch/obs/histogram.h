@@ -1,5 +1,5 @@
-// Zero-overhead-when-off distribution telemetry: striped log-linear
-// histograms.
+// Distribution telemetry (striped log-linear histograms) and the one
+// observability snapshot.
 //
 // The counters (obs/telemetry.h) say how many events happened; this layer
 // says how they are *distributed* — probe depth per operation, sampled
@@ -15,43 +15,42 @@
 // hist_bucket_upper are pure constexpr functions available in both build
 // modes (the unit tests exercise them compiled-out too).
 //
-// Storage. A striped_histogram keeps kHistStripes = 8 cache-line-aligned
-// stripes of relaxed atomic buckets; record() is two relaxed fetch_adds
-// and a relaxed max-CAS on the caller's stripe. The pipelined engines do
-// not even pay that: they note() samples into a block-local hist_accum
-// (plain stack memory, like their other tallies) and record_block() the
-// whole thing once per block. Like the counters, sums over stripes are
-// exact at a quiescent point and approximate mid-phase.
+// Storage. Each histogram kind is one process-wide striped_histogram, the
+// same way the counters are process-wide: kHistStripes = 8
+// cache-line-aligned stripes of relaxed atomic buckets, and record() is
+// two relaxed fetch_adds and a relaxed max-CAS on the caller's stripe. The
+// pipelined engines do not even pay that: they note() samples into a
+// block-local hist_accum (plain stack memory, like their other tallies) and
+// hist_record() the whole thing once per block. Like the counters, sums
+// over stripes are exact at a quiescent point and approximate mid-phase,
+// and totals stay exact across table destruction because no table owns any
+// histogram state. That is what makes the probe-depth ledger (sample count
+// == find_ops + insert_ops + erase_ops) checkable after a workload's tables
+// are gone.
 //
-// Per-table vs global. table_hists is the per-table block (probe depth +
-// sampled op latency) embedded in the instrumented tables behind
-// [[no_unique_address]]; every live block self-registers so
-// table_hist_totals() can merge all of them, and a dying block folds its
-// final counts into a process-wide graveyard first — global totals stay
-// exact across table destruction, which is what makes the probe-depth
-// ledger (sum of samples == find_ops + insert_ops + erase_ops) checkable
-// after a workload's tables are gone. The global_hist histograms
-// (room_wait_ns, growth_ns) are plain process-wide singletons.
+// The snapshot. metrics_snapshot is the one reading of the whole plane:
+// every counter plus every histogram, taken by snapshot() at a quiescent
+// point (Definition 1's phase boundaries). Marks (obs/trace.h) store one,
+// the JSON writer (obs/export.h) and the Prometheus page (obs/prom.h)
+// serialize one, and the difference of two is the exact per-phase delta.
 //
 // Latency sampling. Timestamps are too expensive per op, so op latency is
-// sampled 1-in-N per thread (N from PHCH_LATENCY_SAMPLE, default 256): a
-// thread-local countdown arms a latency_sampler only when it hits zero, so
-// the un-sampled hot path never reads the clock.
+// sampled 1-in-kLatencySamplePeriod per thread: a thread-local countdown
+// arms a latency_sampler only when it hits zero, so the un-sampled hot path
+// never reads the clock.
 //
-// Everything below compiles to empty inline no-ops when PHCH_TELEMETRY is
-// off, exactly like the counters; instrumented classes embed table_hists
-// behind [[no_unique_address]] so their compiled-out size is unchanged.
+// Everything below except the bucket math and the snapshot types compiles
+// to empty inline no-ops when PHCH_TELEMETRY is off, exactly like the
+// counters.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <mutex>
-#include <vector>
 
 #include "phch/obs/telemetry.h"
 
@@ -94,13 +93,6 @@ struct hist_snapshot {
   std::uint64_t sum = 0;    // sum of recorded values
   std::uint64_t max = 0;    // largest recorded value (exact, not bucketed)
 
-  void merge(const hist_snapshot& o) noexcept {
-    for (std::uint32_t i = 0; i < kHistBuckets; ++i) buckets[i] += o.buckets[i];
-    count += o.count;
-    sum += o.sum;
-    if (o.max > max) max = o.max;
-  }
-
   double mean() const noexcept {
     return count == 0 ? 0.0 : static_cast<double>(sum) / static_cast<double>(count);
   }
@@ -130,42 +122,66 @@ struct hist_snapshot {
   }
 };
 
-// Per-table histogram kinds (one table_hists block per instrumented table).
-enum class table_hist : std::uint8_t {
-  probe_depth,     // slots inspected per op (scalar + pipelined paths)
-  op_latency_ns,   // sampled wall time per scalar op (1-in-N)
+// Every histogram the runtime keeps.
+enum class hist : std::uint8_t {
+  probe_depth,     // slots inspected per linear-probing op (scalar + pipelined)
+  op_latency_ns,   // sampled wall time per scalar op (1-in-kLatencySamplePeriod)
+  room_wait_ns,    // wall time blocked in room_sync::enter
+  growth_ns,       // growable_table migration duration
   kCount
 };
-inline constexpr std::size_t kNumTableHists =
-    static_cast<std::size_t>(table_hist::kCount);
+inline constexpr std::size_t kNumHists = static_cast<std::size_t>(hist::kCount);
 
-inline const char* table_hist_name(table_hist h) noexcept {
-  static constexpr const char* names[kNumTableHists] = {"probe_depth",
-                                                        "op_latency_ns"};
+inline const char* hist_name(hist h) noexcept {
+  static constexpr const char* names[kNumHists] = {
+      "probe_depth", "op_latency_ns", "room_wait_ns", "growth_ns"};
   const auto i = static_cast<std::size_t>(h);
-  return i < kNumTableHists ? names[i] : "?";
+  return i < kNumHists ? names[i] : "?";
 }
 
-// Process-global histogram kinds (no per-table attribution).
-enum class global_hist : std::uint8_t {
-  room_wait_ns,   // wall time blocked in room_sync::enter
-  growth_ns,      // growable_table migration duration
-  kCount
-};
-inline constexpr std::size_t kNumGlobalHists =
-    static_cast<std::size_t>(global_hist::kCount);
+// Bucket-by-bucket difference of two readings of one histogram (`a` taken
+// after `b`). Counts and sums are exact. The window's max is not recorded,
+// so the difference's max is an upper bound: `a`'s running max, capped by
+// the top of the highest bucket the window occupies.
+inline hist_snapshot operator-(const hist_snapshot& a, const hist_snapshot& b) {
+  hist_snapshot d;
+  for (std::uint32_t i = 0; i < kHistBuckets; ++i) {
+    d.buckets[i] = a.buckets[i] - b.buckets[i];
+    if (d.buckets[i] != 0) d.max = std::min(a.max, hist_bucket_upper(i));
+  }
+  d.count = a.count - b.count;
+  d.sum = a.sum - b.sum;
+  return d;
+}
 
-inline const char* global_hist_name(global_hist h) noexcept {
-  static constexpr const char* names[kNumGlobalHists] = {
-      "room_wait_ns", "growth_ns"};
-  const auto i = static_cast<std::size_t>(h);
-  return i < kNumGlobalHists ? names[i] : "?";
+// A quiescent-point reading of every counter and every histogram (sums
+// over stripes). Returned by snapshot() in both modes; all-zero when the
+// layer is compiled out.
+struct metrics_snapshot {
+  std::array<std::uint64_t, kNumCounters> totals{};
+  std::array<hist_snapshot, kNumHists> hists{};
+  std::uint64_t operator[](counter c) const noexcept {
+    return totals[static_cast<std::size_t>(c)];
+  }
+  const hist_snapshot& operator[](hist h) const noexcept {
+    return hists[static_cast<std::size_t>(h)];
+  }
+};
+
+inline metrics_snapshot operator-(const metrics_snapshot& a, const metrics_snapshot& b) {
+  metrics_snapshot d;
+  for (std::size_t i = 0; i < kNumCounters; ++i) d.totals[i] = a.totals[i] - b.totals[i];
+  for (std::size_t i = 0; i < kNumHists; ++i) d.hists[i] = a.hists[i] - b.hists[i];
+  return d;
 }
 
 #if PHCH_TELEMETRY_ENABLED
 
 inline constexpr std::size_t kHistStripes = 8;  // power of two
 static_assert((kHistStripes & (kHistStripes - 1)) == 0);
+
+// Every thread samples one scalar op in this many for op_latency_ns.
+inline constexpr int kLatencySamplePeriod = 256;
 
 namespace detail {
 
@@ -189,9 +205,9 @@ class striped_histogram;
 
 // Block-local accumulator for the pipelined engines, mirroring their plain
 // local tallies (t_slots, t_hits, ...): note() is pure register/stack work,
-// and the striped histogram is touched once per block at flush, not once
-// per op. Without this, three relaxed RMWs per op on the shared stripes
-// dominate a cache-resident find loop and blow the <5% telemetry-ON budget.
+// and the striped histogram is touched once per block, not once per op.
+// Without this, three relaxed RMWs per op on the shared stripes would
+// dominate a cache-resident find loop.
 class hist_accum {
  public:
   void note(std::uint64_t v) noexcept {
@@ -219,21 +235,17 @@ class striped_histogram {
   striped_histogram& operator=(const striped_histogram&) = delete;
 
   void record(std::uint64_t v) noexcept {
-    if (!enabled()) return;
     detail::hist_stripe& s =
         stripes_[detail::stripe_index() & (kHistStripes - 1)];
     s.buckets[hist_bucket(v)].fetch_add(1, std::memory_order_relaxed);
     s.sum.fetch_add(v, std::memory_order_relaxed);
-    std::uint64_t m = s.max.load(std::memory_order_relaxed);
-    while (v > m &&
-           !s.max.compare_exchange_weak(m, v, std::memory_order_relaxed)) {
-    }
+    raise_max(s, v);
   }
 
   // Merge a block-local accumulator: one fetch_add per *touched* bucket
   // instead of three atomics per sample.
-  void record_block(const hist_accum& a) noexcept {
-    if (!enabled() || a.n_ == 0) return;
+  void record(const hist_accum& a) noexcept {
+    if (a.n_ == 0) return;
     detail::hist_stripe& s =
         stripes_[detail::stripe_index() & (kHistStripes - 1)];
     for (std::uint32_t i = 0; i < kHistBuckets; ++i) {
@@ -241,10 +253,7 @@ class striped_histogram {
         s.buckets[i].fetch_add(a.counts_[i], std::memory_order_relaxed);
     }
     s.sum.fetch_add(a.sum_, std::memory_order_relaxed);
-    std::uint64_t m = s.max.load(std::memory_order_relaxed);
-    while (a.max_ > m &&
-           !s.max.compare_exchange_weak(m, a.max_, std::memory_order_relaxed)) {
-    }
+    raise_max(s, a.max_);
   }
 
   hist_snapshot snapshot() const noexcept {
@@ -271,131 +280,60 @@ class striped_histogram {
   }
 
  private:
+  static void raise_max(detail::hist_stripe& s, std::uint64_t v) noexcept {
+    std::uint64_t m = s.max.load(std::memory_order_relaxed);
+    while (v > m &&
+           !s.max.compare_exchange_weak(m, v, std::memory_order_relaxed)) {
+    }
+  }
+
   std::array<detail::hist_stripe, kHistStripes> stripes_{};
 };
 
-class table_hists;
-
 namespace detail {
 
-// Live-block list + graveyard. One mutex guards both (a dying block merges
-// into the graveyard while still on the list, then unlinks — no window in
-// which its samples are counted twice or not at all).
-struct table_hist_globals {
-  std::mutex m;
-  std::vector<table_hists*> live;
-  std::array<hist_snapshot, kNumTableHists> graveyard{};
-};
-
-inline table_hist_globals& hist_globals() noexcept {
-  static table_hist_globals g;
-  return g;
-}
-
-inline int latency_period() noexcept {
-  static const int period = [] {
-    const char* v = std::getenv("PHCH_LATENCY_SAMPLE");
-    if (v == nullptr || *v == '\0') return 256;
-    const long n = std::strtol(v, nullptr, 10);
-    return n > 0 ? static_cast<int>(n) : 256;
-  }();
-  return period;
-}
+inline std::array<striped_histogram, kNumHists> g_hists;
 
 inline thread_local int tl_latency_countdown = 1;
 
 }  // namespace detail
 
-// The per-table histogram block. Instrumented tables embed one (mutable,
-// [[no_unique_address]] so the compiled-out empty twin adds no size) and
-// route their probe loops' depths and sampled latencies into it.
-class table_hists {
+inline void hist_record(hist kind, std::uint64_t v) noexcept {
+  detail::g_hists[static_cast<std::size_t>(kind)].record(v);
+}
+
+inline void hist_record(hist kind, const hist_accum& a) noexcept {
+  detail::g_hists[static_cast<std::size_t>(kind)].record(a);
+}
+
+// The one observability snapshot: every counter and every histogram.
+inline metrics_snapshot snapshot() noexcept {
+  metrics_snapshot m;
+  for (std::size_t i = 0; i < kNumCounters; ++i)
+    m.totals[i] = total(static_cast<counter>(i));
+  for (std::size_t i = 0; i < kNumHists; ++i) m.hists[i] = detail::g_hists[i].snapshot();
+  return m;
+}
+
+// Clears every histogram. Called from obs::reset(); quiescent-point use only.
+inline void reset_histograms() noexcept {
+  for (auto& h : detail::g_hists) h.reset();
+}
+
+// RAII duration recorder: reads the clock on construction and records the
+// elapsed nanoseconds into `kind` on destruction.
+class hist_timer {
  public:
-  table_hists() {
-    auto& g = detail::hist_globals();
-    std::lock_guard<std::mutex> lock(g.m);
-    g.live.push_back(this);
-  }
-  table_hists(const table_hists&) = delete;
-  table_hists& operator=(const table_hists&) = delete;
-  ~table_hists() {
-    auto& g = detail::hist_globals();
-    std::lock_guard<std::mutex> lock(g.m);
-    for (std::size_t i = 0; i < kNumTableHists; ++i)
-      g.graveyard[i].merge(h_[i].snapshot());
-    for (auto it = g.live.begin(); it != g.live.end(); ++it) {
-      if (*it == this) {
-        g.live.erase(it);
-        break;
-      }
-    }
-  }
-
-  void record(table_hist kind, std::uint64_t v) noexcept {
-    h_[static_cast<std::size_t>(kind)].record(v);
-  }
-
-  void record_block(table_hist kind, const hist_accum& a) noexcept {
-    h_[static_cast<std::size_t>(kind)].record_block(a);
-  }
-
-  hist_snapshot snapshot(table_hist kind) const noexcept {
-    return h_[static_cast<std::size_t>(kind)].snapshot();
-  }
-
-  void reset() noexcept {
-    for (auto& h : h_) h.reset();
-  }
+  explicit hist_timer(hist kind) noexcept
+      : kind_(kind), t0_(detail::steady_now_ns()) {}
+  hist_timer(const hist_timer&) = delete;
+  hist_timer& operator=(const hist_timer&) = delete;
+  ~hist_timer() { hist_record(kind_, detail::steady_now_ns() - t0_); }
 
  private:
-  std::array<striped_histogram, kNumTableHists> h_;
+  hist kind_;
+  std::uint64_t t0_;
 };
-
-// Sum of one per-table histogram over every live table plus the graveyard:
-// globally exact at a quiescent point, surviving table destruction.
-inline hist_snapshot table_hist_totals(table_hist kind) {
-  auto& g = detail::hist_globals();
-  std::lock_guard<std::mutex> lock(g.m);
-  hist_snapshot out = g.graveyard[static_cast<std::size_t>(kind)];
-  for (const table_hists* t : g.live) out.merge(t->snapshot(kind));
-  return out;
-}
-
-namespace detail {
-
-inline std::array<striped_histogram, kNumGlobalHists> g_global_hists;
-
-}  // namespace detail
-
-inline void hist_record(global_hist kind, std::uint64_t v) noexcept {
-  detail::g_global_hists[static_cast<std::size_t>(kind)].record(v);
-}
-
-inline hist_snapshot hist_totals(global_hist kind) noexcept {
-  return detail::g_global_hists[static_cast<std::size_t>(kind)].snapshot();
-}
-
-// Timestamp helper for duration histograms: returns 0 when recording is
-// disabled so the paired hist_record_since is a no-op and the disabled
-// path never reads the clock.
-inline std::uint64_t now_if_enabled() noexcept {
-  return enabled() ? detail::steady_now_ns() : 0;
-}
-
-inline void hist_record_since(global_hist kind, std::uint64_t t0) noexcept {
-  if (t0 == 0) return;
-  hist_record(kind, detail::steady_now_ns() - t0);
-}
-
-// Clears the global histograms, every live per-table block, and the
-// graveyard. Called from obs::reset(); quiescent-point use only.
-inline void reset_histograms() {
-  auto& g = detail::hist_globals();
-  std::lock_guard<std::mutex> lock(g.m);
-  for (auto& s : g.graveyard) s = hist_snapshot{};
-  for (table_hists* t : g.live) t->reset();
-  for (auto& h : detail::g_global_hists) h.reset();
-}
 
 // RAII probe-depth recorder. Declared *after* the op's probe_tally so it
 // destructs first on every exit path and reads the tally's final slot
@@ -403,17 +341,13 @@ inline void reset_histograms() {
 // travelled before the scalar continuation took over.
 class probe_depth_scope {
  public:
-  probe_depth_scope(table_hists* h, const probe_tally& t,
-                    std::uint64_t base = 0) noexcept
-      : h_(h), t_(&t), base_(base) {}
+  explicit probe_depth_scope(const probe_tally& t, std::uint64_t base = 0) noexcept
+      : t_(&t), base_(base) {}
   probe_depth_scope(const probe_depth_scope&) = delete;
   probe_depth_scope& operator=(const probe_depth_scope&) = delete;
-  ~probe_depth_scope() {
-    if (h_ != nullptr) h_->record(table_hist::probe_depth, base_ + t_->slots);
-  }
+  ~probe_depth_scope() { hist_record(hist::probe_depth, base_ + t_->slots); }
 
  private:
-  table_hists* h_;
   const probe_tally* t_;
   std::uint64_t base_;
 };
@@ -422,26 +356,24 @@ class probe_depth_scope {
 // thread-local countdown expires, so the common path is one decrement.
 class latency_sampler {
  public:
-  explicit latency_sampler(table_hists& h) noexcept {
-    if (!enabled()) return;
+  latency_sampler() noexcept {
     if (--detail::tl_latency_countdown > 0) return;
-    detail::tl_latency_countdown = detail::latency_period();
-    h_ = &h;
+    detail::tl_latency_countdown = kLatencySamplePeriod;
+    armed_ = true;
     t0_ = detail::steady_now_ns();
   }
   latency_sampler(const latency_sampler&) = delete;
   latency_sampler& operator=(const latency_sampler&) = delete;
   ~latency_sampler() {
-    if (h_ != nullptr)
-      h_->record(table_hist::op_latency_ns, detail::steady_now_ns() - t0_);
+    if (armed_) hist_record(hist::op_latency_ns, detail::steady_now_ns() - t0_);
   }
 
  private:
-  table_hists* h_ = nullptr;
+  bool armed_ = false;
   std::uint64_t t0_ = 0;
 };
 
-#else  // !PHCH_TELEMETRY_ENABLED — empty inline no-ops, zero-size members
+#else  // !PHCH_TELEMETRY_ENABLED — empty inline no-ops
 
 class hist_accum {
  public:
@@ -449,46 +381,28 @@ class hist_accum {
   bool empty() const noexcept { return true; }
 };
 
-class striped_histogram {
- public:
-  striped_histogram() = default;
-  striped_histogram(const striped_histogram&) = delete;
-  striped_histogram& operator=(const striped_histogram&) = delete;
-  void record(std::uint64_t) noexcept {}
-  void record_block(const hist_accum&) noexcept {}
-  hist_snapshot snapshot() const noexcept { return {}; }
-  void reset() noexcept {}
-};
+inline void hist_record(hist, std::uint64_t) noexcept {}
+inline void hist_record(hist, const hist_accum&) noexcept {}
+inline metrics_snapshot snapshot() noexcept { return {}; }
+inline void reset_histograms() noexcept {}
 
-class table_hists {
+class hist_timer {
  public:
-  table_hists() = default;
-  table_hists(const table_hists&) = delete;
-  table_hists& operator=(const table_hists&) = delete;
-  void record(table_hist, std::uint64_t) noexcept {}
-  void record_block(table_hist, const hist_accum&) noexcept {}
-  hist_snapshot snapshot(table_hist) const noexcept { return {}; }
-  void reset() noexcept {}
+  explicit hist_timer(hist) noexcept {}
+  hist_timer(const hist_timer&) = delete;
+  hist_timer& operator=(const hist_timer&) = delete;
 };
-
-inline hist_snapshot table_hist_totals(table_hist) { return {}; }
-inline void hist_record(global_hist, std::uint64_t) noexcept {}
-inline hist_snapshot hist_totals(global_hist) noexcept { return {}; }
-inline constexpr std::uint64_t now_if_enabled() noexcept { return 0; }
-inline void hist_record_since(global_hist, std::uint64_t) noexcept {}
-inline void reset_histograms() {}
 
 class probe_depth_scope {
  public:
-  probe_depth_scope(table_hists*, const probe_tally&,
-                    std::uint64_t = 0) noexcept {}
+  explicit probe_depth_scope(const probe_tally&, std::uint64_t = 0) noexcept {}
   probe_depth_scope(const probe_depth_scope&) = delete;
   probe_depth_scope& operator=(const probe_depth_scope&) = delete;
 };
 
 class latency_sampler {
  public:
-  explicit latency_sampler(table_hists&) noexcept {}
+  latency_sampler() noexcept {}
   latency_sampler(const latency_sampler&) = delete;
   latency_sampler& operator=(const latency_sampler&) = delete;
 };

@@ -1,14 +1,13 @@
 // Prometheus text-exposition writer over the obs layer.
 //
-// render_prometheus() serializes, into one std::string:
+// render_prometheus() serializes one obs::snapshot() and the registry's
+// gauges into one std::string:
 //  * every counter as `phch_<name>_total`,
-//  * the process-global histograms (merged probe depth and op latency over
-//    all tables incl. destroyed ones, room-wait / growth durations) in the
-//    native histogram exposition (`_bucket{le=...}` cumulative counts,
-//    `_sum`, `_count`),
+//  * every histogram (probe depth, op latency, room wait, growth; all
+//    process-wide) in the native histogram exposition (`_bucket{le=...}`
+//    cumulative counts, `_sum`, `_count`),
 //  * per-table gauges from the registry (capacity, size, load factor,
-//    phase epoch) labelled {table="<name>"},
-//  * per-table probe-depth / op-latency histograms, same labels.
+//    phase epoch) labelled {table="<name>"}.
 //
 // Bucket `le` bounds are the inclusive hist_bucket_upper() values, so the
 // cumulative counts are exact (values are integers; "le" is <=). Empty
@@ -65,55 +64,25 @@ inline void prom_append_label_value(std::string& out, const std::string& s) {
   }
 }
 
-// Emits one histogram series (no TYPE line — the caller emits that once
-// per metric name). `labels` is either empty or a pre-rendered
-// `key="value"` list without braces (e.g. `table="dedup"`).
-inline void prom_append_histogram(std::string& out, const char* metric,
-                                  const std::string& labels,
+// Emits one unlabelled histogram with its TYPE line.
+inline void prom_append_histogram(std::string& out, const std::string& metric,
                                   const hist_snapshot& h) {
+  out += "# TYPE " + metric + " histogram\n";
   std::uint64_t cum = 0;
   for (std::uint32_t i = 0; i < kHistBuckets; ++i) {
     if (h.buckets[i] == 0) continue;
     cum += h.buckets[i];
-    out += metric;
-    out += "_bucket{";
-    if (!labels.empty()) {
-      out += labels;
-      out += ',';
-    }
-    out += "le=\"";
+    out += metric + "_bucket{le=\"";
     prom_append_u64(out, hist_bucket_upper(i));
     out += "\"} ";
     prom_append_u64(out, cum);
     out += '\n';
   }
-  out += metric;
-  out += "_bucket{";
-  if (!labels.empty()) {
-    out += labels;
-    out += ',';
-  }
-  out += "le=\"+Inf\"} ";
+  out += metric + "_bucket{le=\"+Inf\"} ";
   prom_append_u64(out, h.count);
-  out += '\n';
-  out += metric;
-  out += "_sum";
-  if (!labels.empty()) {
-    out += '{';
-    out += labels;
-    out += '}';
-  }
-  out += ' ';
+  out += '\n' + metric + "_sum ";
   prom_append_u64(out, h.sum);
-  out += '\n';
-  out += metric;
-  out += "_count";
-  if (!labels.empty()) {
-    out += '{';
-    out += labels;
-    out += '}';
-  }
-  out += ' ';
+  out += '\n' + metric + "_count ";
   prom_append_u64(out, h.count);
   out += '\n';
 }
@@ -148,34 +117,20 @@ inline std::string render_prometheus() {
     out += '\n';
   }
 
-  // Process-global distributions. The per-table kinds are merged over all
-  // tables ever (live + graveyard), which is the side the ledger check
+  // Process-wide distributions; probe_depth is the side the ledger check
   // (probe_depth count == find+insert+erase ops) holds on.
-  out += "# TYPE phch_probe_depth histogram\n";
-  detail::prom_append_histogram(out, "phch_probe_depth", "",
-                                table_hist_totals(table_hist::probe_depth));
-  out += "# TYPE phch_op_latency_ns histogram\n";
-  detail::prom_append_histogram(out, "phch_op_latency_ns", "",
-                                table_hist_totals(table_hist::op_latency_ns));
-  for (std::size_t i = 0; i < kNumGlobalHists; ++i) {
-    const auto kind = static_cast<global_hist>(i);
-    std::string name = "phch_";
-    name += global_hist_name(kind);
-    out += "# TYPE ";
-    out += name;
-    out += " histogram\n";
-    detail::prom_append_histogram(out, name.c_str(), "", hist_totals(kind));
+  for (std::size_t i = 0; i < kNumHists; ++i) {
+    detail::prom_append_histogram(
+        out, std::string("phch_") + hist_name(static_cast<hist>(i)), m.hists[i]);
   }
 
-  // Per-table gauges + distributions from the registry.
+  // Per-table gauges from the registry.
   const auto tables = snapshot_tables();
   if (!tables.empty()) {
     out += "# TYPE phch_table_capacity gauge\n";
     out += "# TYPE phch_table_size gauge\n";
     out += "# TYPE phch_table_load_factor gauge\n";
     out += "# TYPE phch_table_phase_epoch gauge\n";
-    out += "# TYPE phch_table_probe_depth histogram\n";
-    out += "# TYPE phch_table_op_latency_ns histogram\n";
   }
   for (const table_sample& t : tables) {
     std::string labels = "table=\"";
@@ -197,12 +152,6 @@ inline std::string render_prometheus() {
     if (t.has_epoch) {
       detail::prom_append_gauge(out, "phch_table_phase_epoch", labels,
                                 static_cast<double>(t.phase_epoch));
-    }
-    if (t.has_hists) {
-      detail::prom_append_histogram(out, "phch_table_probe_depth", labels,
-                                    t.probe_depth);
-      detail::prom_append_histogram(out, "phch_table_op_latency_ns", labels,
-                                    t.op_latency_ns);
     }
   }
   return out;

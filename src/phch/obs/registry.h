@@ -1,15 +1,14 @@
 // Named per-table metric registry.
 //
-// The counters and histograms are process-global by default; the registry
-// adds the attribution layer: a table (or the app that owns it) registers
-// itself under a stable name, and the exporters (obs/prom.h, tools) can
-// then report per-table gauges (capacity, approximate size, load factor,
-// phase epoch) and per-table histograms (probe depth, sampled op latency)
+// The counters and histograms are process-wide; the registry adds the one
+// per-table view: a table (or the app that owns it) registers itself under
+// a stable name, and the exporters (obs/prom.h, tools) can then report
+// per-table gauges (capacity, approximate size, load factor, phase epoch)
 // next to the process totals.
 //
 // Registration is duck-typed: register_table(name, t) probes the table at
-// compile time for capacity() / approx_size() / phase_rt().epoch() /
-// hists() and wires up only the gauges the type actually has, so every
+// compile time for capacity() / approx_size() / phase_rt().epoch() and
+// wires up only the gauges the type actually has, so every
 // table family (probe_engine specializations, growable_table,
 // auto_phased_table, the sparse tables) registers with the same one-liner.
 // The stored callables reference the table, so the registration must not
@@ -32,7 +31,6 @@
 #include <utility>
 #include <vector>
 
-#include "phch/obs/histogram.h"
 #include "phch/obs/telemetry.h"
 
 namespace phch::obs {
@@ -47,9 +45,6 @@ struct table_sample {
   bool has_size = false;
   std::uint64_t phase_epoch = 0;    // phase_rt().epoch() at sample time
   bool has_epoch = false;
-  bool has_hists = false;
-  hist_snapshot probe_depth;        // empty unless has_hists
-  hist_snapshot op_latency_ns;      // empty unless has_hists
 };
 
 #if PHCH_TELEMETRY_ENABLED
@@ -62,7 +57,6 @@ struct table_registration {
   std::function<std::uint64_t()> capacity;
   std::function<std::uint64_t()> size;
   std::function<std::uint64_t()> epoch;
-  std::function<table_hists*()> hists;
 };
 
 namespace detail {
@@ -104,7 +98,7 @@ inline void unregister_table(std::uint64_t id) {
 }
 
 // Duck-typed registration: wires up whichever of capacity / approx_size /
-// phase_rt().epoch() / hists() the table type provides.
+// phase_rt().epoch() the table type provides.
 template <class Table>
 std::uint64_t register_table(std::string name, Table& t) {
   table_registration reg;
@@ -119,13 +113,10 @@ std::uint64_t register_table(std::string name, Table& t) {
   if constexpr (requires { t.phase_rt().epoch(); }) {
     reg.epoch = [&t] { return static_cast<std::uint64_t>(t.phase_rt().epoch()); };
   }
-  if constexpr (requires { t.hists(); }) {
-    reg.hists = [&t]() -> table_hists* { return &t.hists(); };
-  }
   return register_table_entry(std::move(reg));
 }
 
-// Samples every registered table's gauges and histograms under the lock.
+// Samples every registered table's gauges under the lock.
 // Call at (or near) a quiescent point for exact values; mid-phase reads
 // are approximate exactly like counter sums.
 inline std::vector<table_sample> snapshot_tables() {
@@ -145,13 +136,6 @@ inline std::vector<table_sample> snapshot_tables() {
     if (reg.epoch) {
       s.phase_epoch = reg.epoch();
       s.has_epoch = true;
-    }
-    if (reg.hists) {
-      if (table_hists* h = reg.hists(); h != nullptr) {
-        s.has_hists = true;
-        s.probe_depth = h->snapshot(table_hist::probe_depth);
-        s.op_latency_ns = h->snapshot(table_hist::op_latency_ns);
-      }
     }
     out.push_back(std::move(s));
   }

@@ -1,39 +1,38 @@
-// Zero-overhead-when-off operational telemetry: striped event counters.
+// Operational telemetry: striped event counters.
 //
 // The paper's whole evaluation is narrated through probe lengths, CAS
-// traffic, and scalability, but until now the runtime could only measure
-// those offline (table_stats walks a quiesced slot array). This layer
-// counts what the *live* system does — probe slot loads, CAS attempts and
-// failures, batch-lane rotations and scalar handoffs, steals and backoff
-// sleeps, growth migrations, phase transitions — without perturbing it:
+// traffic, and scalability, but table_stats can only measure those offline
+// (it walks a quiesced slot array). This layer counts what the *live*
+// system does — probe slot loads, CAS attempts and failures, batch-lane
+// rotations and scalar handoffs, steals and backoff sleeps, growth
+// migrations, phase transitions:
 //
-//  * Compile-time gate. The whole subsystem exists only when the CMake
-//    option PHCH_TELEMETRY is ON (which defines PHCH_TELEMETRY=1). When it
-//    is OFF (the default) every entry point below compiles to an empty
-//    inline no-op, instrumented classes carry no extra members
+//  * One switch. The whole subsystem exists only when the CMake option
+//    PHCH_TELEMETRY is ON (which defines PHCH_TELEMETRY=1). When it is OFF
+//    (the default) every entry point below compiles to an empty inline
+//    no-op, instrumented classes carry no extra members
 //    (tests/test_telemetry.cpp asserts this by object size), and dead local
 //    tallies vanish under optimization — the hot paths' object code is the
-//    pre-telemetry code.
-//  * Runtime gate. When compiled in, recording still honors a process-wide
-//    enable flag (obs::set_enabled, or the PHCH_TELEMETRY environment
-//    variable at startup); disabled cost is one relaxed load + branch.
+//    pre-telemetry code. When it is ON, every event is recorded; there is
+//    no runtime switch.
 //  * Striped storage. Counters live in 64 cache-line-padded stripes, one
 //    per scheduler worker (the scheduler binds each worker to its stripe;
 //    foreign threads get a ticket), mirroring parallel/striped_counter.h:
-//    the enabled hot path is a relaxed fetch_add on the caller's own line.
-//    Sums over stripes are exact at a phase boundary / quiescent point and
+//    the hot path is a relaxed fetch_add on the caller's own line. Sums
+//    over stripes are exact at a phase boundary / quiescent point and
 //    approximate mid-phase, exactly like the occupancy counter.
 //
-// The tracer (obs/trace.h) and exporters (obs/export.h) build on this
-// header; this header depends on nothing in phch (so phase_guard.h and the
-// scheduler can both include it without cycles).
+// The histograms and the one snapshot type that reads counters and
+// histograms together live in obs/histogram.h; the tracer (obs/trace.h)
+// and exporters (obs/export.h, obs/prom.h) build on both. This header
+// depends on nothing in phch (so phase_guard.h and the scheduler can both
+// include it without cycles).
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 
 #if defined(PHCH_TELEMETRY) && PHCH_TELEMETRY
 #define PHCH_TELEMETRY_ENABLED 1
@@ -100,21 +99,6 @@ inline const char* counter_name(counter c) noexcept {
   return i < kNumCounters ? names[i] : "?";
 }
 
-// A quiescent-point reading of every counter (sum over stripes). Returned
-// by snapshot() in both modes; all-zero when the layer is compiled out.
-struct metrics_snapshot {
-  std::array<std::uint64_t, kNumCounters> totals{};
-  std::uint64_t operator[](counter c) const noexcept {
-    return totals[static_cast<std::size_t>(c)];
-  }
-};
-
-inline metrics_snapshot operator-(const metrics_snapshot& a, const metrics_snapshot& b) {
-  metrics_snapshot d;
-  for (std::size_t i = 0; i < kNumCounters; ++i) d.totals[i] = a.totals[i] - b.totals[i];
-  return d;
-}
-
 #if PHCH_TELEMETRY_ENABLED
 
 inline constexpr std::size_t kStripes = 64;  // power of two; see striped_counter
@@ -126,13 +110,6 @@ struct alignas(64) counter_stripe {
 };
 
 inline std::array<counter_stripe, kStripes> g_counters;
-
-inline bool env_enabled() noexcept {
-  const char* v = std::getenv("PHCH_TELEMETRY");
-  return v != nullptr && *v != '\0' && *v != '0';
-}
-
-inline std::atomic<bool> g_enabled{env_enabled()};
 
 // Scheduler workers are bound to stripe (worker_id & mask) by bind_worker;
 // threads outside the pool draw a stable round-robin ticket on first use.
@@ -149,13 +126,6 @@ inline std::size_t stripe_index() noexcept {
 
 }  // namespace detail
 
-inline bool enabled() noexcept {
-  return detail::g_enabled.load(std::memory_order_relaxed);
-}
-inline void set_enabled(bool on) noexcept {
-  detail::g_enabled.store(on, std::memory_order_relaxed);
-}
-
 // Called by the scheduler when a thread becomes pool worker `id` so its
 // telemetry lands in that worker's stripe.
 inline void bind_worker(int id) noexcept {
@@ -167,7 +137,6 @@ inline int stripe() noexcept { return static_cast<int>(detail::stripe_index()); 
 
 // The one hot-path entry point: relaxed add on the caller's own line.
 inline void count(counter c, std::uint64_t n = 1) noexcept {
-  if (!enabled()) return;
   detail::g_counters[detail::stripe_index()]
       .c[static_cast<std::size_t>(c)]
       .fetch_add(n, std::memory_order_relaxed);
@@ -178,14 +147,6 @@ inline std::uint64_t total(counter c) noexcept {
   for (const auto& s : detail::g_counters)
     t += s.c[static_cast<std::size_t>(c)].load(std::memory_order_relaxed);
   return t;
-}
-
-inline metrics_snapshot snapshot() noexcept {
-  metrics_snapshot m;
-  for (const auto& s : detail::g_counters)
-    for (std::size_t i = 0; i < kNumCounters; ++i)
-      m.totals[i] += s.c[i].load(std::memory_order_relaxed);
-  return m;
 }
 
 inline void reset_counters() noexcept {
@@ -213,13 +174,10 @@ struct probe_tally {
 
 #else  // !PHCH_TELEMETRY_ENABLED — every entry point is an empty inline no-op
 
-inline constexpr bool enabled() noexcept { return false; }
-inline void set_enabled(bool) noexcept {}
 inline void bind_worker(int) noexcept {}
 inline constexpr int stripe() noexcept { return 0; }
 inline void count(counter, std::uint64_t = 1) noexcept {}
 inline constexpr std::uint64_t total(counter) noexcept { return 0; }
-inline metrics_snapshot snapshot() noexcept { return {}; }
 inline void reset_counters() noexcept {}
 
 struct probe_tally {

@@ -3,7 +3,7 @@
 // Records the *rare* structural events of a run — per-table phase
 // transitions (insert/erase/query epochs, fed exactly once per boundary by
 // the phase_runtime transition edge, core/phase_runtime.h),
-// root fork-join spans (one per top-level parallel_for / execute), growth
+// root fork-join spans (one per top-level parallel_for), growth
 // migrations, and user marks — as fixed-size events in per-stripe ring
 // buffers. Hot-path table operations never record events; they only bump
 // counters (obs/telemetry.h). The exporters (obs/export.h) drain the rings
@@ -18,14 +18,14 @@
 // the newest kRingCapacity events per stripe; the drop count of older
 // events is reported by drained_trace::dropped.
 //
-// Marks are quiescent-point counter snapshots with a label, taken by the
-// applications at phase boundaries (e.g. remove_duplicates marks the end of
-// its insert phase); consecutive mark deltas give exact per-phase counter
-// sums in the metrics JSON. Marks are mutex-guarded — they are rare by
-// contract.
+// Marks are labelled quiescent-point snapshots (obs::snapshot(): every
+// counter and histogram), taken by the applications at phase boundaries
+// (e.g. remove_duplicates marks the end of its insert phase); consecutive
+// mark deltas give exact per-phase sums in the metrics JSON and the chrome
+// trace. Marks are mutex-guarded — they are rare by contract.
 //
 // Like everything in obs/, all of this compiles to empty inline no-ops when
-// PHCH_TELEMETRY is off, and honors the runtime enable flag when on.
+// PHCH_TELEMETRY is off.
 #pragma once
 
 #include <algorithm>
@@ -65,15 +65,11 @@ struct drained_trace {
   std::uint64_t dropped = 0;        // events overwritten by ring wrap
 };
 
-// A labelled quiescent-point counter snapshot (see header comment). Also
-// captures the global probe-depth distribution so consecutive mark deltas
-// give per-phase histogram summaries (export.h turns these into Perfetto
-// counter tracks).
+// A labelled quiescent-point snapshot (see header comment).
 struct mark_entry {
   std::string label;
   std::uint64_t ts_ns = 0;
-  metrics_snapshot counters;
-  hist_snapshot probe_depth;
+  metrics_snapshot metrics;
 };
 
 #if PHCH_TELEMETRY_ENABLED
@@ -124,7 +120,6 @@ inline std::uint64_t now_ns() noexcept {
 inline void record_event(event_kind k, const char* name, std::uint32_t a,
                          std::uint64_t b, std::uint64_t ts_ns,
                          std::uint64_t dur_ns = 0) noexcept {
-  if (!enabled()) return;
   detail::event_ring& r = detail::g_rings[detail::stripe_index()];
   const std::uint64_t i = r.head.fetch_add(1, std::memory_order_relaxed);
   detail::event_slot& s = r.slots[i & (kRingCapacity - 1)];
@@ -136,30 +131,20 @@ inline void record_event(event_kind k, const char* name, std::uint32_t a,
   s.a.store(a, std::memory_order_relaxed);
 }
 
-// RAII span: captures the clock on construction (when enabled) and records
-// one `span` event on destruction. a/b payload can be set before the scope
-// closes.
+// RAII span: captures the clock on construction and records one `span`
+// event on destruction. a/b payload can be set before the scope closes.
 class span {
  public:
-  explicit span(const char* name) noexcept {
-    if (enabled()) {
-      name_ = name;
-      t0_ = now_ns();
-    }
-  }
+  explicit span(const char* name) noexcept : name_(name), t0_(now_ns()) {}
   span(const span&) = delete;
   span& operator=(const span&) = delete;
-  ~span() {
-    if (name_ != nullptr) {
-      record_event(event_kind::span, name_, a, b, t0_, now_ns() - t0_);
-    }
-  }
+  ~span() { record_event(event_kind::span, name_, a, b, t0_, now_ns() - t0_); }
   std::uint32_t a = 0;
   std::uint64_t b = 0;
 
  private:
-  const char* name_ = nullptr;
-  std::uint64_t t0_ = 0;
+  const char* name_;
+  std::uint64_t t0_;
 };
 
 // --- phase-transition seam (fed by core/phase_runtime.h) --------------------
@@ -188,12 +173,10 @@ inline void note_phase_transition(std::uint32_t table_id, std::uint8_t op_class,
 // --- marks ------------------------------------------------------------------
 
 inline void mark(const char* label) {
-  if (!enabled()) return;
   mark_entry m;
   m.label = label;
   m.ts_ns = now_ns();
-  m.counters = snapshot();
-  m.probe_depth = table_hist_totals(table_hist::probe_depth);
+  m.metrics = snapshot();
   std::uint64_t idx;
   {
     std::lock_guard<std::mutex> lock(detail::g_marks_m);

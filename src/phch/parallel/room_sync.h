@@ -67,7 +67,7 @@ class PHCH_CAPABILITY("room") room_sync {
     // Fast path: the room is open (or the building is empty).
     if (try_enter(room)) return;
     obs::count(obs::counter::room_waits);  // once per blocked enter, not per spin
-    const std::uint64_t wait_t0 = obs::now_if_enabled();
+    obs::hist_timer timer(obs::hist::room_wait_ns);
     waiters_[static_cast<std::size_t>(room)].fetch_add(1, std::memory_order_acq_rel);
     int spins = 0;
     while (!try_enter(room)) {
@@ -78,7 +78,6 @@ class PHCH_CAPABILITY("room") room_sync {
       }
     }
     waiters_[static_cast<std::size_t>(room)].fetch_sub(1, std::memory_order_acq_rel);
-    obs::hist_record_since(obs::global_hist::room_wait_ns, wait_t0);
   }
 
   // Leaves the current room. The last occupant hands the building to the

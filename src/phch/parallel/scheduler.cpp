@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "phch/obs/telemetry.h"
-#include "phch/obs/trace.h"
 #include "phch/parallel/spinlock.h"
 
 namespace phch {
@@ -168,22 +167,6 @@ void scheduler::wait_for(detail::ws_task& t) {
       std::this_thread::yield();
     }
   }
-}
-
-void scheduler::broadcast_range(const std::function<void(int)>& f, int lo, int hi) {
-  if (hi - lo == 1) {
-    f(lo);
-    return;
-  }
-  const int mid = lo + (hi - lo) / 2;
-  fork_join([&] { broadcast_range(f, lo, mid); }, [&] { broadcast_range(f, mid, hi); });
-}
-
-void scheduler::execute(const std::function<void(int)>& f) {
-  obs::span sp("execute");
-  sp.a = static_cast<std::uint32_t>(num_workers_);
-  detail::depth_guard depth;
-  broadcast_range(f, 0, num_workers_);
 }
 
 }  // namespace phch

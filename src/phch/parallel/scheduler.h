@@ -29,7 +29,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -49,11 +48,11 @@ namespace detail {
 // the forking thread.
 class ws_task {
  public:
-  virtual void execute() = 0;
+  virtual void call() = 0;
 
   void run() noexcept {
     try {
-      execute();
+      call();
     } catch (...) {
       error_ = std::current_exception();
     }
@@ -77,7 +76,7 @@ template <typename F>
 class lambda_task final : public ws_task {
  public:
   explicit lambda_task(F& f) noexcept : f_(f) {}
-  void execute() override { f_(); }
+  void call() override { f_(); }
 
  private:
   F& f_;
@@ -109,6 +108,22 @@ struct depth_guard {
 };
 
 }  // namespace detail
+
+// Runs every parallel construct the calling thread issues inside the scope
+// serially inline, as on a thread outside the pool. For code that holds
+// something other tasks wait for: its joins would otherwise steal tasks
+// while waiting, and a stolen task that waits for the holder — on the
+// holder's own stack — never finishes.
+class serial_region {
+ public:
+  serial_region() noexcept : saved_(detail::tl_worker) { detail::tl_worker = nullptr; }
+  ~serial_region() { detail::tl_worker = saved_; }
+  serial_region(const serial_region&) = delete;
+  serial_region& operator=(const serial_region&) = delete;
+
+ private:
+  detail::worker_state* saved_;
+};
 
 class scheduler {
  public:
@@ -170,10 +185,6 @@ class scheduler {
     if (tb.error()) std::rethrow_exception(tb.error());
   }
 
-  // Compatibility broadcast from the flat-pool era: runs f(0..p-1) exactly
-  // once each, in parallel, via a balanced fork-join tree.
-  void execute(const std::function<void(int)>& f);
-
  private:
   scheduler();
   void start_workers();
@@ -200,8 +211,6 @@ class scheduler {
     if (ea) std::rethrow_exception(ea);
     if (eb) std::rethrow_exception(eb);
   }
-
-  void broadcast_range(const std::function<void(int)>& f, int lo, int hi);
 
   // One random steal attempt over all other workers' deques.
   detail::ws_task* try_steal(detail::worker_state& self);

@@ -7,6 +7,7 @@
 // exercise the escaping paths directly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
@@ -298,14 +299,10 @@ class ExportersOn : public ::testing::Test {
  protected:
   void SetUp() override {
     if (!obs::compiled) GTEST_SKIP() << "telemetry compiled out";
-    obs::set_enabled(true);
     obs::reset();
   }
   void TearDown() override {
-    if (obs::compiled) {
-      obs::set_enabled(false);
-      scheduler::get().set_num_workers(4);
-    }
+    if (obs::compiled) scheduler::get().set_num_workers(4);
   }
 };
 
@@ -347,7 +344,8 @@ TEST_F(ExportersOn, ChromeTraceRoundTripsHostileLabels) {
   json_checker jc(text);
   ASSERT_TRUE(jc.parse()) << text;
   EXPECT_TRUE(contains(jc.strings(), kHostile));
-  // The probe-depth counter track rides along with every mark.
+  // Every mark carries its snapshot delta (counters and histograms).
+  EXPECT_TRUE(contains(jc.strings(), "insert_commits"));
   EXPECT_TRUE(contains(jc.strings(), "probe_depth"));
 }
 
@@ -365,6 +363,7 @@ TEST_F(ExportersOn, PrometheusExpositionIsWellFormed) {
   double insert_ops = -1, find_ops = -1, erase_ops = -1;
   double bucket_inf = -1, hist_count = -1, prev_bucket = 0;
   bool saw_hostile_table = false;
+  int table_series = 0;
   for (const auto& s : samples) {
     if (s.name == "phch_insert_ops_total") insert_ops = s.value;
     if (s.name == "phch_find_ops_total") find_ops = s.value;
@@ -381,6 +380,14 @@ TEST_F(ExportersOn, PrometheusExpositionIsWellFormed) {
     if (const std::string* tl = label_of(s, "table")) {
       // The hostile registry name must round-trip through label escaping.
       if (*tl == kHostile) saw_hostile_table = true;
+      // Per-table series are gauges only; distributions are process-wide.
+      const std::string gauges[] = {"phch_table_capacity", "phch_table_size",
+                                    "phch_table_load_factor",
+                                    "phch_table_phase_epoch"};
+      EXPECT_NE(std::find(std::begin(gauges), std::end(gauges), s.name),
+                std::end(gauges))
+          << s.name;
+      ++table_series;
     }
   }
   ASSERT_GE(insert_ops, 0);
@@ -392,6 +399,7 @@ TEST_F(ExportersOn, PrometheusExpositionIsWellFormed) {
   // The probe-depth ledger, as scraped.
   EXPECT_EQ(hist_count, insert_ops + find_ops + erase_ops);
   EXPECT_TRUE(saw_hostile_table);
+  EXPECT_EQ(table_series, 4);
 }
 
 TEST_F(ExportersOn, TypeLinesAreUniquePerMetric) {

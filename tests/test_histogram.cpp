@@ -1,7 +1,7 @@
 // Histogram plane (src/phch/obs/histogram.h): log-linear bucket math,
-// snapshot merge/quantile behavior, the per-table live-list + graveyard
+// snapshot subtract/quantile behavior, the process-wide probe-depth
 // ledger, the registry, and the compiled-out contract. The concurrent
-// record-while-drain hammer runs under the TSan CI job.
+// record-while-drain hammers run under the TSan CI job.
 //
 // This file compiles and passes in both build modes: the bucket math is
 // constexpr and mode-independent; the recording tests skip when the layer
@@ -103,7 +103,7 @@ TEST(HistBuckets, RelativeErrorIsBounded) {
 // ---------------------------------------------------------------------------
 // Snapshot arithmetic (both modes: hist_snapshot is a plain struct).
 
-TEST(HistSnapshot, MergeAndQuantile) {
+TEST(HistSnapshot, MeanAndQuantile) {
   obs::hist_snapshot a{};
   for (std::uint64_t v = 1; v <= 100; ++v) {
     const std::size_t b = hist_bucket(v);
@@ -121,16 +121,43 @@ TEST(HistSnapshot, MergeAndQuantile) {
   EXPECT_GE(p50, static_cast<double>(hist_bucket_lower(hist_bucket(50))));
   EXPECT_LE(p50, static_cast<double>(hist_bucket_upper(hist_bucket(50))));
   EXPECT_DOUBLE_EQ(a.quantile(1.0), 100.0);  // clamped by the exact max
+}
 
-  obs::hist_snapshot b2{};
-  b2.buckets[hist_bucket(7)] = 3;
-  b2.count = 3;
-  b2.sum = 21;
-  b2.max = 7;
-  a.merge(b2);
-  EXPECT_EQ(a.count, 103u);
-  EXPECT_EQ(a.sum, 5050u + 21u);
-  EXPECT_EQ(a.max, 100u);
+TEST(HistSnapshot, SubtractIsBucketwise) {
+  obs::metrics_snapshot before{};
+  obs::metrics_snapshot after{};
+  before.totals[static_cast<std::size_t>(obs::counter::find_ops)] = 5;
+  after.totals[static_cast<std::size_t>(obs::counter::find_ops)] = 9;
+  obs::hist_snapshot& b = before.hists[static_cast<std::size_t>(obs::hist::probe_depth)];
+  obs::hist_snapshot& a = after.hists[static_cast<std::size_t>(obs::hist::probe_depth)];
+  b.buckets[hist_bucket(2)] = 1;
+  b.count = 1;
+  b.sum = 2;
+  b.max = 2;
+  a = b;
+  a.buckets[hist_bucket(2)] += 2;
+  a.buckets[hist_bucket(40)] += 1;
+  a.count += 3;
+  a.sum += 2 + 2 + 40;
+  a.max = 40;
+  const obs::metrics_snapshot d = after - before;
+  EXPECT_EQ(d[obs::counter::find_ops], 4u);
+  const obs::hist_snapshot& h = d[obs::hist::probe_depth];
+  EXPECT_EQ(h.count, 3u);
+  EXPECT_EQ(h.sum, 44u);
+  EXPECT_EQ(h.buckets[hist_bucket(2)], 2u);
+  EXPECT_EQ(h.buckets[hist_bucket(40)], 1u);
+  EXPECT_EQ(h.max, 40u);
+  // The window's max is bounded by its highest occupied bucket, not by an
+  // earlier, larger sample.
+  obs::metrics_snapshot later = after;
+  obs::hist_snapshot& l = later.hists[static_cast<std::size_t>(obs::hist::probe_depth)];
+  l.buckets[hist_bucket(3)] += 1;
+  l.count += 1;
+  l.sum += 3;
+  EXPECT_EQ((later - after)[obs::hist::probe_depth].max, 3u);
+  EXPECT_EQ((after - after)[obs::hist::probe_depth].max, 0u);
+  EXPECT_EQ(d[obs::hist::growth_ns].count, 0u);
 }
 
 TEST(HistSnapshot, EmptyQuantileIsZero) {
@@ -145,15 +172,13 @@ TEST(HistSnapshot, EmptyQuantileIsZero) {
 
 TEST(HistogramOff, LayerIsCompiledOut) {
   if (obs::compiled) GTEST_SKIP() << "telemetry compiled in";
-  // The per-table block must vanish entirely behind [[no_unique_address]].
-  EXPECT_TRUE(std::is_empty_v<obs::table_hists>);
-  obs::hist_record(obs::global_hist::room_wait_ns, 42);
+  obs::hist_record(obs::hist::room_wait_ns, 42);
   obs::hist_accum a;
   a.note(3);
   EXPECT_TRUE(a.empty());  // the accumulator is a no-op too
-  EXPECT_EQ(obs::hist_totals(obs::global_hist::room_wait_ns).count, 0u);
-  EXPECT_EQ(obs::table_hist_totals(obs::table_hist::probe_depth).count, 0u);
-  EXPECT_EQ(obs::now_if_enabled(), 0u);
+  obs::hist_record(obs::hist::probe_depth, a);
+  const obs::metrics_snapshot s = obs::snapshot();
+  for (const auto& h : s.hists) EXPECT_EQ(h.count, 0u);
   // Registry is inert too.
   deterministic_table<> t(64);
   [[maybe_unused]] const obs::scoped_registration reg("off", t);
@@ -167,113 +192,112 @@ class HistogramOn : public ::testing::Test {
  protected:
   void SetUp() override {
     if (!obs::compiled) GTEST_SKIP() << "telemetry compiled out";
-    obs::set_enabled(true);
     obs::reset();
   }
   void TearDown() override {
-    if (obs::compiled) {
-      obs::set_enabled(false);
-      scheduler::get().set_num_workers(4);
-    }
+    if (obs::compiled) scheduler::get().set_num_workers(4);
   }
 };
 
-TEST_F(HistogramOn, TableHistsLedgerSurvivesDestruction) {
-  const obs::hist_snapshot before =
-      obs::table_hist_totals(obs::table_hist::probe_depth);
-  {
-    obs::table_hists h;
-    for (std::uint64_t v = 1; v <= 50; ++v)
-      h.record(obs::table_hist::probe_depth, v);
-    const obs::hist_snapshot live =
-        obs::table_hist_totals(obs::table_hist::probe_depth);
-    EXPECT_EQ(live.count - before.count, 50u);
-  }  // h dies: its samples must fold into the graveyard, not vanish
-  const obs::hist_snapshot after =
-      obs::table_hist_totals(obs::table_hist::probe_depth);
-  EXPECT_EQ(after.count - before.count, 50u);
-  EXPECT_GE(after.max, 50u);
+obs::hist_snapshot probe_depth_now() {
+  return obs::snapshot()[obs::hist::probe_depth];
 }
 
 TEST_F(HistogramOn, ProbeDepthLedgerMatchesOpCounters) {
-  // The defining invariant: one probe-depth sample per operation, exactly.
-  deterministic_table<> t(1024);
-  for (std::uint64_t v = 1; v <= 300; ++v) t.insert(v);
-  for (std::uint64_t v = 1; v <= 300; ++v) (void)t.find(v);
-  for (std::uint64_t v = 1; v <= 100; ++v) t.erase(v);
-  const obs::hist_snapshot d = t.hists().snapshot(obs::table_hist::probe_depth);
-  const std::uint64_t ops = obs::total(obs::counter::find_ops) +
-                            obs::total(obs::counter::insert_ops) +
-                            obs::total(obs::counter::erase_ops);
-  EXPECT_EQ(d.count, ops);
-  EXPECT_GE(d.sum, d.count);  // every op probes at least one slot
-  EXPECT_GE(d.max, 1u);
+  // The defining invariant: one probe-depth sample per operation, exactly,
+  // and it survives the table's destruction (no table owns histogram
+  // state). Read once with the table alive and once after it is gone.
+  for (const bool destroy_first : {false, true}) {
+    SCOPED_TRACE(destroy_first);
+    const obs::metrics_snapshot before = obs::snapshot();
+    obs::metrics_snapshot live;
+    {
+      deterministic_table<> t(1024);
+      for (std::uint64_t v = 1; v <= 300; ++v) t.insert(v);
+      for (std::uint64_t v = 1; v <= 300; ++v) (void)t.find(v);
+      for (std::uint64_t v = 1; v <= 100; ++v) t.erase(v);
+      live = obs::snapshot();
+    }
+    const obs::metrics_snapshot d =
+        (destroy_first ? obs::snapshot() : live) - before;
+    const obs::hist_snapshot& depth = d[obs::hist::probe_depth];
+    const std::uint64_t ops = d[obs::counter::find_ops] +
+                              d[obs::counter::insert_ops] +
+                              d[obs::counter::erase_ops];
+    EXPECT_EQ(ops, 700u);
+    EXPECT_EQ(depth.count, ops);
+    EXPECT_GE(depth.sum, depth.count);  // every op probes at least one slot
+    EXPECT_GE(depth.max, 1u);
+  }
 }
 
 TEST_F(HistogramOn, BlockFlushMatchesPerSampleRecords) {
   // The pipelined engines' block accumulator must be indistinguishable
-  // from per-sample record() calls once flushed.
+  // from per-sample records once flushed.
   obs::hist_accum a;
   EXPECT_TRUE(a.empty());
   for (std::uint64_t v = 0; v <= 100; ++v) a.note(v);
   EXPECT_FALSE(a.empty());
-  obs::table_hists h;
-  h.record_block(obs::table_hist::probe_depth, a);
-  obs::table_hists ref;
-  for (std::uint64_t v = 0; v <= 100; ++v)
-    ref.record(obs::table_hist::probe_depth, v);
-  const obs::hist_snapshot s = h.snapshot(obs::table_hist::probe_depth);
-  const obs::hist_snapshot r = ref.snapshot(obs::table_hist::probe_depth);
+  obs::hist_record(obs::hist::probe_depth, a);
+  const obs::hist_snapshot s = probe_depth_now();
+  obs::reset();
+  for (std::uint64_t v = 0; v <= 100; ++v) obs::hist_record(obs::hist::probe_depth, v);
+  const obs::hist_snapshot r = probe_depth_now();
   EXPECT_EQ(s.buckets, r.buckets);
   EXPECT_EQ(s.count, 101u);
   EXPECT_EQ(s.sum, 5050u);
   EXPECT_EQ(s.max, 100u);
 }
 
-// Same hammer as above, through the block-flush path the pipelined
-// engines use: workers accumulate locally and flush whole blocks while
-// the drainer merges snapshots.
-TEST_F(HistogramOn, ConcurrentBlockFlushWhileDrainIsRaceFree) {
-  obs::table_hists h;
-  constexpr std::size_t kBlocks = 200;
-  constexpr std::size_t kPerBlock = 100;
-  const std::size_t workers = static_cast<std::size_t>(num_workers());
+// Runs `record(i)` for every i in [0, n) from all workers while a drainer
+// thread repeatedly takes snapshots. Mid-drain sums may be partial
+// (stripes are read one by one) but counts only grow, nothing may fault or
+// trip TSan, and the post-join snapshot is exact.
+template <typename Record>
+obs::hist_snapshot hammer_while_draining(std::size_t n, Record record) {
   std::atomic<bool> stop{false};
   std::thread drainer([&] {
     std::uint64_t last = 0;
     while (!stop.load(std::memory_order_acquire)) {
-      const obs::hist_snapshot s =
-          h.snapshot(obs::table_hist::probe_depth);
+      const obs::hist_snapshot s = probe_depth_now();
       EXPECT_GE(s.count, last);
       last = s.count;
     }
   });
-  parallel_for(0, workers * kBlocks, [&](std::size_t i) {
-    obs::hist_accum a;
-    for (std::uint64_t v = 1; v <= kPerBlock; ++v) a.note((i + v) % 61 + 1);
-    h.record_block(obs::table_hist::probe_depth, a);
-  });
+  parallel_for(0, n, record);
   stop.store(true, std::memory_order_release);
   drainer.join();
-  const obs::hist_snapshot s = h.snapshot(obs::table_hist::probe_depth);
-  EXPECT_EQ(s.count, workers * kBlocks * kPerBlock);
+  const obs::hist_snapshot s = probe_depth_now();
   std::uint64_t bucket_total = 0;
   for (const auto c : s.buckets) bucket_total += c;
   EXPECT_EQ(bucket_total, s.count);
-  EXPECT_EQ(s.max, 61u);  // kPerBlock > 61, so every block sees the max
+  return s;
 }
 
-TEST_F(HistogramOn, DisabledRecordsNothing) {
-  obs::set_enabled(false);
-  obs::table_hists h;
-  h.record(obs::table_hist::probe_depth, 7);
-  obs::hist_accum a;
-  a.note(7);  // local accumulation is unconditional...
-  h.record_block(obs::table_hist::probe_depth, a);  // ...the flush is gated
-  obs::hist_record(obs::global_hist::room_wait_ns, 7);
-  EXPECT_EQ(h.snapshot(obs::table_hist::probe_depth).count, 0u);
-  EXPECT_EQ(obs::hist_totals(obs::global_hist::room_wait_ns).count, 0u);
-  obs::set_enabled(true);
+// The TSan-job hammer for the per-sample path.
+TEST_F(HistogramOn, ConcurrentRecordWhileDrainIsRaceFree) {
+  constexpr std::size_t kPerWorker = 20000;
+  const std::size_t n = static_cast<std::size_t>(num_workers()) * kPerWorker;
+  const obs::hist_snapshot s = hammer_while_draining(n, [](std::size_t i) {
+    obs::hist_record(obs::hist::probe_depth, (i % 61) + 1);
+  });
+  EXPECT_EQ(s.count, n);
+  EXPECT_EQ(s.max, 61u);
+}
+
+// Same hammer through the block-flush path the pipelined engines use:
+// workers accumulate locally and flush whole blocks.
+TEST_F(HistogramOn, ConcurrentBlockFlushWhileDrainIsRaceFree) {
+  constexpr std::size_t kBlocks = 200;
+  constexpr std::size_t kPerBlock = 100;
+  const std::size_t n = static_cast<std::size_t>(num_workers()) * kBlocks;
+  const obs::hist_snapshot s = hammer_while_draining(n, [](std::size_t i) {
+    obs::hist_accum a;
+    for (std::uint64_t v = 1; v <= kPerBlock; ++v) a.note((i + v) % 61 + 1);
+    obs::hist_record(obs::hist::probe_depth, a);
+  });
+  EXPECT_EQ(s.count, n * kPerBlock);
+  EXPECT_EQ(s.max, 61u);  // kPerBlock > 61, so every block sees the max
 }
 
 TEST_F(HistogramOn, RegistrySnapshotsRegisteredTables) {
@@ -287,42 +311,12 @@ TEST_F(HistogramOn, RegistrySnapshotsRegisteredTables) {
     EXPECT_EQ(tables[0].capacity, 256u);
     EXPECT_TRUE(tables[0].has_size);
     EXPECT_EQ(tables[0].size, 10u);
-    EXPECT_TRUE(tables[0].has_hists);
-    EXPECT_EQ(tables[0].probe_depth.count, 10u);
+    // Gauges only: the phase epoch is the table's own phase word.
+    EXPECT_TRUE(tables[0].has_epoch);
+    EXPECT_EQ(tables[0].phase_epoch, t.phase_rt().epoch());
+    EXPECT_GE(tables[0].phase_epoch, 1u);
   }  // scoped_registration unregisters
   EXPECT_TRUE(obs::snapshot_tables().empty());
-}
-
-// The TSan-job hammer: all workers record into one striped histogram while
-// a drainer thread repeatedly merges snapshots. Mid-drain sums may be
-// partial (stripes are read one by one) but must never fault or trip TSan,
-// and the post-join snapshot is exact.
-TEST_F(HistogramOn, ConcurrentRecordWhileDrainIsRaceFree) {
-  obs::table_hists h;
-  constexpr std::size_t kPerWorker = 20000;
-  const std::size_t workers = static_cast<std::size_t>(num_workers());
-  std::atomic<bool> stop{false};
-  std::thread drainer([&] {
-    std::uint64_t last = 0;
-    while (!stop.load(std::memory_order_acquire)) {
-      const obs::hist_snapshot s =
-          h.snapshot(obs::table_hist::probe_depth);
-      // Counts only grow while recording is in flight.
-      EXPECT_GE(s.count, last);
-      last = s.count;
-    }
-  });
-  parallel_for(0, workers * kPerWorker, [&](std::size_t i) {
-    h.record(obs::table_hist::probe_depth, (i % 61) + 1);
-  });
-  stop.store(true, std::memory_order_release);
-  drainer.join();
-  const obs::hist_snapshot s = h.snapshot(obs::table_hist::probe_depth);
-  EXPECT_EQ(s.count, workers * kPerWorker);
-  std::uint64_t bucket_total = 0;
-  for (const auto c : s.buckets) bucket_total += c;
-  EXPECT_EQ(bucket_total, s.count);
-  EXPECT_EQ(s.max, 61u);
 }
 
 }  // namespace

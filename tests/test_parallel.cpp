@@ -16,21 +16,13 @@ TEST(Scheduler, ReportsAtLeastOneWorker) {
   EXPECT_GE(num_workers(), 1);
 }
 
-TEST(Scheduler, ExecuteRunsEveryWorkerExactlyOnce) {
-  const int p = num_workers();
-  std::vector<std::atomic<int>> hits(static_cast<std::size_t>(p));
-  scheduler::get().execute([&](int id) {
-    hits[static_cast<std::size_t>(id)].fetch_add(1);
-  });
-  for (int i = 0; i < p; ++i) EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1);
-}
-
 TEST(Scheduler, InParallelFlagIsSetInsideJobsOnly) {
   EXPECT_FALSE(scheduler::in_parallel());
   std::atomic<bool> seen{true};
-  scheduler::get().execute([&](int) {
+  const auto check = [&] {
     if (!scheduler::in_parallel()) seen = false;
-  });
+  };
+  par_do([&] { parallel_for(0, 10000, [&](std::size_t) { check(); }, 1); }, check);
   EXPECT_TRUE(seen.load());
   EXPECT_FALSE(scheduler::in_parallel());
 }
@@ -117,9 +109,17 @@ TEST(Scheduler, SetNumWorkersChangesParallelism) {
   const int original = s.num_workers();
   s.set_num_workers(2);
   EXPECT_EQ(s.num_workers(), 2);
+  // Both halves of a fork run, and the pool never has more than two
+  // workers to run them on.
   std::atomic<int> hits{0};
-  s.execute([&](int) { hits.fetch_add(1); });
+  par_do([&] { hits.fetch_add(1); }, [&] { hits.fetch_add(1); });
   EXPECT_EQ(hits.load(), 2);
+  std::atomic<int> outside{0};
+  parallel_for(0, 100000, [&](std::size_t) {
+    const int id = scheduler::worker_id();
+    if (id < 0 || id >= 2) outside.fetch_add(1);
+  }, 1);
+  EXPECT_EQ(outside.load(), 0);
   s.set_num_workers(original);
   EXPECT_EQ(s.num_workers(), original);
 }

@@ -44,13 +44,11 @@ TEST(TelemetryOff, LayerIsCompiledOut) {
   // drives phase tracking), not telemetry — compiling obs in must not widen
   // it.
   EXPECT_EQ(sizeof(unchecked_phases), sizeof(phase_runtime));
-  EXPECT_FALSE(obs::enabled());
-  obs::set_enabled(true);  // no-op when compiled out
-  EXPECT_FALSE(obs::enabled());
   obs::count(counter::probe_slots, 123);
   EXPECT_EQ(obs::total(counter::probe_slots), 0u);
   const obs::metrics_snapshot m = obs::snapshot();
   for (const auto v : m.totals) EXPECT_EQ(v, 0u);
+  for (const auto& h : m.hists) EXPECT_EQ(h.count, 0u);
   obs::mark("off");
   EXPECT_TRUE(obs::marks().empty());
   EXPECT_TRUE(obs::drain_trace().events.empty());
@@ -71,20 +69,17 @@ TEST(TelemetryOff, ProbeTallyIsInert) {
 }
 
 // ---------------------------------------------------------------------------
-// Compiled-in behavior. Each test enables recording explicitly (the CI job
-// does not rely on the PHCH_TELEMETRY environment variable).
+// Compiled-in behavior: every event is recorded.
 
 class TelemetryOn : public ::testing::Test {
  protected:
   void SetUp() override {
     if (!obs::compiled) GTEST_SKIP() << "telemetry compiled out";
-    obs::set_enabled(true);
     obs::reset();
   }
   void TearDown() override {
     if (obs::compiled) {
       obs::reset();
-      obs::set_enabled(false);
       scheduler::get().set_num_workers(4);  // the suite's PHCH_THREADS value
     }
   }
@@ -160,26 +155,28 @@ TEST_F(TelemetryOn, CounterExactnessBatchPath) {
   for (const int p : {1, 4, 8}) check_exactness<true>(p);
 }
 
-TEST_F(TelemetryOn, RuntimeFlagGatesRecording) {
-  obs::set_enabled(false);
-  obs::count(counter::probe_slots, 5);
-  EXPECT_EQ(obs::total(counter::probe_slots), 0u);
-  obs::set_enabled(true);
-  obs::count(counter::probe_slots, 5);
-  EXPECT_EQ(obs::total(counter::probe_slots), 5u);
-}
-
 TEST_F(TelemetryOn, MarksCaptureQuiescentDeltas) {
+  deterministic_table<int_entry<>> t(1 << 12);
+  const auto keys = workloads::random_int_seq(1000, 5);
   obs::mark("t0");
   obs::count(counter::steals, 3);
   obs::mark("t1");
   obs::count(counter::steals, 4);
   obs::mark("t2");
+  // A phase on a linear-probing table between t2 and t3: 1000 pipelined
+  // inserts and 600 scalar finds, each one probe-depth sample.
+  insert_batch(t, keys);
+  for (std::size_t i = 0; i < 600; ++i) (void)t.find(keys[i]);
+  obs::mark("t3");
   const auto ms = obs::marks();
-  ASSERT_EQ(ms.size(), 3u);
+  ASSERT_EQ(ms.size(), 4u);
   EXPECT_EQ(ms[0].label, "t0");
-  EXPECT_EQ((ms[1].counters - ms[0].counters)[counter::steals], 3u);
-  EXPECT_EQ((ms[2].counters - ms[1].counters)[counter::steals], 4u);
+  EXPECT_EQ((ms[1].metrics - ms[0].metrics)[counter::steals], 3u);
+  EXPECT_EQ((ms[2].metrics - ms[1].metrics)[counter::steals], 4u);
+  EXPECT_EQ((ms[2].metrics - ms[1].metrics)[obs::hist::probe_depth].count, 0u);
+  const obs::metrics_snapshot phase = ms[3].metrics - ms[2].metrics;
+  EXPECT_EQ(phase[counter::insert_ops] + phase[counter::find_ops], 1600u);
+  EXPECT_EQ(phase[obs::hist::probe_depth].count, 1600u);
   EXPECT_LE(ms[0].ts_ns, ms[1].ts_ns);
 }
 

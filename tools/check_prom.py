@@ -14,6 +14,9 @@ same monitor process, SCRAPE2 taken later). The checks:
   ledger    probe-depth histogram population == find_ops + insert_ops +
             erase_ops, exactly, in each scrape (phch_monitor publishes the
             page at quiescent points, so striped sums are exact).
+  tables    every series labelled {table=...} is one of the registry's
+            gauges (capacity, size, load factor, phase epoch); counters and
+            histograms are process-wide and carry no table label.
   monotone  with two scrapes: every *_total counter and every histogram
             _count/_sum/bucket is non-decreasing from SCRAPE1 to SCRAPE2,
             and the ledger ops strictly advanced (the workload loop ran).
@@ -201,6 +204,16 @@ def check_ledger(samples, path):
     return ops
 
 
+TABLE_GAUGES = {"phch_table_capacity", "phch_table_size",
+                "phch_table_load_factor", "phch_table_phase_epoch"}
+
+
+def check_table_series(samples, path):
+    for (name, labels) in samples:
+        if "table" in dict(labels) and name not in TABLE_GAUGES:
+            fail(f"{path}: per-table series {name} is not a registry gauge")
+
+
 def check_monotone(first, second):
     advanced = False
     for (name, labels), v1 in first.items():
@@ -209,10 +222,7 @@ def check_monotone(first, second):
             continue
         v2 = second.get((name, labels))
         if v2 is None:
-            # A per-table series may disappear when its table dies;
-            # process-global series must not.
-            if "table" not in dict(labels):
-                fail(f"scrape2 dropped {name}{dict(labels)}")
+            fail(f"scrape2 dropped {name}{dict(labels)}")
             continue
         if v2 < v1:
             fail(f"{name}{dict(labels)} went backwards: {v1} -> {v2}")
@@ -229,10 +239,12 @@ def main(argv):
     first = parse_exposition(argv[1])
     check_histograms(first, argv[1])
     check_ledger(first, argv[1])
+    check_table_series(first, argv[1])
     if len(argv) == 3:
         second = parse_exposition(argv[2])
         check_histograms(second, argv[2])
         check_ledger(second, argv[2])
+        check_table_series(second, argv[2])
         check_monotone(first, second)
     if failures:
         print(f"check_prom: {len(failures)} failure(s)", file=sys.stderr)

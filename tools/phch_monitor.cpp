@@ -154,7 +154,6 @@ int main(int argc, char** argv) {
                  "-DPHCH_TELEMETRY=ON\n");
     return 2;
   }
-  obs::set_enabled(true);
 
   const long threads = cl.get_long("-threads", 0);
   if (threads > 0) scheduler::get().set_num_workers(static_cast<int>(threads));
@@ -205,11 +204,11 @@ int main(int argc, char** argv) {
   if (server.joinable()) server.join();
 
   // Final self-check: the same probe-depth ledger CI asserts on scrapes.
-  const obs::hist_snapshot depth =
-      obs::table_hist_totals(obs::table_hist::probe_depth);
-  const std::uint64_t ops = obs::total(obs::counter::find_ops) +
-                            obs::total(obs::counter::insert_ops) +
-                            obs::total(obs::counter::erase_ops);
+  const obs::metrics_snapshot s = obs::snapshot();
+  const obs::hist_snapshot& depth = s[obs::hist::probe_depth];
+  const std::uint64_t ops = s[obs::counter::find_ops] +
+                            s[obs::counter::insert_ops] +
+                            s[obs::counter::erase_ops];
   std::printf("phch_monitor: %" PRIu64 " iterations, probe-depth samples %" PRIu64
               " vs ops %" PRIu64 " (p50=%.1f p99=%.1f max=%" PRIu64 ")\n",
               iterations, depth.count, ops, depth.quantile(0.50),

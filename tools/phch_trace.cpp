@@ -26,7 +26,7 @@
 // linear-probing families the probe-depth *histogram* obeys the same
 // discipline — every operation records exactly one sample — so the ledger
 //   Δ hist(probe_depth).count == Δ (find_ops + insert_ops + erase_ops)
-// is checked against the counters after every workload.
+// is checked on the same snapshot delta after every workload.
 //
 // -table swaps the backend: the same identities must hold for every table
 // in the unified stack, so each reference check is written once against the
@@ -74,17 +74,13 @@ void check_insert_identity(const obs::metrics_snapshot& d) {
                 d[obs::counter::insert_aborts]);
 }
 
-// The probe-depth ledger: over the checked window, the linear-probing
-// families record exactly one histogram sample per operation (scalar,
-// tagged, and software-pipelined paths alike, including dropped
+// The probe-depth ledger: over the checked window `d` (a snapshot delta),
+// the linear-probing families record exactly one histogram sample per
+// operation (scalar and software-pipelined paths alike, including dropped
 // bounded-wrap erases), so the histogram's population must equal the op
-// counters exactly. `before` is the totals snapshot taken when the window
-// opened.
-void check_probe_ledger(const obs::hist_snapshot& before,
-                        const obs::metrics_snapshot& d) {
-  const obs::hist_snapshot now =
-      obs::table_hist_totals(obs::table_hist::probe_depth);
-  expect_eq("probe-depth ledger: hist == ops", now.count - before.count,
+// counters exactly.
+void check_probe_ledger(const obs::metrics_snapshot& d) {
+  expect_eq("probe-depth ledger: hist == ops", d[obs::hist::probe_depth].count,
             d[obs::counter::find_ops] + d[obs::counter::insert_ops] +
                 d[obs::counter::erase_ops]);
 }
@@ -143,8 +139,6 @@ obs::metrics_snapshot run_auto(std::size_t n) {
   auto_phased_table<deterministic_table<int_entry<>>> t(round_up_pow2(4 * n));
   const std::vector<std::uint64_t> keys = tools::distinct_keys(n);
 
-  const obs::hist_snapshot hist_before =
-      obs::table_hist_totals(obs::table_hist::probe_depth);
   const obs::metrics_snapshot before = obs::snapshot();
   obs::mark("auto/phased");
   // Structured stages: three clean class boundaries with a known outcome.
@@ -171,7 +165,7 @@ obs::metrics_snapshot run_auto(std::size_t n) {
 
   expect_eq("auto find_hits after insert", hits.load(), n);
   check_insert_identity(d);
-  check_probe_ledger(hist_before, d);  // the wrapped table is linear-probing
+  check_probe_ledger(d);  // the wrapped table is linear-probing
 
   const std::uint64_t epoch = t.underlying().phase_rt().epoch();
   expect_eq("auto ledger: phase_transitions == epoch",
@@ -208,8 +202,6 @@ obs::metrics_snapshot run_auto(std::size_t n) {
 // Returns false on an unknown workload name.
 template <typename Family>
 bool run_workload(const std::string& workload, std::size_t n) {
-  const obs::hist_snapshot hist_before =
-      obs::table_hist_totals(obs::table_hist::probe_depth);
   obs::metrics_snapshot d;
   if (workload == "dedup") {
     d = run_dedup<Family>(n);
@@ -220,7 +212,7 @@ bool run_workload(const std::string& workload, std::size_t n) {
   } else {
     return false;
   }
-  if constexpr (Family::probe_ledger) check_probe_ledger(hist_before, d);
+  if constexpr (Family::probe_ledger) check_probe_ledger(d);
   return true;
 }
 
@@ -240,7 +232,6 @@ int main(int argc, char** argv) {
                  "-DPHCH_TELEMETRY=ON\n");
     return 2;
   }
-  obs::set_enabled(true);
 
   const long threads = cl.get_long("-threads", 0);
   if (threads > 0) scheduler::get().set_num_workers(static_cast<int>(threads));
