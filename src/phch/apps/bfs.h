@@ -1,19 +1,20 @@
-// Breadth-first search (§5, Figure 2): three implementations compared by
-// the paper in Table 7.
+// Breadth-first search (§5, Figure 2): the three implementations of Table 7.
 //   serial_bfs  classic queue-based BFS (baseline row "serial")
 //   array_bfs   deterministic parallel BFS that computes each next frontier
 //               through a pre-allocated candidate array + pack (row "array")
 //   hash_bfs    Figure 2: WRITEMIN chooses each vertex's parent, winners
 //               insert the neighbor into a phase-concurrent table, and the
-//               next frontier is ELEMENTS() — deterministic when the table
-//               is (row "linearHash-D" etc.)
+//               next frontier is ELEMENTS() (row "linearHash-D" etc.)
 //
 // All three return the parent array (parent[v] = v for the root,
 // kNotReached for unreachable vertices); the deterministic versions produce
 // the same parent array as each other on every run and thread count.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <queue>
 #include <vector>
@@ -32,9 +33,8 @@ namespace phch::apps {
 inline constexpr std::int64_t kNotReached = std::numeric_limits<std::int64_t>::max();
 
 // Parent encoding during the search: unvisited = kNotReached; candidate
-// parent = nonnegative vertex id (WRITEMIN keeps the smallest); visited =
-// -(parent) - 1, which is negative and therefore never displaced by a
-// later WRITEMIN. decode() recovers the parent id.
+// parent = nonnegative id (WRITEMIN keeps the smallest); visited = -parent - 1,
+// negative and so never displaced by a later WRITEMIN. decode_parent undoes it.
 inline std::int64_t encode_visited(std::int64_t parent) { return -parent - 1; }
 inline std::int64_t decode_parent(std::int64_t stored) {
   return stored < 0 ? -stored - 1 : stored;
@@ -60,33 +60,18 @@ inline std::vector<std::int64_t> serial_bfs(const graph::csr_graph& g,
 }
 
 namespace detail {
-// Shared round structure: WRITEMIN every frontier->neighbor candidate, then
-// hand each winning (parent, child) pair to sink(child). Returns nothing;
-// the caller materializes the next frontier its own way.
-template <typename Sink>
-void relax_frontier(const graph::csr_graph& g, const std::vector<graph::vertex_id>& frontier,
-                    std::vector<std::int64_t>& parents,
-                    const std::vector<std::size_t>& frontier_offsets, Sink&& sink) {
-  // Phase 1: compete for parenthood with WRITEMIN (deterministic winner:
-  // the smallest frontier vertex id adjacent to each unvisited neighbor).
+// The round both BFSs share: each unvisited neighbor of the frontier ends
+// up holding its smallest adjacent frontier id (visited ones stay negative).
+inline void relax_frontier(const graph::csr_graph& g, const std::vector<graph::vertex_id>& frontier,
+                           std::vector<std::int64_t>& parents) {
   parallel_for(0, frontier.size(), [&](std::size_t i) {
-    const graph::vertex_id v = frontier[i];
-    g.for_each_neighbor(v, [&](graph::vertex_id w) {
-      write_min(&parents[w], static_cast<std::int64_t>(v));
-    });
-  });
-  // Phase 2: winners claim their children.
-  parallel_for(0, frontier.size(), [&](std::size_t i) {
-    const graph::vertex_id v = frontier[i];
-    std::size_t slot = frontier_offsets.empty() ? 0 : frontier_offsets[i];
-    g.for_each_neighbor(v, [&](graph::vertex_id w) {
-      if (parents[w] == static_cast<std::int64_t>(v)) {
-        sink(w, slot);
-      }
-      ++slot;
+    g.for_each_neighbor(frontier[i], [&](graph::vertex_id w) {
+      write_min(&parents[w], static_cast<std::int64_t>(frontier[i]));
     });
   });
 }
+
+inline constexpr std::size_t kClaimBuffer = 512;  // hash_bfs winners per flush
 }  // namespace detail
 
 // Array-based deterministic BFS: the next frontier is collected into a
@@ -103,10 +88,15 @@ inline std::vector<std::int64_t> array_bfs(const graph::csr_graph& g,
         frontier.size(), [&](std::size_t i) { return g.degree(frontier[i]); });
     const std::size_t total = scan_add_inplace(offsets);
     std::vector<graph::vertex_id> candidates(total, kHole);
-    detail::relax_frontier(g, frontier, parents, offsets,
-                           [&](graph::vertex_id w, std::size_t slot) {
-                             candidates[slot] = w;
-                           });
+    detail::relax_frontier(g, frontier, parents);
+    parallel_for(0, frontier.size(), [&](std::size_t i) {
+      const graph::vertex_id v = frontier[i];
+      std::size_t slot = offsets[i];
+      g.for_each_neighbor(v, [&](graph::vertex_id w) {
+        if (parents[w] == static_cast<std::int64_t>(v)) candidates[slot] = w;
+        ++slot;
+      });
+    });
     frontier = filter(candidates, [&](graph::vertex_id w) { return w != kHole; });
     parallel_for(0, frontier.size(), [&](std::size_t i) {
       const graph::vertex_id w = frontier[i];
@@ -117,53 +107,62 @@ inline std::vector<std::int64_t> array_bfs(const graph::csr_graph& g,
 }
 
 // Hash-table BFS (Figure 2). Table must store graph::vertex_id keys
-// (int_entry<std::uint32_t> traits). A fresh table sized to the frontier's
-// total degree (times `space_mult`) is created per level, as in §6.
-//
-// The frontier expansion is batch-shaped: winners are first collected into
-// the pre-sized candidate array (as in array_bfs), then inserted as one
-// batch through the software-pipelined engine, which overlaps the probe
-// cache misses of up to PHCH_BATCH_WIDTH inserts per worker. The inserted
-// key *set* per level is identical to inserting from inside the relax loop,
-// so the frontier (= ELEMENTS()) and the resulting parent array are
-// unchanged — determinism is the table's, not the insertion order's.
+// (int_entry<std::uint32_t> traits); each level gets a fresh table sized to
+// the frontier's total degree times `space_mult`, as in §6. Each WRITEMIN
+// winner v marks its children visited and inserts them from the claim loop,
+// buffered per block and flushed through the pipelined engine (batchable
+// tables) or the table's own insert_batch_block (cuckoo, chained,
+// hopscotch); the next frontier is ELEMENTS(). Only v ever sees
+// parents[w] == v, so one thread writes each claimed slot; relaxed order
+// suffices, as nothing is published through it and the level's join orders
+// the marks before the next WRITEMIN round.
 template <phase_table Table>
 std::vector<std::int64_t> hash_bfs(const graph::csr_graph& g, graph::vertex_id root,
                                    double space_mult = 1.0) {
-  constexpr graph::vertex_id kHole = std::numeric_limits<graph::vertex_id>::max();
   std::vector<std::int64_t> parents(g.num_vertices(), kNotReached);
   parents[root] = encode_visited(root);
   std::vector<graph::vertex_id> frontier{root};
   obs::mark("bfs/start");
   std::uint32_t level = 0;
   while (!frontier.empty()) {
-    // One span per BFS level: a = level number, b = frontier size. The
-    // per-level table create/insert/elements cycle shows up as the span's
-    // children in a chrome trace.
-    obs::span level_span("bfs:level");
+    const std::size_t n = frontier.size();
+    obs::span level_span("bfs:level");  // a = level number, b = frontier size
     level_span.a = level++;
-    level_span.b = frontier.size();
-    std::vector<std::size_t> offsets = tabulate(
-        frontier.size(), [&](std::size_t i) { return g.degree(frontier[i]); });
-    const std::size_t total_degree = scan_add_inplace(offsets);
-    Table table(
-        round_up_pow2(static_cast<std::size_t>(space_mult * 2.0 * (total_degree + 2))));
-    // Each level's fresh table registers under the same name; a metrics
-    // scrape mid-search sees the level currently expanding.
-    const obs::scoped_registration reg("bfs", table);
-    std::vector<graph::vertex_id> candidates(total_degree, kHole);
-    detail::relax_frontier(g, frontier, parents, offsets,
-                           [&](graph::vertex_id w, std::size_t slot) {
-                             candidates[slot] = w;
-                           });
-    const std::vector<graph::vertex_id> winners =
-        filter(candidates, [&](graph::vertex_id w) { return w != kHole; });
-    insert_batch(table, winners);
+    level_span.b = n;
+    const std::size_t degree = reduce(std::size_t{0}, n, std::size_t{0}, std::plus<>{},
+                                      [&](std::size_t i) { return g.degree(frontier[i]); });
+    Table table(round_up_pow2(static_cast<std::size_t>(space_mult * 2.0 * (degree + 2))));
+    const obs::scoped_registration reg("bfs", table);  // same name every level
+    detail::relax_frontier(g, frontier, parents);
+    auto flush = [&](const graph::vertex_id* ws, std::size_t len) {
+      if constexpr (batchable_table<Table>) {
+        batch_detail::insert_block_pipelined(table, ws, len, batch_width());
+      } else {
+        table.insert_batch_block(ws, len, batch_width());
+      }
+    };
+    {
+      [[maybe_unused]] auto scope = table.batch_insert_scope();
+      const std::size_t bsize = (n - 1) / (num_workers() * kDefaultGrainTarget) + 1;
+      blocked_for(0, n, bsize, [&](std::size_t, std::size_t s, std::size_t e) {
+        std::array<graph::vertex_id, detail::kClaimBuffer> buf;
+        std::size_t len = 0;
+        for (std::size_t i = s; i < e; ++i) {
+          const auto v = static_cast<std::int64_t>(frontier[i]);
+          g.for_each_neighbor(frontier[i], [&](graph::vertex_id w) {
+            std::atomic_ref<std::int64_t> parent_ref(parents[w]);
+            if (parent_ref.load(std::memory_order_relaxed) != v) return;
+            parent_ref.store(encode_visited(v), std::memory_order_relaxed);
+            buf[len++] = w;
+            if (len < buf.size()) return;
+            flush(buf.data(), len);
+            len = 0;
+          });
+        }
+        if (len > 0) flush(buf.data(), len);
+      });
+    }  // the insert scope closes before ELEMENTS()
     frontier = table.elements();
-    parallel_for(0, frontier.size(), [&](std::size_t i) {
-      const graph::vertex_id w = frontier[i];
-      parents[w] = encode_visited(parents[w]);
-    });
   }
   obs::mark("bfs/done");
   return parents;

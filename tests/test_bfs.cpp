@@ -1,15 +1,19 @@
 // BFS (Figure 2 / Table 7): all implementations agree on levels; the
 // deterministic variants agree on exact parent arrays across runs and
-// thread counts; the BFS tree is valid.
+// thread counts, and with an independent serial WRITEMIN-rule reference;
+// the BFS tree is valid.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <queue>
 
 #include "phch/apps/bfs.h"
 #include "phch/core/chained_table.h"
 #include "phch/core/cuckoo_table.h"
 #include "phch/core/deterministic_table.h"
+#include "phch/core/hopscotch_table.h"
 #include "phch/core/nd_linear_table.h"
+#include "phch/core/tombstone_table.h"
 #include "phch/graph/generators.h"
 #include "phch/parallel/scheduler.h"
 
@@ -56,6 +60,51 @@ std::vector<std::int64_t> reference_distances(const graph::csr_graph& g,
     });
   }
   return dist;
+}
+
+// Serial reference for the deterministic BFSs, sharing no code with them:
+// queue BFS for depths, then the WRITEMIN rule — a vertex's parent is its
+// smallest-id neighbor on the previous level.
+std::vector<std::int64_t> writemin_reference(const graph::csr_graph& g,
+                                             graph::vertex_id root) {
+  const auto dist = reference_distances(g, root);
+  std::vector<std::int64_t> parents(g.num_vertices(), kNotReached);
+  parents[root] = encode_visited(root);
+  for (std::size_t v = 0; v < g.num_vertices(); ++v) {
+    if (dist[v] <= 0) continue;
+    graph::vertex_id best = std::numeric_limits<graph::vertex_id>::max();
+    g.for_each_neighbor(static_cast<graph::vertex_id>(v), [&](graph::vertex_id u) {
+      if (dist[u] + 1 == dist[v]) best = std::min(best, u);
+    });
+    parents[v] = encode_visited(best);
+  }
+  return parents;
+}
+
+// hash_bfs over Table must reproduce the reference exactly at every worker
+// count: parents come from WRITEMIN, not from the table, so every table
+// that holds each level's key set gives the same array.
+template <typename Table>
+void expect_reference_parents(const graph::csr_graph& g,
+                              const std::vector<std::int64_t>& want, const char* name,
+                              double space_mult = 1.0) {
+  scheduler& sched = scheduler::get();
+  const int original = sched.num_workers();
+  for (const int p : {1, 2, 3, 4, 7}) {
+    sched.set_num_workers(p);
+    EXPECT_EQ(hash_bfs<Table>(g, 0, space_mult), want) << name << " at " << p << " workers";
+  }
+  sched.set_num_workers(original);
+}
+
+void expect_every_table_matches(const graph::csr_graph& g) {
+  const auto want = writemin_reference(g, 0);
+  expect_reference_parents<deterministic_table<traits32>>(g, want, "linearHash-D");
+  expect_reference_parents<nd_linear_table<traits32>>(g, want, "linearHash-ND");
+  expect_reference_parents<tombstone_table<traits32>>(g, want, "tombstone");
+  expect_reference_parents<cuckoo_table<traits32>>(g, want, "cuckoo", 2.0);
+  expect_reference_parents<chained_table<traits32, true>>(g, want, "chained-CR");
+  expect_reference_parents<hopscotch_table<traits32>>(g, want, "hopscotch");
 }
 
 class BfsOnGraphs : public ::testing::TestWithParam<int> {
@@ -117,23 +166,33 @@ TEST_P(BfsOnGraphs, ParentsFormAValidTree) {
   }
 }
 
-TEST_P(BfsOnGraphs, HashBfsIdenticalAcrossThreadCounts) {
+// Exact parents for every table at 1-7 workers, against the independent
+// reference (so also identical across thread counts).
+TEST_P(BfsOnGraphs, EveryTableMatchesWriteMinReference) {
   const auto g = make_graph();
-  scheduler& sched = scheduler::get();
-  const int original = sched.num_workers();
-  sched.set_num_workers(1);
-  const auto p1 = hash_bfs<deterministic_table<traits32>>(g, 0);
-  sched.set_num_workers(7);
-  const auto p7 = hash_bfs<deterministic_table<traits32>>(g, 0);
-  sched.set_num_workers(original);
-  EXPECT_EQ(p1, p7);
+  EXPECT_EQ(array_bfs(g, 0), writemin_reference(g, 0));
+  expect_every_table_matches(g);
 }
 
-TEST(Bfs, OtherTableTypesProduceValidTrees) {
-  const auto g = graph::csr_graph::from_edges(2000, graph::random_k_edges(2000, 5, 9));
-  const auto ref = reference_distances(g, 0);
-  EXPECT_EQ(levels_of(g, hash_bfs<cuckoo_table<traits32>>(g, 0, 2.0), 0), ref);
-  EXPECT_EQ(levels_of(g, (hash_bfs<chained_table<traits32, true>>(g, 0)), 0), ref);
+// A root with over three claim buffers' worth of children: at one worker
+// the single frontier block flushes its winners several times mid-loop.
+// Each child has a pendant vertex of its own, so a winner lost in a flush
+// leaves its pendant unreached.
+TEST(Bfs, StarRootFlushesClaimBufferSeveralTimes) {
+  const std::size_t arms = 3 * detail::kClaimBuffer + 17;
+  std::vector<graph::edge> edges;
+  for (std::size_t i = 1; i <= arms; ++i) {
+    const auto arm = static_cast<graph::vertex_id>(i);
+    edges.push_back({0, arm});
+    edges.push_back({arm, static_cast<graph::vertex_id>(arms + i)});
+  }
+  const auto g = graph::csr_graph::from_edges(2 * arms + 1, edges);
+  const auto p = hash_bfs<deterministic_table<traits32>>(g, 0);
+  for (std::size_t i = 1; i <= arms; ++i) {
+    ASSERT_EQ(decode_parent(p[i]), 0) << i;
+    ASSERT_EQ(decode_parent(p[arms + i]), static_cast<std::int64_t>(i)) << i;
+  }
+  expect_every_table_matches(g);
 }
 
 TEST(Bfs, DisconnectedGraphLeavesUnreached) {

@@ -237,8 +237,9 @@ class Suppressions:
 # --------------------------------------------------------------------------
 
 # std::atomic<...> name  |  std::atomic_bool name  |  containers of atomics
+# |  std::atomic_ref<...> name(obj) (an atomic view of a plain object)
 ATOMIC_DECL_RE = re.compile(
-    r"\b(?:std\s*::\s*)?atomic(?:_(?:bool|int|uint|long|llong|char|schar|"
+    r"\b(?:std\s*::\s*)?atomic(?:_(?:ref|bool|int|uint|long|llong|char|schar|"
     r"uchar|short|ushort|ulong|ullong|size_t|ptrdiff_t|intptr_t|uintptr_t|"
     r"int8_t|uint8_t|int16_t|uint16_t|int32_t|uint32_t|int64_t|uint64_t))?"
     r"\s*(<)?")

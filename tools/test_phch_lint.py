@@ -117,6 +117,26 @@ class Suppressions(unittest.TestCase):
             self.assertEqual(code, 1, out)
 
 
+class AtomicRef(unittest.TestCase):
+    def test_atomic_ref_accesses_are_checked(self):
+        with tempfile.TemporaryDirectory() as td:
+            path = os.path.join(td, "ref.h")
+            with open(path, "w") as fh:
+                fh.write("#pragma once\n#include <atomic>\n"
+                         "inline long get(long& x) {\n"
+                         "  std::atomic_ref<long> view(x);\n"
+                         "  view.store(1, std::memory_order_relaxed);\n"
+                         "  return view.load();\n"
+                         "}\n")
+            with open(os.path.join(td, "contract.tsv"), "w") as fh:
+                fh.write("ref.h\tview\trelaxed\tfixture\n")
+            code, out = run_lint(["ref.h"], root=td)
+            self.assertEqual(code, 1, out)
+            # The relaxed store passes; the implicit-order load is flagged.
+            n = sum("atomic-implicit-order" in ln for ln in out.splitlines())
+            self.assertEqual(n, 1, out)
+
+
 class JsonArtifact(unittest.TestCase):
     def test_json_report_shape(self):
         with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tf:
