@@ -17,8 +17,8 @@
 // every chained miss overlapped and pulls ahead of home-line-only prefetch.
 //
 // Also measures the occupancy-counter contention microbenchmark: ns per
-// increment of one shared atomic vs the striped counter the tables now use,
-// across PHCH_THREADS workers.
+// increment of one shared atomic vs the striped counter behind
+// growable_table's load bound, across PHCH_THREADS workers.
 //
 // Writes machine-readable results to BENCH_batch.json (or argv[1]).
 #include <cstdio>
@@ -260,8 +260,8 @@ int main(int argc, char** argv) {
   // --- growable wrapper batch forwarding -----------------------------------
   //
   // Whole-batch insert through the wrapper (chunked pipelined engine, one
-  // occupancy read per chunk, batched migration) vs the pre-refactor path:
-  // a per-op insert loop with a per-insert occupancy read. Both start tiny
+  // load-bound check per chunk, batched migration) vs the pre-refactor path:
+  // a per-op insert loop with a per-insert load-bound check. Both start tiny
   // and grow to the same final capacity. Uses the configured worker pool.
   simple_times grow_insert, grow_find;
   std::size_t grow_n = std::min(qbatch, std::size_t{1} << 17);
@@ -413,7 +413,7 @@ int main(int argc, char** argv) {
   std::printf("\ncounter contention (%zu increments, %d threads):\n", incs,
               num_workers());
   std::printf("  %-22s %8.2f ns/inc\n", "shared atomic", g_ns);
-  std::printf("  %-22s %8.2f ns/inc   (tables use this)\n", "striped counter", s_ns);
+  std::printf("  %-22s %8.2f ns/inc   (growable bound)\n", "striped counter", s_ns);
   std::printf("\nshape check: pipelined find should beat prefetch-ahead from load 0.5\n"
               "up, by more as probe chains lengthen; at 0.25 load the two are close.\n");
 

@@ -23,8 +23,7 @@
 // prefetches its next node (starting from the bucket-head line) and yields
 // the lane, advancing one link per rotation on warm lines. Mutating batches
 // prefetch the bucket head and lock line ahead of the scalar handoff.
-// Occupancy is tracked by a striped counter (approx_size(), exact at phase
-// boundaries); count() remains the O(buckets + nodes) verification scan.
+// The table keeps no element count; count() is an O(buckets + nodes) scan.
 #pragma once
 
 #include <array>
@@ -43,7 +42,6 @@
 #include "phch/parallel/parallel_for.h"
 #include "phch/parallel/primitives.h"
 #include "phch/parallel/spinlock.h"
-#include "phch/parallel/striped_counter.h"
 #include "phch/utils/phase_caps.h"
 
 namespace phch {
@@ -66,13 +64,7 @@ class chained_table {
 
   std::size_t capacity() const noexcept { return num_buckets_; }
 
-  // Striped occupancy: exact at a phase boundary, approximate mid-phase.
-  std::size_t approx_size() const noexcept {
-    return static_cast<std::size_t>(occupied_.sum());
-  }
-
-  // O(buckets + nodes) reference count, kept as the verification path for
-  // approx_size().
+  // Live entries, by parallel scan of the chains.
   std::size_t count() const {
     return reduce(std::size_t{0}, num_buckets_, std::size_t{0}, std::plus<std::size_t>{},
                   [&](std::size_t b) {
@@ -492,7 +484,6 @@ class chained_table {
       atomic_store(&n->next, buckets_[b]);
       atomic_store(&buckets_[b], n);
     }
-    occupied_.increment();
     obs::count(obs::counter::insert_commits);
     obs::count(obs::counter::chained_chain_links, links);
   }
@@ -524,10 +515,7 @@ class chained_table {
         }
       }
     }
-    if (hit) {
-      occupied_.decrement();
-      obs::count(obs::counter::erase_hits);
-    }
+    if (hit) obs::count(obs::counter::erase_hits);
     obs::count(obs::counter::chained_chain_links, links);
   }
 
@@ -547,7 +535,6 @@ class chained_table {
   mutable std::vector<spinlock> locks_;
   std::size_t lock_mask_;
   mutable node_pool pool_;
-  striped_counter occupied_;
   mutable Phase phase_;
 
  public:

@@ -16,9 +16,8 @@
 // buckets (and their lock lines, for mutating ops) one rotation before
 // resolving each operation on warm lines. Inserts resolve by handing off to
 // the scalar loop at that point — the first eviction and any chain after it
-// run exactly the scalar code. Occupancy is tracked by a striped counter
-// (approx_size(), exact at phase boundaries); count() remains the O(capacity)
-// verification scan.
+// run exactly the scalar code. The table keeps no element count; count() is
+// an O(capacity) scan.
 #pragma once
 
 #include <array>
@@ -36,7 +35,6 @@
 #include "phch/parallel/parallel_for.h"
 #include "phch/parallel/primitives.h"
 #include "phch/parallel/spinlock.h"
-#include "phch/parallel/striped_counter.h"
 #include "phch/utils/phase_caps.h"
 
 namespace phch {
@@ -58,13 +56,7 @@ class cuckoo_table {
 
   std::size_t capacity() const noexcept { return capacity_; }
 
-  // Striped occupancy: exact at a phase boundary, approximate mid-phase.
-  std::size_t approx_size() const noexcept {
-    return static_cast<std::size_t>(occupied_.sum());
-  }
-
-  // O(capacity) reference count, kept as the verification path for
-  // approx_size() and the layout tests.
+  // Occupied slots, by parallel scan.
   std::size_t count() const {
     return reduce(std::size_t{0}, capacity_, std::size_t{0}, std::plus<std::size_t>{},
                   [&](std::size_t i) {
@@ -74,7 +66,6 @@ class cuckoo_table {
 
   void clear() {
     parallel_for(0, capacity_, [&](std::size_t i) { slots_[i] = Traits::empty(); });
-    occupied_.reset();
   }
 
   void insert(value_type v) PHCH_REQUIRES_PHASE(insert) {
@@ -358,9 +349,7 @@ class cuckoo_table {
       lock_pair(i1, i2);
       // Duplicate key already present? A carried victim can hit this branch
       // too: while it was in flight, a concurrent insert of the same key may
-      // have committed a fresh copy. Merging the victim into that copy
-      // removes it from the table, so the occupancy it still accounts for is
-      // released here.
+      // have committed a fresh copy, and the victim merges into it.
       for (const std::size_t s : {i1, i2}) {
         const value_type c = slots_[s];
         if (!Traits::is_empty(c) && Traits::key_equal(Traits::key(c), k)) {
@@ -368,10 +357,7 @@ class cuckoo_table {
             atomic_store(&slots_[s], Traits::combine(c, v));
           }
           unlock_pair(i1, i2);
-          if (carrying)
-            occupied_.decrement();
-          else
-            obs::count(obs::counter::insert_dups);
+          if (!carrying) obs::count(obs::counter::insert_dups);
           return;
         }
       }
@@ -380,10 +366,7 @@ class cuckoo_table {
         if (Traits::is_empty(slots_[s])) {
           atomic_store(&slots_[s], v);
           unlock_pair(i1, i2);
-          if (!carrying) {
-            occupied_.increment();
-            obs::count(obs::counter::insert_commits);
-          }
+          if (!carrying) obs::count(obs::counter::insert_commits);
           return;
         }
       }
@@ -393,7 +376,6 @@ class cuckoo_table {
       atomic_store(&slots_[victim_slot], v);
       unlock_pair(i1, i2);
       if (!carrying) {
-        occupied_.increment();
         obs::count(obs::counter::insert_commits);
         carrying = true;
       }
@@ -402,8 +384,7 @@ class cuckoo_table {
       avoid = victim_slot;
     }
     // Eviction chain too long: table effectively full. The carried victim
-    // is dropped with the throw, so the occupancy net change is zero.
-    if (carrying) occupied_.decrement();
+    // is dropped with the throw.
     obs::count(obs::counter::insert_aborts);
     throw table_full_error();
   }
@@ -423,10 +404,7 @@ class cuckoo_table {
       }
     }
     unlock_pair(i1, i2);
-    if (hit) {
-      occupied_.decrement();
-      obs::count(obs::counter::erase_hits);
-    }
+    if (hit) obs::count(obs::counter::erase_hits);
   }
 
   value_type find_impl(key_type kq) const {
@@ -447,7 +425,6 @@ class cuckoo_table {
   std::size_t mask_;
   std::vector<value_type> slots_;
   mutable std::vector<spinlock> locks_;
-  striped_counter occupied_;
   mutable Phase phase_;
 
  public:

@@ -21,17 +21,28 @@
 // Only inserts can trigger growth; finds and deletes see a single table, as
 // in the paper.
 //
-// Lifetime of the old slot array: grow() deletes it right after publishing
-// the new table. Writers cannot still be using it, because grow() drains
-// them through enter()/leave() first; readers cannot, because the phase
-// discipline (Definition 1) keeps finds and erases out of insert phases, and
-// only inserts grow.
+// Lifetime of the old slot array: migrate() deletes it right after
+// publishing the new table. Writers cannot still be using it, because
+// resync() drains them through enter()/leave() first; readers cannot,
+// because the phase discipline (Definition 1) keeps finds and erases out of
+// insert phases, and only inserts grow.
+//
+// Load bound: the inner table keeps no element count (linearHash-D has
+// none), so the wrapper counts for itself and reconciles rarely (Maier et
+// al.). `bound_` is a striped upper bound on live elements: a scalar insert
+// adds 1, a batch chunk its size, and erases nothing. When an insert would
+// push it past 3/4 of capacity, resync() takes one exact count() with
+// writers drained, grows while count + incoming exceeds 3/4 or the count
+// alone exceeds 1/2, and resets the bound to the count. The 1/2 rule leaves
+// cap/4 of headroom after a resync that does not grow, so scans cost
+// amortized O(1) per insert even on duplicate-heavy input; unique keys grow
+// exactly where a per-insert count would grow them.
 //
 // The wrapper implements its own insert_batch/find_batch/erase_batch, so
 // the free batch functions (core/batch_ops.h) forward to it
 // (`batch_forwarding_table`): a batch insert runs in bounded chunks with one
-// striped-counter occupancy check per chunk — never per element — and grows
-// between chunks, so a single batch may cross several capacity doublings.
+// load-bound check per chunk — never per element — and grows between
+// chunks, so a single batch may cross several capacity doublings.
 #pragma once
 
 #include <algorithm>
@@ -47,6 +58,7 @@
 #include "phch/obs/trace.h"
 #include "phch/parallel/scheduler.h"
 #include "phch/parallel/spinlock.h"  // cpu_relax
+#include "phch/parallel/striped_counter.h"
 #include "phch/utils/phase_caps.h"
 
 namespace phch {
@@ -61,7 +73,7 @@ class growable_table {
 
   static_assert(growable_source<inner_table>,
                 "growable_table's inner table must model growable_source "
-                "(bounded inserts + striped occupancy)");
+                "(bounded inserts for the probe-length trigger)");
 
   explicit growable_table(std::size_t initial_capacity = 1024,
                           std::size_t probe_limit_factor = 16)
@@ -76,11 +88,6 @@ class growable_table {
   std::size_t capacity() const noexcept { return cur()->capacity(); }
   std::size_t count() const { return cur()->count(); }
 
-  // The inner table's striped occupancy counter (exact at phase boundaries),
-  // surfaced so callers see the same size API on the wrapper as on the flat
-  // tables.
-  std::size_t approx_size() const noexcept { return cur()->approx_size(); }
-
   void insert(value_type v) PHCH_REQUIRES_PHASE(insert) {
     using result = typename inner_table::insert_result;
     for (;;) {
@@ -90,32 +97,29 @@ class growable_table {
       bool crowded = false;
       try {
         // Writers resolve the table pointer inside the enter()/leave()
-        // window so a migration observes every committed insert (grow()
+        // window so a migration observes every committed insert (resync()
         // drains the active count before packing the old contents).
         inner_table* t = cur();
         cap = t->capacity();
         r = t->insert_bounded(v, probe_limit(cap));
-        if (r == result::ok) {
-          // Secondary trigger: grow once occupancy passes 3/4 of capacity
-          // (the probe-length trigger alone cannot protect very small
-          // tables, where individual probes can stay short right up to
-          // full). approx_size() is the striped occupancy counter — a lazy
-          // per-stripe sum, so this check adds read traffic only, never a
-          // contended read-modify-write on the insert hot path.
-          crowded = t->approx_size() >= cap - cap / 4;
-        }
+        // Secondary trigger: the load bound, checked for room for the next
+        // insert (the probe-length trigger alone cannot protect very small
+        // tables, where probes can stay short right up to full). Counted
+        // inside the enter()/leave() window, so resync() drains it.
+        if (r != result::aborted) bound_.increment();
+        crowded = r == result::ok && over_ceiling(1, cap);
       } catch (...) {
         leave();
         throw;
       }
       leave();
       if (r == result::ok) {
-        if (crowded) grow(cap * 2);
+        if (crowded) resync(cap, false);
         return;
       }
       // Probe sequence too long: this table is overfull. Grow it (or help a
       // growth already under way), then retry if the insert was aborted.
-      grow(cap * 2);
+      resync(cap, true);
       if (r == result::lengthy) return;  // inserted, just slowly
     }
   }
@@ -135,35 +139,42 @@ class growable_table {
 
   // --- whole-batch operations ----------------------------------------------
   //
-  // Batch inserts run in fixed-size chunks. Before each chunk the wrapper
-  // checks — once, against the striped counter — that the chunk fits under
-  // the 3/4 occupancy ceiling, growing until it does; the chunk itself then
-  // runs the software-pipelined engine on the inner table with no per-insert
-  // occupancy reads and no probe-length bookkeeping. A single batch may
-  // trigger several growths. A batch is one insert phase (Definition 1), so
-  // finds/erases never run concurrently with it.
+  // Batch inserts run in fixed-size chunks. Each chunk reserves its size in
+  // the load bound and checks once that the bound stays under the 3/4
+  // ceiling; the chunk then runs the software-pipelined engine on the inner
+  // table with no per-insert bookkeeping. A chunk that does not fit is
+  // inserted by resync() instead, after any growth it needs, with the table
+  // to itself. A batch is one insert phase (Definition 1), so finds/erases
+  // never run concurrently with it. Inside a parallel region a chunk runs
+  // serially: it holds enter() across its joins, so a sibling insert stolen
+  // by one of them could wait in resync() for that enter() forever.
 
   void insert_batch(const value_type* values, std::size_t n)
       PHCH_REQUIRES_PHASE(insert) {
-    for (std::size_t s = 0; s < n;) {
+    for (std::size_t s = 0; s < n; s += kGrowChunk) {
+      const value_type* part = values + s;
       const std::size_t chunk = std::min(kGrowChunk, n - s);
       enter();
       inner_table* t = cur();
       const std::size_t cap = t->capacity();
-      const bool fits = t->approx_size() + chunk <= cap - cap / 4;
-      if (!fits) {
+      // Reserve, then check. The fence pairs this with every racing chunk's
+      // reservation (store buffering): of two chunks at least one sees the
+      // other's, so chunks that run together fit under the ceiling together.
+      bound_.add(static_cast<std::int64_t>(chunk));
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      if (over_ceiling(0, cap)) {
+        bound_.add(-static_cast<std::int64_t>(chunk));
         leave();
-        grow(cap * 2);
-        continue;  // re-check: one doubling may not be enough headroom
+        resync(cap, false, part, chunk);
+        continue;
       }
       try {
-        insert_batch_range(*t, values + s, chunk);
+        run_serially_if_nested([&] { insert_batch_range(*t, part, chunk); });
       } catch (...) {
         leave();
         throw;
       }
       leave();
-      s += chunk;
     }
   }
   void insert_batch(const std::vector<value_type>& values)
@@ -186,7 +197,7 @@ class growable_table {
   }
 
   // Read-only view of the current flat table, for layout inspection at
-  // quiescent points (racy against a concurrent grow()).
+  // quiescent points (racy against a concurrent growth).
   const inner_table& inner() const noexcept { return *cur(); }
 
   // The current incarnation's phase word. Like inner(), the reference dies
@@ -200,13 +211,33 @@ class growable_table {
 
  private:
   // Elements per growth-checked chunk of a batch insert. Small enough that
-  // "fits under the occupancy ceiling" is checkable up front per chunk,
+  // "fits under the load ceiling" is checkable up front per chunk,
   // large enough to amortize the check and keep the pipelined engine's
   // blocks full.
   static constexpr std::size_t kGrowChunk = 4096;
 
   inner_table* cur() const noexcept {
     return table_.load(std::memory_order_acquire);
+  }
+
+  // True if `incoming` more elements would push the load bound past 3/4 of
+  // capacity. Unfenced, a scalar insert may miss a few racing increments;
+  // the cap/4 slack and the probe-length trigger absorb them.
+  bool over_ceiling(std::size_t incoming, std::size_t cap) const noexcept {
+    return static_cast<std::size_t>(bound_.sum()) + incoming > cap - cap / 4;
+  }
+
+  // Runs f with this thread's joins disabled when it is inside a parallel
+  // region: a join could steal one of the phase's pending inserts, which
+  // would then wait on a resize this thread holds (or re-enter grow_lock_).
+  template <typename F>
+  static void run_serially_if_nested(F&& f) {
+    if (scheduler::in_parallel()) {
+      serial_region serial;
+      f();
+    } else {
+      f();
+    }
   }
 
   std::size_t probe_limit(std::size_t cap) const noexcept {
@@ -218,11 +249,11 @@ class growable_table {
     return std::min(probe_limit_factor_ * lg, cap / 2);
   }
 
-  // enter() and grow() form a store-buffering (Dekker) pair: each side
+  // enter() and resync() form a store-buffering (Dekker) pair: each side
   // stores its own flag, then loads the other's. The store and the load on
   // each side are seq_cst so at least one side sees the other — with
   // acquire/release alone both could read the old value, and a writer would
-  // insert into a table grow() is migrating and then frees.
+  // insert into a table resync() is counting or migrating (and then frees).
   void enter() noexcept {
     for (;;) {
       active_.fetch_add(1, std::memory_order_seq_cst);
@@ -234,36 +265,48 @@ class growable_table {
   }
   void leave() noexcept { active_.fetch_sub(1, std::memory_order_release); }
 
-  void grow(std::size_t target_capacity) {
+  // Reconciles the load bound with an exact count, growing as needed (header
+  // comment); `overfull` (the probe-length trigger) grows at least once. A
+  // batch chunk that did not fit is passed as [chunk, chunk + n) and
+  // inserted here before writers resume. Without one, the call returns if
+  // another thread resized or resynced since the caller saw `seen_cap`.
+  void resync(std::size_t seen_cap, bool overfull, const value_type* chunk = nullptr,
+              std::size_t n = 0) {
     std::lock_guard<std::mutex> lg(grow_lock_);
-    inner_table* old = cur();
-    if (old->capacity() >= target_capacity) return;  // someone else grew it
+    inner_table* t = cur();
+    if (chunk == nullptr) {
+      if (t->capacity() != seen_cap) return;  // someone else grew it
+      if (!overfull && !over_ceiling(1, seen_cap)) return;  // or resynced
+    }
+    resizing_.store(true, std::memory_order_seq_cst);
+    // Drain in-flight inserts (seq_cst: see enter()).
+    while (active_.load(std::memory_order_seq_cst) != 0) cpu_relax();
+    std::size_t exact = 0;
+    run_serially_if_nested([&] {
+      exact = t->count();
+      const std::size_t cap = t->capacity();
+      std::size_t target = overfull ? cap * 2 : cap;
+      while (exact + n > target - target / 4 || exact > target / 2) target *= 2;
+      if (target != cap) t = migrate(t, target);
+      if (n != 0) insert_batch_range(*t, chunk, n);
+    });
+    bound_.reset();
+    bound_.add(static_cast<std::int64_t>(exact + n));
+    resizing_.store(false, std::memory_order_release);
+  }
+
+  // Allocates the new table and migrates: deterministic re-insertion of the
+  // old contents through the pipelined batch engine. Theorem 1 makes the
+  // migrated layout identical to a fresh build regardless of re-insertion
+  // order, so batching changes nothing observable. Called by resync() with
+  // writers drained and, inside a parallel region, with joins disabled: the
+  // other workers are spinning in enter() anyway.
+  inner_table* migrate(inner_table* old, std::size_t target_capacity) {
     obs::span sp("grow");
     obs::hist_timer timer(obs::hist::growth_ns);
-    resizing_.store(true, std::memory_order_seq_cst);
-    // Drain in-flight inserts on the old table (seq_cst: see enter()).
-    while (active_.load(std::memory_order_seq_cst) != 0) cpu_relax();
-    // Allocate and migrate: deterministic re-insertion of the old contents
-    // through the pipelined batch engine. Theorem 1 makes the migrated layout
-    // identical to a fresh build regardless of re-insertion order, so
-    // batching changes nothing observable. Inside a parallel region this
-    // runs serially: the other workers are spinning in enter() anyway, and a
-    // join here (the slot array's parallel clear, the pack, the batch) could
-    // steal one of the phase's pending inserts, which would then spin in
-    // enter() on this thread's own resize forever.
-    std::unique_ptr<inner_table> fresh;
-    std::vector<value_type> live;
-    const auto migrate = [&] {
-      fresh = std::make_unique<inner_table>(target_capacity);
-      live = old->elements();
-      insert_batch_range(*fresh, live.data(), live.size());
-    };
-    if (scheduler::in_parallel()) {
-      serial_region serial;
-      migrate();
-    } else {
-      migrate();
-    }
+    auto fresh = std::make_unique<inner_table>(target_capacity);
+    const std::vector<value_type> live = old->elements();
+    insert_batch_range(*fresh, live.data(), live.size());
     obs::count(obs::counter::growths);
     obs::count(obs::counter::migrated_elements, live.size());
     sp.a = static_cast<std::uint32_t>(
@@ -271,10 +314,11 @@ class growable_table {
     sp.b = target_capacity;
     // Publish the new table, then free the old one: no writer holds it (they
     // are drained) and no reader can (see "Lifetime" in the header comment).
-    table_.store(fresh.release(), std::memory_order_release);
+    inner_table* published = fresh.release();
+    table_.store(published, std::memory_order_release);
     delete old;
     growths_.fetch_add(1, std::memory_order_relaxed);
-    resizing_.store(false, std::memory_order_release);
+    return published;
   }
 
   std::size_t probe_limit_factor_;
@@ -283,6 +327,9 @@ class growable_table {
   std::atomic<bool> resizing_{false};
   std::atomic<std::size_t> active_{0};
   std::atomic<std::size_t> growths_{0};
+  // Upper bound on live elements (header comment). Every insert reads its
+  // header for sum(), so it gets a cache line apart from active_'s RMWs.
+  alignas(64) striped_counter bound_;
 };
 
 static_assert(batch_forwarding_table<growable_table<>>);

@@ -26,8 +26,7 @@
 // and the next slot line — where nearly all residents sit at sane load
 // factors — plus the segment-lock line for mutating ops) one rotation
 // before resolving each operation through the scalar walk on warm lines.
-// Occupancy is tracked by a striped counter (approx_size(), exact at phase
-// boundaries); count() remains the O(capacity) verification scan.
+// The table keeps no element count; count() is an O(capacity) scan.
 #pragma once
 
 #include <array>
@@ -47,7 +46,6 @@
 #include "phch/parallel/parallel_for.h"
 #include "phch/parallel/primitives.h"
 #include "phch/parallel/spinlock.h"
-#include "phch/parallel/striped_counter.h"
 #include "phch/utils/phase_caps.h"
 
 namespace phch {
@@ -74,13 +72,7 @@ class hopscotch_table {
 
   std::size_t capacity() const noexcept { return capacity_; }
 
-  // Striped occupancy: exact at a phase boundary, approximate mid-phase.
-  std::size_t approx_size() const noexcept {
-    return static_cast<std::size_t>(occupied_.sum());
-  }
-
-  // O(capacity) reference count, kept as the verification path for
-  // approx_size() and the layout tests.
+  // Occupied slots, by parallel scan.
   std::size_t count() const {
     return reduce(std::size_t{0}, capacity_, std::size_t{0}, std::plus<std::size_t>{},
                   [&](std::size_t i) {
@@ -93,7 +85,6 @@ class hopscotch_table {
       slots_[i] = Traits::empty();
       hop_[i] = 0;
     });
-    occupied_.reset();
   }
 
   void insert(value_type v) PHCH_REQUIRES_PHASE(insert) {
@@ -408,7 +399,6 @@ class hopscotch_table {
     }
     atomic_store(slot(free), v);
     hop_store(b, hop_load(b) | (1ULL << (free - b)));
-    occupied_.increment();
     obs::count(obs::counter::insert_commits);
   }
 
@@ -427,7 +417,6 @@ class hopscotch_table {
         atomic_store(&s, Traits::empty());
         hop_store(b, hop_load(b) & ~(1ULL << d));
         bump_timestamp(segment(b));
-        occupied_.decrement();
         obs::count(obs::counter::erase_hits);
         return;
       }
@@ -510,7 +499,6 @@ class hopscotch_table {
   std::vector<std::uint64_t> hop_;
   mutable std::vector<spinlock> locks_;
   std::vector<std::atomic<std::uint32_t>> timestamps_;
-  striped_counter occupied_;
   mutable Phase phase_;
 
  public:

@@ -23,9 +23,10 @@
 //
 // probe_engine owns everything the policies share: the slot array, the
 // probe/CAS loops (scalar entry points plus the insert_from/erase_from
-// continuations the pipelined batch engine resumes into), the striped
-// occupancy counter, capacity handling, phase-checking scopes, and the
-// ELEMENTS() pack. The concrete tables are thin aliases:
+// continuations the pipelined batch engine resumes into), capacity handling,
+// phase-checking scopes, and the ELEMENTS() pack. Like the paper's tables it
+// keeps no element count: a scalar insert or erase commits with one CAS, and
+// count() scans. The concrete tables are thin aliases:
 //
 //   deterministic_table = probe_engine<prioritized_order, backshift_delete>
 //   nd_linear_table     = probe_engine<arrival_order,     backshift_delete>
@@ -50,7 +51,6 @@
 #include "phch/obs/histogram.h"
 #include "phch/obs/telemetry.h"
 #include "phch/parallel/atomics.h"
-#include "phch/parallel/striped_counter.h"
 #include "phch/utils/phase_caps.h"
 
 namespace phch {
@@ -113,20 +113,9 @@ class probe_engine {
     }
   }
 
-  // Live-entry count maintained by a cache-line-striped counter so the
-  // insert/erase hot paths never fetch_add a shared line (exact at phase
-  // boundaries, summed lazily; used by the growable wrapper's load trigger
-  // without an O(capacity) scan).
-  std::size_t approx_size() const noexcept {
-    return static_cast<std::size_t>(occupied_.sum());
-  }
-
   double load_factor() const { return static_cast<double>(count()) / capacity(); }
 
-  void clear() {
-    slots_.clear();
-    occupied_.reset();
-  }
+  void clear() { slots_.clear(); }
 
   // --- tombstone-only surface ----------------------------------------------
 
@@ -311,13 +300,11 @@ class probe_engine {
           // now this operation's responsibility.
           committed = true;
           if (Traits::is_empty(c)) {
-            occupied_.increment();
             obs::count(obs::counter::insert_commits);
             return finish(advances, probe_limit);
           }
           v = c;  // carry the displaced element onward (advance below)
         } else {
-          occupied_.increment();
           obs::count(obs::counter::insert_commits);
           return finish(advances, probe_limit);
         }
@@ -401,7 +388,6 @@ class probe_engine {
         // Replace with the tombstone; a failed CAS means a concurrent erase
         // got it first (same result).
         if (cas_tallied(tally, &slots_[i], c, Traits::busy())) {
-          occupied_.decrement();
           obs::count(obs::counter::erase_hits);
         }
         return;
@@ -431,7 +417,6 @@ class probe_engine {
           k = j;
           i = unwrapped_home(w, j);
         } else {
-          occupied_.decrement();
           obs::count(obs::counter::erase_hits);
           return;
         }
@@ -602,7 +587,6 @@ class probe_engine {
   }
 
   slot_array<Traits> slots_;
-  striped_counter occupied_;
   mutable Phase phase_;
 
  public:

@@ -14,6 +14,10 @@
 #include "phch/parallel/parallel_for.h"
 #include "phch/parallel/primitives.h"
 
+#if __has_include(<sys/mman.h>)
+#include <sys/mman.h>
+#endif
+
 namespace phch {
 
 // Thrown when an operation cannot complete because the table has no room
@@ -67,10 +71,17 @@ std::vector<typename Traits::value_type> packed_elements(
 // than the fill itself; run it serially.
 inline constexpr std::size_t kSerialClearThreshold = 4096;
 
+// Slot arrays of at least this many bytes are placed on 2 MB pages.
+inline constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
+
 // A power-of-two-sized slot array initialized to the traits' empty value.
 // All tables build on this. Storage is 64-byte aligned so a slot never
 // straddles a cache line and the batch engine's per-slot prefetches map
-// one-to-one onto lines.
+// one-to-one onto lines. Arrays of kHugePageBytes or more are 2 MB-aligned
+// and advised as transparent huge pages before clear() first touches them:
+// probes land at random, and on 4 KB pages most of them would also miss the
+// TLB. The advice is best-effort — where THP is disabled the array simply
+// stays on small pages.
 template <typename Traits>
 class slot_array {
  public:
@@ -82,7 +93,7 @@ class slot_array {
   explicit slot_array(std::size_t min_capacity)
       : capacity_(round_up_pow2(min_capacity < 2 ? 2 : min_capacity)),
         mask_(capacity_ - 1),
-        slots_(allocate(capacity_)) {
+        slots_(allocate(capacity_ * sizeof(value_type))) {
     clear();
   }
 
@@ -119,22 +130,29 @@ class slot_array {
   }
 
  private:
-  static constexpr std::align_val_t kSlotAlign{64};
-
+  // Carries the alignment the array was allocated with, as aligned delete
+  // requires.
   struct aligned_delete {
+    std::align_val_t align;
     void operator()(value_type* p) const noexcept {
-      ::operator delete(static_cast<void*>(p), kSlotAlign);
+      ::operator delete(static_cast<void*>(p), align);
     }
   };
+  using storage = std::unique_ptr<value_type[], aligned_delete>;
 
-  static value_type* allocate(std::size_t n) {
-    return static_cast<value_type*>(
-        ::operator new(n * sizeof(value_type), kSlotAlign));
+  static storage allocate(std::size_t bytes) {
+    const bool huge = bytes >= kHugePageBytes;
+    const std::align_val_t align{huge ? kHugePageBytes : 64};
+    void* p = ::operator new(bytes, align);
+#ifdef MADV_HUGEPAGE
+    if (huge) (void)::madvise(p, bytes, MADV_HUGEPAGE);
+#endif
+    return storage(static_cast<value_type*>(p), aligned_delete{align});
   }
 
   std::size_t capacity_;
   std::size_t mask_;
-  std::unique_ptr<value_type[], aligned_delete> slots_;
+  storage slots_;
 };
 
 }  // namespace phch

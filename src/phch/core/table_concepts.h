@@ -115,15 +115,14 @@ concept erase_forwarding_table =
     };
 
 // What growable_table requires of the table it grows: deletable, with the
-// probe-length-bounded insert for the overfull trigger and the striped
-// occupancy counter for the load trigger.
+// probe-length-bounded insert for the overfull trigger. The load trigger is
+// the wrapper's own (it counts inserts and reconciles against count()).
 template <typename T>
 concept growable_source =
     deletable_table<T> && open_addressing_table<T> &&
-    requires(T& t, const T& ct, typename T::value_type v, std::size_t n) {
+    requires(T& t, typename T::value_type v, std::size_t n) {
       typename T::insert_result;
       { t.insert_bounded(v, n) } -> std::same_as<typename T::insert_result>;
-      { ct.approx_size() } -> std::convertible_to<std::size_t>;
     };
 
 }  // namespace phch

@@ -6,8 +6,8 @@
 //  * every histogram (probe depth, op latency, room wait, growth; all
 //    process-wide) in the native histogram exposition (`_bucket{le=...}`
 //    cumulative counts, `_sum`, `_count`),
-//  * per-table gauges from the registry (capacity, size, load factor,
-//    phase epoch) labelled {table="<name>"}.
+//  * per-table gauges from the registry (capacity, phase epoch) labelled
+//    {table="<name>"}.
 //
 // Bucket `le` bounds are the inclusive hist_bucket_upper() values, so the
 // cumulative counts are exact (values are integers; "le" is <=). Empty
@@ -128,8 +128,6 @@ inline std::string render_prometheus() {
   const auto tables = snapshot_tables();
   if (!tables.empty()) {
     out += "# TYPE phch_table_capacity gauge\n";
-    out += "# TYPE phch_table_size gauge\n";
-    out += "# TYPE phch_table_load_factor gauge\n";
     out += "# TYPE phch_table_phase_epoch gauge\n";
   }
   for (const table_sample& t : tables) {
@@ -139,15 +137,6 @@ inline std::string render_prometheus() {
     if (t.capacity != 0) {
       detail::prom_append_gauge(out, "phch_table_capacity", labels,
                                 static_cast<double>(t.capacity));
-    }
-    if (t.has_size) {
-      detail::prom_append_gauge(out, "phch_table_size", labels,
-                                static_cast<double>(t.size));
-      if (t.capacity != 0) {
-        detail::prom_append_gauge(
-            out, "phch_table_load_factor", labels,
-            static_cast<double>(t.size) / static_cast<double>(t.capacity));
-      }
     }
     if (t.has_epoch) {
       detail::prom_append_gauge(out, "phch_table_phase_epoch", labels,

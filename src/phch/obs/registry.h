@@ -3,11 +3,10 @@
 // The counters and histograms are process-wide; the registry adds the one
 // per-table view: a table (or the app that owns it) registers itself under
 // a stable name, and the exporters (obs/prom.h, tools) can then report
-// per-table gauges (capacity, approximate size, load factor, phase epoch)
-// next to the process totals.
+// per-table gauges (capacity, phase epoch) next to the process totals.
 //
 // Registration is duck-typed: register_table(name, t) probes the table at
-// compile time for capacity() / approx_size() / phase_rt().epoch() and
+// compile time for capacity() / phase_rt().epoch() and
 // wires up only the gauges the type actually has, so every
 // table family (probe_engine specializations, growable_table,
 // auto_phased_table, the sparse tables) registers with the same one-liner.
@@ -40,10 +39,8 @@ namespace phch::obs {
 struct table_sample {
   std::uint64_t id = 0;
   std::string name;
-  std::uint64_t capacity = 0;       // 0 when the type exposes no capacity()
-  std::uint64_t size = 0;           // approx_size() at sample time
-  bool has_size = false;
-  std::uint64_t phase_epoch = 0;    // phase_rt().epoch() at sample time
+  std::uint64_t capacity = 0;     // 0 when the type exposes no capacity()
+  std::uint64_t phase_epoch = 0;  // phase_rt().epoch() at sample time
   bool has_epoch = false;
 };
 
@@ -55,7 +52,6 @@ struct table_registration {
   std::string name;
   const void* address = nullptr;
   std::function<std::uint64_t()> capacity;
-  std::function<std::uint64_t()> size;
   std::function<std::uint64_t()> epoch;
 };
 
@@ -97,7 +93,7 @@ inline void unregister_table(std::uint64_t id) {
   }
 }
 
-// Duck-typed registration: wires up whichever of capacity / approx_size /
+// Duck-typed registration: wires up whichever of capacity /
 // phase_rt().epoch() the table type provides.
 template <class Table>
 std::uint64_t register_table(std::string name, Table& t) {
@@ -106,9 +102,6 @@ std::uint64_t register_table(std::string name, Table& t) {
   reg.address = &t;
   if constexpr (requires { t.capacity(); }) {
     reg.capacity = [&t] { return static_cast<std::uint64_t>(t.capacity()); };
-  }
-  if constexpr (requires { t.approx_size(); }) {
-    reg.size = [&t] { return static_cast<std::uint64_t>(t.approx_size()); };
   }
   if constexpr (requires { t.phase_rt().epoch(); }) {
     reg.epoch = [&t] { return static_cast<std::uint64_t>(t.phase_rt().epoch()); };
@@ -129,10 +122,6 @@ inline std::vector<table_sample> snapshot_tables() {
     s.id = id;
     s.name = reg.name;
     if (reg.capacity) s.capacity = reg.capacity();
-    if (reg.size) {
-      s.size = reg.size();
-      s.has_size = true;
-    }
     if (reg.epoch) {
       s.phase_epoch = reg.epoch();
       s.has_epoch = true;

@@ -1,4 +1,5 @@
-// Contention-free striped counter for hot-path occupancy accounting.
+// Contention-free striped counter for hot-path counting (growable_table's
+// load bound).
 //
 // A single shared std::atomic counter serializes every increment on one
 // cache line: under concurrent inserts the fetch_add ping-pongs the line

@@ -164,20 +164,8 @@ TEST(DeterministicTable, ClearEmptiesTheTable) {
   t.clear();
   EXPECT_EQ(t.count(), 0u);
   EXPECT_TRUE(t.elements().empty());
-  EXPECT_EQ(t.approx_size(), 0u);
   t.insert(4);
   EXPECT_TRUE(t.contains(4));
-}
-
-TEST(DeterministicTable, ApproxSizeTracksOccupancyAtPhaseBoundaries) {
-  itable t(1 << 12);
-  const auto keys = test::dup_keys(3000, 1000, 21);
-  test::parallel_insert(t, keys);
-  EXPECT_EQ(t.approx_size(), t.count());
-  const auto elems = t.elements();
-  test::parallel_erase(t, elems);
-  EXPECT_EQ(t.approx_size(), 0u);
-  EXPECT_EQ(t.count(), 0u);
 }
 
 // Every key a multi-worker insert phase inserted is found afterwards, by the

@@ -381,8 +381,7 @@ TEST_F(ExportersOn, PrometheusExpositionIsWellFormed) {
       // The hostile registry name must round-trip through label escaping.
       if (*tl == kHostile) saw_hostile_table = true;
       // Per-table series are gauges only; distributions are process-wide.
-      const std::string gauges[] = {"phch_table_capacity", "phch_table_size",
-                                    "phch_table_load_factor",
+      const std::string gauges[] = {"phch_table_capacity",
                                     "phch_table_phase_epoch"};
       EXPECT_NE(std::find(std::begin(gauges), std::end(gauges), s.name),
                 std::end(gauges))
@@ -399,7 +398,7 @@ TEST_F(ExportersOn, PrometheusExpositionIsWellFormed) {
   // The probe-depth ledger, as scraped.
   EXPECT_EQ(hist_count, insert_ops + find_ops + erase_ops);
   EXPECT_TRUE(saw_hostile_table);
-  EXPECT_EQ(table_series, 4);
+  EXPECT_EQ(table_series, 2);
 }
 
 TEST_F(ExportersOn, TypeLinesAreUniquePerMetric) {

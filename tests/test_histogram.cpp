@@ -309,8 +309,6 @@ TEST_F(HistogramOn, RegistrySnapshotsRegisteredTables) {
     ASSERT_EQ(tables.size(), 1u);
     EXPECT_EQ(tables[0].name, "reg-test");
     EXPECT_EQ(tables[0].capacity, 256u);
-    EXPECT_TRUE(tables[0].has_size);
-    EXPECT_EQ(tables[0].size, 10u);
     // Gauges only: the phase epoch is the table's own phase word.
     EXPECT_TRUE(tables[0].has_epoch);
     EXPECT_EQ(tables[0].phase_epoch, t.phase_rt().epoch());

@@ -6,8 +6,6 @@
 // paper key distributions. None of the three has a deterministic layout
 // (eviction interleavings, displacement order, and chain order are all
 // history-dependent), so equality is of element *sets*, not slot arrays.
-// The striped occupancy counter (approx_size) must agree with the O(n)
-// count() reference at every phase boundary.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -94,8 +92,7 @@ constexpr auto less_kv = [](const kv64& a, const kv64& b) {
 
 // Inserts `input` through the forwarding batch path into one table and the
 // plain per-op loop into another, then requires equal contents, equal finds
-// for `queries`, equal contents again after erasing half the queries, and a
-// counter that is exact at each boundary.
+// for `queries`, and equal contents again after erasing half the queries.
 template <typename Table, typename Seq, typename Keys, typename Less>
 void check_batch_vs_scalar(const Seq& input, const Keys& queries,
                            std::size_t capacity, Less less) {
@@ -105,7 +102,6 @@ void check_batch_vs_scalar(const Seq& input, const Keys& queries,
   insert_batch_scalar(scalar, input);
 
   ASSERT_EQ(batched.count(), scalar.count());
-  ASSERT_EQ(batched.approx_size(), batched.count());
   {
     const auto eb = sorted(batched.elements(), less);
     const auto es = sorted(scalar.elements(), less);
@@ -127,7 +123,6 @@ void check_batch_vs_scalar(const Seq& input, const Keys& queries,
   erase_batch(batched, dels);  // free fn -> member forwarding
   erase_batch_scalar(scalar, dels);
   ASSERT_EQ(batched.count(), scalar.count());
-  ASSERT_EQ(batched.approx_size(), batched.count());
   const auto eb = sorted(batched.elements(), less);
   const auto es = sorted(scalar.elements(), less);
   ASSERT_EQ(eb.size(), es.size());
@@ -180,7 +175,6 @@ TYPED_TEST(SparseBatch, TrigramString) {
   insert_batch(batched, words.keys);
   insert_batch_scalar(scalar, words.keys);
   ASSERT_EQ(batched.count(), scalar.count());
-  ASSERT_EQ(batched.approx_size(), batched.count());
   const auto by_contents = [](const char* a, const char* b) {
     return std::strcmp(a, b) < 0;
   };
@@ -199,7 +193,6 @@ TYPED_TEST(SparseBatch, TrigramString) {
   erase_batch(batched, qs);
   erase_batch_scalar(scalar, qs);
   ASSERT_EQ(batched.count(), scalar.count());
-  ASSERT_EQ(batched.approx_size(), batched.count());
 }
 
 // trigramSeq-pairInt stores record pointers whose combine keeps the stored
@@ -213,7 +206,6 @@ TYPED_TEST(SparseBatch, TrigramPairInt) {
   insert_batch(batched, words.entries);
   insert_batch_scalar(scalar, words.entries);
   ASSERT_EQ(batched.count(), scalar.count());
-  ASSERT_EQ(batched.approx_size(), batched.count());
   const auto by_contents = [](const string_pair_entry::value_type a,
                               const string_pair_entry::value_type b) {
     const int c = std::strcmp(a->key, b->key);
@@ -233,33 +225,6 @@ TYPED_TEST(SparseBatch, TrigramPairInt) {
   for (std::size_t i = 0; i < qs.size(); ++i) {
     ASSERT_EQ(fb[i]->value, fs[i]->value) << i;
   }
-}
-
-// --- approx_size exactness across repeated phase boundaries -----------------
-
-TYPED_TEST(SparseBatch, ApproxSizeExactAtEveryPhaseBoundary) {
-  using Table = typename TypeParam::template table<int_entry<>>;
-  Table t(1 << 15);
-  std::set<std::uint64_t> reference;
-  for (std::uint64_t round = 0; round < 4; ++round) {
-    auto ins = test::dup_keys(6000, 4000, 100 + round);
-    insert_batch(t, ins);
-    reference.insert(ins.begin(), ins.end());
-    ASSERT_EQ(t.count(), reference.size());
-    ASSERT_EQ(t.approx_size(), reference.size());
-    std::vector<std::uint64_t> dels;
-    std::size_t i = 0;
-    for (const auto k : reference) {
-      if (i++ % 3 == 0) dels.push_back(k);
-    }
-    erase_batch(t, dels);
-    for (const auto k : dels) reference.erase(k);
-    ASSERT_EQ(t.count(), reference.size());
-    ASSERT_EQ(t.approx_size(), reference.size());
-  }
-  const auto elems = t.elements();
-  const std::set<std::uint64_t> got(elems.begin(), elems.end());
-  EXPECT_EQ(got, reference);
 }
 
 // --- explicit width sweep through the public block engines ------------------
@@ -282,7 +247,6 @@ TYPED_TEST(SparseBatch, BlockEnginesMatchScalarAtEveryWidth) {
     ASSERT_TRUE(int_entry<>::is_empty(out[keys.size()]));
     t.erase_batch_block(queries.data(), queries.size(), width);
     ASSERT_EQ(t.count(), 0u);
-    ASSERT_EQ(t.approx_size(), 0u);
   }
 }
 

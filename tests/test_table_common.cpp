@@ -46,6 +46,15 @@ TEST(SlotArray, StorageIsCacheLineAligned) {
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(small.data()) % 64, 0u);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(big.data()) % 64, 0u);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(pairs.data()) % 64, 0u);
+  // Arrays of 2 MB or more are huge-page aligned (whether the host backs
+  // them with huge pages is its own setting) and clear to empty.
+  slot_array<pair_entry<>> huge(kHugePageBytes / sizeof(pair_entry<>::value_type));
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(huge.data()) % kHugePageBytes, 0u);
+  EXPECT_EQ(huge.count(), 0u);
+  for (std::size_t i = 0; i < huge.capacity(); i += 4096) huge[i] = {i + 1, i};
+  EXPECT_EQ(huge.count(), huge.capacity() / 4096);
+  huge.clear();
+  EXPECT_EQ(huge.count(), 0u);
 }
 
 TEST(SlotArray, ClearResetsEverySlotAtBothSidesOfTheSerialThreshold) {

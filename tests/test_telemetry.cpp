@@ -139,7 +139,7 @@ void check_exactness(int workers) {
   const obs::metrics_snapshot de = after_erase - after_find;
   EXPECT_EQ(de[counter::erase_ops], uniq.size());
   EXPECT_EQ(de[counter::erase_hits], uniq.size());
-  EXPECT_EQ(t.approx_size(), 0u);
+  EXPECT_EQ(t.count(), 0u);
 
   if (workers == 1) {
     // A single worker can never lose a CAS.

@@ -15,8 +15,8 @@ same monitor process, SCRAPE2 taken later). The checks:
             erase_ops, exactly, in each scrape (phch_monitor publishes the
             page at quiescent points, so striped sums are exact).
   tables    every series labelled {table=...} is one of the registry's
-            gauges (capacity, size, load factor, phase epoch); counters and
-            histograms are process-wide and carry no table label.
+            gauges (capacity, phase epoch); counters and histograms are
+            process-wide and carry no table label.
   monotone  with two scrapes: every *_total counter and every histogram
             _count/_sum/bucket is non-decreasing from SCRAPE1 to SCRAPE2,
             and the ledger ops strictly advanced (the workload loop ran).
@@ -204,8 +204,7 @@ def check_ledger(samples, path):
     return ops
 
 
-TABLE_GAUGES = {"phch_table_capacity", "phch_table_size",
-                "phch_table_load_factor", "phch_table_phase_epoch"}
+TABLE_GAUGES = {"phch_table_capacity", "phch_table_phase_epoch"}
 
 
 def check_table_series(samples, path):

@@ -118,7 +118,7 @@ struct mixed_result {
 // find all keys, erase the first erase_count. With erase_count == n the
 // table returns to empty, so phch_monitor can loop this on one persistent
 // (registered) table indefinitely; phch_trace erases half and checks the
-// remainder against approx_size(). Phases are bracketed by marks, so each
+// remainder against count(). Phases are bracketed by marks, so each
 // cycle contributes one quiescent-point snapshot per boundary.
 template <typename Table>
 mixed_result mixed_cycle(Table& t, const std::vector<std::uint64_t>& keys,
@@ -137,8 +137,7 @@ mixed_result mixed_cycle(Table& t, const std::vector<std::uint64_t>& keys,
   for (const auto v : found) {
     if (!traits::is_empty(v)) ++hits;
   }
-  // approx_size is exact here: the table is quiescent between phases.
-  return {hits, t.approx_size() + erase_count};
+  return {hits, t.count() + erase_count};
 }
 
 template <typename Family>
