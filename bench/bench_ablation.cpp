@@ -13,9 +13,7 @@
 //     churn: find cost after repeated insert/delete phases.
 //  7. Automatic phasing via room synchronizations (auto_phased_table, the
 //     paper's future-work item) vs caller-separated phases.
-//  8. Batched operations with software prefetch (core/batch_ops.h) vs plain
-//     per-op loops — memory-level parallelism for the phase-batch pattern.
-//  9. Phase-epoch runtime: room-transition cost on mixed auto_phased
+//  8. Phase-epoch runtime: room-transition cost on mixed auto_phased
 //     streams (single-class vs alternating-class). This section also
 //     writes BENCH_phase.json (or argv[1]) for the CI artifact, with the
 //     section's telemetry snapshot delta (all zeros when compiled out).
@@ -25,7 +23,6 @@
 
 #include "bench_common.h"
 #include "phch/core/auto_phased_table.h"
-#include "phch/core/batch_ops.h"
 #include "phch/core/deterministic_table.h"
 #include "phch/core/growable_table.h"
 #include "phch/core/nd_linear_table.h"
@@ -201,33 +198,7 @@ int main(int argc, char** argv) {
                 "  streams pay only the room fast path)\n", r, a, a / r);
   }
 
-  // 8. prefetched batches vs per-op loops
-  {
-    std::printf("\n--- batched ops with software prefetch vs plain loops ---\n");
-    const auto keys = workloads::random_int_seq(n, 1);
-    const std::size_t cap = round_up_pow2(3 * n);
-    std::optional<deterministic_table<int_entry<>>> t;
-    const double plain_ins = time_median(
-        [&] { t.emplace(cap); },
-        [&] { parallel_for(0, n, [&](std::size_t i) { t->insert(keys[i]); }); });
-    const double batch_ins = time_median(
-        [&] { t.emplace(cap); }, [&] { insert_batch(*t, keys); });
-    std::vector<std::uint8_t> sink(n);
-    const double plain_find = time_median([] {}, [&] {
-      parallel_for(0, n, [&](std::size_t i) { sink[i] = t->contains(keys[i]); });
-    });
-    double batch_find;
-    {
-      std::vector<std::uint64_t> found_values;
-      batch_find = time_median([] {}, [&] { found_values = find_batch(*t, keys); });
-    }
-    std::printf("  insert: plain %8.3f s, batch %8.3f s (%.2fx)\n", plain_ins, batch_ins,
-                plain_ins / batch_ins);
-    std::printf("  find:   plain %8.3f s, batch %8.3f s (%.2fx)\n", plain_find,
-                batch_find, plain_find / batch_find);
-  }
-
-  // 9. phase-epoch runtime: room-transition cost
+  // 8. phase-epoch runtime: room-transition cost
   {
     std::printf("\n--- phase-epoch runtime: room transitions ---\n");
     const std::size_t m = n / 8;

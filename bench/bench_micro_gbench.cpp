@@ -1,17 +1,10 @@
 // google-benchmark microbenchmarks: single-operation costs of the core
-// table and the parallel primitives it is built from, plus an old-vs-new
-// scheduler comparison (flat epoch-broadcast pool vs work-stealing
-// fork-join). Run without arguments this binary writes the scheduler
-// comparison (and everything else it ran) to BENCH_scheduler.json.
+// table, the parallel primitives it is built from, and the work-stealing
+// scheduler's parallel_for / scan / sort / nested par_do.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <condition_variable>
-#include <cstring>
-#include <functional>
-#include <mutex>
-#include <string>
-#include <thread>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "phch/core/deterministic_table.h"
@@ -125,233 +118,7 @@ void BM_Elements(benchmark::State& state) {
 }
 BENCHMARK(BM_Elements)->Arg(1 << 16);
 
-// --- scheduler: flat broadcast pool vs work-stealing fork-join --------------
-//
-// `flat` is a faithful miniature of the pre-work-stealing runtime (epoch
-// broadcast pool, dynamic chunk claiming, nested constructs run serially) so
-// the old and new substrates can be compared on the same binary. The
-// "Nested" pair is the headline: under the flat pool the inner sorts run
-// fully serial, under work stealing they keep their parallelism.
-
-namespace flat {
-
-class pool {
- public:
-  explicit pool(int p) : num_workers_(p) {
-    for (int id = 1; id < p; ++id) {
-      threads_.emplace_back([this, id] { worker_loop(id); });
-    }
-  }
-
-  ~pool() {
-    {
-      std::lock_guard<std::mutex> lock(m_);
-      shutdown_ = true;
-    }
-    cv_start_.notify_all();
-    for (auto& t : threads_) t.join();
-  }
-
-  int num_workers() const { return num_workers_; }
-
-  void execute(const std::function<void(int)>& f) {
-    if (tl_in_parallel || num_workers_ == 1) {
-      f(0);  // nested job (or no pool): run the whole job inline
-      return;
-    }
-    std::lock_guard<std::mutex> job_lock(job_mutex_);
-    {
-      std::lock_guard<std::mutex> lock(m_);
-      job_ = &f;
-      pending_ = num_workers_ - 1;
-      ++epoch_;
-    }
-    cv_start_.notify_all();
-    tl_in_parallel = true;
-    f(0);
-    tl_in_parallel = false;
-    {
-      std::unique_lock<std::mutex> lock(m_);
-      cv_done_.wait(lock, [&] { return pending_ == 0; });
-      job_ = nullptr;
-    }
-  }
-
-  static thread_local bool tl_in_parallel;
-
- private:
-  void worker_loop(int id) {
-    std::uint64_t seen_epoch = 0;
-    for (;;) {
-      const std::function<void(int)>* job = nullptr;
-      {
-        std::unique_lock<std::mutex> lock(m_);
-        cv_start_.wait(lock, [&] { return shutdown_ || epoch_ != seen_epoch; });
-        if (shutdown_) return;
-        seen_epoch = epoch_;
-        job = job_;
-      }
-      tl_in_parallel = true;
-      (*job)(id);
-      tl_in_parallel = false;
-      {
-        std::lock_guard<std::mutex> lock(m_);
-        if (--pending_ == 0) cv_done_.notify_one();
-      }
-    }
-  }
-
-  int num_workers_;
-  std::vector<std::thread> threads_;
-  std::mutex job_mutex_;
-  std::mutex m_;
-  std::condition_variable cv_start_;
-  std::condition_variable cv_done_;
-  const std::function<void(int)>* job_ = nullptr;
-  std::uint64_t epoch_ = 0;
-  int pending_ = 0;
-  bool shutdown_ = false;
-};
-
-thread_local bool pool::tl_in_parallel = false;
-
-pool& get_pool() {
-  static pool instance(num_workers());
-  return instance;
-}
-
-template <typename F>
-void parallel_for(std::size_t lo, std::size_t hi, F&& f, std::size_t grain = 0) {
-  if (hi <= lo) return;
-  const std::size_t n = hi - lo;
-  pool& P = get_pool();
-  const std::size_t p = static_cast<std::size_t>(P.num_workers());
-  if (grain == 0) grain = (n + p * kDefaultGrainTarget - 1) / (p * kDefaultGrainTarget);
-  if (grain < 1) grain = 1;
-  if (p == 1 || n <= grain || pool::tl_in_parallel) {
-    for (std::size_t i = lo; i < hi; ++i) f(i);
-    return;
-  }
-  std::atomic<std::size_t> cursor{lo};
-  P.execute([&](int) {
-    for (;;) {
-      const std::size_t start = cursor.fetch_add(grain, std::memory_order_relaxed);
-      if (start >= hi) return;
-      const std::size_t end = start + grain < hi ? start + grain : hi;
-      for (std::size_t i = start; i < end; ++i) f(i);
-    }
-  });
-}
-
-template <typename A, typename B>
-void par_do(A&& a, B&& b) {
-  pool& P = get_pool();
-  if (P.num_workers() == 1 || pool::tl_in_parallel) {
-    a();
-    b();
-    return;
-  }
-  std::atomic<int> next{0};
-  P.execute([&](int) {
-    for (;;) {
-      const int task = next.fetch_add(1, std::memory_order_relaxed);
-      if (task > 1) return;
-      if (task == 0)
-        a();
-      else
-        b();
-    }
-  });
-}
-
-template <typename T>
-T scan_add_inplace(std::vector<T>& a) {
-  const std::size_t n = a.size();
-  if (n == 0) return T{};
-  const std::size_t num_blocks =
-      static_cast<std::size_t>(get_pool().num_workers()) * kDefaultGrainTarget;
-  const std::size_t bsize = n / num_blocks + 1;
-  const std::size_t blocks = (n + bsize - 1) / bsize;
-  std::vector<T> sums(blocks);
-  parallel_for(
-      0, blocks,
-      [&](std::size_t b) {
-        const std::size_t s = b * bsize, e = std::min(s + bsize, n);
-        T acc{};
-        for (std::size_t i = s; i < e; ++i) acc += a[i];
-        sums[b] = acc;
-      },
-      1);
-  T total{};
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const T next = total + sums[b];
-    sums[b] = total;
-    total = next;
-  }
-  parallel_for(
-      0, blocks,
-      [&](std::size_t b) {
-        const std::size_t s = b * bsize, e = std::min(s + bsize, n);
-        T acc = sums[b];
-        for (std::size_t i = s; i < e; ++i) {
-          const T next = acc + a[i];
-          a[i] = acc;
-          acc = next;
-        }
-      },
-      1);
-  return total;
-}
-
-// The old blocked merge sort: parallel block sorts, then log rounds of
-// pairwise std::inplace_merge (each merge on one worker).
-template <typename T>
-void parallel_sort(std::vector<T>& a) {
-  const std::size_t n = a.size();
-  const std::size_t p = static_cast<std::size_t>(get_pool().num_workers());
-  if (n < 4096 || p == 1 || pool::tl_in_parallel) {
-    std::sort(a.begin(), a.end());
-    return;
-  }
-  std::size_t num_blocks = 1;
-  while (num_blocks < 2 * p) num_blocks <<= 1;
-  const std::size_t bsize = (n + num_blocks - 1) / num_blocks;
-  auto block_begin = [&](std::size_t b) { return std::min(b * bsize, n); };
-  parallel_for(
-      0, num_blocks,
-      [&](std::size_t b) {
-        std::sort(a.begin() + static_cast<std::ptrdiff_t>(block_begin(b)),
-                  a.begin() + static_cast<std::ptrdiff_t>(block_begin(b + 1)));
-      },
-      1);
-  for (std::size_t width = 1; width < num_blocks; width <<= 1) {
-    parallel_for(
-        0, num_blocks / (2 * width),
-        [&](std::size_t pair) {
-          const std::size_t lo = block_begin(pair * 2 * width);
-          const std::size_t mid = block_begin(pair * 2 * width + width);
-          const std::size_t hi = block_begin(pair * 2 * width + 2 * width);
-          std::inplace_merge(a.begin() + static_cast<std::ptrdiff_t>(lo),
-                             a.begin() + static_cast<std::ptrdiff_t>(mid),
-                             a.begin() + static_cast<std::ptrdiff_t>(hi));
-        },
-        1);
-  }
-}
-
-}  // namespace flat
-
-void BM_Scheduler_ParallelFor_Flat(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::vector<std::uint64_t> out(n);
-  for (auto _ : state) {
-    flat::parallel_for(0, n, [&](std::size_t i) { out[i] = i * 0x9e3779b97f4a7c15ULL; });
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_Scheduler_ParallelFor_Flat)->Arg(1 << 20)->UseRealTime();
+// --- scheduler: work-stealing fork-join -------------------------------------
 
 void BM_Scheduler_ParallelFor_WS(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -365,19 +132,6 @@ void BM_Scheduler_ParallelFor_WS(benchmark::State& state) {
 }
 BENCHMARK(BM_Scheduler_ParallelFor_WS)->Arg(1 << 20)->UseRealTime();
 
-void BM_Scheduler_Scan_Flat(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto v = tabulate(n, [](std::size_t i) { return hash64(i) % 8; });
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(flat::scan_add_inplace(v));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_Scheduler_Scan_Flat)->Arg(1 << 20)->UseRealTime();
-
 void BM_Scheduler_Scan_WS(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
@@ -390,20 +144,6 @@ void BM_Scheduler_Scan_WS(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_Scheduler_Scan_WS)->Arg(1 << 20)->UseRealTime();
-
-void BM_Scheduler_Sort_Flat(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto v = tabulate(n, [](std::size_t i) { return hash64(i); });
-    state.ResumeTiming();
-    flat::parallel_sort(v);
-    benchmark::DoNotOptimize(v.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_Scheduler_Sort_Flat)->Arg(1 << 20)->UseRealTime();
 
 void BM_Scheduler_Sort_WS(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -419,25 +159,8 @@ void BM_Scheduler_Sort_WS(benchmark::State& state) {
 }
 BENCHMARK(BM_Scheduler_Sort_WS)->Arg(1 << 20)->UseRealTime();
 
-// Nested par_do of two parallel sorts: the flat pool gives the two branches
-// one worker each and their inner sorts run serially; work stealing keeps
-// all workers busy across both branches.
-void BM_Scheduler_NestedParDoSort_Flat(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto u = tabulate(n, [](std::size_t i) { return hash64(i); });
-    auto v = tabulate(n, [n](std::size_t i) { return hash64(i + n); });
-    state.ResumeTiming();
-    flat::par_do([&] { flat::parallel_sort(u); }, [&] { flat::parallel_sort(v); });
-    benchmark::DoNotOptimize(u.data());
-    benchmark::DoNotOptimize(v.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(2 * n));
-}
-BENCHMARK(BM_Scheduler_NestedParDoSort_Flat)->Arg(1 << 19)->UseRealTime();
-
+// Nested par_do of two parallel sorts: work stealing keeps all workers busy
+// across both branches' inner sorts.
 void BM_Scheduler_NestedParDoSort_WS(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
@@ -456,24 +179,4 @@ BENCHMARK(BM_Scheduler_NestedParDoSort_WS)->Arg(1 << 19)->UseRealTime();
 
 }  // namespace
 
-// Custom main: default to emitting BENCH_scheduler.json (JSON format) so CI
-// and the acceptance harness get a machine-readable old-vs-new comparison,
-// while still honoring explicit --benchmark_out flags.
-int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  bool has_out = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--benchmark_out=", 16) == 0) has_out = true;
-  }
-  std::string out_flag = "--benchmark_out=BENCH_scheduler.json";
-  std::string fmt_flag = "--benchmark_out_format=json";
-  if (!has_out) {
-    args.push_back(out_flag.data());
-    args.push_back(fmt_flag.data());
-  }
-  int count = static_cast<int>(args.size());
-  benchmark::Initialize(&count, args.data());
-  if (benchmark::ReportUnrecognizedArguments(count, args.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -23,7 +23,6 @@
 #include "phch/core/table_common.h"
 #include "phch/core/table_concepts.h"
 #include "phch/graph/graph.h"
-#include "phch/obs/registry.h"
 #include "phch/obs/trace.h"
 #include "phch/parallel/atomics.h"
 #include "phch/parallel/primitives.h"
@@ -132,7 +131,6 @@ std::vector<std::int64_t> hash_bfs(const graph::csr_graph& g, graph::vertex_id r
     const std::size_t degree = reduce(std::size_t{0}, n, std::size_t{0}, std::plus<>{},
                                       [&](std::size_t i) { return g.degree(frontier[i]); });
     Table table(round_up_pow2(static_cast<std::size_t>(space_mult * 2.0 * (degree + 2))));
-    const obs::scoped_registration reg("bfs", table);  // same name every level
     detail::relax_frontier(g, frontier, parents);
     auto flush = [&](const graph::vertex_id* ws, std::size_t len) {
       if constexpr (batchable_table<Table>) {

@@ -108,15 +108,6 @@ class auto_phased_table {
   Table& underlying() noexcept { return table_; }
   const Table& underlying() const noexcept { return table_; }
 
-  // Observability passthrough: the wrapper performs every operation on the
-  // wrapped table, so its phase word *is* this table's — surfacing it here
-  // lets obs::register_table attribute the phase epoch to the wrapper.
-  phase_runtime& phase_rt() const noexcept
-    requires phase_epoch_table<Table>
-  {
-    return table_.phase_rt();
-  }
-
  private:
   static constexpr int kInsertRoom = 0;
   static constexpr int kEraseRoom = 1;

@@ -200,10 +200,6 @@ class growable_table {
   // quiescent points (racy against a concurrent growth).
   const inner_table& inner() const noexcept { return *cur(); }
 
-  // The current incarnation's phase word. Like inner(), the reference dies
-  // at the next growth.
-  phase_runtime& phase_rt() const noexcept { return cur()->phase_rt(); }
-
   // Phase-capability tokens (utils/phase_caps.h): the static half of the
   // phase contract the Phase policy enforces at runtime. Public so callers'
   // phase-region markers can name them in their own annotations.

@@ -12,9 +12,10 @@
 //    obs::snapshot() / obs::marks() / obs::drain_trace().
 //  * write_chrome_trace(path)  — the drained event rings in the Trace Event
 //    Format consumed by chrome://tracing and https://ui.perfetto.dev:
-//    phase transitions as instant events, spans as complete ("X") events,
-//    marks as instant events carrying their per-phase snapshot delta;
-//    tid = telemetry stripe (worker id).
+//    phase transitions as instant events carrying the table id and its new
+//    phase epoch, spans as complete ("X") events (a growth's "grow" span
+//    carries its target capacity), marks as instant events carrying their
+//    per-phase snapshot delta; tid = telemetry stripe (worker id).
 //
 // The two file writers return false (and write nothing) when telemetry is
 // compiled out.
@@ -152,8 +153,10 @@ inline bool write_chrome_trace(const char* path) {
         break;
       case event_kind::phase_begin:
         std::fprintf(f, ", \"ph\": \"i\", \"s\": \"p\"");
-        std::fprintf(f, ", \"args\": {\"op_class\": %u, \"table\": %" PRIu64 "}",
-                     e.a, e.b);
+        std::fprintf(f,
+                     ", \"args\": {\"op_class\": %u, \"table\": %" PRIu64
+                     ", \"epoch\": %" PRIu64 "}",
+                     e.a, e.b, e.dur_ns);
         break;
       case event_kind::mark:
         std::fprintf(f, ", \"ph\": \"i\", \"s\": \"g\"");

@@ -31,8 +31,8 @@
 // The snapshot. metrics_snapshot is the one reading of the whole plane:
 // every counter plus every histogram, taken by snapshot() at a quiescent
 // point (Definition 1's phase boundaries). Marks (obs/trace.h) store one,
-// the JSON writer (obs/export.h) and the Prometheus page (obs/prom.h)
-// serialize one, and the difference of two is the exact per-phase delta.
+// the exporters (obs/export.h) serialize one, and the difference of two is
+// the exact per-phase delta.
 //
 // Latency sampling. Timestamps are too expensive per op, so op latency is
 // sampled 1-in-kLatencySamplePeriod per thread: a thread-local countdown

@@ -24,7 +24,7 @@
 //
 // The histograms and the one snapshot type that reads counters and
 // histograms together live in obs/histogram.h; the tracer (obs/trace.h)
-// and exporters (obs/export.h, obs/prom.h) build on both. This header
+// and exporters (obs/export.h) build on both. This header
 // depends on nothing in phch (so phase_guard.h and the scheduler can both
 // include it without cycles).
 #pragma once

@@ -52,7 +52,7 @@ enum class event_kind : std::uint32_t {
 // A drained (plain, non-atomic) trace event.
 struct trace_event {
   std::uint64_t ts_ns = 0;   // steady_clock, relative to trace_epoch_ns()
-  std::uint64_t dur_ns = 0;  // spans only
+  std::uint64_t dur_ns = 0;  // span duration; phase_begin: the new epoch
   std::uint64_t b = 0;
   const char* name = nullptr;  // static string; never null after drain
   event_kind kind = event_kind::span;

@@ -1,20 +1,17 @@
-// Exporter round-trips (src/phch/obs/export.h, prom.h): the metrics JSON,
-// the chrome trace, and the Prometheus text exposition are re-parsed with
-// strict parsers — not grepped — so escaping bugs (raw newlines or control
-// characters inside string literals, broken label quoting) fail the test
-// instead of producing files that only *look* parseable. Hostile span/mark
-// labels containing quotes, backslashes, newlines and control bytes
-// exercise the escaping paths directly.
+// Exporter round-trips (src/phch/obs/export.h): the metrics JSON and the
+// chrome trace are re-parsed with a strict parser — not grepped — so
+// escaping bugs (raw newlines or control characters inside string
+// literals) fail the test instead of producing files that only *look*
+// parseable. Hostile span/mark labels containing quotes, backslashes,
+// newlines and control bytes exercise the escaping paths directly.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,8 +19,6 @@
 #include "phch/core/deterministic_table.h"
 #include "phch/core/table_common.h"
 #include "phch/obs/export.h"
-#include "phch/obs/prom.h"
-#include "phch/obs/registry.h"
 #include "phch/obs/telemetry.h"
 #include "phch/obs/trace.h"
 #include "phch/parallel/scheduler.h"
@@ -193,106 +188,11 @@ bool contains(const std::vector<std::string>& haystack, const std::string& s) {
 }
 
 // ---------------------------------------------------------------------------
-// Strict-enough Prometheus text-exposition validator (format 0.0.4): every
-// line is a comment or `name{labels} value`; label values must be properly
-// quoted/escaped; per histogram, bucket counts are cumulative and the +Inf
-// bucket equals _count. Returns an empty string on success, else the error.
-
-struct prom_sample {
-  std::string name;
-  std::vector<std::pair<std::string, std::string>> labels;
-  double value = 0;
-};
-
-bool valid_metric_char(char c, bool first) {
-  if (std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == ':')
-    return true;
-  return !first && std::isdigit(static_cast<unsigned char>(c));
-}
-
-std::string parse_prometheus(const std::string& text,
-                             std::vector<prom_sample>* out) {
-  std::istringstream lines(text);
-  std::string line;
-  int lineno = 0;
-  while (std::getline(lines, line)) {
-    ++lineno;
-    const std::string where = "line " + std::to_string(lineno) + ": " + line;
-    if (line.empty()) return "empty line not allowed: " + where;
-    if (line[0] == '#') continue;  // HELP/TYPE/comment
-    std::size_t i = 0;
-    prom_sample s;
-    while (i < line.size() && valid_metric_char(line[i], i == 0)) {
-      s.name += line[i++];
-    }
-    if (s.name.empty()) return "no metric name: " + where;
-    if (i < line.size() && line[i] == '{') {
-      ++i;
-      while (i < line.size() && line[i] != '}') {
-        std::string lname;
-        while (i < line.size() && valid_metric_char(line[i], lname.empty())) {
-          lname += line[i++];
-        }
-        if (lname.empty() || i >= line.size() || line[i] != '=')
-          return "bad label name: " + where;
-        ++i;
-        if (i >= line.size() || line[i] != '"')
-          return "label value not quoted: " + where;
-        ++i;
-        std::string lval;
-        while (i < line.size() && line[i] != '"') {
-          if (line[i] == '\\') {
-            if (i + 1 >= line.size()) return "dangling escape: " + where;
-            const char e = line[i + 1];
-            if (e == '\\') lval += '\\';
-            else if (e == '"') lval += '"';
-            else if (e == 'n') lval += '\n';
-            else return "unknown label escape: " + where;
-            i += 2;
-            continue;
-          }
-          lval += line[i++];
-        }
-        if (i >= line.size()) return "unterminated label value: " + where;
-        ++i;  // closing quote
-        s.labels.emplace_back(lname, lval);
-        if (i < line.size() && line[i] == ',') ++i;
-      }
-      if (i >= line.size() || line[i] != '}') return "unterminated labels: " + where;
-      ++i;
-    }
-    if (i >= line.size() || line[i] != ' ') return "no value separator: " + where;
-    ++i;
-    const std::string num = line.substr(i);
-    if (num == "+Inf") {
-      s.value = std::numeric_limits<double>::infinity();
-    } else {
-      char* end = nullptr;
-      s.value = std::strtod(num.c_str(), &end);
-      if (end == num.c_str() || *end != '\0') return "bad value: " + where;
-    }
-    out->push_back(s);
-  }
-  return "";
-}
-
-const std::string* label_of(const prom_sample& s, const std::string& k) {
-  for (const auto& [name, value] : s.labels) {
-    if (name == k) return &value;
-  }
-  return nullptr;
-}
-
-// ---------------------------------------------------------------------------
 
 TEST(ExportersOff, WritersRefuseWhenCompiledOut) {
   if (obs::compiled) GTEST_SKIP() << "telemetry compiled in";
   EXPECT_FALSE(obs::write_metrics_json("/tmp/phch_exp_off.json"));
   EXPECT_FALSE(obs::write_chrome_trace("/tmp/phch_exp_off_trace.json"));
-  // The exposition writer still returns a parseable (comment-only) page.
-  std::vector<prom_sample> samples;
-  EXPECT_EQ(parse_prometheus(obs::render_prometheus(), &samples), "");
-  EXPECT_TRUE(samples.empty());
 }
 
 class ExportersOn : public ::testing::Test {
@@ -347,76 +247,25 @@ TEST_F(ExportersOn, ChromeTraceRoundTripsHostileLabels) {
   // Every mark carries its snapshot delta (counters and histograms).
   EXPECT_TRUE(contains(jc.strings(), "insert_commits"));
   EXPECT_TRUE(contains(jc.strings(), "probe_depth"));
-}
-
-TEST_F(ExportersOn, PrometheusExpositionIsWellFormed) {
-  deterministic_table<> t(1024);
-  [[maybe_unused]] const obs::scoped_registration reg(kHostile, t);
-  for (std::uint64_t v = 1; v <= 200; ++v) t.insert(v);
-  for (std::uint64_t v = 1; v <= 200; ++v) (void)t.find(v);
-
-  std::vector<prom_sample> samples;
-  const std::string err = parse_prometheus(obs::render_prometheus(), &samples);
-  ASSERT_EQ(err, "");
-  ASSERT_FALSE(samples.empty());
-
-  double insert_ops = -1, find_ops = -1, erase_ops = -1;
-  double bucket_inf = -1, hist_count = -1, prev_bucket = 0;
-  bool saw_hostile_table = false;
-  int table_series = 0;
-  for (const auto& s : samples) {
-    if (s.name == "phch_insert_ops_total") insert_ops = s.value;
-    if (s.name == "phch_find_ops_total") find_ops = s.value;
-    if (s.name == "phch_erase_ops_total") erase_ops = s.value;
-    if (s.name == "phch_probe_depth_bucket") {
-      // Cumulative within one histogram: each bucket >= the previous.
-      EXPECT_GE(s.value, prev_bucket);
-      prev_bucket = s.value;
-      const std::string* le = label_of(s, "le");
-      ASSERT_NE(le, nullptr);
-      if (*le == "+Inf") bucket_inf = s.value;
-    }
-    if (s.name == "phch_probe_depth_count") hist_count = s.value;
-    if (const std::string* tl = label_of(s, "table")) {
-      // The hostile registry name must round-trip through label escaping.
-      if (*tl == kHostile) saw_hostile_table = true;
-      // Per-table series are gauges only; distributions are process-wide.
-      const std::string gauges[] = {"phch_table_capacity",
-                                    "phch_table_phase_epoch"};
-      EXPECT_NE(std::find(std::begin(gauges), std::end(gauges), s.name),
-                std::end(gauges))
-          << s.name;
-      ++table_series;
-    }
-  }
-  ASSERT_GE(insert_ops, 0);
-  ASSERT_GE(find_ops, 0);
-  ASSERT_GE(erase_ops, 0);
-  // Histogram completeness: +Inf bucket present and equal to _count.
-  EXPECT_GE(bucket_inf, 0);
-  EXPECT_EQ(bucket_inf, hist_count);
-  // The probe-depth ledger, as scraped.
-  EXPECT_EQ(hist_count, insert_ops + find_ops + erase_ops);
-  EXPECT_TRUE(saw_hostile_table);
-  EXPECT_EQ(table_series, 2);
-}
-
-TEST_F(ExportersOn, TypeLinesAreUniquePerMetric) {
-  deterministic_table<> a(128), b(128);
-  [[maybe_unused]] const obs::scoped_registration ra("a", a);
-  [[maybe_unused]] const obs::scoped_registration rb("b", b);
-  a.insert(1);
-  b.insert(2);
-  const std::string text = obs::render_prometheus();
+  // Every phase transition carries the table's new phase epoch; the one
+  // table's insert -> find sequence is epochs 1, 2, in order. The writer
+  // puts one event per line, so a line scan suffices once the parse passed.
   std::istringstream lines(text);
   std::string line;
-  std::vector<std::string> seen;
+  std::vector<std::uint64_t> epochs;
+  std::vector<std::uint64_t> tables;
   while (std::getline(lines, line)) {
-    if (line.rfind("# TYPE ", 0) != 0) continue;
-    EXPECT_FALSE(contains(seen, line)) << "duplicate: " << line;
-    seen.push_back(line);
+    if (line.find("\"name\": \"phase:") == std::string::npos) continue;
+    const std::size_t e = line.find("\"epoch\": ");
+    const std::size_t t = line.find("\"table\": ");
+    ASSERT_NE(e, std::string::npos) << line;
+    ASSERT_NE(t, std::string::npos) << line;
+    epochs.push_back(std::strtoull(line.c_str() + e + 9, nullptr, 10));
+    tables.push_back(std::strtoull(line.c_str() + t + 9, nullptr, 10));
   }
-  EXPECT_FALSE(seen.empty());
+  EXPECT_EQ(epochs, (std::vector<std::uint64_t>{1, 2}));
+  ASSERT_EQ(tables.size(), 2u);
+  EXPECT_EQ(tables[0], tables[1]);
 }
 
 }  // namespace

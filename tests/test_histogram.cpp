@@ -1,7 +1,7 @@
 // Histogram plane (src/phch/obs/histogram.h): log-linear bucket math,
 // snapshot subtract/quantile behavior, the process-wide probe-depth
-// ledger, the registry, and the compiled-out contract. The concurrent
-// record-while-drain hammers run under the TSan CI job.
+// ledger, and the compiled-out contract. The concurrent record-while-drain
+// hammers run under the TSan CI job.
 //
 // This file compiles and passes in both build modes: the bucket math is
 // constexpr and mode-independent; the recording tests skip when the layer
@@ -16,7 +16,6 @@
 #include "phch/core/deterministic_table.h"
 #include "phch/core/table_common.h"
 #include "phch/obs/histogram.h"
-#include "phch/obs/registry.h"
 #include "phch/obs/telemetry.h"
 #include "phch/obs/trace.h"
 #include "phch/parallel/parallel_for.h"
@@ -179,10 +178,6 @@ TEST(HistogramOff, LayerIsCompiledOut) {
   obs::hist_record(obs::hist::probe_depth, a);
   const obs::metrics_snapshot s = obs::snapshot();
   for (const auto& h : s.hists) EXPECT_EQ(h.count, 0u);
-  // Registry is inert too.
-  deterministic_table<> t(64);
-  [[maybe_unused]] const obs::scoped_registration reg("off", t);
-  EXPECT_TRUE(obs::snapshot_tables().empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -298,23 +293,6 @@ TEST_F(HistogramOn, ConcurrentBlockFlushWhileDrainIsRaceFree) {
   });
   EXPECT_EQ(s.count, n * kPerBlock);
   EXPECT_EQ(s.max, 61u);  // kPerBlock > 61, so every block sees the max
-}
-
-TEST_F(HistogramOn, RegistrySnapshotsRegisteredTables) {
-  deterministic_table<> t(256);
-  for (std::uint64_t v = 1; v <= 10; ++v) t.insert(v);
-  {
-    const obs::scoped_registration reg("reg-test", t);
-    const auto tables = obs::snapshot_tables();
-    ASSERT_EQ(tables.size(), 1u);
-    EXPECT_EQ(tables[0].name, "reg-test");
-    EXPECT_EQ(tables[0].capacity, 256u);
-    // Gauges only: the phase epoch is the table's own phase word.
-    EXPECT_TRUE(tables[0].has_epoch);
-    EXPECT_EQ(tables[0].phase_epoch, t.phase_rt().epoch());
-    EXPECT_GE(tables[0].phase_epoch, 1u);
-  }  // scoped_registration unregisters
-  EXPECT_TRUE(obs::snapshot_tables().empty());
 }
 
 }  // namespace
