@@ -4,10 +4,10 @@
 //   scalar     per-op loop, no prefetching
 //   prefetch   home-line prefetched kPrefetchAhead positions down the batch
 //              (the previous engine, kept as the baseline)
-//   pipelined  AMAC-style ring of PHCH_BATCH_WIDTH in-flight probes
+//   pipelined  AMAC-style ring of kBatchWidth in-flight probes
 // — on a DRAM-resident linearHash-D table (default 2^23 slots, 64 MB) at
 // load factors 0.25 / 0.5 / 0.75 / 0.9, uniform integer keys. The engines
-// are called through their per-block entry points on one thread, so the
+// are called through the tables' block members on one thread, so the
 // numbers isolate MLP from multicore parallelism. Mean/max probe lengths
 // from table_stats accompany each load so ns/op can be read against the
 // probe chains actually traversed.
@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
   const char* json_path = argc > 1 ? argv[1] : "BENCH_batch.json";
   const std::size_t cap = round_up_pow2(scaled_size(std::size_t{1} << 23));
   const std::size_t qbatch = std::min(cap / 8, scaled_size(std::size_t{1} << 20));
-  const std::size_t width = batch_width();
+  const std::size_t width = kBatchWidth;
 
   std::printf("Batch-probe MLP: scalar vs prefetch-ahead vs pipelined, one worker\n");
   std::printf("table capacity = %zu (%.0f MB), batch = %zu ops, width = %zu, "
@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
     pt.find.prefetch =
         per_q * time_median([] {}, [&] { find_serial_prefetch(t, qkeys, out); });
     pt.find.pipelined = per_q * time_median([] {}, [&] {
-      batch_detail::find_block_pipelined(t, qkeys.data(), qbatch, out.data(), width);
+      t.find_block(qkeys.data(), qbatch, out.data(), width);
     });
 
     // Insert a fresh slab beyond the pool range, then erase it. The table is
@@ -170,8 +170,8 @@ int main(int argc, char** argv) {
           }
         });
     std::tie(pt.insert.pipelined, pt.erase.pipelined) = pairwise(
-        [&] { batch_detail::insert_block_pipelined(t, dkeys.data(), dbatch, width); },
-        [&] { batch_detail::erase_block_pipelined(t, dkeys.data(), dbatch, width); });
+        [&] { t.insert_block(dkeys.data(), dbatch, width); },
+        [&] { t.erase_block(dkeys.data(), dbatch, width); });
 
     std::printf("  %5.2f %10.2f | %8.1f %8.1f %8.1f | %8.1f %8.1f %8.1f | "
                 "%8.1f %8.1f %8.1f\n",
@@ -210,8 +210,7 @@ int main(int argc, char** argv) {
       for (std::size_t i = 0; i < tqbatch; ++i) tout[i] = tf.find(tqkeys[i]);
     });
     tomb_find.pipelined = per_tq * time_median([] {}, [&] {
-      batch_detail::find_block_pipelined(tf, tqkeys.data(), tqbatch, tout.data(),
-                                         width);
+      tf.find_block(tqkeys.data(), tqbatch, tout.data(), width);
     });
 
     // Insert-then-erase rep pairs on a fresh table per engine; dbatch sized
@@ -244,8 +243,8 @@ int main(int argc, char** argv) {
     {
       tomb_t t(tcap);
       std::tie(tomb_insert.pipelined, tomb_erase.pipelined) = tomb_pairwise(
-          [&] { batch_detail::insert_block_pipelined(t, tdkeys.data(), tdbatch, width); },
-          [&] { batch_detail::erase_block_pipelined(t, tdkeys.data(), tdbatch, width); },
+          [&] { t.insert_block(tdkeys.data(), tdbatch, width); },
+          [&] { t.erase_block(tdkeys.data(), tdbatch, width); },
           t);
     }
     std::printf("\ntombstone table (capacity %zu, load 0.50), one worker:\n", tcap);
@@ -309,10 +308,10 @@ int main(int argc, char** argv) {
 
   // --- sparse family: scalar vs batched block engines ----------------------
   //
-  // The cuckoo / hopscotch / chained tables now carry their own AMAC-style
-  // batch engines (both candidate buckets, home neighborhood, or the chain
+  // The cuckoo / hopscotch / chained block members run the shared ring with
+  // their own lanes (both candidate buckets, home neighborhood, or the chain
   // pointer walk prefetched per in-flight lane). Measure each table's block
-  // engine against its scalar per-op loop on one thread at load 0.5 —
+  // members against its scalar per-op loop on one thread at load 0.5 —
   // uniform present keys for find, and a slab of present keys erased then
   // re-inserted so every rep measures the same key set. (Erase-then-insert,
   // not insert-then-erase: load 0.5 is the 2-choice cuckoo placement
@@ -343,7 +342,7 @@ int main(int argc, char** argv) {
         for (std::size_t i = 0; i < sqbatch; ++i) sout[i] = t.find(sqkeys[i]);
       });
       r.find_batched = per_q * time_median([] {}, [&] {
-        t.find_batch_block(sqkeys.data(), sqbatch, sout.data(), width);
+        t.find_block(sqkeys.data(), sqbatch, sout.data(), width);
       });
 
       const std::size_t sdbatch = std::min(sqbatch, sfill / 2);
@@ -368,8 +367,8 @@ int main(int argc, char** argv) {
             for (std::size_t i = 0; i < sdbatch; ++i) t.insert(sdkeys[i]);
           });
       std::tie(r.erase_batched, r.insert_batched) = pairwise(
-          [&] { t.erase_batch_block(sdkeys.data(), sdbatch, width); },
-          [&] { t.insert_batch_block(sdkeys.data(), sdbatch, width); });
+          [&] { t.erase_block(sdkeys.data(), sdbatch, width); },
+          [&] { t.insert_block(sdkeys.data(), sdbatch, width); });
       sparse.push_back(r);
     };
     sparse_bench.template operator()<cuckoo_table<int_entry<>>>("cuckoo");

@@ -5,8 +5,8 @@
 // Runs the remove-duplicates application with the deterministic table and
 // the non-deterministic linear-probing baseline, reporting times and
 // verifying that the deterministic output is reproducible. Inserts go
-// through the software-pipelined batch engine (core/batch_ops.h); the
-// number of in-flight probes per worker is tunable with PHCH_BATCH_WIDTH.
+// through the software-pipelined batch path (core/batch_ops.h), kBatchWidth
+// in-flight probes per worker.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   const std::size_t cap = round_up_pow2(2 * n);
   std::printf("dedup_tool: n = %zu, distribution = %s, %d threads, "
               "batch width %zu\n",
-              n, dist, num_workers(), batch_width());
+              n, dist, num_workers(), kBatchWidth);
 
   if (std::strcmp(dist, "trigram") == 0) {
     const auto words = workloads::trigram_string_seq(n, 1);

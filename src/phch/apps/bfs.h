@@ -19,12 +19,12 @@
 #include <queue>
 #include <vector>
 
-#include "phch/core/batch_ops.h"
 #include "phch/core/table_common.h"
 #include "phch/core/table_concepts.h"
 #include "phch/graph/graph.h"
 #include "phch/obs/trace.h"
 #include "phch/parallel/atomics.h"
+#include "phch/parallel/parallel_for.h"
 #include "phch/parallel/primitives.h"
 
 namespace phch::apps {
@@ -109,13 +109,13 @@ inline std::vector<std::int64_t> array_bfs(const graph::csr_graph& g,
 // (int_entry<std::uint32_t> traits); each level gets a fresh table sized to
 // the frontier's total degree times `space_mult`, as in §6. Each WRITEMIN
 // winner v marks its children visited and inserts them from the claim loop,
-// buffered per block and flushed through the pipelined engine (batchable
-// tables) or the table's own insert_batch_block (cuckoo, chained,
-// hopscotch); the next frontier is ELEMENTS(). Only v ever sees
+// buffered per block and flushed through the table's pipelined insert_block
+// (core/batch_ops.h), which opens the insert phase's scope for each flush;
+// the next frontier is ELEMENTS(). Only v ever sees
 // parents[w] == v, so one thread writes each claimed slot; relaxed order
 // suffices, as nothing is published through it and the level's join orders
 // the marks before the next WRITEMIN round.
-template <phase_table Table>
+template <block_table Table>
 std::vector<std::int64_t> hash_bfs(const graph::csr_graph& g, graph::vertex_id root,
                                    double space_mult = 1.0) {
   std::vector<std::int64_t> parents(g.num_vertices(), kNotReached);
@@ -132,34 +132,24 @@ std::vector<std::int64_t> hash_bfs(const graph::csr_graph& g, graph::vertex_id r
                                       [&](std::size_t i) { return g.degree(frontier[i]); });
     Table table(round_up_pow2(static_cast<std::size_t>(space_mult * 2.0 * (degree + 2))));
     detail::relax_frontier(g, frontier, parents);
-    auto flush = [&](const graph::vertex_id* ws, std::size_t len) {
-      if constexpr (batchable_table<Table>) {
-        batch_detail::insert_block_pipelined(table, ws, len, batch_width());
-      } else {
-        table.insert_batch_block(ws, len, batch_width());
+    const std::size_t bsize = (n - 1) / (num_workers() * kDefaultGrainTarget) + 1;
+    blocked_for(0, n, bsize, [&](std::size_t, std::size_t s, std::size_t e) {
+      std::array<graph::vertex_id, detail::kClaimBuffer> buf;
+      std::size_t len = 0;
+      for (std::size_t i = s; i < e; ++i) {
+        const auto v = static_cast<std::int64_t>(frontier[i]);
+        g.for_each_neighbor(frontier[i], [&](graph::vertex_id w) {
+          std::atomic_ref<std::int64_t> parent_ref(parents[w]);
+          if (parent_ref.load(std::memory_order_relaxed) != v) return;
+          parent_ref.store(encode_visited(v), std::memory_order_relaxed);
+          buf[len++] = w;
+          if (len < buf.size()) return;
+          table.insert_block(buf.data(), len);
+          len = 0;
+        });
       }
-    };
-    {
-      [[maybe_unused]] auto scope = table.batch_insert_scope();
-      const std::size_t bsize = (n - 1) / (num_workers() * kDefaultGrainTarget) + 1;
-      blocked_for(0, n, bsize, [&](std::size_t, std::size_t s, std::size_t e) {
-        std::array<graph::vertex_id, detail::kClaimBuffer> buf;
-        std::size_t len = 0;
-        for (std::size_t i = s; i < e; ++i) {
-          const auto v = static_cast<std::int64_t>(frontier[i]);
-          g.for_each_neighbor(frontier[i], [&](graph::vertex_id w) {
-            std::atomic_ref<std::int64_t> parent_ref(parents[w]);
-            if (parent_ref.load(std::memory_order_relaxed) != v) return;
-            parent_ref.store(encode_visited(v), std::memory_order_relaxed);
-            buf[len++] = w;
-            if (len < buf.size()) return;
-            flush(buf.data(), len);
-            len = 0;
-          });
-        }
-        if (len > 0) flush(buf.data(), len);
-      });
-    }  // the insert scope closes before ELEMENTS()
+      if (len > 0) table.insert_block(buf.data(), len);
+    });
     frontier = table.elements();
   }
   obs::mark("bfs/done");

@@ -16,17 +16,15 @@
 //  - elements() follows the paper: count each bucket's chain, prefix-sum
 //    the counts, then copy chains into the output array bucket-parallel.
 //
-// The table models phase_table / deletable_table and forwards its own batch
-// members (batch_forwarding_table / erase_forwarding_table). A chained
-// lookup is a pointer chase — bucket head, then node after node — so the
-// batched find is a true AMAC walk: a ring of in-flight lookups each
-// prefetches its next node (starting from the bucket-head line) and yields
-// the lane, advancing one link per rotation on warm lines. Mutating batches
-// prefetch the bucket head and lock line ahead of the scalar handoff.
+// The table models phase_table / deletable_table / block_table. A chained
+// lookup is a pointer chase — bucket head, then node after node — so
+// find_block is a true AMAC walk: each lane of core/batch_ops.h's ring
+// prefetches its next node (starting from the bucket-head line) and yields,
+// advancing one link per rotation on warm lines. Mutating blocks prefetch
+// the bucket head and lock line ahead of the scalar handoff.
 // The table keeps no element count; count() is an O(buckets + nodes) scan.
 #pragma once
 
-#include <array>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -120,227 +118,105 @@ class chained_table {
     });
   }
 
-  // --- whole-batch members (batch_forwarding_table) ------------------------
-  // One phase scope spans the batch; blocked_for supplies the cross-block
-  // parallelism and the per-block engines below supply the memory-level
+  // --- pipelined block members (core/batch_ops.h) ---------------------------
+  // Serial within a block; the free batch functions supply the cross-block
   // parallelism.
 
-  template <typename V>
-  void insert_batch(const std::vector<V>& values) PHCH_REQUIRES_PHASE(insert) {
-    [[maybe_unused]] auto scope = batch_insert_scope();
-    const std::size_t width = batch_width();
-    blocked_for(0, values.size(), 2048,
-                [&](std::size_t, std::size_t s, std::size_t e) {
-                  insert_batch_block(values.data() + s, e - s, width);
-                });
-  }
-
+  // AMAC chain walk: each lane is a tiny state machine — load the bucket
+  // head (line prefetched at issue), then follow next pointers, prefetching
+  // each node one rotation before inspecting it. Every miss of the pointer
+  // chase overlaps with up to width-1 others.
   template <typename K>
-  std::vector<value_type> find_batch(const std::vector<K>& keys) const
-      PHCH_REQUIRES_PHASE(query) {
-    std::vector<value_type> out(keys.size());
-    [[maybe_unused]] auto scope = batch_query_scope();
-    const std::size_t width = batch_width();
-    blocked_for(0, keys.size(), 2048,
-                [&](std::size_t, std::size_t s, std::size_t e) {
-                  find_batch_block(keys.data() + s, e - s, out.data() + s, width);
-                });
-    return out;
-  }
-
-  template <typename K>
-  void erase_batch(const std::vector<K>& keys) PHCH_REQUIRES_PHASE(erase) {
-    [[maybe_unused]] auto scope = batch_erase_scope();
-    const std::size_t width = batch_width();
-    blocked_for(0, keys.size(), 2048,
-                [&](std::size_t, std::size_t s, std::size_t e) {
-                  erase_batch_block(keys.data() + s, e - s, width);
-                });
-  }
-
-  // --- single-thread block engines -----------------------------------------
-  // Serial within a block; public so benches can drive them directly with
-  // explicit widths.
-
-  // AMAC chain walk: each in-flight lookup is a tiny state machine — load
-  // the bucket head (line prefetched at issue), then follow next pointers,
-  // prefetching each node one rotation before inspecting it. Every miss of
-  // the pointer chase overlaps with up to width-1 others.
-  template <typename K>
-  void find_batch_block(const K* keys, std::size_t n, value_type* out,
-                        std::size_t width) const {
-    if (width > kMaxBatchWidth) width = kMaxBatchWidth;
-    if (width < 1) width = 1;
-    struct op {
+  void find_block(const K* keys, std::size_t n, value_type* out,
+                  std::size_t width = kBatchWidth) const PHCH_REQUIRES_PHASE(query) {
+    typename Phase::scope guard(phase_, op_kind::query);
+    struct lane {
       std::size_t idx;
       std::size_t b;
       const node* cur;  // nullptr while waiting on the bucket-head line
       key_type kq;
     };
-    std::array<op, kMaxBatchWidth> ring;
-    std::size_t issued = 0;
-    std::size_t live = 0;
-    std::uint64_t t_loads = 0, t_rot = 0, t_hits = 0, t_links = 0;
-
-    auto start = [&](op& o) {
-      const std::size_t idx = issued++;
-      const key_type kq = keys[idx];
-      o = op{idx, bucket(kq), nullptr, kq};
-      detail::prefetch_ro(&buckets_[o.b]);
-    };
-    while (live < width && issued < n) start(ring[live++]);
-
-    std::size_t r = 0;
-    while (live > 0) {
-      op& o = ring[r];
-      bool done = false;
-      value_type result{};
-      if (o.cur == nullptr) {
-        const node* h = load_head(o.b);
-        ++t_loads;
-        if (h == nullptr) {
-          done = true;
-          result = Traits::empty();
-        } else {
-          o.cur = h;
-          detail::prefetch_ro(h);
-        }
-      } else {
-        ++t_loads;
-        ++t_links;
-        if (Traits::key_equal(Traits::key(o.cur->v), o.kq)) {
-          done = true;
-          result = o.cur->v;
-          ++t_hits;
-        } else {
-          const node* nx = atomic_load(&o.cur->next);
-          if (nx == nullptr) {
-            done = true;
-            result = Traits::empty();
+    std::uint64_t t_loads = 0, t_hits = 0, t_links = 0;
+    batch_detail::run_batch_ring<lane>(
+        n, width,
+        [&](lane& o, std::size_t i) {
+          const key_type kq = keys[i];
+          o = lane{i, bucket(kq), nullptr, kq};
+          detail::prefetch_ro(&buckets_[o.b]);
+        },
+        [&](lane& o) {
+          ++t_loads;
+          const node* nx;
+          if (o.cur == nullptr) {
+            nx = load_head(o.b);
           } else {
-            o.cur = nx;
-            detail::prefetch_ro(nx);
+            ++t_links;
+            if (Traits::key_equal(Traits::key(o.cur->v), o.kq)) {
+              out[o.idx] = o.cur->v;
+              ++t_hits;
+              return true;
+            }
+            nx = atomic_load(&o.cur->next);
           }
-        }
-      }
-      if (done) {
-        out[o.idx] = result;
-        if (issued < n) {
-          start(o);
-        } else {
-          ring[r] = ring[--live];
-          if (r == live) r = 0;
-          continue;
-        }
-      }
-      ++t_rot;
-      if (++r >= live) r = 0;
-    }
+          if (nx == nullptr) {
+            out[o.idx] = Traits::empty();
+            return true;
+          }
+          o.cur = nx;
+          detail::prefetch_ro(nx);
+          return false;
+        });
     obs::count(obs::counter::find_ops, n);
     obs::count(obs::counter::find_hits, t_hits);
     obs::count(obs::counter::chained_chain_links, t_links);
     obs::count(obs::counter::batch_probe_slots, t_loads);
-    obs::count(obs::counter::batch_rotations, t_rot);
-    obs::count(obs::counter::batch_blocks);
   }
 
+  // Mutating blocks prefetch the bucket head and lock line ahead of the
+  // scalar handoff.
   template <typename V>
-  void insert_batch_block(const V* values, std::size_t n, std::size_t width) {
-    if (width > kMaxBatchWidth) width = kMaxBatchWidth;
-    if (width < 1) width = 1;
-    struct op {
-      std::size_t b;
+  void insert_block(const V* values, std::size_t n, std::size_t width = kBatchWidth)
+      PHCH_REQUIRES_PHASE(insert) {
+    typename Phase::scope guard(phase_, op_kind::insert);
+    struct lane {
       value_type v;
     };
-    std::array<op, kMaxBatchWidth> ring;
-    std::size_t issued = 0;
-    std::size_t live = 0;
-    std::uint64_t t_rot = 0, t_handoffs = 0;
-
-    auto start = [&](op& o) {
-      const value_type v = values[issued++];
-      o = op{bucket(Traits::key(v)), v};
-      detail::prefetch_rw(&buckets_[o.b]);
-      detail::prefetch_rw(&locks_[o.b & lock_mask_]);
-    };
-    while (live < width && issued < n) start(ring[live++]);
-
-    std::size_t r = 0;
-    while (live > 0) {
-      op& o = ring[r];
-      ++t_handoffs;
-      insert_impl(o.v);  // scalar handoff: head and lock lines are warm
-      if (issued < n) {
-        start(o);
-      } else {
-        ring[r] = ring[--live];
-        if (r == live) r = 0;
-        continue;
-      }
-      ++t_rot;
-      if (++r >= live) r = 0;
-    }
-    obs::count(obs::counter::batch_rotations, t_rot);
-    obs::count(obs::counter::batch_handoffs, t_handoffs);
-    obs::count(obs::counter::batch_blocks);
+    batch_detail::run_batch_ring<lane>(
+        n, width,
+        [&](lane& o, std::size_t i) {
+          o.v = values[i];
+          prefetch_bucket(bucket(Traits::key(o.v)));
+        },
+        [&](lane& o) {
+          insert_impl(o.v);  // scalar handoff: head and lock lines are warm
+          return true;
+        });
+    obs::count(obs::counter::batch_handoffs, n);
   }
 
   template <typename K>
-  void erase_batch_block(const K* keys, std::size_t n, std::size_t width) {
-    if (width > kMaxBatchWidth) width = kMaxBatchWidth;
-    if (width < 1) width = 1;
-    struct op {
-      std::size_t b;
+  void erase_block(const K* keys, std::size_t n, std::size_t width = kBatchWidth)
+      PHCH_REQUIRES_PHASE(erase) {
+    typename Phase::scope guard(phase_, op_kind::erase);
+    struct lane {
       key_type kq;
     };
-    std::array<op, kMaxBatchWidth> ring;
-    std::size_t issued = 0;
-    std::size_t live = 0;
-    std::uint64_t t_rot = 0, t_handoffs = 0;
-
-    auto start = [&](op& o) {
-      const key_type kq = keys[issued++];
-      o = op{bucket(kq), kq};
-      detail::prefetch_rw(&buckets_[o.b]);
-      detail::prefetch_rw(&locks_[o.b & lock_mask_]);
-    };
-    while (live < width && issued < n) start(ring[live++]);
-
-    std::size_t r = 0;
-    while (live > 0) {
-      op& o = ring[r];
-      ++t_handoffs;
-      erase_impl(o.kq);
-      if (issued < n) {
-        start(o);
-      } else {
-        ring[r] = ring[--live];
-        if (r == live) r = 0;
-        continue;
-      }
-      ++t_rot;
-      if (++r >= live) r = 0;
-    }
-    obs::count(obs::counter::batch_rotations, t_rot);
-    obs::count(obs::counter::batch_handoffs, t_handoffs);
-    obs::count(obs::counter::batch_blocks);
+    batch_detail::run_batch_ring<lane>(
+        n, width,
+        [&](lane& o, std::size_t i) {
+          o.kq = keys[i];
+          prefetch_bucket(bucket(o.kq));
+        },
+        [&](lane& o) {
+          erase_impl(o.kq);
+          return true;
+        });
+    obs::count(obs::counter::batch_handoffs, n);
   }
 
-  // Batch-engine phase hooks: one scope spanning a whole batch, so
-  // checked_phases observes batched traffic it would otherwise miss.
-  // phase_rt() is the table's single phase-state word (phase epoch +
-  // current class, core/phase_runtime.h), shared by scalar and batch scopes.
+  // The table's single phase-state word (phase epoch + current class,
+  // core/phase_runtime.h), shared by scalar and block scopes.
   phase_runtime& phase_rt() const noexcept { return phase_.runtime(); }
-
-  typename Phase::scope batch_query_scope() const PHCH_REQUIRES_PHASE(query) {
-    return typename Phase::scope(phase_, op_kind::query);
-  }
-  typename Phase::scope batch_insert_scope() PHCH_REQUIRES_PHASE(insert) {
-    return typename Phase::scope(phase_, op_kind::insert);
-  }
-  typename Phase::scope batch_erase_scope() PHCH_REQUIRES_PHASE(erase) {
-    return typename Phase::scope(phase_, op_kind::erase);
-  }
 
  private:
   static constexpr std::size_t kMaxLocks = 1 << 16;
@@ -423,6 +299,14 @@ class chained_table {
 
   const node* load_head(std::size_t b) const noexcept { return atomic_load(&buckets_[b]); }
 
+  // A mutating block lane's first touches: the bucket head and its lock.
+  // Always inlined, so GCC cannot delete the prefetches (see
+  // detail::prefetch_rw).
+  [[gnu::always_inline]] void prefetch_bucket(std::size_t b) const noexcept {
+    detail::prefetch_rw(&buckets_[b]);
+    detail::prefetch_rw(&locks_[b & lock_mask_]);
+  }
+
   // Lock-free chain walk; `links` accumulates nodes visited (flushed to the
   // chained_chain_links counter by the calling operation).
   node* find_node(std::size_t b, key_type kq, std::uint64_t& links) const noexcept {
@@ -453,7 +337,7 @@ class chained_table {
     (void)incoming;
   }
 
-  // Scalar insert, shared by insert() and the batch handoff. Exactly one of
+  // Scalar insert, shared by insert() and insert_block's handoff. Exactly one of
   // insert_commits / insert_dups is recorded per call.
   void insert_impl(value_type v) {
     obs::count(obs::counter::insert_ops);

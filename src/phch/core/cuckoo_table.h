@@ -9,10 +9,9 @@
 // enlarges the memory footprint and is why elements() is slower here than
 // for the plain linear-probing tables.
 //
-// The table models phase_table / deletable_table and forwards its own batch
-// members (batch_forwarding_table / erase_forwarding_table): cuckoo probes
-// touch exactly two unrelated cache lines per operation, so the batch path
-// keeps a ring of in-flight operations and prefetches *both* candidate
+// The table models phase_table / deletable_table / block_table. Cuckoo
+// probes touch exactly two unrelated cache lines per operation, so each
+// block member's lanes (core/batch_ops.h's ring) prefetch *both* candidate
 // buckets (and their lock lines, for mutating ops) one rotation before
 // resolving each operation on warm lines. Inserts resolve by handing off to
 // the scalar loop at that point — the first eviction and any chain after it
@@ -20,7 +19,6 @@
 // an O(capacity) scan.
 #pragma once
 
-#include <array>
 #include <cassert>
 #include <cstdint>
 #include <mutex>
@@ -103,210 +101,97 @@ class cuckoo_table {
     });
   }
 
-  // --- whole-batch members (batch_forwarding_table) ------------------------
-  // One phase scope spans the batch; blocked_for supplies the cross-block
-  // parallelism and the per-block engines below supply the memory-level
-  // parallelism.
-
-  template <typename V>
-  void insert_batch(const std::vector<V>& values) PHCH_REQUIRES_PHASE(insert) {
-    [[maybe_unused]] auto scope = batch_insert_scope();
-    const std::size_t width = batch_width();
-    blocked_for(0, values.size(), 2048,
-                [&](std::size_t, std::size_t s, std::size_t e) {
-                  insert_batch_block(values.data() + s, e - s, width);
-                });
-  }
+  // --- pipelined block members (core/batch_ops.h) ---------------------------
+  // Serial within a block; the free batch functions supply the cross-block
+  // parallelism. Each lane's start prefetches both candidate buckets (and
+  // their lock lines, for mutating ops), so by the time the ring rotates
+  // back the step runs on warm lines: a lookup inspects at most two
+  // resident slots, a mutating op hands off to the scalar loop whose first
+  // lock/probe/CAS hits the lines just fetched (evictions past that point
+  // run the plain scalar chain).
 
   template <typename K>
-  std::vector<value_type> find_batch(const std::vector<K>& keys) const
-      PHCH_REQUIRES_PHASE(query) {
-    std::vector<value_type> out(keys.size());
-    [[maybe_unused]] auto scope = batch_query_scope();
-    const std::size_t width = batch_width();
-    blocked_for(0, keys.size(), 2048,
-                [&](std::size_t, std::size_t s, std::size_t e) {
-                  find_batch_block(keys.data() + s, e - s, out.data() + s, width);
-                });
-    return out;
-  }
-
-  template <typename K>
-  void erase_batch(const std::vector<K>& keys) PHCH_REQUIRES_PHASE(erase) {
-    [[maybe_unused]] auto scope = batch_erase_scope();
-    const std::size_t width = batch_width();
-    blocked_for(0, keys.size(), 2048,
-                [&](std::size_t, std::size_t s, std::size_t e) {
-                  erase_batch_block(keys.data() + s, e - s, width);
-                });
-  }
-
-  // --- single-thread block engines -----------------------------------------
-  // Serial within a block; public so benches can drive them directly with
-  // explicit widths. Each lane's start() prefetches both candidate buckets,
-  // so by the time the ring rotates back the resolve step runs on warm
-  // lines: a lookup inspects at most two resident slots, a mutating op
-  // hands off to the scalar continuation whose first lock/probe/CAS hits
-  // the lines just fetched (evictions past that point run the plain scalar
-  // chain).
-
-  template <typename K>
-  void find_batch_block(const K* keys, std::size_t n, value_type* out,
-                        std::size_t width) const {
-    if (width > kMaxBatchWidth) width = kMaxBatchWidth;
-    if (width < 1) width = 1;
-    struct op {
+  void find_block(const K* keys, std::size_t n, value_type* out,
+                  std::size_t width = kBatchWidth) const PHCH_REQUIRES_PHASE(query) {
+    typename Phase::scope guard(phase_, op_kind::query);
+    struct lane {
       std::size_t idx;
       std::size_t i1, i2;
       key_type kq;
     };
-    std::array<op, kMaxBatchWidth> ring;
-    std::size_t issued = 0;
-    std::size_t live = 0;
-    std::uint64_t t_slots = 0, t_rot = 0, t_hits = 0;
-
-    auto start = [&](op& o) {
-      const std::size_t idx = issued++;
-      const key_type kq = keys[idx];
-      o = op{idx, home1(kq), home2(kq), kq};
-      detail::prefetch_ro(&slots_[o.i1]);
-      detail::prefetch_ro(&slots_[o.i2]);
-    };
-    while (live < width && issued < n) start(ring[live++]);
-
-    std::size_t r = 0;
-    while (live > 0) {
-      op& o = ring[r];
-      value_type result = Traits::empty();
-      for (const std::size_t s : {o.i1, o.i2}) {
-        const value_type c = atomic_load(&slots_[s]);
-        ++t_slots;
-        if (!Traits::is_empty(c) && Traits::key_equal(Traits::key(c), o.kq)) {
-          result = c;
-          ++t_hits;
-          break;
-        }
-      }
-      out[o.idx] = result;
-      if (issued < n) {
-        start(o);
-      } else {
-        ring[r] = ring[--live];
-        if (r == live) r = 0;
-        continue;
-      }
-      ++t_rot;
-      if (++r >= live) r = 0;
-    }
+    std::uint64_t t_slots = 0, t_hits = 0;
+    batch_detail::run_batch_ring<lane>(
+        n, width,
+        [&](lane& o, std::size_t i) {
+          const key_type kq = keys[i];
+          o = lane{i, home1(kq), home2(kq), kq};
+          detail::prefetch_ro(&slots_[o.i1]);
+          detail::prefetch_ro(&slots_[o.i2]);
+        },
+        [&](lane& o) {
+          value_type result = Traits::empty();
+          std::uint64_t scanned = 0;  // a local: see probe_engine's block members
+          for (const std::size_t s : {o.i1, o.i2}) {
+            const value_type c = atomic_load(&slots_[s]);
+            ++scanned;
+            if (!Traits::is_empty(c) && Traits::key_equal(Traits::key(c), o.kq)) {
+              result = c;
+              break;
+            }
+          }
+          t_slots += scanned;
+          if (!Traits::is_empty(result)) ++t_hits;
+          out[o.idx] = result;
+          return true;
+        });
     obs::count(obs::counter::find_ops, n);
     obs::count(obs::counter::find_hits, t_hits);
     obs::count(obs::counter::batch_probe_slots, t_slots);
-    obs::count(obs::counter::batch_rotations, t_rot);
-    obs::count(obs::counter::batch_blocks);
   }
 
   template <typename V>
-  void insert_batch_block(const V* values, std::size_t n, std::size_t width) {
-    if (width > kMaxBatchWidth) width = kMaxBatchWidth;
-    if (width < 1) width = 1;
-    struct op {
-      std::size_t i1, i2;
+  void insert_block(const V* values, std::size_t n, std::size_t width = kBatchWidth)
+      PHCH_REQUIRES_PHASE(insert) {
+    typename Phase::scope guard(phase_, op_kind::insert);
+    struct lane {
       value_type v;
     };
-    std::array<op, kMaxBatchWidth> ring;
-    std::size_t issued = 0;
-    std::size_t live = 0;
-    std::uint64_t t_rot = 0, t_handoffs = 0;
-
-    auto start = [&](op& o) {
-      const value_type v = values[issued++];
-      const key_type k = Traits::key(v);
-      o = op{home1(k), home2(k), v};
-      detail::prefetch_rw(&slots_[o.i1]);
-      detail::prefetch_rw(&slots_[o.i2]);
-      detail::prefetch_rw(&locks_[o.i1]);
-      detail::prefetch_rw(&locks_[o.i2]);
-    };
-    while (live < width && issued < n) start(ring[live++]);
-
-    std::size_t r = 0;
-    while (live > 0) {
-      op& o = ring[r];
-      ++t_handoffs;
-      insert_impl(o.v);  // scalar handoff: iteration 0 runs on warm lines
-      if (issued < n) {
-        start(o);
-      } else {
-        ring[r] = ring[--live];
-        if (r == live) r = 0;
-        continue;
-      }
-      ++t_rot;
-      if (++r >= live) r = 0;
-    }
-    obs::count(obs::counter::batch_rotations, t_rot);
-    obs::count(obs::counter::batch_handoffs, t_handoffs);
-    obs::count(obs::counter::batch_blocks);
+    batch_detail::run_batch_ring<lane>(
+        n, width,
+        [&](lane& o, std::size_t i) {
+          o.v = values[i];
+          prefetch_candidates(Traits::key(o.v));
+        },
+        [&](lane& o) {
+          insert_impl(o.v);  // scalar handoff: iteration 0 runs on warm lines
+          return true;
+        });
+    obs::count(obs::counter::batch_handoffs, n);
   }
 
   template <typename K>
-  void erase_batch_block(const K* keys, std::size_t n, std::size_t width) {
-    if (width > kMaxBatchWidth) width = kMaxBatchWidth;
-    if (width < 1) width = 1;
-    struct op {
-      std::size_t i1, i2;
+  void erase_block(const K* keys, std::size_t n, std::size_t width = kBatchWidth)
+      PHCH_REQUIRES_PHASE(erase) {
+    typename Phase::scope guard(phase_, op_kind::erase);
+    struct lane {
       key_type kq;
     };
-    std::array<op, kMaxBatchWidth> ring;
-    std::size_t issued = 0;
-    std::size_t live = 0;
-    std::uint64_t t_rot = 0, t_handoffs = 0;
-
-    auto start = [&](op& o) {
-      const key_type kq = keys[issued++];
-      o = op{home1(kq), home2(kq), kq};
-      detail::prefetch_rw(&slots_[o.i1]);
-      detail::prefetch_rw(&slots_[o.i2]);
-      detail::prefetch_rw(&locks_[o.i1]);
-      detail::prefetch_rw(&locks_[o.i2]);
-    };
-    while (live < width && issued < n) start(ring[live++]);
-
-    std::size_t r = 0;
-    while (live > 0) {
-      op& o = ring[r];
-      ++t_handoffs;
-      erase_impl(o.kq);
-      if (issued < n) {
-        start(o);
-      } else {
-        ring[r] = ring[--live];
-        if (r == live) r = 0;
-        continue;
-      }
-      ++t_rot;
-      if (++r >= live) r = 0;
-    }
-    obs::count(obs::counter::batch_rotations, t_rot);
-    obs::count(obs::counter::batch_handoffs, t_handoffs);
-    obs::count(obs::counter::batch_blocks);
+    batch_detail::run_batch_ring<lane>(
+        n, width,
+        [&](lane& o, std::size_t i) {
+          o.kq = keys[i];
+          prefetch_candidates(o.kq);
+        },
+        [&](lane& o) {
+          erase_impl(o.kq);
+          return true;
+        });
+    obs::count(obs::counter::batch_handoffs, n);
   }
 
-  // Batch-engine phase hooks: one scope spanning a whole batch, so
-  // checked_phases observes batched traffic it would otherwise miss.
-  // phase_rt() is the table's single phase-state word (phase epoch +
-  // current class, core/phase_runtime.h), shared by scalar and batch scopes.
+  // The table's single phase-state word (phase epoch + current class,
+  // core/phase_runtime.h), shared by scalar and block scopes.
   phase_runtime& phase_rt() const noexcept { return phase_.runtime(); }
-
-  typename Phase::scope batch_query_scope() const PHCH_REQUIRES_PHASE(query) {
-    return typename Phase::scope(phase_, op_kind::query);
-  }
-  typename Phase::scope batch_insert_scope() PHCH_REQUIRES_PHASE(insert) {
-    return typename Phase::scope(phase_, op_kind::insert);
-  }
-  typename Phase::scope batch_erase_scope() PHCH_REQUIRES_PHASE(erase) {
-    return typename Phase::scope(phase_, op_kind::erase);
-  }
 
  private:
   static constexpr std::size_t kMaxEvictions = 10000;
@@ -315,6 +200,17 @@ class cuckoo_table {
   std::size_t home2(key_type k) const noexcept {
     // Independent second hash from a re-mix of the primary hash.
     return hash64(Traits::hash(k) ^ 0xc2b2ae3d27d4eb4fULL) & mask_;
+  }
+
+  // A mutating block lane's first touches: both candidate slots and their
+  // lock lines. Always inlined, so GCC cannot delete the prefetches (see
+  // detail::prefetch_rw).
+  [[gnu::always_inline]] void prefetch_candidates(key_type k) const noexcept {
+    const std::size_t i1 = home1(k), i2 = home2(k);
+    detail::prefetch_rw(&slots_[i1]);
+    detail::prefetch_rw(&slots_[i2]);
+    detail::prefetch_rw(&locks_[i1]);
+    detail::prefetch_rw(&locks_[i2]);
   }
 
   void lock_pair(std::size_t a, std::size_t b) const {
@@ -331,7 +227,7 @@ class cuckoo_table {
     if (b != a) locks_[b].unlock();
   }
 
-  // Scalar insert loop, shared by insert() and the batch handoff. Exactly
+  // Scalar insert loop, shared by insert() and insert_block's handoff. Exactly
   // one of insert_commits / insert_dups / insert_aborts is recorded per
   // call (the ledger identity phch_trace checks); eviction-chain steps that
   // re-place a carried victim tick only cuckoo_evictions.

@@ -9,7 +9,7 @@
 // contents before continuing — re-inserting with the same deterministic
 // protocol, so the migrated layout is history-independent too. Migration is
 // batched: the old table's live elements are packed out in parallel and
-// re-inserted through the software-pipelined batch engine, so the copy
+// re-inserted through the inner table's pipelined insert_block, so the copy
 // overlaps its cache misses exactly like any other insert batch.
 //
 // Divergence from the paper's sketch, documented here: the paper migrates
@@ -38,8 +38,8 @@
 // amortized O(1) per insert even on duplicate-heavy input; unique keys grow
 // exactly where a per-insert count would grow them.
 //
-// The wrapper implements its own insert_batch/find_batch/erase_batch, so
-// the free batch functions (core/batch_ops.h) forward to it
+// The wrapper is the one table with its own insert_batch/find_batch/
+// erase_batch, which the free batch functions (core/batch_ops.h) forward to
 // (`batch_forwarding_table`): a batch insert runs in bounded chunks with one
 // load-bound check per chunk — never per element — and grows between
 // chunks, so a single batch may cross several capacity doublings.
@@ -141,8 +141,8 @@ class growable_table {
   //
   // Batch inserts run in fixed-size chunks. Each chunk reserves its size in
   // the load bound and checks once that the bound stays under the 3/4
-  // ceiling; the chunk then runs the software-pipelined engine on the inner
-  // table with no per-insert bookkeeping. A chunk that does not fit is
+  // ceiling; the chunk then runs the inner table's pipelined block members
+  // with no per-insert bookkeeping. A chunk that does not fit is
   // inserted by resync() instead, after any growth it needs, with the table
   // to itself. A batch is one insert phase (Definition 1), so finds/erases
   // never run concurrently with it. Inside a parallel region a chunk runs
@@ -169,7 +169,7 @@ class growable_table {
         continue;
       }
       try {
-        run_serially_if_nested([&] { insert_batch_range(*t, part, chunk); });
+        run_serially_if_nested([&] { phch::insert_batch(*t, part, chunk); });
       } catch (...) {
         leave();
         throw;
@@ -177,11 +177,6 @@ class growable_table {
       leave();
     }
   }
-  void insert_batch(const std::vector<value_type>& values)
-      PHCH_REQUIRES_PHASE(insert) {
-    insert_batch(values.data(), values.size());
-  }
-
   std::vector<value_type> find_batch(const std::vector<key_type>& keys) const
       PHCH_REQUIRES_PHASE(query) {
     return phch::find_batch(*cur(), keys);
@@ -284,7 +279,7 @@ class growable_table {
       std::size_t target = overfull ? cap * 2 : cap;
       while (exact + n > target - target / 4 || exact > target / 2) target *= 2;
       if (target != cap) t = migrate(t, target);
-      if (n != 0) insert_batch_range(*t, chunk, n);
+      if (n != 0) phch::insert_batch(*t, chunk, n);
     });
     bound_.reset();
     bound_.add(static_cast<std::int64_t>(exact + n));
@@ -292,7 +287,7 @@ class growable_table {
   }
 
   // Allocates the new table and migrates: deterministic re-insertion of the
-  // old contents through the pipelined batch engine. Theorem 1 makes the
+  // old contents through the pipelined block members. Theorem 1 makes the
   // migrated layout identical to a fresh build regardless of re-insertion
   // order, so batching changes nothing observable. Called by resync() with
   // writers drained and, inside a parallel region, with joins disabled: the
@@ -302,7 +297,7 @@ class growable_table {
     obs::hist_timer timer(obs::hist::growth_ns);
     auto fresh = std::make_unique<inner_table>(target_capacity);
     const std::vector<value_type> live = old->elements();
-    insert_batch_range(*fresh, live.data(), live.size());
+    phch::insert_batch(*fresh, live.data(), live.size());
     obs::count(obs::counter::growths);
     obs::count(obs::counter::migrated_elements, live.size());
     sp.a = static_cast<std::uint32_t>(

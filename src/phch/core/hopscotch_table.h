@@ -18,18 +18,16 @@
 // hopscotchHash-PC: when finds never overlap updates the timestamp field is
 // dead weight, so it is removed entirely.
 //
-// The table models phase_table / deletable_table and forwards its own batch
-// members (batch_forwarding_table / erase_forwarding_table): every
+// The table models phase_table / deletable_table / block_table: every
 // operation's first touches are the home bucket's hop word and the slots of
-// its neighborhood, so the batch path keeps a ring of in-flight operations
-// and prefetches that home neighborhood (hop word line, the home slot line
+// its neighborhood, so each block member's lanes (core/batch_ops.h's ring)
+// prefetch that home neighborhood (hop word line, the home slot line
 // and the next slot line — where nearly all residents sit at sane load
 // factors — plus the segment-lock line for mutating ops) one rotation
 // before resolving each operation through the scalar walk on warm lines.
 // The table keeps no element count; count() is an O(capacity) scan.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <bit>
 #include <cassert>
@@ -122,187 +120,74 @@ class hopscotch_table {
     });
   }
 
-  // --- whole-batch members (batch_forwarding_table) ------------------------
-  // One phase scope spans the batch; blocked_for supplies the cross-block
-  // parallelism and the per-block engines below supply the memory-level
-  // parallelism.
-
-  template <typename V>
-  void insert_batch(const std::vector<V>& values) PHCH_REQUIRES_PHASE(insert) {
-    [[maybe_unused]] auto scope = batch_insert_scope();
-    const std::size_t width = batch_width();
-    blocked_for(0, values.size(), 2048,
-                [&](std::size_t, std::size_t s, std::size_t e) {
-                  insert_batch_block(values.data() + s, e - s, width);
-                });
-  }
-
-  template <typename K>
-  std::vector<value_type> find_batch(const std::vector<K>& keys) const
-      PHCH_REQUIRES_PHASE(query) {
-    std::vector<value_type> out(keys.size());
-    [[maybe_unused]] auto scope = batch_query_scope();
-    const std::size_t width = batch_width();
-    blocked_for(0, keys.size(), 2048,
-                [&](std::size_t, std::size_t s, std::size_t e) {
-                  find_batch_block(keys.data() + s, e - s, out.data() + s, width);
-                });
-    return out;
-  }
-
-  template <typename K>
-  void erase_batch(const std::vector<K>& keys) PHCH_REQUIRES_PHASE(erase) {
-    [[maybe_unused]] auto scope = batch_erase_scope();
-    const std::size_t width = batch_width();
-    blocked_for(0, keys.size(), 2048,
-                [&](std::size_t, std::size_t s, std::size_t e) {
-                  erase_batch_block(keys.data() + s, e - s, width);
-                });
-  }
-
-  // --- single-thread block engines -----------------------------------------
-  // Serial within a block; public so benches can drive them directly with
-  // explicit widths. start() prefetches the home neighborhood, so by the
+  // --- pipelined block members (core/batch_ops.h) ---------------------------
+  // Serial within a block; the free batch functions supply the cross-block
+  // parallelism. A lane's start prefetches the home neighborhood, so by the
   // time the ring rotates back the scalar walk runs on warm lines.
 
   template <typename K>
-  void find_batch_block(const K* keys, std::size_t n, value_type* out,
-                        std::size_t width) const {
-    if (width > kMaxBatchWidth) width = kMaxBatchWidth;
-    if (width < 1) width = 1;
-    struct op {
+  void find_block(const K* keys, std::size_t n, value_type* out,
+                  std::size_t width = kBatchWidth) const PHCH_REQUIRES_PHASE(query) {
+    typename Phase::scope guard(phase_, op_kind::query);
+    struct lane {
       std::size_t idx;
-      std::size_t b;
       key_type kq;
     };
-    std::array<op, kMaxBatchWidth> ring;
-    std::size_t issued = 0;
-    std::size_t live = 0;
-    std::uint64_t t_rot = 0;
-
-    auto start = [&](op& o) {
-      const std::size_t idx = issued++;
-      const key_type kq = keys[idx];
-      o = op{idx, home(kq), kq};
-      prefetch_neighborhood_ro(o.b);
-    };
-    while (live < width && issued < n) start(ring[live++]);
-
-    std::size_t r = 0;
-    while (live > 0) {
-      op& o = ring[r];
-      out[o.idx] = find_impl(o.kq);
-      if (issued < n) {
-        start(o);
-      } else {
-        ring[r] = ring[--live];
-        if (r == live) r = 0;
-        continue;
-      }
-      ++t_rot;
-      if (++r >= live) r = 0;
-    }
-    obs::count(obs::counter::batch_rotations, t_rot);
-    obs::count(obs::counter::batch_blocks);
+    batch_detail::run_batch_ring<lane>(
+        n, width,
+        [&](lane& o, std::size_t i) {
+          o = lane{i, keys[i]};
+          prefetch_neighborhood_ro(home(o.kq));
+        },
+        [&](lane& o) {
+          out[o.idx] = find_impl(o.kq);
+          return true;
+        });
   }
 
   template <typename V>
-  void insert_batch_block(const V* values, std::size_t n, std::size_t width) {
-    if (width > kMaxBatchWidth) width = kMaxBatchWidth;
-    if (width < 1) width = 1;
-    struct op {
-      std::size_t b;
+  void insert_block(const V* values, std::size_t n, std::size_t width = kBatchWidth)
+      PHCH_REQUIRES_PHASE(insert) {
+    typename Phase::scope guard(phase_, op_kind::insert);
+    struct lane {
       value_type v;
     };
-    std::array<op, kMaxBatchWidth> ring;
-    std::size_t issued = 0;
-    std::size_t live = 0;
-    std::uint64_t t_rot = 0, t_handoffs = 0;
-
-    auto start = [&](op& o) {
-      const value_type v = values[issued++];
-      o = op{home(Traits::key(v)), v};
-      prefetch_neighborhood_rw(o.b);
-      detail::prefetch_rw(&locks_[segment(o.b)]);
-    };
-    while (live < width && issued < n) start(ring[live++]);
-
-    std::size_t r = 0;
-    while (live > 0) {
-      op& o = ring[r];
-      ++t_handoffs;
-      insert_impl(o.v);  // scalar handoff on a warm home neighborhood
-      if (issued < n) {
-        start(o);
-      } else {
-        ring[r] = ring[--live];
-        if (r == live) r = 0;
-        continue;
-      }
-      ++t_rot;
-      if (++r >= live) r = 0;
-    }
-    obs::count(obs::counter::batch_rotations, t_rot);
-    obs::count(obs::counter::batch_handoffs, t_handoffs);
-    obs::count(obs::counter::batch_blocks);
+    batch_detail::run_batch_ring<lane>(
+        n, width,
+        [&](lane& o, std::size_t i) {
+          o.v = values[i];
+          prefetch_neighborhood_rw(home(Traits::key(o.v)));
+        },
+        [&](lane& o) {
+          insert_impl(o.v);  // scalar handoff on a warm home neighborhood
+          return true;
+        });
+    obs::count(obs::counter::batch_handoffs, n);
   }
 
   template <typename K>
-  void erase_batch_block(const K* keys, std::size_t n, std::size_t width) {
-    if (width > kMaxBatchWidth) width = kMaxBatchWidth;
-    if (width < 1) width = 1;
-    struct op {
-      std::size_t b;
+  void erase_block(const K* keys, std::size_t n, std::size_t width = kBatchWidth)
+      PHCH_REQUIRES_PHASE(erase) {
+    typename Phase::scope guard(phase_, op_kind::erase);
+    struct lane {
       key_type kq;
     };
-    std::array<op, kMaxBatchWidth> ring;
-    std::size_t issued = 0;
-    std::size_t live = 0;
-    std::uint64_t t_rot = 0, t_handoffs = 0;
-
-    auto start = [&](op& o) {
-      const key_type kq = keys[issued++];
-      o = op{home(kq), kq};
-      prefetch_neighborhood_rw(o.b);
-      detail::prefetch_rw(&locks_[segment(o.b)]);
-    };
-    while (live < width && issued < n) start(ring[live++]);
-
-    std::size_t r = 0;
-    while (live > 0) {
-      op& o = ring[r];
-      ++t_handoffs;
-      erase_impl(o.kq);
-      if (issued < n) {
-        start(o);
-      } else {
-        ring[r] = ring[--live];
-        if (r == live) r = 0;
-        continue;
-      }
-      ++t_rot;
-      if (++r >= live) r = 0;
-    }
-    obs::count(obs::counter::batch_rotations, t_rot);
-    obs::count(obs::counter::batch_handoffs, t_handoffs);
-    obs::count(obs::counter::batch_blocks);
+    batch_detail::run_batch_ring<lane>(
+        n, width,
+        [&](lane& o, std::size_t i) {
+          o.kq = keys[i];
+          prefetch_neighborhood_rw(home(o.kq));
+        },
+        [&](lane& o) {
+          erase_impl(o.kq);
+          return true;
+        });
+    obs::count(obs::counter::batch_handoffs, n);
   }
 
-  // Batch-engine phase hooks: one scope spanning a whole batch, so
-  // checked_phases observes batched traffic it would otherwise miss.
-  // phase_rt() is the table's single phase-state word (phase epoch +
-  // current class, core/phase_runtime.h), shared by scalar and batch scopes.
+  // The table's single phase-state word (phase epoch + current class,
+  // core/phase_runtime.h), shared by scalar and block scopes.
   phase_runtime& phase_rt() const noexcept { return phase_.runtime(); }
-
-  typename Phase::scope batch_query_scope() const PHCH_REQUIRES_PHASE(query) {
-    return typename Phase::scope(phase_, op_kind::query);
-  }
-  typename Phase::scope batch_insert_scope() PHCH_REQUIRES_PHASE(insert) {
-    return typename Phase::scope(phase_, op_kind::insert);
-  }
-  typename Phase::scope batch_erase_scope() PHCH_REQUIRES_PHASE(erase) {
-    return typename Phase::scope(phase_, op_kind::erase);
-  }
 
  private:
   static constexpr std::size_t kSegmentSize = 256;  // buckets per lock stripe
@@ -320,16 +205,19 @@ class hopscotch_table {
   // Home-neighborhood prefetch: the hop word plus the first two slot lines
   // of the window [b, b + H). At sane load factors nearly every resident of
   // bucket b sits within the first dozen positions, so these lines cover
-  // the scalar walk that resolves the operation.
-  void prefetch_neighborhood_ro(std::size_t b) const noexcept {
+  // the scalar walk that resolves the operation. Always inlined, so GCC
+  // cannot delete the prefetches (see detail::prefetch_rw).
+  [[gnu::always_inline]] void prefetch_neighborhood_ro(std::size_t b) const noexcept {
     detail::prefetch_ro(&hop_[b]);
     detail::prefetch_ro(&slots_[b]);
     detail::prefetch_ro(&slots_[(b + batch_detail::slots_per_line<value_type>)&mask_]);
   }
-  void prefetch_neighborhood_rw(std::size_t b) const noexcept {
+  // Mutating ops also take the home segment's lock.
+  [[gnu::always_inline]] void prefetch_neighborhood_rw(std::size_t b) const noexcept {
     detail::prefetch_rw(&hop_[b]);
     detail::prefetch_rw(&slots_[b]);
     detail::prefetch_rw(&slots_[(b + batch_detail::slots_per_line<value_type>)&mask_]);
+    detail::prefetch_rw(&locks_[segment(b)]);
   }
 
   std::uint64_t hop_load(std::size_t b) const noexcept {
@@ -350,7 +238,7 @@ class hopscotch_table {
       timestamps_[seg].fetch_add(1, std::memory_order_acq_rel);
   }
 
-  // Scalar insert, shared by insert() and the batch handoff. Exactly one of
+  // Scalar insert, shared by insert() and insert_block's handoff. Exactly one of
   // insert_commits / insert_dups / insert_aborts is recorded per call.
   void insert_impl(value_type v) {
     obs::count(obs::counter::insert_ops);

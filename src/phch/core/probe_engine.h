@@ -22,11 +22,12 @@
 //                        only compact() reclaims them.
 //
 // probe_engine owns everything the policies share: the slot array, the
-// probe/CAS loops (scalar entry points plus the insert_from/erase_from
-// continuations the pipelined batch engine resumes into), capacity handling,
-// phase-checking scopes, and the ELEMENTS() pack. Like the paper's tables it
-// keeps no element count: a scalar insert or erase commits with one CAS, and
-// count() scans. The concrete tables are thin aliases:
+// probe/CAS loops (scalar entry points plus the pipelined block members,
+// whose insert and erase resume the scalar loops mid-probe), capacity
+// handling, phase-checking scopes, and the ELEMENTS() pack. Like the
+// paper's tables it keeps no element count: a scalar insert or erase
+// commits with one CAS, and count() scans. The concrete tables are thin
+// aliases:
 //
 //   deterministic_table = probe_engine<prioritized_order, backshift_delete>
 //   nd_linear_table     = probe_engine<arrival_order,     backshift_delete>
@@ -34,10 +35,10 @@
 //
 // The engine also distills each policy pair into three static probe
 // classifiers — classify_find / insert_scan_stop / erase_scan_stop — which
-// the batched engines in core/batch_ops.h drive instead of re-implementing
-// policy logic, so every policy combination gets software-pipelined batching
-// for free. Layouts are bit-identical to the pre-engine tables: the loops
-// below are the same control flow, merely parameterized.
+// the scalar loops and the pipelined block members both drive, so every
+// policy combination gets software-pipelined batching for free. Layouts are
+// bit-identical to the pre-engine tables: the loops below are the same
+// control flow, merely parameterized.
 #pragma once
 
 #include <cassert>
@@ -45,6 +46,7 @@
 #include <utility>
 #include <vector>
 
+#include "phch/core/batch_ops.h"
 #include "phch/core/entry_traits.h"
 #include "phch/core/phase_guard.h"
 #include "phch/core/table_common.h"
@@ -142,9 +144,9 @@ class probe_engine {
   // --- probe classification (the policy pair, distilled) -------------------
   //
   // These three statics are the whole ordering/delete policy as seen by a
-  // probe loop. The scalar operations below and the pipelined batch engines
-  // in core/batch_ops.h both consume them, so scalar and batched execution
-  // agree by construction.
+  // probe loop. The scalar operations and the pipelined block members below
+  // both consume them, so scalar and batched execution agree by
+  // construction.
 
   // Verdict for one slot during a find for kq.
   static probe_verdict classify_find(value_type c, key_type kq) noexcept {
@@ -165,8 +167,8 @@ class probe_engine {
   // True iff an insert of v probing slot contents c has reached a potential
   // commit point (empty slot, duplicate key, or — under the ordering
   // invariant — a not-higher-priority occupant to displace). While false,
-  // the probe advances without writing, which is what the batch engine
-  // pipelines; the scalar continuation takes over from the first stop.
+  // the probe advances without writing, which is what insert_block
+  // pipelines; the scalar loop takes over from the first stop.
   static bool insert_scan_stop(value_type c, value_type v) noexcept {
     if (Traits::is_empty(c)) return true;
     if constexpr (Order::ordered_probes) {
@@ -210,15 +212,6 @@ class probe_engine {
     insert_impl(v, capacity() + 1, home(Traits::key(v)), 0);
   }
 
-  // Batch-engine continuation (core/batch_ops.h): resume the probe loop at
-  // slot i after the pipelined prefix has advanced past `advances` slots
-  // without reaching a commit point. The slot at i is re-loaded here, so a
-  // stale prefix read only costs a retry, never correctness.
-  void insert_from(value_type v, std::size_t i, std::size_t advances)
-      PHCH_REQUIRES_PHASE(insert) {
-    insert_impl(v, capacity() + 1, i, advances);
-  }
-
   // Insert that detects an overfull table for the growable wrapper via the
   // probe-length trigger. An over-limit probe aborts cleanly if the
   // operation has not yet modified the table; once committed (first
@@ -240,6 +233,9 @@ class probe_engine {
     return false;
   }
 
+  // The Figure-1 insert loop from slot i, `advances` slots past home. An
+  // insert_block lane resumes here from its pipelined prefix; the slot at i
+  // is re-loaded, so a stale prefix read only costs a retry.
   insert_result insert_impl(value_type v, std::size_t probe_limit, std::size_t i,
                             std::size_t advances) {
     typename Phase::scope guard(phase_, op_kind::insert);
@@ -356,12 +352,22 @@ class probe_engine {
     }
   }
 
-  // Batch-engine continuation (core/batch_ops.h): the pipelined engine has
-  // already run the initial forward scan, stopping `fwd_advances` slots past
-  // the key's home. Backshift runs the downward scan from there; tombstone
-  // resumes the scalar mark loop at that position (the slot is re-loaded, so
-  // a stale pipelined read only costs a few extra probes).
-  void erase_from(key_type kq, std::size_t fwd_advances)
+ private:
+  // Insert continuation for insert_block: resume the scalar loop at slot i,
+  // `advances` slots past home. Both block continuations stay out of line:
+  // inlined into the ring, the scalar loop halved the tombstone table's
+  // pipelined insert throughput in bench_batch_mlp (gcc 12).
+  [[gnu::noinline]] void insert_from(value_type v, std::size_t i, std::size_t advances)
+      PHCH_REQUIRES_PHASE(insert) {
+    insert_impl(v, capacity() + 1, i, advances);
+  }
+
+  // Erase continuation for erase_block: its pipelined lane has already run
+  // the initial forward scan, stopping `fwd_advances` slots past the key's
+  // home. Backshift runs the downward scan from there; tombstone resumes
+  // the scalar mark loop at that position (the slot is re-loaded, so a
+  // stale pipelined read only costs a few extra probes).
+  [[gnu::noinline]] void erase_from(key_type kq, std::size_t fwd_advances)
       PHCH_REQUIRES_PHASE(erase) {
     typename Phase::scope guard(phase_, op_kind::erase);
     obs::count(obs::counter::erase_ops);
@@ -375,7 +381,6 @@ class probe_engine {
     }
   }
 
- private:
   void tombstone_erase(key_type kq, std::size_t i, std::size_t advances) {
     const std::size_t cap = capacity();
     obs::probe_tally tally;
@@ -497,17 +502,213 @@ class probe_engine {
   // use, instead of keeping a parallel phase word.
   phase_runtime& phase_rt() const noexcept { return phase_.runtime(); }
 
-  // Batch-engine phase hooks: one scope spanning a whole pipelined block
-  // (routed through the same phase_runtime as scalar operations), so
-  // checked_phases observes batched traffic it would otherwise miss.
-  typename Phase::scope batch_query_scope() const PHCH_REQUIRES_PHASE(query) {
-    return typename Phase::scope(phase_, op_kind::query);
+  // --- pipelined block members (core/batch_ops.h) ---------------------------
+  //
+  // Serial within a block; the free batch functions supply the cross-block
+  // parallelism. Each opens one phase scope for the block and runs its ops
+  // through run_batch_ring. Linear chains are *sequential*, so a probe only
+  // risks a cache miss when it crosses into the next 64-byte line: each
+  // step scans to the end of the current line before yielding its lane, so
+  // rotation (and a prefetch) happens per line crossed, not per slot. Each
+  // operation hashes its key exactly once.
+  //
+  // A probe that sweeps more than `capacity` slots has wrapped the table:
+  // under bounded_probes (tombstones — the table can be full of garbage)
+  // the operation resolves as a miss / no-op, like the scalar loop;
+  // otherwise the table broke the never-full precondition and the step
+  // throws, again matching the scalar loop.
+  //
+  // Each slot load is a seq_cst atomic, which the compiler treats as a
+  // barrier for every variable whose address escapes, and a by-reference
+  // capture is one. So a step scans with by-value captures and counts its
+  // slots in a local, settling the shared tallies once per step.
+
+  // Pipelined finds: the whole read-only probe scan rotates line by line.
+  template <typename K>
+  void find_block(const K* keys, std::size_t n, value_type* out,
+                  std::size_t width = kBatchWidth) const PHCH_REQUIRES_PHASE(query) {
+    typename Phase::scope guard(phase_, op_kind::query);
+    const value_type* slots = slots_.data();
+    const std::size_t cap = capacity();
+    const std::size_t mask = slots_.mask();
+    constexpr std::size_t line = batch_detail::slots_per_line<value_type>;
+    struct lane {
+      std::size_t idx;       // position in the block (where the result goes)
+      std::size_t slot;      // current probe position
+      std::size_t advances;  // probe length so far (table-full detection)
+      key_type kq;
+    };
+    // Local tallies flushed once per block (dead stores when obs is off).
+    std::uint64_t t_slots = 0, t_hits = 0;
+    obs::hist_accum t_depth;
+    batch_detail::run_batch_ring<lane>(
+        n, width,
+        [&](lane& o, std::size_t i) {
+          const key_type kq = keys[i];
+          o = lane{i, static_cast<std::size_t>(Traits::hash(kq)) & mask, 0, kq};
+          detail::prefetch_ro(&slots[o.slot]);
+        },
+        [&, slots, mask, cap](lane& o) {
+          std::uint64_t scanned = 0;
+          value_type result = Traits::empty();
+          bool done = true;
+          for (;;) {  // the rest of the current line is resident
+            const value_type c = atomic_load(&slots[o.slot]);
+            ++scanned;
+            const probe_verdict verdict = classify_find(c, o.kq);
+            if (verdict != probe_verdict::advance) {
+              if (verdict == probe_verdict::hit) result = c;
+              break;
+            }
+            o.slot = (o.slot + 1) & mask;
+            if (++o.advances > cap) {
+              if constexpr (bounded_probes) break;
+              else throw table_full_error();
+            }
+            if ((o.slot & (line - 1)) == 0) {
+              done = false;
+              break;
+            }
+          }
+          t_slots += scanned;
+          if (!done) {
+            detail::prefetch_ro(&slots[o.slot]);  // crossed into the next line
+            return false;
+          }
+          if (!Traits::is_empty(result)) ++t_hits;
+          // Probe-depth ledger: block finds never reach a scalar loop, so
+          // their depth sample (advances plus the resolving load) is noted
+          // here and flushed with the other tallies.
+          t_depth.note(o.advances + 1);
+          out[o.idx] = result;
+          return true;
+        });
+    obs::count(obs::counter::find_ops, n);
+    obs::count(obs::counter::find_hits, t_hits);
+    obs::count(obs::counter::batch_probe_slots, t_slots);
+    obs::hist_record(obs::hist::probe_depth, t_depth);
   }
-  typename Phase::scope batch_insert_scope() PHCH_REQUIRES_PHASE(insert) {
-    return typename Phase::scope(phase_, op_kind::insert);
+
+  // Pipelined inserts: the prefix advances exactly while the scalar loop
+  // would advance without CASing. At the first potential commit point
+  // (insert_scan_stop: empty slot, duplicate key, or a displaceable
+  // occupant) the lane hands off to the scalar loop resuming at that
+  // position, so displacement chains run exactly the Figure-1 loop. The
+  // prefix performs the same one-load-per-advance reads as the scalar loop,
+  // so every pipelined execution is some legal scalar interleaving, and
+  // Theorem 1 makes the final layout independent of which one.
+  template <typename V>
+  void insert_block(const V* values, std::size_t n, std::size_t width = kBatchWidth)
+      PHCH_REQUIRES_PHASE(insert) {
+    typename Phase::scope guard(phase_, op_kind::insert);
+    const value_type* slots = slots_.data();
+    const std::size_t cap = capacity();
+    const std::size_t mask = slots_.mask();
+    constexpr std::size_t line = batch_detail::slots_per_line<value_type>;
+    struct lane {
+      std::size_t slot;
+      std::size_t advances;
+      value_type v;
+    };
+    std::uint64_t t_slots = 0, t_handoffs = 0;
+    batch_detail::run_batch_ring<lane>(
+        n, width,
+        [&](lane& o, std::size_t i) {
+          const value_type v = values[i];
+          o = lane{static_cast<std::size_t>(Traits::hash(Traits::key(v))) & mask, 0, v};
+          detail::prefetch_rw(&slots[o.slot]);
+        },
+        [&, slots, mask, cap](lane& o) {
+          std::uint64_t scanned = 0;
+          bool stop = false;
+          do {
+            ++scanned;
+            if (insert_scan_stop(atomic_load(&slots[o.slot]), o.v)) {
+              stop = true;
+              break;
+            }
+            o.slot = (o.slot + 1) & mask;
+            if (++o.advances > cap) throw table_full_error();
+          } while (o.slot & (line - 1));
+          t_slots += scanned;
+          if (!stop) {
+            detail::prefetch_rw(&slots[o.slot]);
+            return false;
+          }
+          ++t_handoffs;
+          insert_from(o.v, o.slot, o.advances);
+          return true;
+        });
+    obs::count(obs::counter::batch_probe_slots, t_slots);
+    obs::count(obs::counter::batch_handoffs, t_handoffs);
   }
-  typename Phase::scope batch_erase_scope() PHCH_REQUIRES_PHASE(erase) {
-    return typename Phase::scope(phase_, op_kind::erase);
+
+  // Pipelined erases: the initial forward scan (Figure 1, lines 27-29)
+  // rotates line by line, past every slot erase_scan_stop says could still
+  // precede the key; where the scalar scan would stop, erase_from takes the
+  // CAS work on the lines this scan just loaded.
+  template <typename K>
+  void erase_block(const K* keys, std::size_t n, std::size_t width = kBatchWidth)
+      PHCH_REQUIRES_PHASE(erase) {
+    typename Phase::scope guard(phase_, op_kind::erase);
+    const value_type* slots = slots_.data();
+    const std::size_t cap = capacity();
+    const std::size_t mask = slots_.mask();
+    constexpr std::size_t line = batch_detail::slots_per_line<value_type>;
+    struct lane {
+      std::size_t slot;
+      std::size_t advances;
+      key_type kq;
+    };
+    std::uint64_t t_slots = 0, t_handoffs = 0, t_dropped = 0;
+    obs::hist_accum t_depth;
+    batch_detail::run_batch_ring<lane>(
+        n, width,
+        [&](lane& o, std::size_t i) {
+          const key_type kq = keys[i];
+          o = lane{static_cast<std::size_t>(Traits::hash(kq)) & mask, 0, kq};
+          detail::prefetch_rw(&slots[o.slot]);
+        },
+        [&, slots, mask, cap](lane& o) {
+          std::uint64_t scanned = 0;
+          bool stop = false, wrapped = false;
+          do {
+            ++scanned;
+            if (erase_scan_stop(atomic_load(&slots[o.slot]), o.kq)) {
+              stop = true;
+              break;
+            }
+            o.slot = (o.slot + 1) & mask;
+            if (++o.advances > cap) {
+              if constexpr (bounded_probes) {
+                wrapped = true;
+                break;
+              } else {
+                throw table_full_error();
+              }
+            }
+          } while (o.slot & (line - 1));
+          t_slots += scanned;
+          if (stop) {
+            ++t_handoffs;
+            erase_from(o.kq, o.advances);
+            return true;
+          }
+          if (wrapped) {
+            // The key is absent. erase_from never runs for a wrapped probe,
+            // so its erase_ops tick and probe-depth sample are accounted
+            // here.
+            ++t_dropped;
+            t_depth.note(o.advances);
+            return true;
+          }
+          detail::prefetch_rw(&slots[o.slot]);
+          return false;
+        });
+    obs::count(obs::counter::erase_ops, t_dropped);
+    obs::count(obs::counter::batch_probe_slots, t_slots);
+    obs::count(obs::counter::batch_handoffs, t_handoffs);
+    obs::hist_record(obs::hist::probe_depth, t_depth);
   }
 
  private:

@@ -5,13 +5,13 @@
 //   probe_engine (policy-parameterized probing core)
 //     └─ policies: prioritized/arrival order × backshift/tombstone delete
 //          └─ wrappers: growable_table, auto_phased_table
-//               └─ batch engine (core/batch_ops.h), table_stats
+//               └─ batch API (core/batch_ops.h), table_stats
 //                    └─ apps / benches / tests
 //
 // and each upward edge is one of the concepts below. A new table joins the
 // ecosystem by modeling the concepts it can support: `phase_table` makes the
 // apps and test harness work, `open_addressing_table` adds stats and layout
-// checks, `batchable_table` turns on software-pipelined batching, and
+// checks, `block_table` turns on software-pipelined batching, and
 // `growable_source` lets the resizing wrapper drive it.
 #pragma once
 
@@ -68,49 +68,31 @@ concept open_addressing_table = phase_table<T> && requires(const T& ct) {
   { ct.raw_slots() } -> std::convertible_to<const typename T::value_type*>;
 };
 
-// A table the software-pipelined batch engine can drive: raw slot access
-// for probing, the three policy classifiers, scalar continuations that
-// resume mid-probe, per-batch phase scopes, and the ordered/bounded probe
-// tags. probe_engine models this for every policy combination, so all
-// open-addressing linear tables batch through one engine.
+// A table with the three serial block members the free batch functions
+// drive (core/batch_ops.h): each runs n operations through the table's
+// pipelined ring on the calling thread, inside one phase scope of its
+// class. probe_engine (every linear policy pair), cuckoo, hopscotch and
+// chained tables model it.
 template <typename T>
-concept batchable_table =
-    open_addressing_table<T> &&
-    requires(T& t, const T& ct, typename T::value_type v, typename T::key_type k,
-             std::size_t i) {
-      { T::ordered_probes } -> std::convertible_to<bool>;
-      { T::bounded_probes } -> std::convertible_to<bool>;
-      { T::classify_find(v, k) } -> std::same_as<probe_verdict>;
-      { T::insert_scan_stop(v, v) } -> std::convertible_to<bool>;
-      { T::erase_scan_stop(v, k) } -> std::convertible_to<bool>;
-      t.insert_from(v, i, i);
-      t.erase_from(k, i);
-      ct.batch_query_scope();
-      t.batch_insert_scope();
-      t.batch_erase_scope();
+concept block_table =
+    phase_table<T> &&
+    requires(T& t, const T& ct, const typename T::value_type* vs,
+             const typename T::key_type* ks, typename T::value_type* out,
+             std::size_t n) {
+      t.insert_block(vs, n);
+      ct.find_block(ks, n, out);
+      t.erase_block(ks, n);
     };
 
-// A table that implements its own whole-batch operations (the growable
-// wrapper, which must interleave growth checks with the batch, and the
-// sparse family — chained/cuckoo/hopscotch — whose prefetch-structured
-// batch walks do not fit the flat-slot-array pipelined engine). The free
-// batch functions forward to these members before considering the pipelined
-// or scalar engines.
+// A table with its own whole-batch operations, which the free batch
+// functions forward to. growable_table is the one such table: its insert
+// batch must interleave growth checks with the inserts.
 template <typename T>
 concept batch_forwarding_table =
-    requires(T& t, const T& ct, const std::vector<typename T::value_type>& vs,
+    requires(T& t, const T& ct, const typename T::value_type* vs, std::size_t n,
              const std::vector<typename T::key_type>& ks) {
-      t.insert_batch(vs);
+      t.insert_batch(vs, n);
       { ct.find_batch(ks) } -> std::convertible_to<std::vector<typename T::value_type>>;
-    };
-
-// The erase-side counterpart of batch_forwarding_table: a table with its
-// own whole-batch erase. Split out because erase support is itself optional
-// (see deletable_table), so a table may forward insert/find batches while
-// having no erase at all.
-template <typename T>
-concept erase_forwarding_table =
-    requires(T& t, const std::vector<typename T::key_type>& ks) {
       t.erase_batch(ks);
     };
 

@@ -14,9 +14,9 @@
 //
 // Implementation: arrival-order placement with tombstone deletion over the
 // shared open-addressing core (core/probe_engine.h). Because the core
-// distills the policy into the probe classifiers the batch engine consumes,
-// this table gets the same software-pipelined insert_batch / find_batch /
-// erase_batch as the back-shifting tables. Tombstone-specific surface
+// distills the policy into the probe classifiers its pipelined block
+// members consume, this table gets the same insert_block / find_block /
+// erase_block as the back-shifting tables. Tombstone-specific surface
 // (footprint(), compact()) is enabled on the engine by the delete policy.
 #pragma once
 

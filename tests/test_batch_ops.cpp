@@ -1,18 +1,25 @@
 // Batched operations with software-pipelined (AMAC-style) probing:
 // identical semantics — and for deterministic tables identical *layouts* —
 // to per-op scalar calls, on every workload distribution and pipeline
-// width.
+// width, for every table with block members.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "phch/core/batch_ops.h"
+#include "phch/core/chained_table.h"
+#include "phch/core/cuckoo_table.h"
 #include "phch/core/deterministic_table.h"
+#include "phch/core/hopscotch_table.h"
 #include "phch/core/nd_linear_table.h"
 #include "phch/core/table_concepts.h"
 #include "phch/core/tombstone_table.h"
+#include "phch/obs/telemetry.h"
 #include "phch/workloads/sequences.h"
 #include "phch/workloads/trigram.h"
 #include "table_test_util.h"
@@ -255,47 +262,17 @@ TEST(BatchOps, EraseBatchInterleavedWithInsertBatchAcrossPhases) {
   EXPECT_EQ(got, reference);
 }
 
-// --- explicit width sweep through the block engines ------------------------
-
-TEST(BatchOps, EveryPipelineWidthMatchesScalar) {
-  const auto keys = test::dup_keys(12000, 9000, 21);
-  deterministic_table<int_entry<>> reference(1 << 14);
-  insert_batch_scalar(reference, keys);
-  const auto ref_finds = find_batch_scalar(reference, keys);
-
-  for (const std::size_t width : {std::size_t{1}, std::size_t{2}, std::size_t{3},
-                                  std::size_t{8}, std::size_t{16}, std::size_t{64}}) {
-    deterministic_table<int_entry<>> t(1 << 14);
-    batch_detail::insert_block_pipelined(t, keys.data(), keys.size(), width);
-    expect_same_layout(t, reference);
-
-    std::vector<std::uint64_t> out(keys.size());
-    batch_detail::find_block_pipelined(t, keys.data(), keys.size(), out.data(),
-                                       width);
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      ASSERT_EQ(out[i], ref_finds[i]) << "width " << width << " query " << i;
-    }
-
-    std::vector<std::uint64_t> dels(keys.begin(), keys.begin() + 5000);
-    batch_detail::erase_block_pipelined(t, dels.data(), dels.size(), width);
-    deterministic_table<int_entry<>> erased_ref(1 << 14);
-    insert_batch_scalar(erased_ref, keys);
-    erase_batch_scalar(erased_ref, dels);
-    expect_same_layout(t, erased_ref);
-  }
-}
-
 // --- tombstone table through the same engine -------------------------------
 //
-// The engine reaches the tombstone table through the shared classifiers
-// (it models batchable_table like the back-shifting tables). Insert layout
+// The tombstone table's block members are probe_engine's, driven by the
+// shared classifiers like the back-shifting tables'. Insert layout
 // is arrival-order-dependent here, so bit-identical pipelined-vs-scalar
 // layouts are only provable where the arrival order is fixed (width 1,
 // single thread); erase layout equality holds at *every* width because a
 // tombstone erase marks its key's exact slot regardless of processing
 // order, and find equality always holds because finds are read-only.
 
-static_assert(batchable_table<tombstone_table<int_entry<>>>);
+static_assert(block_table<tombstone_table<int_entry<>>>);
 static_assert(tombstone_table<int_entry<>>::bounded_probes);
 static_assert(!deterministic_table<int_entry<>>::bounded_probes);
 
@@ -335,7 +312,7 @@ TEST(BatchOpsTombstone, EraseBatchLayoutEqualsScalarAtEveryWidth) {
 
     std::vector<std::uint64_t> dels(keys.begin(), keys.begin() + 2500);
     dels.push_back(1ULL << 51);  // absent key: both paths must no-op
-    batch_detail::erase_block_pipelined(piped, dels.data(), dels.size(), width);
+    piped.erase_block(dels.data(), dels.size(), width);
     for (const auto d : dels) scalar.erase(d);
     expect_same_layout(piped, scalar);  // tombstones land in the same slots
     ASSERT_EQ(piped.footprint(), scalar.footprint());
@@ -343,13 +320,13 @@ TEST(BatchOpsTombstone, EraseBatchLayoutEqualsScalarAtEveryWidth) {
 }
 
 TEST(BatchOpsTombstone, InsertWidthOneSingleThreadMatchesScalarLayout) {
-  // At width 1 on one thread the pipelined engine performs exactly the
+  // At width 1 on one thread the block members perform exactly the
   // scalar probe sequence in exactly the scalar order, so even this
   // arrival-order-dependent layout must come out bit-identical.
   const auto keys = test::dup_keys(8000, 5000, 47);
   tombstone_table<int_entry<>> piped(1 << 14);
   tombstone_table<int_entry<>> scalar(1 << 14);
-  batch_detail::insert_block_pipelined(piped, keys.data(), keys.size(), 1);
+  piped.insert_block(keys.data(), keys.size(), 1);
   for (const auto k : keys) scalar.insert(k);
   expect_same_layout(piped, scalar);
 }
@@ -380,16 +357,187 @@ TEST(BatchOpsTombstone, BoundedProbesResolveMissesOnGarbageFullTable) {
   for (const auto k : second) ASSERT_TRUE(t.contains(k));
 }
 
-// --- phase checking still observes pipelined traffic -----------------------
+// --- every block table through the common block members --------------------
+//
+// All six block tables (linearHash-D, linearHash-ND, tombstone, cuckoo,
+// hopscotch, chained) expose the same insert_block / find_block /
+// erase_block, so one typed suite drives them. Only linearHash-D has a
+// history-independent layout; the others are compared as element sets.
 
-TEST(BatchOps, CheckedPhasesAcceptsLegalBatchSequence) {
-  deterministic_table<int_entry<>, checked_phases> t(1 << 12);
-  const auto keys = test::unique_keys(1500, 33);
+struct lineard_family {
+  template <typename Tr, typename Ph = unchecked_phases>
+  using table = deterministic_table<Tr, Ph>;
+  static constexpr bool same_layout = true;
+};
+struct linearnd_family {
+  template <typename Tr, typename Ph = unchecked_phases>
+  using table = nd_linear_table<Tr, Ph>;
+  static constexpr bool same_layout = false;
+};
+struct tombstone_family {
+  template <typename Tr, typename Ph = unchecked_phases>
+  using table = tombstone_table<Tr, Ph>;
+  static constexpr bool same_layout = false;
+};
+struct cuckoo_family {
+  template <typename Tr, typename Ph = unchecked_phases>
+  using table = cuckoo_table<Tr, Ph>;
+  static constexpr bool same_layout = false;
+};
+struct hopscotch_family {
+  template <typename Tr, typename Ph = unchecked_phases>
+  using table = hopscotch_table<Tr, true, Ph>;
+  static constexpr bool same_layout = false;
+};
+struct chained_family {
+  template <typename Tr, typename Ph = unchecked_phases>
+  using table = chained_table<Tr, true, Ph>;
+  static constexpr bool same_layout = false;
+};
+
+template <typename Family>
+class BlockTables : public ::testing::Test {};
+using BlockFamilies = ::testing::Types<lineard_family, linearnd_family, tombstone_family,
+                                       cuckoo_family, hopscotch_family, chained_family>;
+TYPED_TEST_SUITE(BlockTables, BlockFamilies);
+
+template <typename Family, typename Table>
+void expect_same_contents(const Table& a, const Table& b) {
+  ASSERT_EQ(a.count(), b.count());
+  auto ea = a.elements();
+  auto eb = b.elements();
+  std::sort(ea.begin(), ea.end());
+  std::sort(eb.begin(), eb.end());
+  ASSERT_EQ(ea, eb);
+  if constexpr (Family::same_layout) expect_same_layout(a, b);
+}
+
+// Widths 0 and 65 must behave exactly like 1 and 64: the ring driver
+// clamps the width. With telemetry compiled in, equal batch_rotations
+// counts for the clamped pairs check that on the ring itself.
+TYPED_TEST(BlockTables, EveryWidthMatchesScalar) {
+  using Table = typename TypeParam::template table<int_entry<>>;
+  const auto keys = test::dup_keys(9000, 6000, 21);
+  std::vector<std::uint64_t> queries(keys.begin(), keys.begin() + 4000);
+  queries.push_back(1ULL << 49);  // absent
+  const std::vector<std::uint64_t> dels(keys.begin(), keys.begin() + 3000);
+  Table reference(1 << 14);
+  insert_batch_scalar(reference, keys);
+  const auto ref_finds = find_batch_scalar(reference, queries);
+  Table erased_ref(1 << 14);
+  insert_batch_scalar(erased_ref, keys);
+  erase_batch_scalar(erased_ref, dels);
+
+  for (const std::size_t width : {0, 1, 2, 3, 5, 8, 12, 16, 64, 65}) {
+    SCOPED_TRACE(testing::Message() << "width " << width);
+    Table t(1 << 14);
+    t.insert_block(keys.data(), keys.size(), width);
+    expect_same_contents<TypeParam>(t, reference);
+
+    std::vector<std::uint64_t> out(queries.size());
+    t.find_block(queries.data(), queries.size(), out.data(), width);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      ASSERT_EQ(out[i], ref_finds[i]) << "query " << i;
+    }
+
+    t.erase_block(dels.data(), dels.size(), width);
+    expect_same_contents<TypeParam>(t, erased_ref);
+  }
+
+  auto rotations_at = [&](std::size_t width) {
+    std::vector<std::uint64_t> out(queries.size());
+    const std::uint64_t before = obs::total(obs::counter::batch_rotations);
+    reference.find_block(queries.data(), queries.size(), out.data(), width);
+    return obs::total(obs::counter::batch_rotations) - before;
+  };
+  EXPECT_EQ(rotations_at(0), rotations_at(1));
+  EXPECT_EQ(rotations_at(65), rotations_at(64));
+}
+
+TYPED_TEST(BlockTables, EmptyAndShortBlocks) {
+  using Table = typename TypeParam::template table<int_entry<>>;
+  const auto keys = test::unique_keys(5, 23);  // fewer ops than lanes
+  Table t(1 << 10);
+  std::vector<std::uint64_t> out(keys.size(), 0);
+  t.insert_block(keys.data(), 0);
+  t.find_block(keys.data(), 0, out.data());
+  t.erase_block(keys.data(), 0);
+  EXPECT_EQ(t.count(), 0u);
+  EXPECT_EQ(out, std::vector<std::uint64_t>(keys.size(), 0));
+
+  t.insert_block(keys.data(), keys.size());
+  EXPECT_EQ(t.count(), keys.size());
+  t.find_block(keys.data(), keys.size(), out.data());
+  EXPECT_EQ(out, keys);
+  t.erase_block(keys.data(), keys.size());
+  EXPECT_EQ(t.count(), 0u);
+}
+
+TYPED_TEST(BlockTables, CheckedPhasesAcceptsBatchSequences) {
+  using Table = typename TypeParam::template table<int_entry<>, checked_phases>;
+  const auto keys = test::unique_keys(5000, 31);  // several blocks
+  Table t(1 << 14);
   insert_batch(t, keys);
-  const auto out = find_batch(t, keys);
-  for (std::size_t i = 0; i < keys.size(); ++i) ASSERT_EQ(out[i], keys[i]);
+  const auto found = find_batch(t, keys);
+  for (std::size_t i = 0; i < keys.size(); ++i) ASSERT_EQ(found[i], keys[i]);
   erase_batch(t, keys);
   EXPECT_EQ(t.count(), 0u);
+}
+
+// int_entry whose hash runs a one-shot hook when it hashes the trigger key.
+// A block member hashes each key as its lane starts, between the scalar
+// steps of the other lanes, so the hook runs inside the block but outside
+// any per-operation scope: only the block's own scope can make a
+// conflicting operation started there visible to checked_phases.
+struct hooked_entry : int_entry<> {
+  static inline std::uint64_t trigger = 0;
+  static inline std::function<void()> hook;
+  static std::uint64_t hash(std::uint64_t k) noexcept {
+    if (k == trigger && hook) std::exchange(hook, nullptr)();
+    return int_entry<>::hash(k);
+  }
+};
+
+struct violation_capture {
+  static inline int calls = 0;
+  static inline op_kind attempted = op_kind::insert;
+  static void capture(const phase_violation& v) {
+    ++calls;
+    attempted = v.attempted;
+  }
+};
+
+TYPED_TEST(BlockTables, CheckedPhasesReportsConflictInsideBlock) {
+  using Table = typename TypeParam::template table<hooked_entry, checked_phases>;
+  const auto keys = test::unique_keys(200, 37);
+  constexpr std::uint64_t other = 1ULL << 40;  // never one of `keys`
+  Table t(1 << 12);
+  t.insert(other);
+  hooked_entry::trigger = keys[100];
+  violation_capture::calls = 0;
+  const phase_violation_handler prev =
+      set_phase_violation_handler(&violation_capture::capture);
+
+  hooked_entry::hook = [&] { (void)t.find(other); };  // a query starts...
+  t.insert_block(keys.data(), keys.size());           // ...inside an insert block
+  EXPECT_EQ(violation_capture::calls, 1);
+  EXPECT_EQ(violation_capture::attempted, op_kind::query);
+
+  std::vector<std::uint64_t> out(keys.size());
+  hooked_entry::hook = [&] { t.insert(other); };
+  t.find_block(keys.data(), keys.size(), out.data());
+  EXPECT_EQ(violation_capture::calls, 2);
+  EXPECT_EQ(violation_capture::attempted, op_kind::insert);
+
+  hooked_entry::hook = [&] { (void)t.find(other); };
+  t.erase_block(keys.data(), keys.size());
+  EXPECT_EQ(violation_capture::calls, 3);
+  EXPECT_EQ(violation_capture::attempted, op_kind::query);
+
+  set_phase_violation_handler(prev);
+  hooked_entry::hook = nullptr;
+  EXPECT_EQ(out, keys);
+  EXPECT_EQ(t.count(), 1u);
 }
 
 }  // namespace

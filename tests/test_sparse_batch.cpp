@@ -1,9 +1,10 @@
 // The sparse-table family (chained, cuckoo, hopscotch) on the unified
 // concepts/batch/telemetry stack: every table models phase_table /
-// deletable_table and forwards its own batch members, so the free batch
-// functions dispatch to the prefetch-structured walks — never the scalar
-// fallback — with set semantics identical to per-op calls across all six
-// paper key distributions. None of the three has a deterministic layout
+// deletable_table / block_table, so the free batch functions drive its
+// pipelined block members — never the scalar fallback — with set semantics
+// identical to per-op calls across all six paper key distributions. (The
+// width sweep and the checked-phases tests over all six block tables live
+// in test_batch_ops.cpp.) None of the three has a deterministic layout
 // (eviction interleavings, displacement order, and chain order are all
 // history-dependent), so equality is of element *sets*, not slot arrays.
 #include <gtest/gtest.h>
@@ -29,22 +30,16 @@ namespace {
 // template arguments to the variant the paper benchmarks (chainedHash-CR,
 // hopscotchHash with timestamps).
 struct chained_family {
-  template <typename Tr>
-  using table = chained_table<Tr, true>;
-  template <typename Tr>
-  using checked = chained_table<Tr, true, checked_phases>;
+  template <typename Tr, typename Ph = unchecked_phases>
+  using table = chained_table<Tr, true, Ph>;
 };
 struct cuckoo_family {
-  template <typename Tr>
-  using table = cuckoo_table<Tr>;
-  template <typename Tr>
-  using checked = cuckoo_table<Tr, checked_phases>;
+  template <typename Tr, typename Ph = unchecked_phases>
+  using table = cuckoo_table<Tr, Ph>;
 };
 struct hopscotch_family {
-  template <typename Tr>
-  using table = hopscotch_table<Tr, true>;
-  template <typename Tr>
-  using checked = hopscotch_table<Tr, true, checked_phases>;
+  template <typename Tr, typename Ph = unchecked_phases>
+  using table = hopscotch_table<Tr, true, Ph>;
 };
 
 template <typename Family>
@@ -53,20 +48,18 @@ using Families = ::testing::Types<chained_family, cuckoo_family, hopscotch_famil
 TYPED_TEST_SUITE(SparseBatch, Families);
 
 // --- the concepts each table claims ----------------------------------------
-// batch_forwarding_table is what makes the free insert_batch/find_batch
-// dispatch to the tables' own members (that branch is checked before the
-// pipelined engine and the scalar fallback); erase_forwarding_table does the
-// same for erase_batch. None of the three exposes a raw slot array, so the
-// open-addressing stats/layout machinery and the flat-slot pipelined engine
-// stay off.
+// block_table is what makes the free insert_batch/find_batch/erase_batch
+// drive the tables' block members instead of the scalar fallback; none of
+// them forwards whole batches (only growable_table does). None of the three
+// exposes a raw slot array, so the open-addressing stats/layout machinery
+// stays off.
 template <typename T>
 constexpr void assert_sparse_concepts() {
   static_assert(phase_table<T>);
   static_assert(deletable_table<T>);
-  static_assert(batch_forwarding_table<T>);
-  static_assert(erase_forwarding_table<T>);
+  static_assert(block_table<T>);
+  static_assert(!batch_forwarding_table<T>);
   static_assert(!open_addressing_table<T>);
-  static_assert(!batchable_table<T>);
   static_assert(!growable_source<T>);
 }
 
@@ -74,7 +67,8 @@ TYPED_TEST(SparseBatch, ModelsClaimedConcepts) {
   assert_sparse_concepts<typename TypeParam::template table<int_entry<>>>();
   assert_sparse_concepts<typename TypeParam::template table<pair_entry<combine_min>>>();
   assert_sparse_concepts<typename TypeParam::template table<string_entry>>();
-  assert_sparse_concepts<typename TypeParam::template checked<int_entry<>>>();
+  assert_sparse_concepts<
+      typename TypeParam::template table<int_entry<>, checked_phases>>();
 }
 
 // --- batch vs scalar: set-semantics equality --------------------------------
@@ -90,7 +84,7 @@ constexpr auto less_kv = [](const kv64& a, const kv64& b) {
   return a.k != b.k ? a.k < b.k : a.v < b.v;
 };
 
-// Inserts `input` through the forwarding batch path into one table and the
+// Inserts `input` through the block-member batch path into one table and the
 // plain per-op loop into another, then requires equal contents, equal finds
 // for `queries`, and equal contents again after erasing half the queries.
 template <typename Table, typename Seq, typename Keys, typename Less>
@@ -98,7 +92,7 @@ void check_batch_vs_scalar(const Seq& input, const Keys& queries,
                            std::size_t capacity, Less less) {
   Table batched(capacity);
   Table scalar(capacity);
-  insert_batch(batched, input);  // free fn -> member forwarding
+  insert_batch(batched, input);  // free fn -> block members
   insert_batch_scalar(scalar, input);
 
   ASSERT_EQ(batched.count(), scalar.count());
@@ -120,7 +114,7 @@ void check_batch_vs_scalar(const Seq& input, const Keys& queries,
 
   Keys dels;
   for (std::size_t i = 0; i < queries.size(); i += 2) dels.push_back(queries[i]);
-  erase_batch(batched, dels);  // free fn -> member forwarding
+  erase_batch(batched, dels);  // free fn -> block members
   erase_batch_scalar(scalar, dels);
   ASSERT_EQ(batched.count(), scalar.count());
   const auto eb = sorted(batched.elements(), less);
@@ -225,71 +219,6 @@ TYPED_TEST(SparseBatch, TrigramPairInt) {
   for (std::size_t i = 0; i < qs.size(); ++i) {
     ASSERT_EQ(fb[i]->value, fs[i]->value) << i;
   }
-}
-
-// --- explicit width sweep through the public block engines ------------------
-
-TYPED_TEST(SparseBatch, BlockEnginesMatchScalarAtEveryWidth) {
-  using Table = typename TypeParam::template table<int_entry<>>;
-  const auto keys = test::unique_keys(3000, 21);
-  std::vector<std::uint64_t> queries = keys;
-  queries.push_back(1ULL << 49);  // absent
-  for (const std::size_t width : {std::size_t{1}, std::size_t{2}, std::size_t{5},
-                                  std::size_t{12}, std::size_t{64}}) {
-    Table t(1 << 13);
-    t.insert_batch_block(keys.data(), keys.size(), width);
-    ASSERT_EQ(t.count(), keys.size());
-    std::vector<std::uint64_t> out(queries.size());
-    t.find_batch_block(queries.data(), queries.size(), out.data(), width);
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      ASSERT_EQ(out[i], keys[i]) << "width " << width << " query " << i;
-    }
-    ASSERT_TRUE(int_entry<>::is_empty(out[keys.size()]));
-    t.erase_batch_block(queries.data(), queries.size(), width);
-    ASSERT_EQ(t.count(), 0u);
-  }
-}
-
-// --- checked_phases over whole batches --------------------------------------
-// A batch opens one phase scope for its entire span; a legal
-// insert->find->erase batch sequence must pass the checker silently, and an
-// operation of a conflicting class started *inside* a batch scope must be
-// routed to the structured violation handler.
-
-struct violation_capture {
-  static inline int calls = 0;
-  static inline op_kind attempted = op_kind::insert;
-  static void capture(const phase_violation& v) {
-    ++calls;
-    attempted = v.attempted;
-  }
-};
-
-TYPED_TEST(SparseBatch, CheckedPhasesAcceptsBatchSequences) {
-  using Table = typename TypeParam::template checked<int_entry<>>;
-  const auto keys = test::unique_keys(2000, 31);
-  Table t(1 << 13);
-  insert_batch(t, keys);
-  const auto found = find_batch(t, keys);
-  for (std::size_t i = 0; i < keys.size(); ++i) ASSERT_EQ(found[i], keys[i]);
-  erase_batch(t, keys);
-  EXPECT_EQ(t.count(), 0u);
-}
-
-TYPED_TEST(SparseBatch, CheckedPhasesReportsConflictInsideBatchScope) {
-  using Table = typename TypeParam::template checked<int_entry<>>;
-  Table t(1 << 12);
-  t.insert(7);
-  violation_capture::calls = 0;
-  phase_violation_handler prev =
-      set_phase_violation_handler(&violation_capture::capture);
-  {
-    auto scope = t.batch_insert_scope();  // an insert batch is in flight...
-    (void)t.find(7);                      // ...and a query starts against it
-  }
-  set_phase_violation_handler(prev);
-  EXPECT_EQ(violation_capture::calls, 1);
-  EXPECT_EQ(violation_capture::attempted, op_kind::query);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // phch_lint: table-header
-// Known-bad fixture: `erase` carries the annotation but opens no phase or
-// batch scope — phch_lint must report phase-scope-missing. `insert` lacks
+// Known-bad fixture: `erase` carries the annotation but opens no phase
+// scope — phch_lint must report phase-scope-missing. `insert` lacks
 // the annotation entirely — phase-annotation-missing.
 #pragma once
 

@@ -9,10 +9,11 @@ because they are *project policy*, not C++ rules:
                             explicit PHCH_NO_TSA opt-out), so new tables
                             cannot silently skip the static phase contract.
   phase-scope-missing       every public table operation must open a phase
-                            or batch scope (Phase::scope guard, a
-                            batch_*_scope window, or a delegation to an
-                            operation, or its *_impl / *_range form, that
-                            does).
+                            scope (a Phase::scope guard, or a delegation
+                            to an operation, or its *_impl / *_range
+                            form, that does). The block members
+                            (insert_block / find_block / erase_block) are
+                            operations too: each opens its own scope.
   atomic-implicit-order     no atomic access may rely on the implicit
                             seq_cst default: every load/store/RMW spells
                             its std::memory_order explicitly.
@@ -530,11 +531,11 @@ REQUIRED_OPS = (
     "insert", "insert_from", "insert_bounded", "erase", "erase_from",
     "find", "contains", "elements", "for_each",
     "insert_batch", "find_batch", "erase_batch",
+    "insert_block", "find_block", "erase_block",
 )
 
 SCOPE_EVIDENCE_RE = re.compile(
     r"(Phase\s*::\s*scope|::\s*scope\s+\w+\s*\(|"
-    r"\bbatch_(?:insert|erase|query)_scope\s*\(|"
     r"\b(?:" + "|".join(REQUIRED_OPS) + r")\s*\(|"      # delegation to an op
     r"\b\w+_(?:impl|range)\s*\(|"                       # ... or its impl/range
     r"\bphch\s*::\s*(?:insert|find|erase)_batch\s*\()")
@@ -613,10 +614,10 @@ def check_phase_contract(sf: SourceFile) -> list:
                 body.replace(" ", ""):
             findings.append(Finding(
                 "phase-scope-missing", sf.path, line,
-                f"public table operation `{name}` opens no phase/batch "
-                f"scope (expected a Phase::scope guard, a batch_*_scope "
-                f"window, or delegation to an operation, or its _impl/"
-                f"_range form, that opens one)", name))
+                f"public table operation `{name}` opens no phase scope "
+                f"(expected a Phase::scope guard, or delegation to an "
+                f"operation, or its _impl/_range form, that opens one)",
+                name))
     return findings
 
 

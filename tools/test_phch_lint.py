@@ -60,6 +60,14 @@ class BadFixtures(unittest.TestCase):
         self.assertIn("phase-scope-missing", checks_in(out))
         self.assertIn("phase-annotation-missing", checks_in(out))
 
+    def test_block_member_without_scope(self):
+        code, out = run_lint(["bad_block_without_scope.h"])
+        self.assertEqual(code, 1, out)
+        scope = [ln for ln in out.splitlines() if "phase-scope-missing" in ln]
+        self.assertEqual(len(scope), 1, out)
+        self.assertIn("`insert_block`", scope[0])
+        self.assertNotIn("phase-annotation-missing", checks_in(out))
+
     def test_unannotated_atomic(self):
         code, out = run_lint(["bad_unannotated_atomic.h"])
         self.assertEqual(code, 1, out)
