@@ -42,10 +42,13 @@
 // forwarded to; a table with neither (serial_table, auto_phased_table)
 // gets a scalar per-op loop with identical semantics.
 //
-// A batch is one phase (Definition 1). Each block's scope announces the
-// batch's class to the table's phase_runtime, so a batch that starts a new
-// phase advances the epoch exactly once, and checked_phases sees batch
-// traffic the same way it sees scalar traffic.
+// A batch is one phase (Definition 1): all its blocks share one class.
+// Each block's scope announces that class to the table's phase_runtime, so
+// a batch that starts a new phase advances the epoch exactly once. The
+// scope is held per block, on the worker running it, not across the whole
+// batch: checked_phases sees batch traffic only while a block runs, so an
+// operation of another class started between two blocks is not reported,
+// and an empty batch opens no scope and marks no phase boundary.
 #pragma once
 
 #include <algorithm>
@@ -98,8 +101,15 @@ inline constexpr std::size_t slots_per_line = sizeof(V) < 64 ? 64 / sizeof(V) : 
 // and returns true once it is finished. A finished lane is refilled with
 // the next operation; once the batch is fully issued it is retired by
 // moving the last live lane into its place.
+//
+// The callables are copied into locals. GCC keeps a local closure's
+// by-value captures (slot pointer, mask, capacity) in registers, but
+// reloads a parameter's from memory after every seq_cst slot load.
 template <typename Lane, typename Start, typename Step>
-void run_batch_ring(std::size_t n, std::size_t width, Start start, Step step) {
+void run_batch_ring(std::size_t n, std::size_t width, const Start& start_fn,
+                    const Step& step_fn) {
+  Start start = start_fn;
+  Step step = step_fn;
   width = std::clamp<std::size_t>(width, 1, kMaxBatchWidth);
   std::array<Lane, kMaxBatchWidth> ring;
   std::size_t issued = 0;

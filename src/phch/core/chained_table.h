@@ -136,7 +136,9 @@ class chained_table {
       const node* cur;  // nullptr while waiting on the bucket-head line
       key_type kq;
     };
-    std::uint64_t t_loads = 0, t_hits = 0, t_links = 0;
+    obs::tally t_loads(obs::counter::batch_probe_slots);
+    obs::tally t_hits(obs::counter::find_hits);
+    obs::tally t_links(obs::counter::chained_chain_links);
     batch_detail::run_batch_ring<lane>(
         n, width,
         [&](lane& o, std::size_t i) {
@@ -145,15 +147,15 @@ class chained_table {
           detail::prefetch_ro(&buckets_[o.b]);
         },
         [&](lane& o) {
-          ++t_loads;
+          t_loads.add();
           const node* nx;
           if (o.cur == nullptr) {
             nx = load_head(o.b);
           } else {
-            ++t_links;
+            t_links.add();
             if (Traits::key_equal(Traits::key(o.cur->v), o.kq)) {
               out[o.idx] = o.cur->v;
-              ++t_hits;
+              t_hits.add();
               return true;
             }
             nx = atomic_load(&o.cur->next);
@@ -167,9 +169,6 @@ class chained_table {
           return false;
         });
     obs::count(obs::counter::find_ops, n);
-    obs::count(obs::counter::find_hits, t_hits);
-    obs::count(obs::counter::chained_chain_links, t_links);
-    obs::count(obs::counter::batch_probe_slots, t_loads);
   }
 
   // Mutating blocks prefetch the bucket head and lock line ahead of the
@@ -221,10 +220,26 @@ class chained_table {
  private:
   static constexpr std::size_t kMaxLocks = 1 << 16;
 
+  // A freed node's `next` holds its free-list link with the low bit set.
+  // Under chainedHash-CR an erase's lock-free pre-pass may be standing on a
+  // node another erase has just unlinked and freed; the mark tells it that
+  // `next` no longer continues the chain. Followed unmarked, the link would
+  // lead the walk into the free list, past keys still in the chain. Freed
+  // nodes are reused only by a later insert phase.
   struct node {
     value_type v;
     node* next;
   };
+
+  static node* mark_freed(node* p) noexcept {
+    return reinterpret_cast<node*>(reinterpret_cast<std::uintptr_t>(p) | 1);
+  }
+  static bool is_freed_link(const node* p) noexcept {
+    return (reinterpret_cast<std::uintptr_t>(p) & 1) != 0;
+  }
+  static node* unmark(node* p) noexcept {
+    return reinterpret_cast<node*>(reinterpret_cast<std::uintptr_t>(p) & ~std::uintptr_t{1});
+  }
 
   // Chunked bump allocator with a tagged (ABA-safe) lock-free free list.
   class node_pool {
@@ -235,11 +250,10 @@ class chained_table {
       // Recycled node?
       tagged head = free_head_.load(std::memory_order_seq_cst);
       while (head.ptr != nullptr) {
-        // Atomic: the current owner may be writing this next field right
-        // now if it popped the node between our load and the CAS below —
-        // the tag check then discards the value, but the read must still
-        // be race-free.
-        const tagged next{atomic_load(&head.ptr->next), head.tag + 1};
+        // Atomic: another thread may pop and re-release this node between
+        // our load and the CAS below — the tag check then discards the
+        // value, but the read must still be race-free.
+        const tagged next{unmark(atomic_load(&head.ptr->next)), head.tag + 1};
         if (free_head_.compare_exchange_weak(head, next,
                                              std::memory_order_seq_cst)) {
           return head.ptr;
@@ -267,7 +281,7 @@ class chained_table {
     void release(node* n) {
       tagged head = free_head_.load(std::memory_order_seq_cst);
       for (;;) {
-        atomic_store(&n->next, head.ptr);
+        atomic_store(&n->next, mark_freed(head.ptr));
         const tagged next{n, head.tag + 1};
         if (free_head_.compare_exchange_weak(head, next,
                                              std::memory_order_seq_cst)) {
@@ -308,14 +322,17 @@ class chained_table {
   }
 
   // Lock-free chain walk; `links` accumulates nodes visited (flushed to the
-  // chained_chain_links counter by the calling operation).
+  // chained_chain_links counter by the calling operation). A walk that
+  // lands on a node a concurrent erase has freed restarts at the head.
   node* find_node(std::size_t b, key_type kq, std::uint64_t& links) const noexcept {
-    for (node* n = atomic_load(&buckets_[b]); n != nullptr;
-         n = atomic_load(&n->next)) {
+    node* n = atomic_load(&buckets_[b]);
+    while (n != nullptr) {
       ++links;
       // Atomic value read: during an insert phase a concurrent duplicate
       // may be combine-CASing this node's value while we compare keys.
       if (Traits::key_equal(Traits::key(atomic_load(&n->v)), kq)) return n;
+      node* const next = atomic_load(&n->next);
+      n = is_freed_link(next) ? atomic_load(&buckets_[b]) : next;
     }
     return nullptr;
   }

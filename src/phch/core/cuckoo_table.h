@@ -119,7 +119,8 @@ class cuckoo_table {
       std::size_t i1, i2;
       key_type kq;
     };
-    std::uint64_t t_slots = 0, t_hits = 0;
+    obs::tally t_slots(obs::counter::batch_probe_slots);
+    obs::tally t_hits(obs::counter::find_hits);
     batch_detail::run_batch_ring<lane>(
         n, width,
         [&](lane& o, std::size_t i) {
@@ -139,14 +140,12 @@ class cuckoo_table {
               break;
             }
           }
-          t_slots += scanned;
-          if (!Traits::is_empty(result)) ++t_hits;
+          t_slots.add(scanned);
+          if (!Traits::is_empty(result)) t_hits.add();
           out[o.idx] = result;
           return true;
         });
     obs::count(obs::counter::find_ops, n);
-    obs::count(obs::counter::find_hits, t_hits);
-    obs::count(obs::counter::batch_probe_slots, t_slots);
   }
 
   template <typename V>

@@ -521,7 +521,9 @@ class probe_engine {
   // Each slot load is a seq_cst atomic, which the compiler treats as a
   // barrier for every variable whose address escapes, and a by-reference
   // capture is one. So a step scans with by-value captures and counts its
-  // slots in a local, settling the shared tallies once per step.
+  // slots in a local, settling the per-block tallies once per step. The
+  // tallies are obs::tally, an empty class when telemetry is compiled out,
+  // so the steps' references to them then cost nothing.
 
   // Pipelined finds: the whole read-only probe scan rotates line by line.
   template <typename K>
@@ -538,17 +540,17 @@ class probe_engine {
       std::size_t advances;  // probe length so far (table-full detection)
       key_type kq;
     };
-    // Local tallies flushed once per block (dead stores when obs is off).
-    std::uint64_t t_slots = 0, t_hits = 0;
+    obs::tally t_slots(obs::counter::batch_probe_slots);
+    obs::tally t_hits(obs::counter::find_hits);
     obs::hist_accum t_depth;
     batch_detail::run_batch_ring<lane>(
         n, width,
-        [&](lane& o, std::size_t i) {
+        [keys, slots, mask](lane& o, std::size_t i) {
           const key_type kq = keys[i];
           o = lane{i, static_cast<std::size_t>(Traits::hash(kq)) & mask, 0, kq};
           detail::prefetch_ro(&slots[o.slot]);
         },
-        [&, slots, mask, cap](lane& o) {
+        [&, slots, mask, cap, out](lane& o) {
           std::uint64_t scanned = 0;
           value_type result = Traits::empty();
           bool done = true;
@@ -570,12 +572,12 @@ class probe_engine {
               break;
             }
           }
-          t_slots += scanned;
+          t_slots.add(scanned);
           if (!done) {
             detail::prefetch_ro(&slots[o.slot]);  // crossed into the next line
             return false;
           }
-          if (!Traits::is_empty(result)) ++t_hits;
+          if (!Traits::is_empty(result)) t_hits.add();
           // Probe-depth ledger: block finds never reach a scalar loop, so
           // their depth sample (advances plus the resolving load) is noted
           // here and flushed with the other tallies.
@@ -584,8 +586,6 @@ class probe_engine {
           return true;
         });
     obs::count(obs::counter::find_ops, n);
-    obs::count(obs::counter::find_hits, t_hits);
-    obs::count(obs::counter::batch_probe_slots, t_slots);
     obs::hist_record(obs::hist::probe_depth, t_depth);
   }
 
@@ -610,10 +610,11 @@ class probe_engine {
       std::size_t advances;
       value_type v;
     };
-    std::uint64_t t_slots = 0, t_handoffs = 0;
+    obs::tally t_slots(obs::counter::batch_probe_slots);
+    obs::tally t_handoffs(obs::counter::batch_handoffs);
     batch_detail::run_batch_ring<lane>(
         n, width,
-        [&](lane& o, std::size_t i) {
+        [values, slots, mask](lane& o, std::size_t i) {
           const value_type v = values[i];
           o = lane{static_cast<std::size_t>(Traits::hash(Traits::key(v))) & mask, 0, v};
           detail::prefetch_rw(&slots[o.slot]);
@@ -630,17 +631,15 @@ class probe_engine {
             o.slot = (o.slot + 1) & mask;
             if (++o.advances > cap) throw table_full_error();
           } while (o.slot & (line - 1));
-          t_slots += scanned;
+          t_slots.add(scanned);
           if (!stop) {
             detail::prefetch_rw(&slots[o.slot]);
             return false;
           }
-          ++t_handoffs;
+          t_handoffs.add();
           insert_from(o.v, o.slot, o.advances);
           return true;
         });
-    obs::count(obs::counter::batch_probe_slots, t_slots);
-    obs::count(obs::counter::batch_handoffs, t_handoffs);
   }
 
   // Pipelined erases: the initial forward scan (Figure 1, lines 27-29)
@@ -660,11 +659,13 @@ class probe_engine {
       std::size_t advances;
       key_type kq;
     };
-    std::uint64_t t_slots = 0, t_handoffs = 0, t_dropped = 0;
+    obs::tally t_slots(obs::counter::batch_probe_slots);
+    obs::tally t_handoffs(obs::counter::batch_handoffs);
+    obs::tally t_dropped(obs::counter::erase_ops);
     obs::hist_accum t_depth;
     batch_detail::run_batch_ring<lane>(
         n, width,
-        [&](lane& o, std::size_t i) {
+        [keys, slots, mask](lane& o, std::size_t i) {
           const key_type kq = keys[i];
           o = lane{static_cast<std::size_t>(Traits::hash(kq)) & mask, 0, kq};
           detail::prefetch_rw(&slots[o.slot]);
@@ -688,9 +689,9 @@ class probe_engine {
               }
             }
           } while (o.slot & (line - 1));
-          t_slots += scanned;
+          t_slots.add(scanned);
           if (stop) {
-            ++t_handoffs;
+            t_handoffs.add();
             erase_from(o.kq, o.advances);
             return true;
           }
@@ -698,16 +699,13 @@ class probe_engine {
             // The key is absent. erase_from never runs for a wrapped probe,
             // so its erase_ops tick and probe-depth sample are accounted
             // here.
-            ++t_dropped;
+            t_dropped.add();
             t_depth.note(o.advances);
             return true;
           }
           detail::prefetch_rw(&slots[o.slot]);
           return false;
         });
-    obs::count(obs::counter::erase_ops, t_dropped);
-    obs::count(obs::counter::batch_probe_slots, t_slots);
-    obs::count(obs::counter::batch_handoffs, t_handoffs);
     obs::hist_record(obs::hist::probe_depth, t_depth);
   }
 

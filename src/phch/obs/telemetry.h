@@ -172,6 +172,24 @@ struct probe_tally {
   }
 };
 
+// One counter's tally for a batch block: plain adds while the block runs,
+// flushed in one add when it ends. Compiled out it is an empty class, so a
+// ring kernel's step that captures it by reference touches no memory.
+class tally {
+ public:
+  explicit tally(counter c) noexcept : c_(c) {}
+  tally(const tally&) = delete;
+  tally& operator=(const tally&) = delete;
+  ~tally() {
+    if (n_ != 0) count(c_, n_);
+  }
+  void add(std::uint64_t n = 1) noexcept { n_ += n; }
+
+ private:
+  counter c_;
+  std::uint64_t n_ = 0;
+};
+
 #else  // !PHCH_TELEMETRY_ENABLED — every entry point is an empty inline no-op
 
 inline void bind_worker(int) noexcept {}
@@ -184,6 +202,14 @@ struct probe_tally {
   std::uint64_t slots = 0;
   std::uint64_t cas = 0;
   std::uint64_t cas_failed = 0;
+};
+
+class tally {
+ public:
+  explicit tally(counter) noexcept {}
+  tally(const tally&) = delete;
+  tally& operator=(const tally&) = delete;
+  void add(std::uint64_t = 1) noexcept {}
 };
 
 #endif  // PHCH_TELEMETRY_ENABLED

@@ -417,10 +417,14 @@ void expect_same_contents(const Table& a, const Table& b) {
 // counts for the clamped pairs check that on the ring itself.
 TYPED_TEST(BlockTables, EveryWidthMatchesScalar) {
   using Table = typename TypeParam::template table<int_entry<>>;
-  const auto keys = test::dup_keys(9000, 6000, 21);
-  std::vector<std::uint64_t> queries(keys.begin(), keys.begin() + 4000);
-  queries.push_back(1ULL << 49);  // absent
-  const std::vector<std::uint64_t> dels(keys.begin(), keys.begin() + 3000);
+  // About 6.6k distinct keys in 2^14 slots: load ~0.40, long enough
+  // linear probe chains to cross cache lines, under cuckoo's 0.5 limit.
+  const auto keys = test::dup_keys(12000, 9000, 21);
+  constexpr std::uint64_t absent = 1ULL << 49;
+  std::vector<std::uint64_t> queries = keys;
+  queries.push_back(absent);
+  std::vector<std::uint64_t> dels(keys.begin(), keys.begin() + 5000);
+  dels.push_back(absent);  // an absent erase must be a no-op
   Table reference(1 << 14);
   insert_batch_scalar(reference, keys);
   const auto ref_finds = find_batch_scalar(reference, queries);
@@ -442,6 +446,9 @@ TYPED_TEST(BlockTables, EveryWidthMatchesScalar) {
 
     t.erase_block(dels.data(), dels.size(), width);
     expect_same_contents<TypeParam>(t, erased_ref);
+
+    t.erase_block(queries.data(), queries.size(), width);
+    ASSERT_EQ(t.count(), 0u);
   }
 
   auto rotations_at = [&](std::size_t width) {

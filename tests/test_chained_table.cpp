@@ -73,6 +73,20 @@ TYPED_TEST(ChainedVariants, NodeRecyclingSurvivesChurn) {
   }
 }
 
+TYPED_TEST(ChainedVariants, ConcurrentErasesOnLongChainsMissNoKey) {
+  // Few buckets, long chains: erases unlink and free nodes while other
+  // erases walk the same chain. A freed node must not lead chainedHash-CR's
+  // lock-free erase pre-pass into the free list, or that erase misses a key
+  // still in the chain and leaves it behind.
+  for (int round = 0; round < 100; ++round) {
+    TypeParam t(16);
+    const auto keys = test::unique_keys(2000, 200 + round);
+    test::parallel_insert(t, keys);
+    test::parallel_erase(t, keys);
+    ASSERT_EQ(t.count(), 0u) << "round " << round;
+  }
+}
+
 TYPED_TEST(ChainedVariants, ElementsMatchesPaperScheme) {
   TypeParam t(1 << 8);
   const auto keys = test::unique_keys(300, 9);
