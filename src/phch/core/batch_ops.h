@@ -16,17 +16,21 @@
 // lanes, issue/refill/retire/rotate and the batch_rotations / batch_blocks
 // counts; a kernel supplies only a lane type, start(lane, i) (hash op i,
 // prefetch its first line) and step(lane) -> done (inspect the prefetched
-// line, then finish the operation or prefetch the next line). The kernels
-// live next to each table's probe logic:
+// line, then finish the operation or prefetch the next line).
+// run_handoff_block is its one-step form: a lane is an op index, start runs
+// the table's prefetch for op i and step runs the table's scalar op on the
+// lines that prefetch warmed. The kernels live next to each table's probe
+// logic:
 //
 //   probe_engine (linearHash-D/ND, tombstone)  find/erase scans pipelined
 //                 line by line; insert pipelines the advance-past-occupants
 //                 prefix and hands off to the scalar CAS loop at the first
 //                 potential commit point
-//   cuckoo / hopscotch / chained               both candidate buckets, the
-//                 home neighborhood, or each chain link prefetched per
-//                 lane; inserts and erases hand off to the scalar loop on
-//                 warm lines, so their step always returns done
+//   cuckoo / chained find                      both candidate buckets
+//                 resolved inline, or one chain link per rotation
+//   every other sparse block member            run_handoff_block: both
+//                 cuckoo candidates, the hopscotch home neighborhood, or
+//                 the chained bucket head prefetched, then the scalar op
 //
 // Every block table exposes the same three serial members, each opening
 // one phase scope of its class for the block:
@@ -133,6 +137,26 @@ void run_batch_ring(std::size_t n, std::size_t width, const Start& start_fn,
   }
   obs::count(obs::counter::batch_rotations, rotations);
   obs::count(obs::counter::batch_blocks);
+}
+
+// The handoff form of the ring, for kernels that finish every operation in
+// one step: a lane is an op index, start runs prefetch(i), and step runs
+// op(i) -- the table's scalar operation -- on the lines that prefetch warmed
+// one rotation ago. Each of the n operations counts as one batch_handoff.
+template <typename Prefetch, typename Op>
+void run_handoff_block(std::size_t n, std::size_t width, const Prefetch& prefetch,
+                       const Op& op) {
+  run_batch_ring<std::size_t>(
+      n, width,
+      [prefetch](std::size_t& lane, std::size_t i) {
+        lane = i;
+        prefetch(i);
+      },
+      [op](std::size_t& lane) {
+        op(lane);
+        return true;
+      });
+  obs::count(obs::counter::batch_handoffs, n);
 }
 
 }  // namespace batch_detail

@@ -20,8 +20,9 @@
 // lookup is a pointer chase — bucket head, then node after node — so
 // find_block is a true AMAC walk: each lane of core/batch_ops.h's ring
 // prefetches its next node (starting from the bucket-head line) and yields,
-// advancing one link per rotation on warm lines. Mutating blocks prefetch
-// the bucket head and lock line ahead of the scalar handoff.
+// advancing one link per rotation on warm lines. Mutating blocks run through
+// run_handoff_block: the bucket head and lock line are prefetched one
+// rotation ahead of the scalar op.
 // The table keeps no element count; count() is an O(buckets + nodes) scan.
 #pragma once
 
@@ -110,14 +111,6 @@ class chained_table {
     return out;
   }
 
-  template <typename F>
-  void for_each(F&& f) const PHCH_REQUIRES_PHASE(query) {
-    typename Phase::scope guard(phase_, op_kind::query);
-    parallel_for(0, num_buckets_, [&](std::size_t b) {
-      for (const node* n = load_head(b); n; n = n->next) f(n->v);
-    });
-  }
-
   // --- pipelined block members (core/batch_ops.h) ---------------------------
   // Serial within a block; the free batch functions supply the cross-block
   // parallelism.
@@ -171,46 +164,28 @@ class chained_table {
     obs::count(obs::counter::find_ops, n);
   }
 
-  // Mutating blocks prefetch the bucket head and lock line ahead of the
-  // scalar handoff.
+  // Mutating blocks run through run_handoff_block: the bucket head and lock
+  // line are prefetched ahead of the scalar op.
   template <typename V>
   void insert_block(const V* values, std::size_t n, std::size_t width = kBatchWidth)
       PHCH_REQUIRES_PHASE(insert) {
     typename Phase::scope guard(phase_, op_kind::insert);
-    struct lane {
-      value_type v;
-    };
-    batch_detail::run_batch_ring<lane>(
+    batch_detail::run_handoff_block(
         n, width,
-        [&](lane& o, std::size_t i) {
-          o.v = values[i];
-          prefetch_bucket(bucket(Traits::key(o.v)));
+        [&](std::size_t i) {
+          const value_type v = values[i];
+          prefetch_bucket(bucket(Traits::key(v)));
         },
-        [&](lane& o) {
-          insert_impl(o.v);  // scalar handoff: head and lock lines are warm
-          return true;
-        });
-    obs::count(obs::counter::batch_handoffs, n);
+        [&](std::size_t i) { insert_impl(values[i]); });
   }
 
   template <typename K>
   void erase_block(const K* keys, std::size_t n, std::size_t width = kBatchWidth)
       PHCH_REQUIRES_PHASE(erase) {
     typename Phase::scope guard(phase_, op_kind::erase);
-    struct lane {
-      key_type kq;
-    };
-    batch_detail::run_batch_ring<lane>(
-        n, width,
-        [&](lane& o, std::size_t i) {
-          o.kq = keys[i];
-          prefetch_bucket(bucket(o.kq));
-        },
-        [&](lane& o) {
-          erase_impl(o.kq);
-          return true;
-        });
-    obs::count(obs::counter::batch_handoffs, n);
+    batch_detail::run_handoff_block(
+        n, width, [&](std::size_t i) { prefetch_bucket(bucket(keys[i])); },
+        [&](std::size_t i) { erase_impl(keys[i]); });
   }
 
   // The table's single phase-state word (phase epoch + current class,

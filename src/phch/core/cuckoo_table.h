@@ -9,14 +9,18 @@
 // enlarges the memory footprint and is why elements() is slower here than
 // for the plain linear-probing tables.
 //
+// Slots live in a slot_array (core/table_common.h): 64-byte aligned, on
+// 2 MB pages once the array reaches 2 MB; the per-slot locks sit beside it.
+//
 // The table models phase_table / deletable_table / block_table. Cuckoo
 // probes touch exactly two unrelated cache lines per operation, so each
 // block member's lanes (core/batch_ops.h's ring) prefetch *both* candidate
 // buckets (and their lock lines, for mutating ops) one rotation before
-// resolving each operation on warm lines. Inserts resolve by handing off to
-// the scalar loop at that point — the first eviction and any chain after it
-// run exactly the scalar code. The table keeps no element count; count() is
-// an O(capacity) scan.
+// resolving each operation on warm lines. find_block resolves inline;
+// insert_block and erase_block run through run_handoff_block, whose step is
+// the scalar op — the first eviction and any chain after it run exactly the
+// scalar code. The table keeps no element count; count() is an O(capacity)
+// scan.
 #pragma once
 
 #include <cassert>
@@ -30,8 +34,6 @@
 #include "phch/core/table_common.h"
 #include "phch/obs/telemetry.h"
 #include "phch/parallel/atomics.h"
-#include "phch/parallel/parallel_for.h"
-#include "phch/parallel/primitives.h"
 #include "phch/parallel/spinlock.h"
 #include "phch/utils/phase_caps.h"
 
@@ -45,26 +47,14 @@ class cuckoo_table {
   using key_type = typename Traits::key_type;
 
   explicit cuckoo_table(std::size_t min_capacity)
-      : capacity_(round_up_pow2(min_capacity < 4 ? 4 : min_capacity)),
-        mask_(capacity_ - 1),
-        slots_(capacity_),
-        locks_(capacity_) {
-    clear();
-  }
+      : slots_(min_capacity < 4 ? 4 : min_capacity), locks_(slots_.capacity()) {}
 
-  std::size_t capacity() const noexcept { return capacity_; }
+  std::size_t capacity() const noexcept { return slots_.capacity(); }
 
   // Occupied slots, by parallel scan.
-  std::size_t count() const {
-    return reduce(std::size_t{0}, capacity_, std::size_t{0}, std::plus<std::size_t>{},
-                  [&](std::size_t i) {
-                    return Traits::is_empty(slots_[i]) ? std::size_t{0} : std::size_t{1};
-                  });
-  }
+  std::size_t count() const { return slots_.count(); }
 
-  void clear() {
-    parallel_for(0, capacity_, [&](std::size_t i) { slots_[i] = Traits::empty(); });
-  }
+  void clear() { slots_.clear(); }
 
   void insert(value_type v) PHCH_REQUIRES_PHASE(insert) {
     typename Phase::scope guard(phase_, op_kind::insert);
@@ -87,18 +77,7 @@ class cuckoo_table {
 
   std::vector<value_type> elements() const PHCH_REQUIRES_PHASE(query) {
     typename Phase::scope guard(phase_, op_kind::query);
-    return pack(
-        capacity_, [&](std::size_t i) { return !Traits::is_empty(slots_[i]); },
-        [&](std::size_t i) { return slots_[i]; });
-  }
-
-  template <typename F>
-  void for_each(F&& f) const PHCH_REQUIRES_PHASE(query) {
-    typename Phase::scope guard(phase_, op_kind::query);
-    parallel_for(0, capacity_, [&](std::size_t s) {
-      const value_type c = slots_[s];
-      if (!Traits::is_empty(c)) f(c);
-    });
+    return slots_.elements();
   }
 
   // --- pipelined block members (core/batch_ops.h) ---------------------------
@@ -106,9 +85,10 @@ class cuckoo_table {
   // parallelism. Each lane's start prefetches both candidate buckets (and
   // their lock lines, for mutating ops), so by the time the ring rotates
   // back the step runs on warm lines: a lookup inspects at most two
-  // resident slots, a mutating op hands off to the scalar loop whose first
-  // lock/probe/CAS hits the lines just fetched (evictions past that point
-  // run the plain scalar chain).
+  // resident slots, reusing the homes its start computed; a mutating op runs
+  // through run_handoff_block, whose scalar loop takes its first
+  // lock/probe/CAS on the lines just fetched (evictions past that point run
+  // the plain scalar chain).
 
   template <typename K>
   void find_block(const K* keys, std::size_t n, value_type* out,
@@ -152,40 +132,22 @@ class cuckoo_table {
   void insert_block(const V* values, std::size_t n, std::size_t width = kBatchWidth)
       PHCH_REQUIRES_PHASE(insert) {
     typename Phase::scope guard(phase_, op_kind::insert);
-    struct lane {
-      value_type v;
-    };
-    batch_detail::run_batch_ring<lane>(
+    batch_detail::run_handoff_block(
         n, width,
-        [&](lane& o, std::size_t i) {
-          o.v = values[i];
-          prefetch_candidates(Traits::key(o.v));
+        [&](std::size_t i) {
+          const value_type v = values[i];
+          prefetch_candidates(Traits::key(v));
         },
-        [&](lane& o) {
-          insert_impl(o.v);  // scalar handoff: iteration 0 runs on warm lines
-          return true;
-        });
-    obs::count(obs::counter::batch_handoffs, n);
+        [&](std::size_t i) { insert_impl(values[i]); });
   }
 
   template <typename K>
   void erase_block(const K* keys, std::size_t n, std::size_t width = kBatchWidth)
       PHCH_REQUIRES_PHASE(erase) {
     typename Phase::scope guard(phase_, op_kind::erase);
-    struct lane {
-      key_type kq;
-    };
-    batch_detail::run_batch_ring<lane>(
-        n, width,
-        [&](lane& o, std::size_t i) {
-          o.kq = keys[i];
-          prefetch_candidates(o.kq);
-        },
-        [&](lane& o) {
-          erase_impl(o.kq);
-          return true;
-        });
-    obs::count(obs::counter::batch_handoffs, n);
+    batch_detail::run_handoff_block(
+        n, width, [&](std::size_t i) { prefetch_candidates(keys[i]); },
+        [&](std::size_t i) { erase_impl(keys[i]); });
   }
 
   // The table's single phase-state word (phase epoch + current class,
@@ -195,10 +157,12 @@ class cuckoo_table {
  private:
   static constexpr std::size_t kMaxEvictions = 10000;
 
-  std::size_t home1(key_type k) const noexcept { return Traits::hash(k) & mask_; }
+  std::size_t home1(key_type k) const noexcept {
+    return Traits::hash(k) & slots_.mask();
+  }
   std::size_t home2(key_type k) const noexcept {
     // Independent second hash from a re-mix of the primary hash.
-    return hash64(Traits::hash(k) ^ 0xc2b2ae3d27d4eb4fULL) & mask_;
+    return hash64(Traits::hash(k) ^ 0xc2b2ae3d27d4eb4fULL) & slots_.mask();
   }
 
   // A mutating block lane's first touches: both candidate slots and their
@@ -235,8 +199,8 @@ class cuckoo_table {
     obs::count(obs::counter::insert_ops);
     // `avoid` is the slot the current element was just evicted from, so the
     // chain does not immediately bounce it back.
-    std::size_t avoid = capacity_;  // invalid
-    bool carrying = false;          // v is an evicted victim, already counted
+    std::size_t avoid = capacity();  // invalid
+    bool carrying = false;           // v is an evicted victim, already counted
     for (std::size_t iter = 0; iter < kMaxEvictions; ++iter) {
       const key_type k = Traits::key(v);
       const std::size_t i1 = home1(k);
@@ -316,9 +280,7 @@ class cuckoo_table {
     return Traits::empty();
   }
 
-  std::size_t capacity_;
-  std::size_t mask_;
-  std::vector<value_type> slots_;
+  slot_array<Traits> slots_;
   mutable std::vector<spinlock> locks_;
   mutable Phase phase_;
 

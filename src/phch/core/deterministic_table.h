@@ -12,7 +12,7 @@
 //    becomes full.
 //
 // Phase discipline (caller's contract, checkable via the Phase parameter):
-//    S = { {insert}, {erase}, {find, contains, elements, for_each} }.
+//    S = { {insert}, {erase}, {find, contains, elements} }.
 //
 // The implementation is one policy choice over the shared open-addressing
 // core (core/probe_engine.h): prioritized ordering — inserts displace

@@ -18,14 +18,20 @@
 // hopscotchHash-PC: when finds never overlap updates the timestamp field is
 // dead weight, so it is removed entirely.
 //
+// Slots live in a slot_array (core/table_common.h): 64-byte aligned, so the
+// neighborhood prefetch's "next line" is a whole line, and on 2 MB pages
+// once the array reaches 2 MB. The hop bitmaps, segment locks and
+// timestamps sit beside it.
+//
 // The table models phase_table / deletable_table / block_table: every
 // operation's first touches are the home bucket's hop word and the slots of
-// its neighborhood, so each block member's lanes (core/batch_ops.h's ring)
-// prefetch that home neighborhood (hop word line, the home slot line
-// and the next slot line — where nearly all residents sit at sane load
-// factors — plus the segment-lock line for mutating ops) one rotation
-// before resolving each operation through the scalar walk on warm lines.
-// The table keeps no element count; count() is an O(capacity) scan.
+// its neighborhood, so each block member runs through core/batch_ops.h's
+// run_handoff_block, whose start prefetches that home neighborhood (hop
+// word line, the home slot line and the next slot line — where nearly all
+// residents sit at sane load factors — plus the segment-lock line for
+// mutating ops) one rotation before the scalar walk resolves the operation
+// on warm lines. The table keeps no element count; count() is an
+// O(capacity) scan.
 #pragma once
 
 #include <atomic>
@@ -42,7 +48,6 @@
 #include "phch/obs/telemetry.h"
 #include "phch/parallel/atomics.h"
 #include "phch/parallel/parallel_for.h"
-#include "phch/parallel/primitives.h"
 #include "phch/parallel/spinlock.h"
 #include "phch/utils/phase_caps.h"
 
@@ -59,30 +64,19 @@ class hopscotch_table {
   static constexpr std::size_t kHopRange = 64;  // machine word, as the paper suggests
 
   explicit hopscotch_table(std::size_t min_capacity)
-      : capacity_(round_up_pow2(std::max<std::size_t>(min_capacity, 4 * kHopRange))),
-        mask_(capacity_ - 1),
-        slots_(capacity_),
-        hop_(capacity_, 0),
-        locks_(capacity_ / kSegmentSize),
-        timestamps_(WithTimestamps ? capacity_ / kSegmentSize : 1) {
-    clear();
-  }
+      : slots_(std::max<std::size_t>(min_capacity, 4 * kHopRange)),
+        hop_(capacity(), 0),
+        locks_(capacity() / kSegmentSize),
+        timestamps_(WithTimestamps ? capacity() / kSegmentSize : 1) {}
 
-  std::size_t capacity() const noexcept { return capacity_; }
+  std::size_t capacity() const noexcept { return slots_.capacity(); }
 
   // Occupied slots, by parallel scan.
-  std::size_t count() const {
-    return reduce(std::size_t{0}, capacity_, std::size_t{0}, std::plus<std::size_t>{},
-                  [&](std::size_t i) {
-                    return Traits::is_empty(slots_[i]) ? std::size_t{0} : std::size_t{1};
-                  });
-  }
+  std::size_t count() const { return slots_.count(); }
 
   void clear() {
-    parallel_for(0, capacity_, [&](std::size_t i) {
-      slots_[i] = Traits::empty();
-      hop_[i] = 0;
-    });
+    slots_.clear();
+    parallel_for(0, capacity(), [&](std::size_t i) { hop_[i] = 0; });
   }
 
   void insert(value_type v) PHCH_REQUIRES_PHASE(insert) {
@@ -106,83 +100,44 @@ class hopscotch_table {
 
   std::vector<value_type> elements() const PHCH_REQUIRES_PHASE(query) {
     typename Phase::scope guard(phase_, op_kind::query);
-    return pack(
-        capacity_, [&](std::size_t i) { return !Traits::is_empty(slots_[i]); },
-        [&](std::size_t i) { return slots_[i]; });
-  }
-
-  template <typename F>
-  void for_each(F&& f) const PHCH_REQUIRES_PHASE(query) {
-    typename Phase::scope guard(phase_, op_kind::query);
-    parallel_for(0, capacity_, [&](std::size_t s) {
-      const value_type c = slots_[s];
-      if (!Traits::is_empty(c)) f(c);
-    });
+    return slots_.elements();
   }
 
   // --- pipelined block members (core/batch_ops.h) ---------------------------
   // Serial within a block; the free batch functions supply the cross-block
-  // parallelism. A lane's start prefetches the home neighborhood, so by the
-  // time the ring rotates back the scalar walk runs on warm lines.
+  // parallelism. All three run through run_handoff_block: a lane's start
+  // prefetches the home neighborhood, so by the time the ring rotates back
+  // the scalar walk runs on warm lines.
 
   template <typename K>
   void find_block(const K* keys, std::size_t n, value_type* out,
                   std::size_t width = kBatchWidth) const PHCH_REQUIRES_PHASE(query) {
     typename Phase::scope guard(phase_, op_kind::query);
-    struct lane {
-      std::size_t idx;
-      key_type kq;
-    };
-    batch_detail::run_batch_ring<lane>(
-        n, width,
-        [&](lane& o, std::size_t i) {
-          o = lane{i, keys[i]};
-          prefetch_neighborhood_ro(home(o.kq));
-        },
-        [&](lane& o) {
-          out[o.idx] = find_impl(o.kq);
-          return true;
-        });
+    batch_detail::run_handoff_block(
+        n, width, [&](std::size_t i) { prefetch_neighborhood_ro(home(keys[i])); },
+        [&](std::size_t i) { out[i] = find_impl(keys[i]); });
   }
 
   template <typename V>
   void insert_block(const V* values, std::size_t n, std::size_t width = kBatchWidth)
       PHCH_REQUIRES_PHASE(insert) {
     typename Phase::scope guard(phase_, op_kind::insert);
-    struct lane {
-      value_type v;
-    };
-    batch_detail::run_batch_ring<lane>(
+    batch_detail::run_handoff_block(
         n, width,
-        [&](lane& o, std::size_t i) {
-          o.v = values[i];
-          prefetch_neighborhood_rw(home(Traits::key(o.v)));
+        [&](std::size_t i) {
+          const value_type v = values[i];
+          prefetch_neighborhood_rw(home(Traits::key(v)));
         },
-        [&](lane& o) {
-          insert_impl(o.v);  // scalar handoff on a warm home neighborhood
-          return true;
-        });
-    obs::count(obs::counter::batch_handoffs, n);
+        [&](std::size_t i) { insert_impl(values[i]); });
   }
 
   template <typename K>
   void erase_block(const K* keys, std::size_t n, std::size_t width = kBatchWidth)
       PHCH_REQUIRES_PHASE(erase) {
     typename Phase::scope guard(phase_, op_kind::erase);
-    struct lane {
-      key_type kq;
-    };
-    batch_detail::run_batch_ring<lane>(
-        n, width,
-        [&](lane& o, std::size_t i) {
-          o.kq = keys[i];
-          prefetch_neighborhood_rw(home(o.kq));
-        },
-        [&](lane& o) {
-          erase_impl(o.kq);
-          return true;
-        });
-    obs::count(obs::counter::batch_handoffs, n);
+    batch_detail::run_handoff_block(
+        n, width, [&](std::size_t i) { prefetch_neighborhood_rw(home(keys[i])); },
+        [&](std::size_t i) { erase_impl(keys[i]); });
   }
 
   // The table's single phase-state word (phase epoch + current class,
@@ -193,13 +148,17 @@ class hopscotch_table {
   static constexpr std::size_t kSegmentSize = 256;  // buckets per lock stripe
   static constexpr int kFindRetries = 2;
 
-  std::size_t home(key_type k) const noexcept { return Traits::hash(k) & mask_; }
-  std::size_t segment(std::uint64_t unwrapped) const noexcept {
-    return (unwrapped & mask_) / kSegmentSize;
+  std::size_t home(key_type k) const noexcept {
+    return Traits::hash(k) & slots_.mask();
   }
-  value_type* slot(std::uint64_t unwrapped) noexcept { return &slots_[unwrapped & mask_]; }
+  std::size_t segment(std::uint64_t unwrapped) const noexcept {
+    return (unwrapped & slots_.mask()) / kSegmentSize;
+  }
+  value_type* slot(std::uint64_t unwrapped) noexcept {
+    return &slots_[unwrapped & slots_.mask()];
+  }
   const value_type* slot(std::uint64_t unwrapped) const noexcept {
-    return &slots_[unwrapped & mask_];
+    return &slots_[unwrapped & slots_.mask()];
   }
 
   // Home-neighborhood prefetch: the hop word plus the first two slot lines
@@ -210,13 +169,13 @@ class hopscotch_table {
   [[gnu::always_inline]] void prefetch_neighborhood_ro(std::size_t b) const noexcept {
     detail::prefetch_ro(&hop_[b]);
     detail::prefetch_ro(&slots_[b]);
-    detail::prefetch_ro(&slots_[(b + batch_detail::slots_per_line<value_type>)&mask_]);
+    detail::prefetch_ro(slot(b + batch_detail::slots_per_line<value_type>));
   }
   // Mutating ops also take the home segment's lock.
   [[gnu::always_inline]] void prefetch_neighborhood_rw(std::size_t b) const noexcept {
     detail::prefetch_rw(&hop_[b]);
     detail::prefetch_rw(&slots_[b]);
-    detail::prefetch_rw(&slots_[(b + batch_detail::slots_per_line<value_type>)&mask_]);
+    detail::prefetch_rw(slot(b + batch_detail::slots_per_line<value_type>));
     detail::prefetch_rw(&locks_[segment(b)]);
   }
 
@@ -252,7 +211,7 @@ class hopscotch_table {
       while (bits != 0) {
         const unsigned d = static_cast<unsigned>(std::countr_zero(bits));
         bits &= bits - 1;
-        value_type& s = slots_[(b + d) & mask_];
+        value_type& s = *slot(b + d);
         const value_type c = atomic_load(&s);
         if (!Traits::is_empty(c) && Traits::key_equal(Traits::key(c), k)) {
           if constexpr (Traits::has_combine) atomic_store(&s, Traits::combine(c, v));
@@ -268,7 +227,7 @@ class hopscotch_table {
       const value_type c = atomic_load(slot(free));
       if (Traits::is_empty(c) && cas(slot(free), c, Traits::busy())) break;
       ++free;
-      if (free - b >= capacity_) {
+      if (free - b >= capacity()) {
         obs::count(obs::counter::insert_aborts);
         throw table_full_error();
       }
@@ -298,7 +257,7 @@ class hopscotch_table {
     while (bits != 0) {
       const unsigned d = static_cast<unsigned>(std::countr_zero(bits));
       bits &= bits - 1;
-      value_type& s = slots_[(b + d) & mask_];
+      value_type& s = *slot(b + d);
       const value_type c = atomic_load(&s);
       if (!Traits::is_empty(c) && Traits::key_equal(Traits::key(c), kq)) {
         bump_timestamp(segment(b));
@@ -321,7 +280,7 @@ class hopscotch_table {
       while (bits != 0) {
         const unsigned d = static_cast<unsigned>(std::countr_zero(bits));
         bits &= bits - 1;
-        const value_type c = atomic_load(&slots_[(b + d) & mask_]);
+        const value_type c = atomic_load(slot(b + d));
         ++tally.slots;
         if (!Traits::is_empty(c) && !bits_equal(c, Traits::busy()) &&
             Traits::key_equal(Traits::key(c), kq)) {
@@ -335,7 +294,7 @@ class hopscotch_table {
       // path that scans the whole hop window regardless of bitmaps.
     }
     for (std::size_t d = 0; d < kHopRange; ++d) {
-      const value_type c = atomic_load(&slots_[(b + d) & mask_]);
+      const value_type c = atomic_load(slot(b + d));
       ++tally.slots;
       if (!Traits::is_empty(c) && !bits_equal(c, Traits::busy()) &&
           Traits::key_equal(Traits::key(c), kq)) {
@@ -360,7 +319,8 @@ class hopscotch_table {
         ul = std::unique_lock<spinlock>(locks_[seg], std::try_to_lock);
         if (!ul.owns_lock()) continue;
       }
-      std::uint64_t bits = hop_load(hb & mask_);
+      const std::size_t hw = hb & slots_.mask();  // hb's hop word, wrapped
+      std::uint64_t bits = hop_load(hw);
       while (bits != 0) {
         const unsigned d = static_cast<unsigned>(std::countr_zero(bits));
         bits &= bits - 1;
@@ -370,8 +330,7 @@ class hopscotch_table {
         if (Traits::is_empty(w) || bits_equal(w, Traits::busy())) continue;
         bump_timestamp(seg);
         atomic_store(slot(free), w);
-        hop_store(hb & mask_,
-                  (hop_load(hb & mask_) & ~(1ULL << d)) | (1ULL << (free - hb)));
+        hop_store(hw, (hop_load(hw) & ~(1ULL << d)) | (1ULL << (free - hb)));
         atomic_store(slot(s), Traits::busy());
         bump_timestamp(seg);
         obs::count(obs::counter::hopscotch_displacements);
@@ -381,9 +340,7 @@ class hopscotch_table {
     return free;
   }
 
-  std::size_t capacity_;
-  std::size_t mask_;
-  std::vector<value_type> slots_;
+  slot_array<Traits> slots_;
   std::vector<std::uint64_t> hop_;
   mutable std::vector<spinlock> locks_;
   std::vector<std::atomic<std::uint32_t>> timestamps_;

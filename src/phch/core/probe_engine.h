@@ -98,7 +98,7 @@ class probe_engine {
   static constexpr bool bounded_probes = Delete::uses_tombstones;
 
   // Capacity is rounded up to a power of two. The caller must keep the
-  // table from filling (paper precondition); `load_factor()` reports usage.
+  // table from filling (paper precondition); `count()` reports usage.
   explicit probe_engine(std::size_t min_capacity)
       : slots_(min_capacity) {}
 
@@ -114,8 +114,6 @@ class probe_engine {
       return slots_.count();
     }
   }
-
-  double load_factor() const { return static_cast<double>(count()) / capacity(); }
 
   void clear() { slots_.clear(); }
 
@@ -480,16 +478,6 @@ class probe_engine {
     typename Phase::scope guard(phase_, op_kind::query);
     return packed_elements<Traits>(slots_.data(), capacity(),
                                    [](value_type c) { return is_present(c); });
-  }
-
-  // Applies f to each live slot (in parallel); query phase.
-  template <typename F>
-  void for_each(F&& f) const PHCH_REQUIRES_PHASE(query) {
-    typename Phase::scope guard(phase_, op_kind::query);
-    parallel_for(0, capacity(), [&](std::size_t s) {
-      const value_type c = slots_[s];
-      if (is_present(c)) f(c);
-    });
   }
 
   // Raw slot view for tests (layout/ordering-invariant verification).

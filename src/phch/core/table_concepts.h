@@ -11,8 +11,7 @@
 // and each upward edge is one of the concepts below. A new table joins the
 // ecosystem by modeling the concepts it can support: `phase_table` makes the
 // apps and test harness work, `open_addressing_table` adds stats and layout
-// checks, `block_table` turns on software-pipelined batching, and
-// `growable_source` lets the resizing wrapper drive it.
+// checks, and `block_table` turns on software-pipelined batching.
 #pragma once
 
 #include <concepts>
@@ -94,17 +93,6 @@ concept batch_forwarding_table =
       t.insert_batch(vs, n);
       { ct.find_batch(ks) } -> std::convertible_to<std::vector<typename T::value_type>>;
       t.erase_batch(ks);
-    };
-
-// What growable_table requires of the table it grows: deletable, with the
-// probe-length-bounded insert for the overfull trigger. The load trigger is
-// the wrapper's own (it counts inserts and reconciles against count()).
-template <typename T>
-concept growable_source =
-    deletable_table<T> && open_addressing_table<T> &&
-    requires(T& t, typename T::value_type v, std::size_t n) {
-      typename T::insert_result;
-      { t.insert_bounded(v, n) } -> std::same_as<typename T::insert_result>;
     };
 
 }  // namespace phch

@@ -84,9 +84,8 @@ TEST(GrowableTable, DeterministicAcrossGrowthPaths) {
 }
 
 // The wrapper implements whole-batch members the free batch functions
-// forward to, and its inner table must satisfy the growable_source contract.
+// forward to.
 static_assert(batch_forwarding_table<gtable>);
-static_assert(growable_source<gtable::inner_table>);
 static_assert(phase_table<gtable>);
 
 TEST(GrowableTable, BatchInsertForcesMultipleGrowthsMidBatch) {
