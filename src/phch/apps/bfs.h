@@ -26,6 +26,7 @@
 #include "phch/parallel/atomics.h"
 #include "phch/parallel/parallel_for.h"
 #include "phch/parallel/primitives.h"
+#include "phch/utils/arch.h"
 
 namespace phch::apps {
 
@@ -59,13 +60,59 @@ inline std::vector<std::int64_t> serial_bfs(const graph::csr_graph& g,
 }
 
 namespace detail {
+// Frontier positions the walk looks ahead per stage. On phasebench's
+// bfs_random and bfs_grid, 2, 4 and 8 time within noise of each other; a
+// lookahead of 0 (prefetches issued for the vertex being walked) times the
+// same as no prefetching at all (DESIGN.md §16).
+inline constexpr std::size_t kWalkAhead = 2;
+
+// Prefetches the parents word of every neighbor of v. Always inlined, so
+// GCC cannot delete the prefetches (see phch::detail::prefetch_rw).
+[[gnu::always_inline]] inline void prefetch_neighbor_parents(const graph::csr_graph& g,
+                                                             graph::vertex_id v,
+                                                             const std::int64_t* parents) {
+  const graph::vertex_id* nbrs = g.neighbors(v);
+  const std::size_t d = g.degree(v);
+  for (std::size_t j = 0; j < d; ++j) phch::detail::prefetch_rw(parents + nbrs[j]);
+}
+
+// Runs body(i, frontier[i]) for i in [s, e) in order, software-pipelined in
+// three stages like the tables' batch rings (core/batch_ops.h): each
+// vertex's offsets entry is prefetched 3D positions ahead, its adjacency
+// 2D ahead (its offsets have arrived by then) and its neighbors' parents
+// words D ahead (its adjacency has arrived), so the random parents loads
+// the body makes overlap instead of each missing in turn. Frontiers come
+// from ELEMENTS() in hash order, so those loads have no locality to lose.
+// Lookahead stops at e: a block never prefetches another block's vertices.
+template <typename Body>
+void walk_frontier(const graph::csr_graph& g, const std::vector<graph::vertex_id>& frontier,
+                   const std::vector<std::int64_t>& parents, std::size_t s, std::size_t e,
+                   Body&& body) {
+  constexpr std::size_t D = kWalkAhead;
+  for (std::size_t i = s; i < e; ++i) {
+    if (i + 3 * D < e) phch::detail::prefetch_ro(g.offsets_entry(frontier[i + 3 * D]));
+    if (i + 2 * D < e) phch::detail::prefetch_ro(g.neighbors(frontier[i + 2 * D]));
+    if (i + D < e) prefetch_neighbor_parents(g, frontier[i + D], parents.data());
+    body(i, frontier[i]);
+  }
+}
+
+// Frontier positions per blocked_for block in every frontier walk: about
+// kDefaultGrainTarget blocks per worker.
+inline std::size_t frontier_block(std::size_t n) {
+  return (n - 1) / (num_workers() * kDefaultGrainTarget) + 1;
+}
+
 // The round both BFSs share: each unvisited neighbor of the frontier ends
 // up holding its smallest adjacent frontier id (visited ones stay negative).
 inline void relax_frontier(const graph::csr_graph& g, const std::vector<graph::vertex_id>& frontier,
                            std::vector<std::int64_t>& parents) {
-  parallel_for(0, frontier.size(), [&](std::size_t i) {
-    g.for_each_neighbor(frontier[i], [&](graph::vertex_id w) {
-      write_min(&parents[w], static_cast<std::int64_t>(frontier[i]));
+  const std::size_t n = frontier.size();
+  blocked_for(0, n, frontier_block(n), [&](std::size_t, std::size_t s, std::size_t e) {
+    walk_frontier(g, frontier, parents, s, e, [&](std::size_t, graph::vertex_id v) {
+      g.for_each_neighbor(v, [&](graph::vertex_id w) {
+        write_min(&parents[w], static_cast<std::int64_t>(v));
+      });
     });
   });
 }
@@ -88,12 +135,14 @@ inline std::vector<std::int64_t> array_bfs(const graph::csr_graph& g,
     const std::size_t total = scan_add_inplace(offsets);
     std::vector<graph::vertex_id> candidates(total, kHole);
     detail::relax_frontier(g, frontier, parents);
-    parallel_for(0, frontier.size(), [&](std::size_t i) {
-      const graph::vertex_id v = frontier[i];
-      std::size_t slot = offsets[i];
-      g.for_each_neighbor(v, [&](graph::vertex_id w) {
-        if (parents[w] == static_cast<std::int64_t>(v)) candidates[slot] = w;
-        ++slot;
+    const std::size_t n = frontier.size();
+    blocked_for(0, n, detail::frontier_block(n), [&](std::size_t, std::size_t s, std::size_t e) {
+      detail::walk_frontier(g, frontier, parents, s, e, [&](std::size_t i, graph::vertex_id v) {
+        std::size_t slot = offsets[i];
+        g.for_each_neighbor(v, [&](graph::vertex_id w) {
+          if (parents[w] == static_cast<std::int64_t>(v)) candidates[slot] = w;
+          ++slot;
+        });
       });
     });
     frontier = filter(candidates, [&](graph::vertex_id w) { return w != kHole; });
@@ -111,7 +160,9 @@ inline std::vector<std::int64_t> array_bfs(const graph::csr_graph& g,
 // winner v marks its children visited and inserts them from the claim loop,
 // buffered per block and flushed through the table's pipelined insert_block
 // (core/batch_ops.h), which opens the insert phase's scope for each flush;
-// the next frontier is ELEMENTS(). Only v ever sees
+// the next frontier is ELEMENTS(). The WRITEMIN round and the claim loop
+// both go through detail::walk_frontier, which prefetches the parents words
+// they touch. Only v ever sees
 // parents[w] == v, so one thread writes each claimed slot; relaxed order
 // suffices, as nothing is published through it and the level's join orders
 // the marks before the next WRITEMIN round.
@@ -132,13 +183,12 @@ std::vector<std::int64_t> hash_bfs(const graph::csr_graph& g, graph::vertex_id r
                                       [&](std::size_t i) { return g.degree(frontier[i]); });
     Table table(round_up_pow2(static_cast<std::size_t>(space_mult * 2.0 * (degree + 2))));
     detail::relax_frontier(g, frontier, parents);
-    const std::size_t bsize = (n - 1) / (num_workers() * kDefaultGrainTarget) + 1;
-    blocked_for(0, n, bsize, [&](std::size_t, std::size_t s, std::size_t e) {
+    blocked_for(0, n, detail::frontier_block(n), [&](std::size_t, std::size_t s, std::size_t e) {
       std::array<graph::vertex_id, detail::kClaimBuffer> buf;
       std::size_t len = 0;
-      for (std::size_t i = s; i < e; ++i) {
-        const auto v = static_cast<std::int64_t>(frontier[i]);
-        g.for_each_neighbor(frontier[i], [&](graph::vertex_id w) {
+      detail::walk_frontier(g, frontier, parents, s, e, [&](std::size_t, graph::vertex_id u) {
+        const auto v = static_cast<std::int64_t>(u);
+        g.for_each_neighbor(u, [&](graph::vertex_id w) {
           std::atomic_ref<std::int64_t> parent_ref(parents[w]);
           if (parent_ref.load(std::memory_order_relaxed) != v) return;
           parent_ref.store(encode_visited(v), std::memory_order_relaxed);
@@ -147,7 +197,7 @@ std::vector<std::int64_t> hash_bfs(const graph::csr_graph& g, graph::vertex_id r
           table.insert_block(buf.data(), len);
           len = 0;
         });
-      }
+      });
       if (len > 0) table.insert_block(buf.data(), len);
     });
     frontier = table.elements();

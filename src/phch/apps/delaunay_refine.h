@@ -51,6 +51,24 @@ inline bool is_bad_triangle(const geometry::mesh& m, geometry::tri_id t,
   return geometry::radius_edge_ratio(m.pt(tr.v[0]), m.pt(tr.v[1]), m.pt(tr.v[2])) >
          ratio_bound;
 }
+
+// A table of `capacity` slots filled by fill(table). The rounds size their
+// tables at 2n + 4 slots for at most n keys, so load can reach 0.5, where
+// cuckoo placement fails with small probability (table_full_error). A table
+// that fills up is dropped and the round refilled into one twice the size:
+// fill only inserts a set of keys, so the retry ends with the same set.
+template <typename Table, typename Fill>
+std::unique_ptr<Table> filled_table(std::size_t capacity, Fill&& fill) {
+  for (;;) {
+    auto table = std::make_unique<Table>(capacity);
+    try {
+      fill(*table);
+      return table;
+    } catch (const table_full_error&) {
+      capacity *= 2;
+    }
+  }
+}
 }  // namespace detail
 
 // Refines `m` in place until no bad triangles remain or `max_new_points`
@@ -69,14 +87,14 @@ refine_stats refine(geometry::mesh& m, double min_angle_deg, std::size_t max_new
   auto initial_bad = pack_index(m.triangles().size(), [&](std::size_t t) {
     return detail::is_bad_triangle(m, static_cast<geometry::tri_id>(t), ratio_bound);
   });
-  auto table = std::make_unique<Table>(round_up_pow2(2 * initial_bad.size() + 4));
-  {
-    const double t0 = now();
-    parallel_for(0, initial_bad.size(), [&](std::size_t i) {
-      table->insert(static_cast<std::uint64_t>(initial_bad[i]));
-    });
-    stats.hash_seconds += now() - t0;
-  }
+  auto table = detail::filled_table<Table>(
+      round_up_pow2(2 * initial_bad.size() + 4), [&](Table& t) {
+        const double t0 = now();
+        parallel_for(0, initial_bad.size(), [&](std::size_t i) {
+          t.insert(static_cast<std::uint64_t>(initial_bad[i]));
+        });
+        stats.hash_seconds += now() - t0;
+      });
 
   // Reservation slots per triangle (grown lazily), UINT64_MAX = free.
   constexpr std::uint64_t kFree = std::numeric_limits<std::uint64_t>::max();
@@ -176,26 +194,25 @@ refine_stats refine(geometry::mesh& m, double min_angle_deg, std::size_t max_new
 
     // Phase E: gather the next round's bad triangles — new triangles from
     // winners, plus losers' targets, which stay bad and must be retried.
-    auto next = std::make_unique<Table>(
-        round_up_pow2(2 * (new_tris + nb) + 4));
-    const double t1 = now();
-    parallel_for(0, nb, [&](std::size_t i) {
-      if (winner[i]) {
-        for (const geometry::tri_id nt : created[i]) {
-          if (detail::is_bad_triangle(m, nt, ratio_bound)) {
-            next->insert(static_cast<std::uint64_t>(nt));
+    table = detail::filled_table<Table>(round_up_pow2(2 * (new_tris + nb) + 4), [&](Table& next) {
+      const double t1 = now();
+      parallel_for(0, nb, [&](std::size_t i) {
+        if (winner[i]) {
+          for (const geometry::tri_id nt : created[i]) {
+            if (detail::is_bad_triangle(m, nt, ratio_bound)) {
+              next.insert(static_cast<std::uint64_t>(nt));
+            }
+          }
+        } else if (still_bad[i]) {
+          // Loser: its triangle may have been destroyed by a winner; re-check.
+          const auto t = static_cast<geometry::tri_id>(bad[i]);
+          if (detail::is_bad_triangle(m, t, ratio_bound)) {
+            next.insert(static_cast<std::uint64_t>(t));
           }
         }
-      } else if (still_bad[i]) {
-        // Loser: its triangle may have been destroyed by a winner; re-check.
-        const auto t = static_cast<geometry::tri_id>(bad[i]);
-        if (detail::is_bad_triangle(m, t, ratio_bound)) {
-          next->insert(static_cast<std::uint64_t>(t));
-        }
-      }
+      });
+      stats.hash_seconds += now() - t1;
     });
-    stats.hash_seconds += now() - t1;
-    table = std::move(next);
   }
   return stats;
 }

@@ -64,6 +64,7 @@
 #include "phch/core/table_concepts.h"
 #include "phch/obs/telemetry.h"
 #include "phch/parallel/parallel_for.h"
+#include "phch/utils/arch.h"  // detail::prefetch_ro / prefetch_rw
 
 namespace phch {
 
@@ -76,21 +77,6 @@ inline constexpr std::size_t kMaxBatchWidth = 64;
 
 // Operations per block the parallel drivers hand to one block member call.
 inline constexpr std::size_t kBatchBlock = 2048;
-
-namespace detail {
-// Locality 3 (prefetcht0): the line is consumed within ~one ring rotation,
-// so it must land in L1, not just an outer level.
-//
-// GCC deems a function whose only effect is a prefetch const, and may
-// delete a call to it before inlining it. These wrappers, and every
-// prefetch-only helper built on them, are therefore always inlined.
-[[gnu::always_inline]] inline void prefetch_ro(const void* p) noexcept {
-  __builtin_prefetch(p, 0, 3);
-}
-[[gnu::always_inline]] inline void prefetch_rw(const void* p) noexcept {
-  __builtin_prefetch(p, 1, 3);
-}
-}  // namespace detail
 
 namespace batch_detail {
 

@@ -82,8 +82,15 @@ class csr_graph {
   std::size_t degree(vertex_id v) const noexcept {
     return offsets_[v + 1] - offsets_[v];
   }
+  // Pointer arithmetic on data(), not operator[]: a degree-0 last vertex's
+  // list starts one past the end of neighbors_, which must not be indexed.
   const vertex_id* neighbors(vertex_id v) const noexcept {
-    return &neighbors_[offsets_[v]];
+    return neighbors_.data() + offsets_[v];
+  }
+  // Address of v's offsets entry (offsets[v], with offsets[v+1] beside it),
+  // for callers that prefetch it before asking for degree or neighbors.
+  const std::uint64_t* offsets_entry(vertex_id v) const noexcept {
+    return offsets_.data() + v;
   }
 
   template <typename F>

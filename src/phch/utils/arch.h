@@ -1,10 +1,14 @@
-// Architecture detection and the portable spin-wait hint.
+// Architecture detection, the portable spin-wait hint and the prefetch
+// wrappers.
 //
 // The spin-wait sites (parallel/spinlock.h, room_sync, growable_table, the
 // scheduler) want the cheapest "I am busy-waiting" hint the core offers.
 // Centralizing the #ifdef ladder here keeps <immintrin.h> from being
 // included unconditionally on non-x86 builds, and is the one place vendor
 // intrinsic headers may appear (tools/phch_lint.py simd-include).
+//
+// The prefetch wrappers serve the tables' batch rings (core/batch_ops.h)
+// and the BFS frontier walk (apps/bfs.h).
 #pragma once
 
 #include <thread>
@@ -40,5 +44,21 @@ inline void cpu_relax() noexcept {
   std::this_thread::yield();
 #endif
 }
+
+namespace detail {
+// Locality 3 (prefetcht0): the line is consumed within a few operations
+// (one ring rotation, or a few frontier vertices), so it must land in L1,
+// not just an outer level.
+//
+// GCC deems a function whose only effect is a prefetch const, and may
+// delete a call to it before inlining it. These wrappers, and every
+// prefetch-only helper built on them, are therefore always inlined.
+[[gnu::always_inline]] inline void prefetch_ro(const void* p) noexcept {
+  __builtin_prefetch(p, 0, 3);
+}
+[[gnu::always_inline]] inline void prefetch_rw(const void* p) noexcept {
+  __builtin_prefetch(p, 1, 3);
+}
+}  // namespace detail
 
 }  // namespace phch

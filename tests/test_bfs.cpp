@@ -205,10 +205,43 @@ TEST(Bfs, DisconnectedGraphLeavesUnreached) {
   EXPECT_EQ(p[4], kNotReached);
 }
 
+// The root has degree 0 and is the last vertex, so its adjacency starts one
+// past the end of the (empty) neighbor array.
 TEST(Bfs, SingleVertexGraph) {
   const auto g = graph::csr_graph::from_edges(1, {});
   const auto p = serial_bfs(g, 0);
   EXPECT_EQ(decode_parent(p[0]), 0);
+  EXPECT_EQ(array_bfs(g, 0), p);
+  expect_every_table_matches(g);
+}
+
+// Every frontier holds one vertex, fewer than the frontier walk's
+// lookahead, so no prefetch stage ever runs ahead of the body.
+TEST(Bfs, PathGraphHasSingleVertexFrontiers) {
+  const std::size_t n = 40;
+  std::vector<graph::edge> edges;
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    edges.push_back({static_cast<graph::vertex_id>(i), static_cast<graph::vertex_id>(i + 1)});
+  }
+  const auto g = graph::csr_graph::from_edges(n, edges);
+  const auto p = hash_bfs<deterministic_table<traits32>>(g, 0);
+  for (std::size_t v = 1; v < n; ++v) {
+    ASSERT_EQ(decode_parent(p[v]), static_cast<std::int64_t>(v - 1)) << v;
+  }
+  EXPECT_EQ(array_bfs(g, 0), p);
+  expect_every_table_matches(g);
+}
+
+// The highest-numbered vertex is isolated: its offsets entry is the last one
+// and its adjacency starts one past the end of the neighbor array.
+TEST(Bfs, IsolatedLastVertexStaysUnreached) {
+  const auto rk = graph::random_k_edges(300, 4, 11);
+  const auto g = graph::csr_graph::from_edges(301, rk);
+  ASSERT_EQ(g.degree(300), 0u);
+  const auto p = hash_bfs<deterministic_table<traits32>>(g, 0);
+  EXPECT_EQ(p[300], kNotReached);
+  EXPECT_EQ(array_bfs(g, 0), p);
+  expect_every_table_matches(g);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // across runs and thread counts, point budget, table backends.
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "phch/apps/delaunay_refine.h"
 #include "phch/core/chained_table.h"
 #include "phch/core/cuckoo_table.h"
@@ -116,6 +118,41 @@ TEST(Refine, NonDeterministicBackendsStillProduceValidMeshes) {
     EXPECT_TRUE(m.check_valid());
     EXPECT_EQ(s.final_bad, 0u);
   }
+}
+
+// linearHash-D that reports itself full once inserts reach a quarter of
+// its slots. refine sizes each round's table at 2n + 4 slots for n keys,
+// so every round with more than about n/2 inserts throws table_full_error
+// at least once and must be refilled into a larger table.
+class quarter_full_table {
+ public:
+  explicit quarter_full_table(std::size_t capacity)
+      : table_(capacity), limit_(capacity / 4) {}
+  void insert(std::uint64_t k) {
+    if (inserts_.fetch_add(1) >= limit_) {
+      fills_failed.fetch_add(1);
+      throw table_full_error();
+    }
+    table_.insert(k);
+  }
+  std::vector<std::uint64_t> elements() const { return table_.elements(); }
+
+  static inline std::atomic<std::size_t> fills_failed{0};
+
+ private:
+  det_table table_;
+  std::size_t limit_;
+  std::atomic<std::size_t> inserts_{0};
+};
+
+TEST(Refine, RoundWhoseTableFillsIsRefilledLarger) {
+  quarter_full_table::fills_failed = 0;
+  auto m = geometry::mesh::delaunay(geometry::cube2d_points(700, 13));
+  const auto s = refine<quarter_full_table>(m, 25.0, 1 << 20, no_clock);
+  EXPECT_GT(quarter_full_table::fills_failed.load(), 0u);
+  EXPECT_TRUE(m.check_valid());
+  EXPECT_EQ(s.final_bad, 0u);
+  EXPECT_GT(s.points_added, 0u);
 }
 
 TEST(Refine, AlreadyGoodMeshIsUntouched) {

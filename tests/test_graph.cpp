@@ -42,6 +42,12 @@ TEST(CsrGraph, IsolatedVerticesHaveZeroDegree) {
   const auto g = csr_graph::from_edges(5, edges);
   EXPECT_EQ(g.degree(2), 0u);
   EXPECT_EQ(g.degree(4), 0u);
+  // The isolated last vertex's list is empty and starts at the end of the
+  // neighbor array; asking for it must not index past the end (checked
+  // under _GLIBCXX_ASSERTIONS).
+  EXPECT_EQ(g.neighbors(4), g.neighbors(1) + g.degree(1));
+  EXPECT_EQ(g.offsets_entry(4)[1], g.offsets_entry(4)[0]);
+  EXPECT_EQ(g.offsets_entry(4), g.offsets_entry(0) + 4);
 }
 
 TEST(Grid3d, TorusHasDegreeSix) {
