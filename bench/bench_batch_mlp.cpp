@@ -33,7 +33,6 @@
 #include "phch/core/growable_table.h"
 #include "phch/core/hopscotch_table.h"
 #include "phch/core/table_stats.h"
-#include "phch/core/tombstone_table.h"
 #include "phch/obs/export.h"
 #include "phch/obs/telemetry.h"
 #include "phch/parallel/parallel_for.h"
@@ -182,86 +181,15 @@ int main(int argc, char** argv) {
     points.push_back(pt);
   }
 
-  // --- tombstone table through the same engine -----------------------------
-  //
-  // The probe-engine refactor gives the tombstone table the pipelined batch
-  // paths through the shared classifiers; measure them against its scalar
-  // per-op loops (the only batch path it had before). Smaller table so the
-  // insert/erase reps fit in the free slots without tombstone overflow
-  // (erased slabs become unreclaimable garbage, so each rep consumes fresh
-  // slots).
-  struct simple_times {
-    double scalar = 0, pipelined = 0;
-  };
-  simple_times tomb_find, tomb_insert, tomb_erase;
-  const std::size_t tcap = std::max<std::size_t>(std::size_t{1} << 16, cap >> 3);
-  const std::size_t tfill = tcap / 2;
-  {
-    using tomb_t = tombstone_table<int_entry<>>;
-    tomb_t tf(tcap);
-    parallel_for(0, tfill, [&](std::size_t i) { tf.insert(pool[i]); });
-    const std::size_t tqbatch = std::min(qbatch, tcap / 8);
-    const auto tqkeys = tabulate(tqbatch, [&](std::size_t i) {
-      return pool[hash64(i ^ 0x5bd1e995ULL) % tfill];
-    });
-    std::vector<std::uint64_t> tout(tqbatch);
-    const double per_tq = 1e9 / static_cast<double>(tqbatch);
-    tomb_find.scalar = per_tq * time_median([] {}, [&] {
-      for (std::size_t i = 0; i < tqbatch; ++i) tout[i] = tf.find(tqkeys[i]);
-    });
-    tomb_find.pipelined = per_tq * time_median([] {}, [&] {
-      tf.find_block(tqkeys.data(), tqbatch, tout.data(), width);
-    });
-
-    // Insert-then-erase rep pairs on a fresh table per engine; dbatch sized
-    // so all reps' garbage fits in the free half.
-    const std::size_t tdbatch = std::min(
-        tqbatch, (tcap - tfill) / (static_cast<std::size_t>(reps()) + 1));
-    const auto tdkeys =
-        tabulate(tdbatch, [&](std::size_t i) { return std::uint64_t{cap + 1 + i}; });
-    const double per_td = 1e9 / static_cast<double>(tdbatch);
-    auto tomb_pairwise = [&](auto&& ins, auto&& del, tomb_t& t) {
-      parallel_for(0, tfill, [&](std::size_t i) { t.insert(pool[i]); });
-      std::vector<double> ti, te;
-      for (long r = 0; r < reps(); ++r) {
-        ti.push_back(time_once(ins));
-        te.push_back(time_once(del));
-      }
-      return std::pair<double, double>{per_td * med(ti), per_td * med(te)};
-    };
-    {
-      tomb_t t(tcap);
-      std::tie(tomb_insert.scalar, tomb_erase.scalar) = tomb_pairwise(
-          [&] {
-            for (std::size_t i = 0; i < tdbatch; ++i) t.insert(tdkeys[i]);
-          },
-          [&] {
-            for (std::size_t i = 0; i < tdbatch; ++i) t.erase(tdkeys[i]);
-          },
-          t);
-    }
-    {
-      tomb_t t(tcap);
-      std::tie(tomb_insert.pipelined, tomb_erase.pipelined) = tomb_pairwise(
-          [&] { t.insert_block(tdkeys.data(), tdbatch, width); },
-          [&] { t.erase_block(tdkeys.data(), tdbatch, width); },
-          t);
-    }
-    std::printf("\ntombstone table (capacity %zu, load 0.50), one worker:\n", tcap);
-    std::printf("  %-8s scalar %8.1f  pipelined %8.1f ns/op\n", "find",
-                tomb_find.scalar, tomb_find.pipelined);
-    std::printf("  %-8s scalar %8.1f  pipelined %8.1f ns/op\n", "insert",
-                tomb_insert.scalar, tomb_insert.pipelined);
-    std::printf("  %-8s scalar %8.1f  pipelined %8.1f ns/op\n", "erase",
-                tomb_erase.scalar, tomb_erase.pipelined);
-  }
-
   // --- growable wrapper batch forwarding -----------------------------------
   //
   // Whole-batch insert through the wrapper (chunked pipelined engine, one
   // load-bound check per chunk, batched migration) vs the pre-refactor path:
   // a per-op insert loop with a per-insert load-bound check. Both start tiny
   // and grow to the same final capacity. Uses the configured worker pool.
+  struct simple_times {
+    double scalar = 0, pipelined = 0;
+  };
   simple_times grow_insert, grow_find;
   std::size_t grow_n = std::min(qbatch, std::size_t{1} << 17);
   std::size_t grow_growths = 0;
@@ -441,13 +369,6 @@ int main(int argc, char** argv) {
     std::fprintf(f, "    }%s\n", i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"tombstone\": {\"capacity\": %zu, \"load\": 0.5,\n"
-               "    \"find\": {\"scalar_ns\": %.1f, \"pipelined_ns\": %.1f},\n"
-               "    \"insert\": {\"scalar_ns\": %.1f, \"pipelined_ns\": %.1f},\n"
-               "    \"erase\": {\"scalar_ns\": %.1f, \"pipelined_ns\": %.1f}},\n",
-               tcap, tomb_find.scalar, tomb_find.pipelined, tomb_insert.scalar,
-               tomb_insert.pipelined, tomb_erase.scalar, tomb_erase.pipelined);
   std::fprintf(f,
                "  \"growable\": {\"initial_capacity\": 1024, \"n\": %zu, "
                "\"growths\": %zu,\n"

@@ -22,7 +22,7 @@
 // lines that prefetch warmed. The kernels live next to each table's probe
 // logic:
 //
-//   probe_engine (linearHash-D/ND, tombstone)  find/erase scans pipelined
+//   probe_engine (linearHash-D/ND)             find/erase scans pipelined
 //                 line by line; insert pipelines the advance-past-occupants
 //                 prefix and hands off to the scalar CAS loop at the first
 //                 potential commit point
@@ -43,8 +43,9 @@
 // parallel drivers: blocked_for over kBatchBlock-op blocks, one block
 // member call per block. growable_table is the one table with its own
 // whole-batch members (its insert batch interleaves growth), and is
-// forwarded to; a table with neither (serial_table, auto_phased_table)
-// gets a scalar per-op loop with identical semantics.
+// forwarded to. Every phase-concurrent table is one or the other; the
+// scalar per-op loops (*_batch_scalar) remain as the reference the block
+// members are tested against.
 //
 // A batch is one phase (Definition 1): all its blocks share one class.
 // Each block's scope announces that class to the table's phase_runtime, so
@@ -149,8 +150,7 @@ void run_handoff_block(std::size_t n, std::size_t width, const Prefetch& prefetc
 
 // ---------------------------------------------------------------------------
 // Scalar reference batches: plain per-op loops, no prefetching. The
-// semantic baseline the block members must match bit-for-bit; also the
-// path for tables without block members.
+// semantic baseline the block members must match bit-for-bit.
 // ---------------------------------------------------------------------------
 
 template <typename Table, typename V>
@@ -178,8 +178,7 @@ void erase_batch_scalar(Table& t, const std::vector<K>& keys) {
 
 // ---------------------------------------------------------------------------
 // Public batch API. A forwarding table (growable_table) runs its own batch
-// members; a block table runs one block member per kBatchBlock-op block;
-// everything else gets the scalar loop.
+// members; a block table runs one block member per kBatchBlock-op block.
 // ---------------------------------------------------------------------------
 
 // Inserts values[0..n); whole-batch parallel. One insert phase.
@@ -187,12 +186,11 @@ template <typename Table, typename V>
 void insert_batch(Table& t, const V* values, std::size_t n) {
   if constexpr (batch_forwarding_table<Table>) {
     t.insert_batch(values, n);
-  } else if constexpr (block_table<Table>) {
+  } else {
+    static_assert(block_table<Table>, "insert_batch needs a block or forwarding table");
     blocked_for(0, n, kBatchBlock, [&](std::size_t, std::size_t s, std::size_t e) {
       t.insert_block(values + s, e - s);
     });
-  } else {
-    insert_batch_scalar(t, values, n);
   }
 }
 
@@ -207,15 +205,14 @@ std::vector<typename Table::value_type> find_batch(const Table& t,
                                                    const std::vector<K>& keys) {
   if constexpr (batch_forwarding_table<Table>) {
     return t.find_batch(keys);
-  } else if constexpr (block_table<Table>) {
+  } else {
+    static_assert(block_table<Table>, "find_batch needs a block or forwarding table");
     std::vector<typename Table::value_type> out(keys.size());
     blocked_for(0, keys.size(), kBatchBlock,
                 [&](std::size_t, std::size_t s, std::size_t e) {
                   t.find_block(keys.data() + s, e - s, out.data() + s);
                 });
     return out;
-  } else {
-    return find_batch_scalar(t, keys);
   }
 }
 
@@ -224,13 +221,12 @@ template <typename Table, typename K>
 void erase_batch(Table& t, const std::vector<K>& keys) {
   if constexpr (batch_forwarding_table<Table>) {
     t.erase_batch(keys);
-  } else if constexpr (block_table<Table>) {
+  } else {
+    static_assert(block_table<Table>, "erase_batch needs a block or forwarding table");
     blocked_for(0, keys.size(), kBatchBlock,
                 [&](std::size_t, std::size_t s, std::size_t e) {
                   t.erase_block(keys.data() + s, e - s);
                 });
-  } else {
-    erase_batch_scalar(t, keys);
   }
 }
 

@@ -29,6 +29,6 @@ namespace phch {
 
 template <typename Traits = int_entry<>, typename Phase = unchecked_phases>
 using deterministic_table =
-    probe_engine<Traits, Phase, prioritized_order, backshift_delete>;
+    probe_engine<Traits, Phase, prioritized_order>;
 
 }  // namespace phch

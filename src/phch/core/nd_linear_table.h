@@ -1,8 +1,8 @@
 // linearHash-ND: non-deterministic phase-concurrent linear probing, the
 // paper's history-dependent baseline modeled on Gao, Groote & Hesselink
 // (Distributed Computing 2005), with two changes the paper makes:
-//  - deletions shift elements back (hole filling) instead of leaving
-//    tombstones, and
+//  - deletions shift elements back (hole filling) instead of marking the
+//    deleted slot "deleted" for good, and
 //  - no resizing.
 //
 // Inserts place an element in the *first empty slot* of its probe sequence,
@@ -25,6 +25,6 @@
 namespace phch {
 
 template <typename Traits = int_entry<>, typename Phase = unchecked_phases>
-using nd_linear_table = probe_engine<Traits, Phase, arrival_order, backshift_delete>;
+using nd_linear_table = probe_engine<Traits, Phase, arrival_order>;
 
 }  // namespace phch

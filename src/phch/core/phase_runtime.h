@@ -4,25 +4,23 @@
 //     S = { {insert}, {delete}, {find, elements} }
 // and requires classes not to overlap in time; the boundaries between
 // classes are the program-visible quiescent points everything else in this
-// repo leans on. Historically that state was tracked in four independent
-// places (phase_guard's in-flight counters, the obs tracer's per-table
-// epoch atomic, room_sync's current-room word, and the batch scopes). This
-// header collapses them onto a single per-table state machine:
+// repo leans on. This header is the only place that state lives: one
+// per-table state machine,
 //
 //     state = (phase epoch << 2) | current operation class
 //
-// (The compile-time mirror of this word is the phase-capability surface in
-// utils/phase_caps.h; see DESIGN.md §15 for how the two halves divide the
-// contract. state_'s orderings are pinned in tools/atomics_contract.tsv.)
+// packed into one cache line. (The compile-time mirror of this word is the
+// phase-capability surface in utils/phase_caps.h; see DESIGN.md §15 for how
+// the two halves divide the contract. state_'s orderings are pinned in
+// tools/atomics_contract.tsv.)
 //
-// packed into one cache line. Every operation — scalar, batched, checked or
-// unchecked — announces its class through on_op(). Same-class operations
-// see one relaxed load and a compare; the first operation of a *different*
-// class wins a CAS that advances the epoch, and that CAS winner is the
-// exactly-once transition edge: it ticks obs::counter::phase_transitions
-// and records the phase_begin trace event directly, so the tracer is fed
-// from the state machine instead of from a parallel atomic that could
-// disagree with it.
+// Every operation — scalar, batched, checked or unchecked — announces its
+// class through on_op(). Same-class operations see one relaxed load and a
+// compare; the first operation of a *different* class wins a CAS that
+// advances the epoch, and that CAS winner is the exactly-once transition
+// edge: it ticks obs::counter::phase_transitions and records the
+// phase_begin trace event directly, so the tracer is fed from the state
+// machine instead of from a parallel atomic that could disagree with it.
 //
 // The epoch is not just observational: it increases monotonically by
 // exactly one per class transition, so "the table changed phase" is a

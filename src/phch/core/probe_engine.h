@@ -1,7 +1,10 @@
 // The policy-based open-addressing core behind the linear-probing tables.
 //
-// The paper's three linear-probing variants are one algorithm with two
-// orthogonal policy choices:
+// The paper's two linear-probing variants are one algorithm with one
+// policy choice, the ordering policy below. Both delete the same way: hole
+// filling by back-shifting (FindReplacement, Figure 1 lines 11–24), which
+// repairs the cluster in place, so the table carries no garbage and
+// prioritized order keeps the canonical layout of §3 across deletes.
 //
 //   ordering policy   what a probe may conclude from an occupant
 //     prioritized_order  slots keep the history-independent ordering
@@ -13,14 +16,6 @@
 //                        on arrival order; probes stop only at ⊥ or an
 //                        equal key (linearHash-ND, after Gao et al.).
 //
-//   delete policy     how erase removes an entry
-//     backshift_delete   hole filling via FindReplacement (Figure 1, lines
-//                        11–24): the cluster is repaired in place and the
-//                        table carries no garbage.
-//     tombstone_delete   the §2 strawman: mark the slot with Traits::busy()
-//                        and never reuse it; probes skip tombstones, and
-//                        only compact() reclaims them.
-//
 // probe_engine owns everything the policies share: the slot array, the
 // probe/CAS loops (scalar entry points plus the pipelined block members,
 // whose insert and erase resume the scalar loops mid-probe), capacity
@@ -29,16 +24,13 @@
 // commits with one CAS, and count() scans. The concrete tables are thin
 // aliases:
 //
-//   deterministic_table = probe_engine<prioritized_order, backshift_delete>
-//   nd_linear_table     = probe_engine<arrival_order,     backshift_delete>
-//   tombstone_table     = probe_engine<arrival_order,     tombstone_delete>
+//   deterministic_table = probe_engine<prioritized_order>
+//   nd_linear_table     = probe_engine<arrival_order>
 //
-// The engine also distills each policy pair into three static probe
+// The engine also distills the ordering policy into three static probe
 // classifiers — classify_find / insert_scan_stop / erase_scan_stop — which
-// the scalar loops and the pipelined block members both drive, so every
-// policy combination gets software-pipelined batching for free. Layouts are
-// bit-identical to the pre-engine tables: the loops below are the same
-// control flow, merely parameterized.
+// the scalar loops and the pipelined block members both drive, so both
+// policies get software-pipelined batching for free.
 #pragma once
 
 #include <cassert>
@@ -57,6 +49,11 @@
 
 namespace phch {
 
+// Outcome of inspecting one slot during a probe for a key: keep scanning,
+// found the key, or proved it absent. classify_find returns it; the scalar
+// find and find_block both drive their loops through it.
+enum class probe_verdict : unsigned char { advance, hit, miss };
+
 // --- ordering policies ------------------------------------------------------
 
 // History-independent prioritized linear probing (the paper's contribution).
@@ -69,33 +66,12 @@ struct arrival_order {
   static constexpr bool ordered_probes = false;
 };
 
-// --- delete policies --------------------------------------------------------
-
-// Hole filling by back-shifting (Figure 1 FINDREPLACEMENT); no garbage.
-struct backshift_delete {
-  static constexpr bool uses_tombstones = false;
-};
-
-// Gao-et-al tombstones: erase marks, probes skip, footprint only grows.
-struct tombstone_delete {
-  static constexpr bool uses_tombstones = true;
-};
-
-template <typename Traits, typename Phase, typename Order, typename Delete>
+template <typename Traits, typename Phase, typename Order>
 class probe_engine {
  public:
   using traits = Traits;
   using value_type = typename Traits::value_type;
   using key_type = typename Traits::key_type;
-  using order_policy = Order;
-  using delete_policy = Delete;
-
-  // Probes may stop early on the ordering invariant (batch-engine tag).
-  static constexpr bool ordered_probes = Order::ordered_probes;
-  // Tombstones make every probe bounded: a full sweep proves absence rather
-  // than signalling a (forbidden) full table, because garbage, not live
-  // elements, may occupy every slot.
-  static constexpr bool bounded_probes = Delete::uses_tombstones;
 
   // Capacity is rounded up to a power of two. The caller must keep the
   // table from filling (paper precondition); `count()` reports usage.
@@ -104,45 +80,15 @@ class probe_engine {
 
   std::size_t capacity() const noexcept { return slots_.capacity(); }
 
-  // Live entries (excludes tombstones), by parallel scan.
-  std::size_t count() const {
-    if constexpr (Delete::uses_tombstones) {
-      return reduce(std::size_t{0}, capacity(), std::size_t{0},
-                    std::plus<std::size_t>{},
-                    [&](std::size_t i) { return std::size_t{is_present(slots_[i])}; });
-    } else {
-      return slots_.count();
-    }
-  }
+  // Live entries, by parallel scan.
+  std::size_t count() const { return slots_.count(); }
 
   void clear() { slots_.clear(); }
 
-  // --- tombstone-only surface ----------------------------------------------
-
-  // Live entries plus tombstones: the footprint that governs probe lengths.
-  std::size_t footprint() const
-    requires(Delete::uses_tombstones)
-  {
-    return reduce(std::size_t{0}, capacity(), std::size_t{0}, std::plus<std::size_t>{},
-                  [&](std::size_t i) {
-                    return std::size_t{!Traits::is_empty(slots_[i])};
-                  });
-  }
-
-  // Rebuilds the table, dropping tombstones — the "copy the whole hash
-  // table" reclamation §2 describes. Quiescent-point operation.
-  void compact()
-    requires(Delete::uses_tombstones)
-  {
-    std::vector<value_type> live = elements();
-    clear();
-    parallel_for(0, live.size(), [&](std::size_t i) { insert(live[i]); });
-  }
-
-  // --- probe classification (the policy pair, distilled) -------------------
+  // --- probe classification (the ordering policy, distilled) ---------------
   //
-  // These three statics are the whole ordering/delete policy as seen by a
-  // probe loop. The scalar operations and the pipelined block members below
+  // These three statics are the whole ordering policy as seen by a probe
+  // loop. The scalar operations and the pipelined block members below
   // both consume them, so scalar and batched execution agree by
   // construction.
 
@@ -155,10 +101,8 @@ class probe_engine {
       return Traits::key_equal(Traits::key(c), kq) ? probe_verdict::hit
                                                    : probe_verdict::miss;
     } else {
-      if (is_present(c) && Traits::key_equal(Traits::key(c), kq)) {
-        return probe_verdict::hit;
-      }
-      return probe_verdict::advance;  // occupied or tombstone: keep scanning
+      if (Traits::key_equal(Traits::key(c), kq)) return probe_verdict::hit;
+      return probe_verdict::advance;  // another key: keep scanning
     }
   }
 
@@ -172,19 +116,16 @@ class probe_engine {
     if constexpr (Order::ordered_probes) {
       return !Traits::priority_less(Traits::key(v), Traits::key(c));
     } else {
-      return is_present(c) && Traits::key_equal(Traits::key(c), Traits::key(v));
+      return Traits::key_equal(Traits::key(c), Traits::key(v));
     }
   }
 
-  // True iff the forward scan of an erase for kq stops at slot contents c.
-  // Backshift erases then run the downward CAS scan from here; tombstone
-  // erases resume the scalar mark loop at this position.
+  // True iff the forward scan of an erase for kq stops at slot contents c;
+  // the downward CAS scan runs from there.
   static bool erase_scan_stop(value_type c, key_type kq) noexcept {
     if (Traits::is_empty(c)) return true;
     if constexpr (Order::ordered_probes) {
       return !Traits::priority_less(kq, Traits::key(c));
-    } else if constexpr (Delete::uses_tombstones) {
-      return is_present(c) && Traits::key_equal(Traits::key(c), kq);
     } else {
       return false;  // without the invariant only ⊥ stops the scan
     }
@@ -248,7 +189,7 @@ class probe_engine {
     for (;;) {
       const value_type c = atomic_load(&slots_[i]);
       ++tally.slots;
-      if (is_present(c) && Traits::key_equal(Traits::key(c), Traits::key(v))) {
+      if (!Traits::is_empty(c) && Traits::key_equal(Traits::key(c), Traits::key(v))) {
         // Duplicate key: merge values per the traits' combine function.
         if constexpr (!Traits::has_combine) {
           obs::count(obs::counter::insert_dups);
@@ -262,23 +203,6 @@ class probe_engine {
             return finish(advances, probe_limit);
           }
           continue;
-        } else if constexpr (Delete::uses_tombstones) {
-          value_type cur = c;
-          bool merged_in = false;
-          for (;;) {
-            const value_type merged = Traits::combine(cur, v);
-            if (bits_equal(merged, cur) || cas_tallied(tally, &slots_[i], cur, merged)) {
-              merged_in = true;
-              break;
-            }
-            cur = atomic_load(&slots_[i]);
-            if (is_tombstone(cur)) break;  // deleted meanwhile; keep probing
-          }
-          if (merged_in) {
-            obs::count(obs::counter::insert_dups);
-            return finish(advances, probe_limit);
-          }
-          // fall through: advance past the tombstone
         } else {
           // Arrival order with back-shift: a stored entry never moves during
           // an insert phase, so only the value word is merged (in place).
@@ -321,39 +245,34 @@ class probe_engine {
  public:
   // --- erase ----------------------------------------------------------------
 
-  // DELETE. Safe to call concurrently with other erases only. Backshift
-  // (Figure 1, lines 25-41): removes the (single) entry whose key equals
-  // `kq`, filling the hole history-independently via FindReplacement.
-  // Tombstone: marks the entry's slot with Traits::busy().
+  // DELETE (Figure 1, lines 25-41). Safe to call concurrently with other
+  // erases only. Removes the (single) entry whose key equals `kq`, filling
+  // the hole history-independently via FindReplacement.
   void erase(key_type kq) PHCH_REQUIRES_PHASE(erase) {
     typename Phase::scope guard(phase_, op_kind::erase);
     obs::latency_sampler lat;
     obs::count(obs::counter::erase_ops);
-    if constexpr (Delete::uses_tombstones) {
-      tombstone_erase(kq, home(kq), 0);
-    } else {
-      const std::size_t cap = capacity();
-      obs::probe_tally tally;
-      obs::probe_depth_scope depth(tally);
-      // Unwrapped coordinates, offset by one capacity so they never
-      // underflow. Initial forward scan (lines 27-29): past every slot the
-      // ordering policy says could still precede the key.
-      const std::uint64_t i = cap + home(kq);
-      std::uint64_t k = i;
-      for (;;) {
-        ++tally.slots;
-        if (erase_scan_stop(atomic_load(slot(k)), kq)) break;
-        ++k;
-        if (k - i > cap) throw table_full_error();
-      }
-      erase_downward(tally, kq, i, k);
+    const std::size_t cap = capacity();
+    obs::probe_tally tally;
+    obs::probe_depth_scope depth(tally);
+    // Unwrapped coordinates, offset by one capacity so they never
+    // underflow. Initial forward scan (lines 27-29): past every slot the
+    // ordering policy says could still precede the key.
+    const std::uint64_t i = cap + home(kq);
+    std::uint64_t k = i;
+    for (;;) {
+      ++tally.slots;
+      if (erase_scan_stop(atomic_load(slot(k)), kq)) break;
+      ++k;
+      if (k - i > cap) throw table_full_error();
     }
+    erase_downward(tally, kq, i, k);
   }
 
  private:
   // Insert continuation for insert_block: resume the scalar loop at slot i,
   // `advances` slots past home. Both block continuations stay out of line:
-  // inlined into the ring, the scalar loop halved the tombstone table's
+  // inlined into the ring, the scalar loop halved an arrival-order table's
   // pipelined insert throughput in bench_batch_mlp (gcc 12).
   [[gnu::noinline]] void insert_from(value_type v, std::size_t i, std::size_t advances)
       PHCH_REQUIRES_PHASE(insert) {
@@ -362,42 +281,15 @@ class probe_engine {
 
   // Erase continuation for erase_block: its pipelined lane has already run
   // the initial forward scan, stopping `fwd_advances` slots past the key's
-  // home. Backshift runs the downward scan from there; tombstone resumes
-  // the scalar mark loop at that position (the slot is re-loaded, so a
-  // stale pipelined read only costs a few extra probes).
+  // home; the downward scan runs from there.
   [[gnu::noinline]] void erase_from(key_type kq, std::size_t fwd_advances)
       PHCH_REQUIRES_PHASE(erase) {
     typename Phase::scope guard(phase_, op_kind::erase);
     obs::count(obs::counter::erase_ops);
-    if constexpr (Delete::uses_tombstones) {
-      tombstone_erase(kq, (home(kq) + fwd_advances) & slots_.mask(), fwd_advances);
-    } else {
-      obs::probe_tally tally;
-      obs::probe_depth_scope depth(tally, fwd_advances);
-      const std::uint64_t i = capacity() + home(kq);
-      erase_downward(tally, kq, i, i + fwd_advances);
-    }
-  }
-
-  void tombstone_erase(key_type kq, std::size_t i, std::size_t advances) {
-    const std::size_t cap = capacity();
     obs::probe_tally tally;
-    obs::probe_depth_scope depth(tally, advances);
-    for (;;) {
-      const value_type c = atomic_load(&slots_[i]);
-      ++tally.slots;
-      if (Traits::is_empty(c)) return;  // not present
-      if (is_present(c) && Traits::key_equal(Traits::key(c), kq)) {
-        // Replace with the tombstone; a failed CAS means a concurrent erase
-        // got it first (same result).
-        if (cas_tallied(tally, &slots_[i], c, Traits::busy())) {
-          obs::count(obs::counter::erase_hits);
-        }
-        return;
-      }
-      i = next(i);
-      if (++advances > cap) return;
-    }
+    obs::probe_depth_scope depth(tally, fwd_advances);
+    const std::uint64_t i = capacity() + home(kq);
+    erase_downward(tally, kq, i, i + fwd_advances);
   }
 
   // Downward scan (lines 30-41), from unwrapped position k down to the
@@ -459,10 +351,7 @@ class probe_engine {
           break;
       }
       i = next(i);
-      if (++advances > cap) {
-        if constexpr (bounded_probes) return Traits::empty();
-        else throw table_full_error();
-      }
+      if (++advances > cap) throw table_full_error();
     }
   }
 
@@ -470,24 +359,21 @@ class probe_engine {
     return !Traits::is_empty(find(kq));
   }
 
-  // ELEMENTS(): the live slots packed in slot order, via the shared
-  // pack-based implementation. Under prioritized order the result is a
-  // deterministic function of the table's contents (history independence).
-  // Same phase class as find.
+  // ELEMENTS(): the occupied slots packed in slot order. Under prioritized
+  // order the result is a deterministic function of the table's contents
+  // (history independence). Same phase class as find.
   std::vector<value_type> elements() const PHCH_REQUIRES_PHASE(query) {
     typename Phase::scope guard(phase_, op_kind::query);
-    return packed_elements<Traits>(slots_.data(), capacity(),
-                                   [](value_type c) { return is_present(c); });
+    return slots_.elements();
   }
 
   // Raw slot view for tests (layout/ordering-invariant verification).
   const value_type* raw_slots() const noexcept { return slots_.data(); }
 
   // The table's single phase-state word (core/phase_runtime.h): current
-  // operation class plus the monotone phase epoch. Exposed so wrappers —
-  // auto_phased_table's room transitions, the trace-ledger validation in
-  // tools/phch_trace — read and advance the same state the operation scopes
-  // use, instead of keeping a parallel phase word.
+  // operation class plus the monotone phase epoch. Exposed so the tests and
+  // the trace-ledger validation in tools/phch_trace read the same state the
+  // operation scopes advance.
   phase_runtime& phase_rt() const noexcept { return phase_.runtime(); }
 
   // --- pipelined block members (core/batch_ops.h) ---------------------------
@@ -501,10 +387,8 @@ class probe_engine {
   // operation hashes its key exactly once.
   //
   // A probe that sweeps more than `capacity` slots has wrapped the table:
-  // under bounded_probes (tombstones — the table can be full of garbage)
-  // the operation resolves as a miss / no-op, like the scalar loop;
-  // otherwise the table broke the never-full precondition and the step
-  // throws, again matching the scalar loop.
+  // the table broke the never-full precondition and the step throws, like
+  // the scalar loop.
   //
   // Each slot load is a seq_cst atomic, which the compiler treats as a
   // barrier for every variable whose address escapes, and a by-reference
@@ -551,10 +435,7 @@ class probe_engine {
               break;
             }
             o.slot = (o.slot + 1) & mask;
-            if (++o.advances > cap) {
-              if constexpr (bounded_probes) break;
-              else throw table_full_error();
-            }
+            if (++o.advances > cap) throw table_full_error();
             if ((o.slot & (line - 1)) == 0) {
               done = false;
               break;
@@ -649,8 +530,6 @@ class probe_engine {
     };
     obs::tally t_slots(obs::counter::batch_probe_slots);
     obs::tally t_handoffs(obs::counter::batch_handoffs);
-    obs::tally t_dropped(obs::counter::erase_ops);
-    obs::hist_accum t_depth;
     batch_detail::run_batch_ring<lane>(
         n, width,
         [keys, slots, mask](lane& o, std::size_t i) {
@@ -660,7 +539,7 @@ class probe_engine {
         },
         [&, slots, mask, cap](lane& o) {
           std::uint64_t scanned = 0;
-          bool stop = false, wrapped = false;
+          bool stop = false;
           do {
             ++scanned;
             if (erase_scan_stop(atomic_load(&slots[o.slot]), o.kq)) {
@@ -668,14 +547,7 @@ class probe_engine {
               break;
             }
             o.slot = (o.slot + 1) & mask;
-            if (++o.advances > cap) {
-              if constexpr (bounded_probes) {
-                wrapped = true;
-                break;
-              } else {
-                throw table_full_error();
-              }
-            }
+            if (++o.advances > cap) throw table_full_error();
           } while (o.slot & (line - 1));
           t_slots.add(scanned);
           if (stop) {
@@ -683,35 +555,12 @@ class probe_engine {
             erase_from(o.kq, o.advances);
             return true;
           }
-          if (wrapped) {
-            // The key is absent. erase_from never runs for a wrapped probe,
-            // so its erase_ops tick and probe-depth sample are accounted
-            // here.
-            t_dropped.add();
-            t_depth.note(o.advances);
-            return true;
-          }
           detail::prefetch_rw(&slots[o.slot]);
           return false;
         });
-    obs::hist_record(obs::hist::probe_depth, t_depth);
   }
 
  private:
-  // True for a live entry: occupied and (under tombstone deletion) not a
-  // tombstone.
-  static bool is_present(value_type c) noexcept {
-    if (Traits::is_empty(c)) return false;
-    if constexpr (Delete::uses_tombstones) return !is_tombstone(c);
-    return true;
-  }
-
-  static bool is_tombstone(value_type c) noexcept
-    requires(Delete::uses_tombstones)
-  {
-    return bits_equal(c, Traits::busy());
-  }
-
   std::size_t home(key_type k) const noexcept { return Traits::hash(k) & slots_.mask(); }
   std::size_t next(std::size_t i) const noexcept { return (i + 1) & slots_.mask(); }
   value_type* slot(std::uint64_t unwrapped) noexcept {

@@ -47,26 +47,6 @@ inline bool bits_equal(const T& a, const T& b) noexcept {
   return std::memcmp(&a, &b, sizeof(T)) == 0;
 }
 
-// Outcome of inspecting one slot during a probe for a key: keep scanning,
-// found the key, or proved it absent. The probe engine's classification
-// hooks return this, and the batched engines (core/batch_ops.h) drive any
-// table's probe loop through it — the ordering/delete policy decides the
-// verdict, the scan machinery is shared.
-enum class probe_verdict : unsigned char { advance, hit, miss };
-
-// The paper's ELEMENTS() for any open-addressing slot array: pack the slots
-// selected by `live` into a contiguous vector in slot order (prefix sum over
-// per-block counts plus cache-block-friendly writes). The single shared
-// implementation behind every open-addressing table's elements(); the
-// predicate is what varies (non-empty, or non-empty-and-not-tombstone).
-template <typename Traits, typename Live>
-std::vector<typename Traits::value_type> packed_elements(
-    const typename Traits::value_type* slots, std::size_t capacity, Live&& live) {
-  return pack(
-      capacity, [&](std::size_t i) { return live(slots[i]); },
-      [&](std::size_t i) { return slots[i]; });
-}
-
 // Below this many slots a parallel clear costs more in fork-join overhead
 // than the fill itself; run it serially.
 inline constexpr std::size_t kSerialClearThreshold = 4096;
@@ -123,10 +103,14 @@ class slot_array {
   }
 
   // Packs the occupied slots into a contiguous array in slot order — the
-  // paper's ELEMENTS(), via the shared pack-based implementation above.
+  // paper's ELEMENTS(), the one implementation behind every open-addressing
+  // table's elements() (prefix sum over per-block counts plus
+  // cache-block-friendly writes).
   std::vector<value_type> elements() const {
-    return packed_elements<Traits>(
-        data(), capacity_, [](const value_type& c) { return !Traits::is_empty(c); });
+    const value_type* s = data();
+    return pack(
+        capacity_, [s](std::size_t i) { return !Traits::is_empty(s[i]); },
+        [s](std::size_t i) { return s[i]; });
   }
 
  private:

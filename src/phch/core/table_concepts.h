@@ -3,8 +3,8 @@
 // typing. The layering is
 //
 //   probe_engine (policy-parameterized probing core)
-//     └─ policies: prioritized/arrival order × backshift/tombstone delete
-//          └─ wrappers: growable_table, auto_phased_table
+//     └─ policies: prioritized / arrival order, back-shift delete
+//          └─ wrapper: growable_table
 //               └─ batch API (core/batch_ops.h), table_stats
 //                    └─ apps / benches / tests
 //
@@ -52,16 +52,16 @@ concept deletable_table = phase_table<T> && requires(T& t, typename T::key_type 
 
 // A table that exposes its phase_runtime (core/phase_runtime.h): the single
 // per-table phase-state word (current operation class + monotone epoch).
-// Every first-party table models this via its phase policy; wrappers like
-// auto_phased_table use it to advance the epoch at room transitions, and
-// tools validate the exactly-once transition ledger through it.
+// Every first-party phase-concurrent table models this via its phase
+// policy; tools/phch_trace validates the exactly-once transition ledger
+// through it.
 template <typename T>
 concept phase_epoch_table = requires(const T& ct) {
   { ct.phase_rt() } -> std::same_as<phase_runtime&>;
 };
 
-// A phase table backed by one flat slot array — what table_stats, the
-// layout-equality tests, and the room-synchronized wrapper scan.
+// A phase table backed by one flat slot array — what table_stats and the
+// layout-equality tests scan.
 template <typename T>
 concept open_addressing_table = phase_table<T> && requires(const T& ct) {
   { ct.raw_slots() } -> std::convertible_to<const typename T::value_type*>;
@@ -70,7 +70,7 @@ concept open_addressing_table = phase_table<T> && requires(const T& ct) {
 // A table with the three serial block members the free batch functions
 // drive (core/batch_ops.h): each runs n operations through the table's
 // pipelined ring on the calling thread, inside one phase scope of its
-// class. probe_engine (every linear policy pair), cuckoo, hopscotch and
+// class. probe_engine (both ordering policies), cuckoo, hopscotch and
 // chained tables model it.
 template <typename T>
 concept block_table =

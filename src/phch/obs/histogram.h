@@ -3,7 +3,7 @@
 //
 // The counters (obs/telemetry.h) say how many events happened; this layer
 // says how they are *distributed* — probe depth per operation, sampled
-// operation latency, room-wait durations, and growth migration times.
+// operation latency, and growth migration times.
 // Distributions are what the paper's phase-concurrency argument actually
 // claims things about (expected O(1) probes at fixed load, contention-free
 // phases), and what tail-latency engineering needs.
@@ -126,7 +126,6 @@ struct hist_snapshot {
 enum class hist : std::uint8_t {
   probe_depth,     // slots inspected per linear-probing op (scalar + pipelined)
   op_latency_ns,   // sampled wall time per scalar op (1-in-kLatencySamplePeriod)
-  room_wait_ns,    // wall time blocked in room_sync::enter
   growth_ns,       // growable_table migration duration
   kCount
 };
@@ -134,7 +133,7 @@ inline constexpr std::size_t kNumHists = static_cast<std::size_t>(hist::kCount);
 
 inline const char* hist_name(hist h) noexcept {
   static constexpr const char* names[kNumHists] = {
-      "probe_depth", "op_latency_ns", "room_wait_ns", "growth_ns"};
+      "probe_depth", "op_latency_ns", "growth_ns"};
   const auto i = static_cast<std::size_t>(h);
   return i < kNumHists ? names[i] : "?";
 }

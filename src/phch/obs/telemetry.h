@@ -78,8 +78,6 @@ enum class counter : std::uint8_t {
   chained_chain_links,     // chain nodes walked by finds and batch walks
   // core/phase_runtime.h transition edge.
   phase_transitions, // per-table operation-class changes (insert->query, ...)
-  // parallel/room_sync.h (auto_phased_table's automatic phase separation).
-  room_waits,        // enters that blocked because another room was occupied
   kCount
 };
 
@@ -93,7 +91,7 @@ inline const char* counter_name(counter c) noexcept {
       "batch_rotations",   "batch_handoffs", "batch_blocks",   "steals",
       "steal_failures",    "backoff_sleeps", "growths",       "migrated_elements",
       "cuckoo_evictions",  "hopscotch_displacements", "chained_chain_links",
-      "phase_transitions", "room_waits",
+      "phase_transitions",
   };
   const auto i = static_cast<std::size_t>(c);
   return i < kNumCounters ? names[i] : "?";

@@ -1,8 +1,8 @@
 // Architecture detection, the portable spin-wait hint and the prefetch
 // wrappers.
 //
-// The spin-wait sites (parallel/spinlock.h, room_sync, growable_table, the
-// scheduler) want the cheapest "I am busy-waiting" hint the core offers.
+// The spin-wait sites (parallel/spinlock.h, growable_table, the scheduler)
+// want the cheapest "I am busy-waiting" hint the core offers.
 // Centralizing the #ifdef ladder here keeps <immintrin.h> from being
 // included unconditionally on non-x86 builds, and is the one place vendor
 // intrinsic headers may appear (tools/phch_lint.py simd-include).

@@ -31,10 +31,7 @@
 //    every different-class operation on `table` inside the region a
 //    -Wthread-safety error. They compile to empty objects: marking a region
 //    is free and purely declarative.
-//  * Rooms (parallel/room_sync.h) are *shared* capabilities — any number of
-//    threads occupy one room concurrently — so room_sync::enter/exit use
-//    the PHCH_ACQUIRES_ROOM/PHCH_RELEASES_ROOM (shared) forms, and
-//    spinlock.h uses the classic exclusive mutex forms.
+//  * spinlock.h uses the classic exclusive mutex forms.
 //
 // tools/phch_lint.py closes the loop: it fails any public table operation
 // that does not carry a PHCH_REQUIRES_PHASE annotation (or an explicit
@@ -61,24 +58,12 @@
 #define PHCH_REQUIRES(...) PHCH_TSA(requires_capability(__VA_ARGS__))
 #define PHCH_REQUIRES_SHARED(...) PHCH_TSA(requires_shared_capability(__VA_ARGS__))
 #define PHCH_ACQUIRE(...) PHCH_TSA(acquire_capability(__VA_ARGS__))
-#define PHCH_ACQUIRE_SHARED(...) PHCH_TSA(acquire_shared_capability(__VA_ARGS__))
 #define PHCH_RELEASE(...) PHCH_TSA(release_capability(__VA_ARGS__))
-#define PHCH_RELEASE_SHARED(...) PHCH_TSA(release_shared_capability(__VA_ARGS__))
 #define PHCH_TRY_ACQUIRE(...) PHCH_TSA(try_acquire_capability(__VA_ARGS__))
 #define PHCH_EXCLUDES(...) PHCH_TSA(locks_excluded(__VA_ARGS__))
 #define PHCH_ASSERT_CAPABILITY(x) PHCH_TSA(assert_capability(x))
 #define PHCH_RETURN_CAPABILITY(x) PHCH_TSA(lock_returned(x))
 #define PHCH_NO_TSA PHCH_TSA(no_thread_safety_analysis)
-
-// --- room synchronization forms (parallel/room_sync.h) ----------------------
-//
-// A room is held *shared*: many threads occupy it at once, and what the
-// capability excludes is occupants of a different room, which TSA cannot
-// express directly — the shared acquire still catches the real bug class of
-// re-entering / exiting a room that is not held.
-
-#define PHCH_ACQUIRES_ROOM(...) PHCH_ACQUIRE_SHARED(__VA_ARGS__)
-#define PHCH_RELEASES_ROOM(...) PHCH_RELEASE_SHARED(__VA_ARGS__)
 
 namespace phch {
 

@@ -18,7 +18,6 @@
 #include "phch/core/hopscotch_table.h"
 #include "phch/core/nd_linear_table.h"
 #include "phch/core/table_concepts.h"
-#include "phch/core/tombstone_table.h"
 #include "phch/obs/telemetry.h"
 #include "phch/workloads/sequences.h"
 #include "phch/workloads/trigram.h"
@@ -262,106 +261,11 @@ TEST(BatchOps, EraseBatchInterleavedWithInsertBatchAcrossPhases) {
   EXPECT_EQ(got, reference);
 }
 
-// --- tombstone table through the same engine -------------------------------
-//
-// The tombstone table's block members are probe_engine's, driven by the
-// shared classifiers like the back-shifting tables'. Insert layout
-// is arrival-order-dependent here, so bit-identical pipelined-vs-scalar
-// layouts are only provable where the arrival order is fixed (width 1,
-// single thread); erase layout equality holds at *every* width because a
-// tombstone erase marks its key's exact slot regardless of processing
-// order, and find equality always holds because finds are read-only.
-
-static_assert(block_table<tombstone_table<int_entry<>>>);
-static_assert(tombstone_table<int_entry<>>::bounded_probes);
-static_assert(!deterministic_table<int_entry<>>::bounded_probes);
-
-TEST(BatchOpsTombstone, BatchSetSemanticsMatchReference) {
-  const auto keys = test::dup_keys(15000, 9000, 41);
-  tombstone_table<int_entry<>> t(1 << 15);
-  insert_batch(t, keys);
-  const std::set<std::uint64_t> ref(keys.begin(), keys.end());
-  ASSERT_EQ(t.count(), ref.size());
-
-  std::vector<std::uint64_t> qs(keys.begin(), keys.begin() + 4000);
-  qs.push_back(1ULL << 50);  // absent
-  const auto out = find_batch(t, qs);
-  for (std::size_t i = 0; i + 1 < qs.size(); ++i) ASSERT_EQ(out[i], qs[i]);
-  EXPECT_TRUE(int_entry<>::is_empty(out.back()));
-
-  std::vector<std::uint64_t> dels;
-  std::size_t i = 0;
-  for (const auto k : ref) {
-    if (i++ % 2 == 0) dels.push_back(k);
-  }
-  erase_batch(t, dels);
-  ASSERT_EQ(t.count(), ref.size() - dels.size());
-  for (const auto d : dels) ASSERT_FALSE(t.contains(d));
-}
-
-TEST(BatchOpsTombstone, EraseBatchLayoutEqualsScalarAtEveryWidth) {
-  const auto keys = test::unique_keys(6000, 43);
-  for (const std::size_t width : {std::size_t{1}, std::size_t{3}, std::size_t{8},
-                                  std::size_t{16}, std::size_t{64}}) {
-    tombstone_table<int_entry<>> piped(1 << 14);
-    tombstone_table<int_entry<>> scalar(1 << 14);
-    // Same serial arrival order into both tables: identical layouts.
-    for (const auto k : keys) piped.insert(k);
-    for (const auto k : keys) scalar.insert(k);
-    expect_same_layout(piped, scalar);
-
-    std::vector<std::uint64_t> dels(keys.begin(), keys.begin() + 2500);
-    dels.push_back(1ULL << 51);  // absent key: both paths must no-op
-    piped.erase_block(dels.data(), dels.size(), width);
-    for (const auto d : dels) scalar.erase(d);
-    expect_same_layout(piped, scalar);  // tombstones land in the same slots
-    ASSERT_EQ(piped.footprint(), scalar.footprint());
-  }
-}
-
-TEST(BatchOpsTombstone, InsertWidthOneSingleThreadMatchesScalarLayout) {
-  // At width 1 on one thread the block members perform exactly the
-  // scalar probe sequence in exactly the scalar order, so even this
-  // arrival-order-dependent layout must come out bit-identical.
-  const auto keys = test::dup_keys(8000, 5000, 47);
-  tombstone_table<int_entry<>> piped(1 << 14);
-  tombstone_table<int_entry<>> scalar(1 << 14);
-  piped.insert_block(keys.data(), keys.size(), 1);
-  for (const auto k : keys) scalar.insert(k);
-  expect_same_layout(piped, scalar);
-}
-
-TEST(BatchOpsTombstone, BoundedProbesResolveMissesOnGarbageFullTable) {
-  // Fill a 64-slot table completely with 32 live keys + 32 tombstones: no
-  // empty slot remains, so an absent-key probe wraps the whole table. The
-  // bounded-probe path must resolve that as a miss, not a table_full_error,
-  // in both find and erase batches and in the scalar find and erase.
-  tombstone_table<int_entry<>> t(64);
-  const auto first = test::unique_keys(32, 53);
-  const auto second = test::unique_keys(32, 59);
-  for (const auto k : first) t.insert(k);
-  for (const auto k : first) t.erase(k);
-  for (const auto k : second) t.insert(k);
-  ASSERT_EQ(t.footprint(), 64u);  // every slot live or tombstone
-
-  std::vector<std::uint64_t> absent;
-  for (std::uint64_t i = 0; i < 40; ++i) absent.push_back((1ULL << 40) + i);
-  const auto out = find_batch(t, absent);  // must not throw
-  for (const auto& v : out) ASSERT_TRUE(int_entry<>::is_empty(v));
-  EXPECT_NO_THROW(erase_batch(t, absent));
-  for (const auto k : absent) {
-    EXPECT_FALSE(t.contains(k));
-    t.erase(k);
-  }
-  ASSERT_EQ(t.count(), second.size());
-  for (const auto k : second) ASSERT_TRUE(t.contains(k));
-}
-
 // --- every block table through the common block members --------------------
 //
-// All six block tables (linearHash-D, linearHash-ND, tombstone, cuckoo,
-// hopscotch, chained) expose the same insert_block / find_block /
-// erase_block, so one typed suite drives them. Only linearHash-D has a
+// All five block tables (linearHash-D, linearHash-ND, cuckoo, hopscotch,
+// chained) expose the same insert_block / find_block / erase_block, so one
+// typed suite drives them. Only linearHash-D has a
 // history-independent layout; the others are compared as element sets.
 
 struct lineard_family {
@@ -372,11 +276,6 @@ struct lineard_family {
 struct linearnd_family {
   template <typename Tr, typename Ph = unchecked_phases>
   using table = nd_linear_table<Tr, Ph>;
-  static constexpr bool same_layout = false;
-};
-struct tombstone_family {
-  template <typename Tr, typename Ph = unchecked_phases>
-  using table = tombstone_table<Tr, Ph>;
   static constexpr bool same_layout = false;
 };
 struct cuckoo_family {
@@ -397,8 +296,8 @@ struct chained_family {
 
 template <typename Family>
 class BlockTables : public ::testing::Test {};
-using BlockFamilies = ::testing::Types<lineard_family, linearnd_family, tombstone_family,
-                                       cuckoo_family, hopscotch_family, chained_family>;
+using BlockFamilies = ::testing::Types<lineard_family, linearnd_family, cuckoo_family,
+                                       hopscotch_family, chained_family>;
 TYPED_TEST_SUITE(BlockTables, BlockFamilies);
 
 template <typename Family, typename Table>

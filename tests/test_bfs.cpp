@@ -13,7 +13,6 @@
 #include "phch/core/deterministic_table.h"
 #include "phch/core/hopscotch_table.h"
 #include "phch/core/nd_linear_table.h"
-#include "phch/core/tombstone_table.h"
 #include "phch/graph/generators.h"
 #include "phch/parallel/scheduler.h"
 
@@ -101,7 +100,6 @@ void expect_every_table_matches(const graph::csr_graph& g) {
   const auto want = writemin_reference(g, 0);
   expect_reference_parents<deterministic_table<traits32>>(g, want, "linearHash-D");
   expect_reference_parents<nd_linear_table<traits32>>(g, want, "linearHash-ND");
-  expect_reference_parents<tombstone_table<traits32>>(g, want, "tombstone");
   expect_reference_parents<cuckoo_table<traits32>>(g, want, "cuckoo", 2.0);
   expect_reference_parents<chained_table<traits32, true>>(g, want, "chained-CR");
   expect_reference_parents<hopscotch_table<traits32>>(g, want, "hopscotch");

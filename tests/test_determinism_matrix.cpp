@@ -1,7 +1,9 @@
 // The headline property as a parameterized matrix: for every combination of
 // (thread count, table size, duplication rate, operation mix), the
-// deterministic table's elements() — and the full slot layout — equal the
-// single-threaded reference execution.
+// deterministic table's elements() — and the full slot layout — equal an
+// independent reference, serialHash-HI (the Blelloch–Golovin serial table)
+// fed every insert and then every erase. A bug the parallel table shared
+// with itself at one worker would pass a self-replay; it cannot pass this.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -9,6 +11,7 @@
 #include <vector>
 
 #include "phch/core/deterministic_table.h"
+#include "phch/core/serial_table.h"
 #include "phch/parallel/scheduler.h"
 #include "table_test_util.h"
 
@@ -20,29 +23,24 @@ using matrix_param = std::tuple<int, int, int, int>;
 
 class DeterminismMatrix : public ::testing::TestWithParam<matrix_param> {
  protected:
-  static std::vector<std::uint64_t> reference_run(const std::vector<std::uint64_t>& ins,
-                                                  const std::vector<std::uint64_t>& del,
-                                                  std::size_t cap) {
-    scheduler& sched = scheduler::get();
-    const int original = sched.num_workers();
-    sched.set_num_workers(1);
-    deterministic_table<int_entry<>> t(cap);
-    test::parallel_insert(t, ins);
-    test::parallel_erase(t, del);
-    auto out = t.elements();
-    sched.set_num_workers(original);
-    return out;
+  static serial_table_hi<int_entry<>> reference_run(const std::vector<std::uint64_t>& ins,
+                                                     const std::vector<std::uint64_t>& del,
+                                                     std::size_t cap) {
+    serial_table_hi<int_entry<>> ref(cap);
+    for (const auto k : ins) ref.insert(k);
+    for (const auto k : del) ref.erase(k);
+    return ref;
   }
 };
 
-TEST_P(DeterminismMatrix, ParallelRunEqualsSingleThreadReference) {
+TEST_P(DeterminismMatrix, ParallelRunEqualsSerialReference) {
   const auto [threads, lg_cap, dup_div, del_pct] = GetParam();
   const std::size_t cap = std::size_t{1} << lg_cap;
   const std::size_t n = cap / 2;  // 50% nominal load
   const auto ins = test::dup_keys(n, n / static_cast<std::size_t>(dup_div) + 1, 77);
   const std::vector<std::uint64_t> del(
       ins.begin(), ins.begin() + static_cast<std::ptrdiff_t>(n * static_cast<std::size_t>(del_pct) / 100));
-  const auto expected = reference_run(ins, del, cap);
+  const auto ref = reference_run(ins, del, cap);
 
   scheduler& sched = scheduler::get();
   const int original = sched.num_workers();
@@ -53,8 +51,12 @@ TEST_P(DeterminismMatrix, ParallelRunEqualsSingleThreadReference) {
   const auto got = t.elements();
   sched.set_num_workers(original);
 
-  ASSERT_EQ(got, expected) << "threads=" << threads << " cap=2^" << lg_cap
-                           << " dup=1/" << dup_div << " del=" << del_pct << "%";
+  ASSERT_EQ(got, ref.elements()) << "threads=" << threads << " cap=2^" << lg_cap
+                                 << " dup=1/" << dup_div << " del=" << del_pct << "%";
+  ASSERT_EQ(t.capacity(), ref.capacity());
+  for (std::size_t s = 0; s < t.capacity(); ++s) {
+    ASSERT_EQ(t.raw_slots()[s], ref.raw_slots()[s]) << "slot " << s;
+  }
 }
 
 std::string matrix_name(const ::testing::TestParamInfo<matrix_param>& info) {

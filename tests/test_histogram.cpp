@@ -171,7 +171,7 @@ TEST(HistSnapshot, EmptyQuantileIsZero) {
 
 TEST(HistogramOff, LayerIsCompiledOut) {
   if (obs::compiled) GTEST_SKIP() << "telemetry compiled in";
-  obs::hist_record(obs::hist::room_wait_ns, 42);
+  obs::hist_record(obs::hist::growth_ns, 42);
   obs::hist_accum a;
   a.note(3);
   EXPECT_TRUE(a.empty());  // the accumulator is a no-op too

@@ -2,15 +2,14 @@
 // word. Epoch monotonicity, the exactly-once transition edge under
 // concurrency (worker counts 1/4/8), checked/unchecked policy equivalence
 // (both are views over the same state machine), batch scopes sharing the
-// scalar epoch, room transitions advancing it, and violation-handler
-// interception surviving the refactor unchanged.
+// scalar epoch, and violation-handler interception surviving the refactor
+// unchanged.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <string>
 #include <vector>
 
-#include "phch/core/auto_phased_table.h"
 #include "phch/core/batch_ops.h"
 #include "phch/core/deterministic_table.h"
 #include "phch/core/phase_guard.h"
@@ -110,26 +109,6 @@ TEST(PhaseRuntime, BatchScopesShareTheScalarEpoch) {
   EXPECT_EQ(t.phase_rt().epoch(), 2u);
   erase_batch(t, keys);  // -> erase
   EXPECT_EQ(t.phase_rt().epoch(), 3u);
-}
-
-// Room transitions in auto_phased_table advance the same epoch, including
-// for elements()/count(), whose raw-slot scans never enter an operation
-// scope on the wrapped table.
-TEST(PhaseRuntime, RoomTransitionsAdvanceTheWrappedTablesEpoch) {
-  auto_phased_table<deterministic_table<int_entry<>>> t(1 << 10);
-  EXPECT_EQ(t.underlying().phase_rt().epoch(), 0u);
-  t.insert(1);
-  EXPECT_EQ(t.underlying().phase_rt().epoch(), 1u);
-  t.insert(2);  // same room, same class
-  EXPECT_EQ(t.underlying().phase_rt().epoch(), 1u);
-  EXPECT_TRUE(t.contains(1));  // -> query room
-  EXPECT_EQ(t.underlying().phase_rt().epoch(), 2u);
-  t.erase(1);  // -> erase room
-  EXPECT_EQ(t.underlying().phase_rt().epoch(), 3u);
-  EXPECT_EQ(t.count(), 1u);  // count is a query; raw scan still announces
-  EXPECT_EQ(t.underlying().phase_rt().epoch(), 4u);
-  EXPECT_EQ(t.elements().size(), 1u);  // same class: no edge
-  EXPECT_EQ(t.underlying().phase_rt().epoch(), 4u);
 }
 
 // The pluggable violation handler still intercepts structured reports, and

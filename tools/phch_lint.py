@@ -56,8 +56,9 @@ Directives (in source comments):
                                     PHCH_PHASE_CAPABILITIES() (used by the
                                     lint fixtures).
   // phch_lint: not-a-table         opposite: skip the phase checks for
-                                    this file (auto_phased_table mixes
-                                    phases by design).
+                                    this file (serial_table.h: its
+                                    single-threaded reference tables
+                                    carry no concurrency contract).
 
 Modes:
   phch_lint.py [paths...]              lint (default paths: src/phch)
@@ -525,8 +526,6 @@ def emit_contract(accesses: list, existing_rows: list) -> str:
 # --------------------------------------------------------------------------
 
 # Public operations every phase-concurrent table must annotate and scope.
-# compact()/footprint() are maintenance surfaces excluded by policy (their
-# trailing requires-clauses predate the annotation grammar).
 REQUIRED_OPS = (
     "insert", "insert_from", "insert_bounded", "erase", "erase_from",
     "find", "contains", "elements", "for_each",

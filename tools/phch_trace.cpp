@@ -3,17 +3,11 @@
 // snapshot + chrome://tracing file.
 //
 //   ./phch_trace -workload dedup|bfs|mixed -n N [-threads P]
-//                [-table det|nd|tomb|chained|cuckoo|hopscotch|auto]
+//                [-table det|nd|chained|cuckoo|hopscotch]
 //                [-metrics metrics.json] [-trace trace.json]
 //
 // Exit status: 0 on success, 1 if any counter identity or reference count
 // check fails, 2 if the binary was built without -DPHCH_TELEMETRY=ON.
-//
-// `-table auto` is special: it runs its own mixed workload (phased stages
-// plus an uncoordinated mixed stream) on an auto_phased_table and validates
-// the exactly-once transition ledger — the wrapped table's phase epoch must
-// equal the phase_transitions counter, and every traced phase boundary must
-// carry a distinct epoch. It ignores -workload.
 //
 // The checks are the telemetry layer's end-to-end contract: counter sums
 // taken at a quiescent point are *exact*, so
@@ -21,7 +15,8 @@
 //           insert_dups == n - |output|
 //   bfs:    insert_commits == reached vertices - 1 (each non-root vertex
 //           committed by exactly one WRITEMIN winner)
-//   mixed:  find_ops/find_hits == lookups issued, erase_hits == n/2
+//   mixed:  find_ops/find_hits == lookups issued, erase_hits == n/2, and
+//           the exactly-once transition ledger (check_transition_ledger)
 // and in every workload insert_ops == commits + dups + aborts. For the
 // linear-probing families the probe-depth *histogram* obeys the same
 // discipline — every operation records exactly one sample — so the ledger
@@ -32,24 +27,18 @@
 // in the unified stack, so each reference check is written once against the
 // concepts layer and instantiated per family. The workload drivers
 // themselves live in tools/trace_workloads.h.
-#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <set>
 #include <string>
-#include <vector>
 
-#include "phch/core/auto_phased_table.h"
-#include "phch/core/deterministic_table.h"
-#include "phch/core/table_common.h"
 #include "phch/obs/export.h"
 #include "phch/obs/histogram.h"
 #include "phch/obs/telemetry.h"
 #include "phch/obs/trace.h"
 #include "phch/parallel/scheduler.h"
 #include "phch/utils/cmdline.h"
-#include "phch/utils/rand.h"
 #include "trace_workloads.h"
 
 using namespace phch;
@@ -76,13 +65,50 @@ void check_insert_identity(const obs::metrics_snapshot& d) {
 
 // The probe-depth ledger: over the checked window `d` (a snapshot delta),
 // the linear-probing families record exactly one histogram sample per
-// operation (scalar and software-pipelined paths alike, including dropped
-// bounded-wrap erases), so the histogram's population must equal the op
-// counters exactly.
+// operation (scalar and software-pipelined paths alike), so the
+// histogram's population must equal the op counters exactly.
 void check_probe_ledger(const obs::metrics_snapshot& d) {
   expect_eq("probe-depth ledger: hist == ops", d[obs::hist::probe_depth].count,
             d[obs::counter::find_ops] + d[obs::counter::insert_ops] +
                 d[obs::counter::erase_ops]);
+}
+
+// The exactly-once transition ledger, for a table that exposes its phase
+// epoch (phase_epoch_table). Every class boundary advances the table's
+// phase_runtime word once, and that one CAS edge is what ticks the
+// phase_transitions counter and records the phase_begin trace event. So at
+// a quiescent point, with this table the only one in the window `d`:
+//   the table's epoch == Δ phase_transitions,
+//   every traced phase_begin carries a distinct epoch (a boundary published
+//   twice shows up as a duplicate), and
+//   the insert -> find -> erase cycle crossed at least its 3 boundaries.
+void check_transition_ledger(const obs::metrics_snapshot& d, std::uint64_t epoch) {
+  expect_eq("ledger: transitions == epoch", d[obs::counter::phase_transitions], epoch);
+  if (epoch < 3) {
+    std::fprintf(stderr,
+                 "phch_trace: FAIL ledger: epoch %" PRIu64 " < 3 cycle boundaries\n",
+                 epoch);
+    ++failures;
+  }
+  const auto tr = obs::drain_trace();
+  std::uint64_t phase_events = 0;
+  std::set<std::uint64_t> epochs;
+  bool distinct = true;
+  for (const auto& e : tr.events) {
+    if (e.kind != obs::event_kind::phase_begin) continue;
+    ++phase_events;
+    if (!epochs.insert(e.dur_ns).second) {
+      std::fprintf(stderr,
+                   "phch_trace: FAIL ledger: boundary epoch %" PRIu64 " traced twice\n",
+                   e.dur_ns);
+      ++failures;
+      distinct = false;
+    }
+  }
+  if (distinct) {
+    std::printf("  ok  %-32s %" PRIu64 " (all epochs distinct)\n",
+                "ledger: traced boundaries", phase_events);
+  }
 }
 
 template <typename Family>
@@ -124,78 +150,7 @@ obs::metrics_snapshot run_mixed(std::size_t n) {
   expect_eq("mixed erase_ops", d[obs::counter::erase_ops], n / 2);
   expect_eq("mixed erase_hits", d[obs::counter::erase_hits], n / 2);
   check_insert_identity(d);
-  return d;
-}
-
-// -table auto: mixed workload on the self-phasing wrapper, validating the
-// exactly-once transition ledger. Every room transition advances the
-// wrapped table's phase epoch through the same phase_runtime word that
-// scalar and batch operations use, and the epoch's transition edge is what
-// feeds the phase_transitions counter and the tracer — so at a quiescent
-// point the three must agree exactly: epoch == counter, and each traced
-// phase_begin event carries a distinct epoch (a boundary published twice
-// would show up as a duplicate; one missed would break the counter match).
-obs::metrics_snapshot run_auto(std::size_t n) {
-  auto_phased_table<deterministic_table<int_entry<>>> t(round_up_pow2(4 * n));
-  const std::vector<std::uint64_t> keys = tools::distinct_keys(n);
-
-  const obs::metrics_snapshot before = obs::snapshot();
-  obs::mark("auto/phased");
-  // Structured stages: three clean class boundaries with a known outcome.
-  parallel_for(0, n, [&](std::size_t i) { t.insert(keys[i]); });
-  std::atomic<std::uint64_t> hits{0};
-  parallel_for(0, n, [&](std::size_t i) {
-    if (t.contains(keys[i])) hits.fetch_add(1, std::memory_order_relaxed);
-  });
-  parallel_for(0, n / 2, [&](std::size_t i) { t.erase(keys[i]); });
-  obs::mark("auto/mixed");
-  // Uncoordinated mixed stream: all workers issue inserts, finds and erases
-  // with no phasing of their own; the rooms serialize the classes and the
-  // ledger must count every induced boundary exactly once.
-  parallel_for(0, n, [&](std::size_t i) {
-    const std::uint64_t k = keys[hash64(i) % n];
-    switch (hash64(i ^ 0x9e3779b97f4a7c15ULL) & 3) {
-      case 0: t.insert(k); break;
-      case 1: t.erase(k); break;
-      default: (void)t.contains(k); break;
-    }
-  });
-  obs::mark("auto/done");
-  const obs::metrics_snapshot d = obs::snapshot() - before;
-
-  expect_eq("auto find_hits after insert", hits.load(), n);
-  check_insert_identity(d);
-  check_probe_ledger(d);  // the wrapped table is linear-probing
-
-  const std::uint64_t epoch = t.underlying().phase_rt().epoch();
-  expect_eq("auto ledger: phase_transitions == epoch",
-            d[obs::counter::phase_transitions], epoch);
-  if (epoch < 4) {
-    std::fprintf(stderr,
-                 "phch_trace: FAIL auto ledger: epoch %" PRIu64
-                 " < 4 structured boundaries\n",
-                 epoch);
-    ++failures;
-  }
-
-  const auto tr = obs::drain_trace();
-  std::uint64_t phase_events = 0;
-  std::set<std::uint64_t> epochs;
-  for (const auto& e : tr.events) {
-    if (e.kind != obs::event_kind::phase_begin) continue;
-    ++phase_events;
-    if (!epochs.insert(e.dur_ns).second) {
-      std::fprintf(stderr,
-                   "phch_trace: FAIL auto ledger: boundary epoch %" PRIu64
-                   " traced twice\n",
-                   e.dur_ns);
-      ++failures;
-    }
-  }
-  std::printf("  ok  %-32s %" PRIu64 " (all epochs distinct)\n",
-              "auto traced boundaries", phase_events);
-  std::printf("  ok  %-32s %" PRIu64 "\n", "auto room_waits",
-              d[obs::counter::room_waits]);
+  if (r.epoch) check_transition_ledger(d, *r.epoch);
   return d;
 }
 
@@ -241,15 +196,10 @@ int main(int argc, char** argv) {
   obs::reset();
 
   bool known_workload;
-  if (table == "auto") {
-    run_auto(n);  // self-contained mixed workload; -workload is ignored
-    known_workload = true;
-  } else if (table == "det") {
+  if (table == "det") {
     known_workload = run_workload<tools::det_family>(workload, n);
   } else if (table == "nd") {
     known_workload = run_workload<tools::nd_family>(workload, n);
-  } else if (table == "tomb") {
-    known_workload = run_workload<tools::tomb_family>(workload, n);
   } else if (table == "chained") {
     known_workload = run_workload<tools::chained_family>(workload, n);
   } else if (table == "cuckoo") {
@@ -258,8 +208,8 @@ int main(int argc, char** argv) {
     known_workload = run_workload<tools::hopscotch_family>(workload, n);
   } else {
     std::fprintf(stderr,
-                 "phch_trace: unknown table '%s' (want det|nd|tomb|chained|"
-                 "cuckoo|hopscotch|auto)\n",
+                 "phch_trace: unknown table '%s' (want det|nd|chained|cuckoo|"
+                 "hopscotch)\n",
                  table.c_str());
     return 1;
   }

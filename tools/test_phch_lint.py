@@ -186,7 +186,7 @@ class LexerUnits(unittest.TestCase):
         code = "R.slots[i].pending.load(x)"
         idx = code.index(".load")
         self.assertEqual(phch_lint.receiver_of(code, idx), "pending")
-        code = "waiters_[static_cast<std::size_t>(room)].fetch_add(1, o)"
+        code = "waiters_[static_cast<std::size_t>(cls)].fetch_add(1, o)"
         idx = code.index(".fetch_add")
         self.assertEqual(phch_lint.receiver_of(code, idx), "waiters_")
 

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "phch/apps/bfs.h"
@@ -21,7 +22,7 @@
 #include "phch/core/hopscotch_table.h"
 #include "phch/core/nd_linear_table.h"
 #include "phch/core/table_common.h"
-#include "phch/core/tombstone_table.h"
+#include "phch/core/table_concepts.h"
 #include "phch/graph/generators.h"
 #include "phch/graph/graph.h"
 #include "phch/obs/trace.h"
@@ -50,11 +51,6 @@ struct nd_family {
   static constexpr std::size_t cap_mult = 1;
   static constexpr bool probe_ledger = true;
   template <typename Tr> using table = nd_linear_table<Tr>;
-};
-struct tomb_family {
-  static constexpr std::size_t cap_mult = 1;
-  static constexpr bool probe_ledger = true;
-  template <typename Tr> using table = tombstone_table<Tr>;
 };
 struct chained_family {
   static constexpr std::size_t cap_mult = 1;
@@ -109,6 +105,9 @@ std::uint64_t bfs_workload(std::size_t n, unsigned seed = 1) {
 struct mixed_result {
   std::uint64_t find_hits;  // non-empty results of the find batch
   std::uint64_t unique;     // distinct keys the insert batch committed
+  // The table's phase epoch after the cycle, for a table that exposes it
+  // (phase_epoch_table); the tool checks it against the transition ledger.
+  std::optional<std::uint64_t> epoch;
 };
 
 // One insert / find / erase cycle: insert n distinct keys, find them all,
@@ -135,7 +134,9 @@ mixed_result mixed_workload(std::size_t n) {
   for (const auto v : found) {
     if (!traits::is_empty(v)) ++hits;
   }
-  return {hits, t.count() + erase_count};
+  mixed_result r{hits, t.count() + erase_count, std::nullopt};
+  if constexpr (phase_epoch_table<Table>) r.epoch = t.phase_rt().epoch();
+  return r;
 }
 
 }  // namespace phch::tools
