@@ -14,8 +14,8 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <limits>
+#include <numeric>
 #include <queue>
 #include <vector>
 
@@ -105,16 +105,28 @@ inline std::size_t frontier_block(std::size_t n) {
 
 // The round both BFSs share: each unvisited neighbor of the frontier ends
 // up holding its smallest adjacent frontier id (visited ones stay negative).
-inline void relax_frontier(const graph::csr_graph& g, const std::vector<graph::vertex_id>& frontier,
-                           std::vector<std::int64_t>& parents) {
+// Returns the number discovered: parents[w] only decreases from its maximum
+// kNotReached, so exactly one successful CAS per newly reached w replaces it.
+inline std::size_t relax_frontier(const graph::csr_graph& g,
+                                  const std::vector<graph::vertex_id>& frontier,
+                                  std::vector<std::int64_t>& parents) {
   const std::size_t n = frontier.size();
-  blocked_for(0, n, frontier_block(n), [&](std::size_t, std::size_t s, std::size_t e) {
-    walk_frontier(g, frontier, parents, s, e, [&](std::size_t, graph::vertex_id v) {
-      g.for_each_neighbor(v, [&](graph::vertex_id w) {
-        write_min(&parents[w], static_cast<std::int64_t>(v));
+  const std::size_t bsize = frontier_block(n);
+  std::vector<std::size_t> found((n + bsize - 1) / bsize);
+  blocked_for(0, n, bsize, [&](std::size_t b, std::size_t s, std::size_t e) {
+    std::size_t k = 0;
+    walk_frontier(g, frontier, parents, s, e, [&](std::size_t, graph::vertex_id u) {
+      const auto v = static_cast<std::int64_t>(u);
+      g.for_each_neighbor(u, [&](graph::vertex_id w) {
+        // write_min; after it, cur == kNotReached iff this CAS discovered w.
+        std::int64_t cur = atomic_load(&parents[w]);
+        while (v < cur && !cas(&parents[w], cur, v)) cur = atomic_load(&parents[w]);
+        k += cur == kNotReached;
       });
     });
+    found[b] = k;
   });
+  return std::accumulate(found.begin(), found.end(), std::size_t{0});
 }
 
 inline constexpr std::size_t kClaimBuffer = 512;  // hash_bfs winners per flush
@@ -155,17 +167,20 @@ inline std::vector<std::int64_t> array_bfs(const graph::csr_graph& g,
 }
 
 // Hash-table BFS (Figure 2). Table must store graph::vertex_id keys
-// (int_entry<std::uint32_t> traits); each level gets a fresh table sized to
-// the frontier's total degree times `space_mult`, as in §6. Each WRITEMIN
-// winner v marks its children visited and inserts them from the claim loop,
-// buffered per block and flushed through the table's pipelined insert_block
-// (core/batch_ops.h), which opens the insert phase's scope for each flush;
-// the next frontier is ELEMENTS(). The WRITEMIN round and the claim loop
-// both go through detail::walk_frontier, which prefetches the parents words
-// they touch. Only v ever sees
-// parents[w] == v, so one thread writes each claimed slot; relaxed order
-// suffices, as nothing is published through it and the level's join orders
-// the marks before the next WRITEMIN round.
+// (int_entry<std::uint32_t> traits). Each level's fresh table is built after
+// the WRITEMIN round, sized to twice the vertices it discovered times
+// `space_mult` (load <= 1/2). §5/§6 size it by the frontier's total degree
+// instead, a loose bound (25 slots per key over a BFS of a 2^19-vertex
+// random_k_edges(n, 5) graph), and ELEMENTS() scans every slot (DESIGN.md
+// §16). The count depends only on the discovered set, so layouts stay
+// deterministic. Each WRITEMIN winner v marks its children visited and
+// inserts them from the claim loop, buffered per block and flushed through
+// the table's pipelined insert_block (core/batch_ops.h), which opens the
+// insert phase's scope for each flush; the next frontier is ELEMENTS().
+// Both walks go through walk_frontier, which prefetches the parents words
+// they touch. Only v ever sees parents[w] == v, so one thread writes each
+// claimed slot; relaxed order suffices: nothing is published through it,
+// and the level's join orders the marks before the next WRITEMIN round.
 template <block_table Table>
 std::vector<std::int64_t> hash_bfs(const graph::csr_graph& g, graph::vertex_id root,
                                    double space_mult = 1.0) {
@@ -179,10 +194,9 @@ std::vector<std::int64_t> hash_bfs(const graph::csr_graph& g, graph::vertex_id r
     obs::span level_span("bfs:level");  // a = level number, b = frontier size
     level_span.a = level++;
     level_span.b = n;
-    const std::size_t degree = reduce(std::size_t{0}, n, std::size_t{0}, std::plus<>{},
-                                      [&](std::size_t i) { return g.degree(frontier[i]); });
-    Table table(round_up_pow2(static_cast<std::size_t>(space_mult * 2.0 * (degree + 2))));
-    detail::relax_frontier(g, frontier, parents);
+    const std::size_t found = detail::relax_frontier(g, frontier, parents);
+    if (found == 0) break;
+    Table table(round_up_pow2(static_cast<std::size_t>(space_mult * 2.0 * (found + 2))));
     blocked_for(0, n, detail::frontier_block(n), [&](std::size_t, std::size_t s, std::size_t e) {
       std::array<graph::vertex_id, detail::kClaimBuffer> buf;
       std::size_t len = 0;

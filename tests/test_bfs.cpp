@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <queue>
 
 #include "phch/apps/bfs.h"
@@ -80,6 +81,17 @@ std::vector<std::int64_t> writemin_reference(const graph::csr_graph& g,
   return parents;
 }
 
+// sizes[d] = the number of vertices at distance d from the root.
+std::vector<std::size_t> level_sizes(const graph::csr_graph& g, graph::vertex_id root) {
+  std::vector<std::size_t> sizes;
+  for (const std::int64_t d : reference_distances(g, root)) {
+    if (d < 0) continue;
+    if (sizes.size() <= static_cast<std::size_t>(d)) sizes.resize(d + 1);
+    ++sizes[d];
+  }
+  return sizes;
+}
+
 // hash_bfs over Table must reproduce the reference exactly at every worker
 // count: parents come from WRITEMIN, not from the table, so every table
 // that holds each level's key set gives the same array.
@@ -105,18 +117,21 @@ void expect_every_table_matches(const graph::csr_graph& g) {
   expect_reference_parents<hopscotch_table<traits32>>(g, want, "hopscotch");
 }
 
+// The three Table 7 graph families, small: 0 = grid, 1 = random, 2 = rMat.
+graph::csr_graph make_test_graph(int which) {
+  switch (which) {
+    case 0:
+      return graph::csr_graph::from_edges(8 * 8 * 8, graph::grid3d_edges(8));
+    case 1:
+      return graph::csr_graph::from_edges(4000, graph::random_k_edges(4000, 5, 3));
+    default:
+      return graph::csr_graph::from_edges(1 << 12, graph::rmat_edges(12, 20000, 7));
+  }
+}
+
 class BfsOnGraphs : public ::testing::TestWithParam<int> {
  protected:
-  graph::csr_graph make_graph() const {
-    switch (GetParam()) {
-      case 0:
-        return graph::csr_graph::from_edges(8 * 8 * 8, graph::grid3d_edges(8));
-      case 1:
-        return graph::csr_graph::from_edges(4000, graph::random_k_edges(4000, 5, 3));
-      default:
-        return graph::csr_graph::from_edges(1 << 12, graph::rmat_edges(12, 20000, 7));
-    }
-  }
+  graph::csr_graph make_graph() const { return make_test_graph(GetParam()); }
 };
 
 INSTANTIATE_TEST_SUITE_P(Graphs, BfsOnGraphs, ::testing::Values(0, 1, 2));
@@ -170,6 +185,105 @@ TEST_P(BfsOnGraphs, EveryTableMatchesWriteMinReference) {
   const auto g = make_graph();
   EXPECT_EQ(array_bfs(g, 0), writemin_reference(g, 0));
   expect_every_table_matches(g);
+}
+
+// relax_frontier's return value is the size of the next level: one
+// successful CAS per newly discovered vertex replaces kNotReached, however
+// many frontier vertices race for it. The levels are driven serially from
+// the round's result, so only the round itself runs in parallel. Each
+// frontier is in descending id order, so a walk in order lowers a neighbor
+// it shares with earlier frontier vertices once more at each of them: a
+// count of all successful CASes would exceed the level. The complete
+// bipartite graph makes every frontier vertex of its second round contend
+// for every unvisited vertex.
+TEST(Bfs, RelaxFrontierCountsDiscoveredVertices) {
+  constexpr graph::vertex_id kSide = 200;
+  std::vector<graph::edge> bipartite;
+  for (graph::vertex_id a = 0; a < kSide; ++a) {
+    for (graph::vertex_id b = kSide; b < 2 * kSide; ++b) bipartite.push_back({a, b});
+  }
+  std::vector<graph::csr_graph> graphs;
+  for (const int which : {0, 1, 2}) graphs.push_back(make_test_graph(which));
+  graphs.push_back(graph::csr_graph::from_edges(2 * kSide, bipartite));
+  scheduler& sched = scheduler::get();
+  const int original = sched.num_workers();
+  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+    const graph::csr_graph& g = graphs[gi];
+    const auto want = level_sizes(g, 0);
+    for (const int p : {1, 2, 3, 4, 7}) {
+      sched.set_num_workers(p);
+      std::vector<std::int64_t> parents(g.num_vertices(), kNotReached);
+      parents[0] = encode_visited(0);
+      std::vector<graph::vertex_id> frontier{0};
+      for (std::size_t level = 1; !frontier.empty(); ++level) {
+        const std::size_t found = detail::relax_frontier(g, frontier, parents);
+        frontier.clear();
+        for (std::size_t v = g.num_vertices(); v-- > 0;) {
+          if (parents[v] < 0 || parents[v] == kNotReached) continue;
+          frontier.push_back(static_cast<graph::vertex_id>(v));
+          parents[v] = encode_visited(parents[v]);
+        }
+        const std::size_t expected = level < want.size() ? want[level] : 0;
+        EXPECT_EQ(found, expected) << "graph " << gi << ", level " << level << ", " << p
+                                   << " workers";
+        EXPECT_EQ(found, frontier.size()) << "graph " << gi << ", level " << level;
+      }
+    }
+  }
+  sched.set_num_workers(original);
+}
+
+// A linearHash-D that records, when destroyed, its capacity and the number
+// of keys its insert_block calls received. hash_bfs builds one per level, in
+// order, so the records are the levels' tables.
+struct level_record {
+  std::size_t capacity;
+  std::size_t keys;
+};
+std::vector<level_record> g_level_records;
+
+class recording_table : public deterministic_table<traits32> {
+ public:
+  explicit recording_table(std::size_t min_capacity)
+      : deterministic_table<traits32>(min_capacity) {}
+  ~recording_table() { g_level_records.push_back({capacity(), keys_.load()}); }
+
+  void insert_block(const value_type* values, std::size_t n) {
+    keys_.fetch_add(n, std::memory_order_relaxed);
+    deterministic_table<traits32>::insert_block(values, n);
+  }
+
+ private:
+  std::atomic<std::size_t> keys_{0};
+};
+static_assert(block_table<recording_table>);
+
+// Each level's table holds exactly the level's keys at load <= 1/2: its
+// capacity is round_up_pow2(2(k + 2)) for the k keys WRITEMIN discovered,
+// and a round that discovers nothing builds no table. The degree bound
+// (round_up_pow2(2(total degree + 2))) is larger on every graph here.
+TEST(Bfs, LevelTablesAreSizedByDiscoveredVertices) {
+  scheduler& sched = scheduler::get();
+  const int original = sched.num_workers();
+  for (const int which : {0, 1, 2}) {
+    const auto g = make_test_graph(which);
+    const auto sizes = level_sizes(g, 0);
+    const auto want = writemin_reference(g, 0);
+    for (const int p : {1, 4, 7}) {
+      sched.set_num_workers(p);
+      g_level_records.clear();
+      EXPECT_EQ(hash_bfs<recording_table>(g, 0), want) << "graph " << which;
+      ASSERT_EQ(g_level_records.size() + 1, sizes.size()) << "graph " << which;
+      for (std::size_t i = 0; i < g_level_records.size(); ++i) {
+        const auto [capacity, k] = g_level_records[i];
+        EXPECT_EQ(k, sizes[i + 1]) << "graph " << which << ", level " << i + 1;
+        EXPECT_EQ(capacity, round_up_pow2(2 * (k + 2))) << "graph " << which << ", level "
+                                                        << i + 1 << ", " << p << " workers";
+        EXPECT_LE(k, capacity / 2) << "graph " << which << ", level " << i + 1;
+      }
+    }
+  }
+  sched.set_num_workers(original);
 }
 
 // A root with over three claim buffers' worth of children: at one worker
