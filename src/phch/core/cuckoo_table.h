@@ -268,10 +268,10 @@ class cuckoo_table {
 
   value_type find_impl(key_type kq) const {
     obs::count(obs::counter::find_ops);
-    obs::probe_tally tally;
+    obs::tally slots(obs::counter::probe_slots);
     for (const std::size_t s : {home1(kq), home2(kq)}) {
       const value_type c = atomic_load(&slots_[s]);
-      ++tally.slots;
+      slots.add();
       if (!Traits::is_empty(c) && Traits::key_equal(Traits::key(c), kq)) {
         obs::count(obs::counter::find_hits);
         return c;

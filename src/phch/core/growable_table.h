@@ -294,7 +294,6 @@ class growable_table {
   // other workers are spinning in enter() anyway.
   inner_table* migrate(inner_table* old, std::size_t target_capacity) {
     obs::span sp("grow");
-    obs::hist_timer timer(obs::hist::growth_ns);
     auto fresh = std::make_unique<inner_table>(target_capacity);
     const std::vector<value_type> live = old->elements();
     phch::insert_batch(*fresh, live.data(), live.size());

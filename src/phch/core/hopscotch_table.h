@@ -272,7 +272,7 @@ class hopscotch_table {
 
   value_type find_impl(key_type kq) const {
     obs::count(obs::counter::find_ops);
-    obs::probe_tally tally;
+    obs::tally slots(obs::counter::probe_slots);
     const std::size_t b = home(kq);
     for (int attempt = 0; attempt < kFindRetries; ++attempt) {
       const std::uint32_t ts0 = read_timestamp(segment(b));
@@ -281,7 +281,7 @@ class hopscotch_table {
         const unsigned d = static_cast<unsigned>(std::countr_zero(bits));
         bits &= bits - 1;
         const value_type c = atomic_load(slot(b + d));
-        ++tally.slots;
+        slots.add();
         if (!Traits::is_empty(c) && !bits_equal(c, Traits::busy()) &&
             Traits::key_equal(Traits::key(c), kq)) {
           obs::count(obs::counter::find_hits);
@@ -295,7 +295,7 @@ class hopscotch_table {
     }
     for (std::size_t d = 0; d < kHopRange; ++d) {
       const value_type c = atomic_load(slot(b + d));
-      ++tally.slots;
+      slots.add();
       if (!Traits::is_empty(c) && !bits_equal(c, Traits::busy()) &&
           Traits::key_equal(Traits::key(c), kq)) {
         obs::count(obs::counter::find_hits);

@@ -31,6 +31,13 @@
 // classifiers — classify_find / insert_scan_stop / erase_scan_stop — which
 // the scalar loops and the pipelined block members both drive, so both
 // policies get software-pipelined batching for free.
+//
+// Telemetry (obs/telemetry.h): each scalar op (insert_impl, erase,
+// erase_from, find) declares exactly one obs::op_tally. The loop bumps its
+// slot and CAS fields, each return path sets its outcome, and the tally
+// flushes all of it, with the op's probe-depth sample, to the caller's
+// stripe once. The block members tally per block instead. Compiled out,
+// both are dead stores.
 #pragma once
 
 #include <cassert>
@@ -147,7 +154,6 @@ class probe_engine {
   // value: commutativity is with respect to table state, and "was it new?"
   // is not well defined under concurrent merging.
   void insert(value_type v) PHCH_REQUIRES_PHASE(insert) {
-    obs::latency_sampler lat;
     insert_impl(v, capacity() + 1, home(Traits::key(v)), 0);
   }
 
@@ -158,13 +164,12 @@ class probe_engine {
   // insert completes and merely reports `lengthy`.
   insert_result insert_bounded(value_type v, std::size_t probe_limit)
       PHCH_REQUIRES_PHASE(insert) {
-    obs::latency_sampler lat;
     return insert_impl(v, probe_limit, home(Traits::key(v)), 0);
   }
 
  private:
   // CAS with telemetry accounting; identical to phch::cas when obs is off.
-  static bool cas_tallied(obs::probe_tally& t, value_type* p, value_type expect,
+  static bool cas_tallied(obs::op_tally& t, value_type* p, value_type expect,
                           value_type desired) noexcept {
     ++t.cas;
     if (cas(p, expect, desired)) return true;
@@ -179,11 +184,9 @@ class probe_engine {
                             std::size_t advances) {
     typename Phase::scope guard(phase_, op_kind::insert);
     assert(!Traits::is_empty(v));
-    obs::count(obs::counter::insert_ops);
-    obs::probe_tally tally;
-    // `advances` slots were already walked by the pipelined prefix; the
-    // scope reads the tally's final slot count on every exit path below.
-    obs::probe_depth_scope depth(tally, advances);
+    // `advances` slots were already walked by the pipelined prefix; they
+    // count toward this op's probe-depth sample.
+    obs::op_tally tally(obs::counter::insert_ops, advances);
     const std::size_t cap = capacity();
     bool committed = false;
     for (;;) {
@@ -192,14 +195,14 @@ class probe_engine {
       if (!Traits::is_empty(c) && Traits::key_equal(Traits::key(c), Traits::key(v))) {
         // Duplicate key: merge values per the traits' combine function.
         if constexpr (!Traits::has_combine) {
-          obs::count(obs::counter::insert_dups);
+          tally.set_outcome(obs::counter::insert_dups);
           return finish(advances, probe_limit);  // key already present
         } else if constexpr (Order::ordered_probes) {
           // Whole-slot CAS merge; a failed CAS means another insert changed
           // the slot — re-examine it (it may no longer hold this key).
           const value_type merged = Traits::combine(c, v);
           if (bits_equal(merged, c) || cas_tallied(tally, &slots_[i], c, merged)) {
-            obs::count(obs::counter::insert_dups);
+            tally.set_outcome(obs::counter::insert_dups);
             return finish(advances, probe_limit);
           }
           continue;
@@ -207,7 +210,7 @@ class probe_engine {
           // Arrival order with back-shift: a stored entry never moves during
           // an insert phase, so only the value word is merged (in place).
           combine_slot(tally, &slots_[i], c, v);
-          obs::count(obs::counter::insert_dups);
+          tally.set_outcome(obs::counter::insert_dups);
           return finish(advances, probe_limit);
         }
       } else if (!insert_scan_stop(c, v)) {
@@ -218,12 +221,12 @@ class probe_engine {
           // now this operation's responsibility.
           committed = true;
           if (Traits::is_empty(c)) {
-            obs::count(obs::counter::insert_commits);
+            tally.set_outcome(obs::counter::insert_commits);
             return finish(advances, probe_limit);
           }
           v = c;  // carry the displaced element onward (advance below)
         } else {
-          obs::count(obs::counter::insert_commits);
+          tally.set_outcome(obs::counter::insert_commits);
           return finish(advances, probe_limit);
         }
       } else {
@@ -232,7 +235,7 @@ class probe_engine {
       i = next(i);
       if (++advances > cap) throw table_full_error();
       if (!committed && advances > probe_limit) {
-        obs::count(obs::counter::insert_aborts);
+        tally.set_outcome(obs::counter::insert_aborts);
         return insert_result::aborted;
       }
     }
@@ -250,11 +253,8 @@ class probe_engine {
   // the hole history-independently via FindReplacement.
   void erase(key_type kq) PHCH_REQUIRES_PHASE(erase) {
     typename Phase::scope guard(phase_, op_kind::erase);
-    obs::latency_sampler lat;
-    obs::count(obs::counter::erase_ops);
+    obs::op_tally tally(obs::counter::erase_ops);
     const std::size_t cap = capacity();
-    obs::probe_tally tally;
-    obs::probe_depth_scope depth(tally);
     // Unwrapped coordinates, offset by one capacity so they never
     // underflow. Initial forward scan (lines 27-29): past every slot the
     // ordering policy says could still precede the key.
@@ -285,16 +285,14 @@ class probe_engine {
   [[gnu::noinline]] void erase_from(key_type kq, std::size_t fwd_advances)
       PHCH_REQUIRES_PHASE(erase) {
     typename Phase::scope guard(phase_, op_kind::erase);
-    obs::count(obs::counter::erase_ops);
-    obs::probe_tally tally;
-    obs::probe_depth_scope depth(tally, fwd_advances);
+    obs::op_tally tally(obs::counter::erase_ops, fwd_advances);
     const std::uint64_t i = capacity() + home(kq);
     erase_downward(tally, kq, i, i + fwd_advances);
   }
 
   // Downward scan (lines 30-41), from unwrapped position k down to the
   // query key's unwrapped home i.
-  void erase_downward(obs::probe_tally& tally, key_type kq, std::uint64_t i,
+  void erase_downward(obs::op_tally& tally, key_type kq, std::uint64_t i,
                       std::uint64_t k) {
     while (k >= i) {
       const value_type c = atomic_load(slot(k));
@@ -312,7 +310,7 @@ class probe_engine {
           k = j;
           i = unwrapped_home(w, j);
         } else {
-          obs::count(obs::counter::erase_hits);
+          tally.set_outcome(obs::counter::erase_hits);
           return;
         }
       } else {
@@ -331,10 +329,7 @@ class probe_engine {
   // linear probing.
   value_type find(key_type kq) const PHCH_REQUIRES_PHASE(query) {
     typename Phase::scope guard(phase_, op_kind::query);
-    obs::latency_sampler lat;
-    obs::count(obs::counter::find_ops);
-    obs::probe_tally tally;
-    obs::probe_depth_scope depth(tally);
+    obs::op_tally tally(obs::counter::find_ops);
     const std::size_t cap = capacity();
     std::size_t i = home(kq);
     std::size_t advances = 0;
@@ -345,7 +340,7 @@ class probe_engine {
         case probe_verdict::miss:
           return Traits::empty();
         case probe_verdict::hit:
-          obs::count(obs::counter::find_hits);
+          tally.set_outcome(obs::counter::find_hits);
           return c;
         case probe_verdict::advance:
           break;
@@ -455,7 +450,7 @@ class probe_engine {
           return true;
         });
     obs::count(obs::counter::find_ops, n);
-    obs::hist_record(obs::hist::probe_depth, t_depth);
+    obs::record_probe_depth(t_depth);
   }
 
   // Pipelined inserts: the prefix advances exactly while the scalar loop
@@ -583,7 +578,7 @@ class probe_engine {
   // concurrent deletes only move elements toward lower positions. The
   // replacement choice depends only on hash homes, never priorities, which
   // is why both ordering policies share it.
-  std::pair<std::uint64_t, value_type> find_replacement(obs::probe_tally& tally,
+  std::pair<std::uint64_t, value_type> find_replacement(obs::op_tally& tally,
                                                         std::uint64_t k) const {
     const std::size_t cap = capacity();
     std::uint64_t j = k;
@@ -608,7 +603,7 @@ class probe_engine {
   // In-place duplicate-key merge for arrival order: only the value word
   // changes, with hardware xadd when the combine function is + (the paper's
   // linearHash-ND optimization for edge contraction).
-  static void combine_slot(obs::probe_tally& tally, value_type* p, value_type seen,
+  static void combine_slot(obs::op_tally& tally, value_type* p, value_type seen,
                            value_type incoming) noexcept {
     if constexpr (requires { Traits::combine_inplace(p, incoming); }) {
       Traits::combine_inplace(p, incoming);

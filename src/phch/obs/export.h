@@ -57,9 +57,10 @@ inline void write_hist_json(std::FILE* f, const hist_snapshot& h,
 
 }  // namespace detail
 
-// Emits `"counters": {"name": value, ...}, "histograms": {"name": {...}, ...}`
-// for `s` — the members only, so callers splice them into their own object.
-// Available in both build modes (a compiled-out snapshot is all zeros).
+// Emits `"counters": {"name": value, ...}, "histograms": {"probe_depth":
+// {...}}` for `s` — the members only, so callers splice them into their own
+// object. Available in both build modes (a compiled-out snapshot is all
+// zeros).
 inline void write_snapshot_json(std::FILE* f, const metrics_snapshot& s,
                                 const char* indent) {
   std::fprintf(f, "\"counters\": {");
@@ -67,13 +68,10 @@ inline void write_snapshot_json(std::FILE* f, const metrics_snapshot& s,
     std::fprintf(f, "%s\n%s  \"%s\": %" PRIu64, i == 0 ? "" : ",", indent,
                  counter_name(static_cast<counter>(i)), s.totals[i]);
   }
-  std::fprintf(f, "\n%s},\n%s\"histograms\": {", indent, indent);
   const std::string inner = std::string(indent) + "  ";
-  for (std::size_t i = 0; i < kNumHists; ++i) {
-    std::fprintf(f, "%s\n%s\"%s\": ", i == 0 ? "" : ",", inner.c_str(),
-                 hist_name(static_cast<hist>(i)));
-    detail::write_hist_json(f, s.hists[i], inner.c_str());
-  }
+  std::fprintf(f, "\n%s},\n%s\"histograms\": {\n%s\"probe_depth\": ", indent, indent,
+               inner.c_str());
+  detail::write_hist_json(f, s.probe_depth, inner.c_str());
   std::fprintf(f, "\n%s}", indent);
 }
 

@@ -1,44 +1,46 @@
-// Operational telemetry: striped event counters.
+// Operational telemetry: one per-thread stripe of event counters and the
+// probe-depth histogram, and the one snapshot that reads them.
 //
 // The paper's whole evaluation is narrated through probe lengths, CAS
 // traffic, and scalability, but table_stats can only measure those offline
 // (it walks a quiesced slot array). This layer counts what the *live*
 // system does — probe slot loads, CAS attempts and failures, batch-lane
 // rotations and scalar handoffs, steals and backoff sleeps, growth
-// migrations, phase transitions:
+// migrations, phase transitions — and how deep each linear probe went:
 //
 //  * One switch. The whole subsystem exists only when the CMake option
-//    PHCH_TELEMETRY is ON (which defines PHCH_TELEMETRY=1). When it is OFF
-//    (the default) every entry point below compiles to an empty inline
-//    no-op, instrumented classes carry no extra members
-//    (tests/test_telemetry.cpp asserts this by object size), and dead local
-//    tallies vanish under optimization — the hot paths' object code is the
-//    pre-telemetry code. When it is ON, every event is recorded; there is
-//    no runtime switch.
-//  * Striped storage. Counters live in 64 cache-line-padded stripes, one
-//    per scheduler worker (the scheduler binds each worker to its stripe;
-//    foreign threads get a ticket), mirroring parallel/striped_counter.h:
-//    the hot path is a relaxed fetch_add on the caller's own line. Sums
-//    over stripes are exact at a phase boundary / quiescent point and
-//    approximate mid-phase, exactly like the occupancy counter.
+//    PHCH_TELEMETRY is ON (which defines PHCH_TELEMETRY=1; obs/histogram.h
+//    turns it into PHCH_TELEMETRY_ENABLED). When it is OFF (the default)
+//    every entry point below compiles to an empty inline no-op,
+//    instrumented classes carry no extra members (tests/test_telemetry.cpp
+//    asserts this by object size), and a scalar op's op_tally is a
+//    trivially destructible struct of dead stores — the hot paths' object
+//    code is the pre-telemetry code. When it is ON, every event is
+//    recorded; there is no runtime switch.
+//  * One stripe per thread: 64 cache-line-aligned stripes, one per
+//    scheduler worker (foreign threads get a ticket), like
+//    parallel/striped_counter.h. A stripe holds every counter plus the
+//    probe-depth histogram's buckets, sum and max; the hot path is relaxed
+//    fetch_adds on the caller's own stripe. Sums over stripes are exact at
+//    a quiescent point (a phase boundary) and approximate mid-phase.
+//  * One record per op: a scalar linear-probing op declares one op_tally
+//    and flushes it to its stripe once (below).
 //
-// The histograms and the one snapshot type that reads counters and
-// histograms together live in obs/histogram.h; the tracer (obs/trace.h)
-// and exporters (obs/export.h) build on both. This header
-// depends on nothing in phch (so phase_guard.h and the scheduler can both
-// include it without cycles).
+// The one snapshot (metrics_snapshot: every counter plus the probe-depth
+// histogram) is taken by snapshot() at a quiescent point (Definition 1's
+// phase boundaries); marks (obs/trace.h) store one, the exporters
+// (obs/export.h) serialize one, and the difference of two is the exact
+// per-phase delta. This header depends only on obs/histogram.h (so
+// phase_runtime.h and the scheduler can include it without cycles).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 
-#if defined(PHCH_TELEMETRY) && PHCH_TELEMETRY
-#define PHCH_TELEMETRY_ENABLED 1
-#else
-#define PHCH_TELEMETRY_ENABLED 0
-#endif
+#include "phch/obs/histogram.h"
 
 namespace phch::obs {
 
@@ -97,14 +99,46 @@ inline const char* counter_name(counter c) noexcept {
   return i < kNumCounters ? names[i] : "?";
 }
 
+// A quiescent-point reading of every counter and the probe-depth histogram
+// (sums over stripes). Returned by snapshot() in both modes; all-zero when
+// the layer is compiled out.
+struct metrics_snapshot {
+  std::array<std::uint64_t, kNumCounters> totals{};
+  hist_snapshot probe_depth;  // slots inspected per linear-probing op
+  std::uint64_t operator[](counter c) const noexcept {
+    return totals[static_cast<std::size_t>(c)];
+  }
+};
+
+inline metrics_snapshot operator-(const metrics_snapshot& a, const metrics_snapshot& b) {
+  metrics_snapshot d;
+  for (std::size_t i = 0; i < kNumCounters; ++i) d.totals[i] = a.totals[i] - b.totals[i];
+  d.probe_depth = a.probe_depth - b.probe_depth;
+  return d;
+}
+
 #if PHCH_TELEMETRY_ENABLED
 
 inline constexpr std::size_t kStripes = 64;  // power of two; see striped_counter
 
 namespace detail {
 
+// One thread's slice of the plane.
 struct alignas(64) counter_stripe {
   std::array<std::atomic<std::uint64_t>, kNumCounters> c{};
+  // The probe-depth histogram's share of this stripe.
+  std::array<std::atomic<std::uint64_t>, kHistBuckets> buckets{};
+  std::atomic<std::uint64_t> sum{0};
+  std::atomic<std::uint64_t> max{0};
+
+  void add(counter k, std::uint64_t n = 1) noexcept {
+    c[static_cast<std::size_t>(k)].fetch_add(n, std::memory_order_relaxed);
+  }
+  void raise_max(std::uint64_t v) noexcept {
+    std::uint64_t m = max.load(std::memory_order_relaxed);
+    while (v > m && !max.compare_exchange_weak(m, v, std::memory_order_relaxed)) {
+    }
+  }
 };
 
 inline std::array<counter_stripe, kStripes> g_counters;
@@ -122,6 +156,8 @@ inline std::size_t stripe_index() noexcept {
   return static_cast<std::size_t>(tl_stripe);
 }
 
+inline counter_stripe& my_stripe() noexcept { return g_counters[stripe_index()]; }
+
 }  // namespace detail
 
 // Called by the scheduler when a thread becomes pool worker `id` so its
@@ -133,41 +169,90 @@ inline void bind_worker(int id) noexcept {
 // The calling thread's stripe (also used by the trace rings as a tid).
 inline int stripe() noexcept { return static_cast<int>(detail::stripe_index()); }
 
-// The one hot-path entry point: relaxed add on the caller's own line.
+// Relaxed add on the caller's own stripe, for events outside a scalar
+// linear-probing op (which records through op_tally).
 inline void count(counter c, std::uint64_t n = 1) noexcept {
-  detail::g_counters[detail::stripe_index()]
-      .c[static_cast<std::size_t>(c)]
-      .fetch_add(n, std::memory_order_relaxed);
+  detail::my_stripe().add(c, n);
 }
 
-inline std::uint64_t total(counter c) noexcept {
-  std::uint64_t t = 0;
-  for (const auto& s : detail::g_counters)
-    t += s.c[static_cast<std::size_t>(c)].load(std::memory_order_relaxed);
-  return t;
+// The one observability snapshot: every counter and the probe-depth
+// histogram, summed over stripes.
+inline metrics_snapshot snapshot() noexcept {
+  metrics_snapshot m;
+  hist_snapshot& h = m.probe_depth;
+  for (const auto& s : detail::g_counters) {
+    for (std::size_t i = 0; i < kNumCounters; ++i)
+      m.totals[i] += s.c[i].load(std::memory_order_relaxed);
+    for (std::uint32_t i = 0; i < kHistBuckets; ++i) {
+      const std::uint64_t n = s.buckets[i].load(std::memory_order_relaxed);
+      h.buckets[i] += n;
+      h.count += n;
+    }
+    h.sum += s.sum.load(std::memory_order_relaxed);
+    h.max = std::max(h.max, s.max.load(std::memory_order_relaxed));
+  }
+  return m;
 }
 
+// Clears every counter and the probe-depth histogram. Quiescent-point use
+// only (obs::reset()).
 inline void reset_counters() noexcept {
-  for (auto& s : detail::g_counters)
+  for (auto& s : detail::g_counters) {
     for (auto& c : s.c) c.store(0, std::memory_order_relaxed);
+    for (auto& b : s.buckets) b.store(0, std::memory_order_relaxed);
+    s.sum.store(0, std::memory_order_relaxed);
+    s.max.store(0, std::memory_order_relaxed);
+  }
 }
 
-// Scratch tally for one scalar table operation: the probe loop bumps plain
-// locals (register traffic, no atomics) and the destructor flushes them to
-// the stripes in at most three adds. When the layer is compiled out the
-// increments write dead stack slots the optimizer deletes.
-struct probe_tally {
+// Flushes a pipelined block's depth samples: one add per touched bucket.
+inline void record_probe_depth(const hist_accum& a) noexcept {
+  if (a.empty()) return;
+  detail::counter_stripe& s = detail::my_stripe();
+  for (std::uint32_t i = 0; i < kHistBuckets; ++i) {
+    if (a.counts[i] != 0) s.buckets[i].fetch_add(a.counts[i], std::memory_order_relaxed);
+  }
+  s.sum.fetch_add(a.sum, std::memory_order_relaxed);
+  s.raise_max(a.max);
+}
+
+// The one telemetry record of a scalar linear-probing operation. The probe
+// loop bumps its plain fields (register traffic, no atomics), each return
+// path names its outcome counter (set_outcome), and the destructor flushes
+// everything to the caller's stripe with one lookup: the op counter, the
+// outcome, slots, CAS attempts and failures, and one probe-depth sample of
+// depth_base + slots, where depth_base is the distance a pipelined prefix
+// already walked before this scalar continuation took over. It runs on
+// every exit path, a thrown table_full_error included.
+struct op_tally {
+  explicit op_tally(counter op, std::uint64_t depth_base = 0) noexcept
+      : op_(op), depth_base_(depth_base) {}
+  op_tally(const op_tally&) = delete;
+  op_tally& operator=(const op_tally&) = delete;
+  ~op_tally() {
+    detail::counter_stripe& s = detail::my_stripe();
+    s.add(op_);
+    if (outcome_ != counter::kCount) s.add(outcome_);
+    if (slots != 0) s.add(counter::probe_slots, slots);
+    if (cas != 0) s.add(counter::cas_attempts, cas);
+    if (cas_failed != 0) s.add(counter::cas_failures, cas_failed);
+    const std::uint64_t depth = depth_base_ + slots;
+    s.buckets[hist_bucket(depth)].fetch_add(1, std::memory_order_relaxed);
+    s.sum.fetch_add(depth, std::memory_order_relaxed);
+    s.raise_max(depth);
+  }
+
+  // The counter this op's return path resolved to (a commit, a hit, ...).
+  void set_outcome(counter c) noexcept { outcome_ = c; }
+
   std::uint64_t slots = 0;
   std::uint64_t cas = 0;
   std::uint64_t cas_failed = 0;
-  probe_tally() = default;
-  probe_tally(const probe_tally&) = delete;
-  probe_tally& operator=(const probe_tally&) = delete;
-  ~probe_tally() {
-    if (slots != 0) count(counter::probe_slots, slots);
-    if (cas != 0) count(counter::cas_attempts, cas);
-    if (cas_failed != 0) count(counter::cas_failures, cas_failed);
-  }
+
+ private:
+  counter outcome_ = counter::kCount;  // kCount: the op ended with no outcome
+  counter op_;
+  std::uint64_t depth_base_;
 };
 
 // One counter's tally for a batch block: plain adds while the block runs,
@@ -193,10 +278,16 @@ class tally {
 inline void bind_worker(int) noexcept {}
 inline constexpr int stripe() noexcept { return 0; }
 inline void count(counter, std::uint64_t = 1) noexcept {}
-inline constexpr std::uint64_t total(counter) noexcept { return 0; }
+inline metrics_snapshot snapshot() noexcept { return {}; }
 inline void reset_counters() noexcept {}
+inline void record_probe_depth(const hist_accum&) noexcept {}
 
-struct probe_tally {
+// Trivially destructible: its stores are dead and the optimizer deletes
+// them. It keeps no outcome: a dead store there still perturbed register
+// allocation in the erase paths, where set_outcome() is a no-op call.
+struct op_tally {
+  explicit constexpr op_tally(counter, std::uint64_t = 0) noexcept {}
+  void set_outcome(counter) noexcept {}
   std::uint64_t slots = 0;
   std::uint64_t cas = 0;
   std::uint64_t cas_failed = 0;

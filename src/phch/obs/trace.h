@@ -19,7 +19,7 @@
 // events is reported by drained_trace::dropped.
 //
 // Marks are labelled quiescent-point snapshots (obs::snapshot(): every
-// counter and histogram), taken by the applications at phase boundaries
+// counter and the probe-depth histogram), taken by the applications at phase boundaries
 // (e.g. remove_duplicates marks the end of its insert phase); consecutive
 // mark deltas give exact per-phase sums in the metrics JSON and the chrome
 // trace. Marks are mutex-guarded — they are rare by contract.
@@ -37,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "phch/obs/histogram.h"
 #include "phch/obs/telemetry.h"
 
 namespace phch::obs {
@@ -78,8 +77,13 @@ inline constexpr std::size_t kRingCapacity = 1024;  // events kept per stripe
 
 namespace detail {
 
-// steady_now_ns lives in histogram.h's detail (the duration histograms and
-// the tracer share one clock).
+// Wall clock for event timestamps and span durations.
+inline std::uint64_t steady_now_ns() noexcept {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 // Process-wide trace epoch: all event timestamps are relative to the first
 // time anything asked for the clock, keeping chrome-trace numbers small.
@@ -219,17 +223,13 @@ inline drained_trace drain_trace() {
   return out;
 }
 
-// Clears rings and marks (counters are reset separately).
-inline void reset_trace() {
+// Clears the counters, the probe-depth histogram, the rings and the marks.
+// Quiescent-point use only.
+inline void reset() {
+  reset_counters();
   for (auto& r : detail::g_rings) r.head.store(0, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(detail::g_marks_m);
   detail::g_marks.clear();
-}
-
-inline void reset() {
-  reset_counters();
-  reset_histograms();
-  reset_trace();
 }
 
 #else  // !PHCH_TELEMETRY_ENABLED
@@ -254,7 +254,6 @@ inline void note_phase_transition(std::uint32_t, std::uint8_t,
 inline void mark(const char*) {}
 inline std::vector<mark_entry> marks() { return {}; }
 inline drained_trace drain_trace() { return {}; }
-inline void reset_trace() {}
 inline void reset() {}
 
 #endif  // PHCH_TELEMETRY_ENABLED

@@ -352,9 +352,9 @@ TYPED_TEST(BlockTables, EveryWidthMatchesScalar) {
 
   auto rotations_at = [&](std::size_t width) {
     std::vector<std::uint64_t> out(queries.size());
-    const std::uint64_t before = obs::total(obs::counter::batch_rotations);
+    const std::uint64_t before = obs::snapshot()[obs::counter::batch_rotations];
     reference.find_block(queries.data(), queries.size(), out.data(), width);
-    return obs::total(obs::counter::batch_rotations) - before;
+    return obs::snapshot()[obs::counter::batch_rotations] - before;
   };
   EXPECT_EQ(rotations_at(0), rotations_at(1));
   EXPECT_EQ(rotations_at(65), rotations_at(64));

@@ -1,6 +1,7 @@
-// Histogram plane (src/phch/obs/histogram.h): log-linear bucket math,
-// snapshot subtract/quantile behavior, the process-wide probe-depth
-// ledger, and the compiled-out contract. The concurrent record-while-drain
+// The probe-depth histogram (src/phch/obs/histogram.h, recorded through
+// obs/telemetry.h's stripes): log-linear bucket math, snapshot
+// subtract/quantile behavior, the process-wide probe-depth ledger, and the
+// compiled-out contract. The concurrent record-while-drain
 // hammers run under the TSan CI job.
 //
 // This file compiles and passes in both build modes: the bucket math is
@@ -8,18 +9,23 @@
 // is compiled out, where they instead assert it really is compiled out.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
+#include "phch/core/batch_ops.h"
 #include "phch/core/deterministic_table.h"
+#include "phch/core/nd_linear_table.h"
 #include "phch/core/table_common.h"
 #include "phch/obs/histogram.h"
 #include "phch/obs/telemetry.h"
 #include "phch/obs/trace.h"
 #include "phch/parallel/parallel_for.h"
 #include "phch/parallel/scheduler.h"
+#include "phch/workloads/sequences.h"
 
 namespace phch {
 namespace {
@@ -127,8 +133,8 @@ TEST(HistSnapshot, SubtractIsBucketwise) {
   obs::metrics_snapshot after{};
   before.totals[static_cast<std::size_t>(obs::counter::find_ops)] = 5;
   after.totals[static_cast<std::size_t>(obs::counter::find_ops)] = 9;
-  obs::hist_snapshot& b = before.hists[static_cast<std::size_t>(obs::hist::probe_depth)];
-  obs::hist_snapshot& a = after.hists[static_cast<std::size_t>(obs::hist::probe_depth)];
+  obs::hist_snapshot& b = before.probe_depth;
+  obs::hist_snapshot& a = after.probe_depth;
   b.buckets[hist_bucket(2)] = 1;
   b.count = 1;
   b.sum = 2;
@@ -141,7 +147,7 @@ TEST(HistSnapshot, SubtractIsBucketwise) {
   a.max = 40;
   const obs::metrics_snapshot d = after - before;
   EXPECT_EQ(d[obs::counter::find_ops], 4u);
-  const obs::hist_snapshot& h = d[obs::hist::probe_depth];
+  const obs::hist_snapshot& h = d.probe_depth;
   EXPECT_EQ(h.count, 3u);
   EXPECT_EQ(h.sum, 44u);
   EXPECT_EQ(h.buckets[hist_bucket(2)], 2u);
@@ -150,13 +156,14 @@ TEST(HistSnapshot, SubtractIsBucketwise) {
   // The window's max is bounded by its highest occupied bucket, not by an
   // earlier, larger sample.
   obs::metrics_snapshot later = after;
-  obs::hist_snapshot& l = later.hists[static_cast<std::size_t>(obs::hist::probe_depth)];
+  obs::hist_snapshot& l = later.probe_depth;
   l.buckets[hist_bucket(3)] += 1;
   l.count += 1;
   l.sum += 3;
-  EXPECT_EQ((later - after)[obs::hist::probe_depth].max, 3u);
-  EXPECT_EQ((after - after)[obs::hist::probe_depth].max, 0u);
-  EXPECT_EQ(d[obs::hist::growth_ns].count, 0u);
+  EXPECT_EQ((later - after).probe_depth.max, 3u);
+  EXPECT_EQ((after - after).probe_depth.max, 0u);
+  // A bucket neither reading touched stays zero in the difference.
+  EXPECT_EQ(d.probe_depth.buckets[hist_bucket(3)], 0u);
 }
 
 TEST(HistSnapshot, EmptyQuantileIsZero) {
@@ -171,13 +178,18 @@ TEST(HistSnapshot, EmptyQuantileIsZero) {
 
 TEST(HistogramOff, LayerIsCompiledOut) {
   if (obs::compiled) GTEST_SKIP() << "telemetry compiled in";
-  obs::hist_record(obs::hist::growth_ns, 42);
+  static_assert(obs::compiled || std::is_trivially_destructible_v<obs::op_tally>);
+  {
+    obs::op_tally t(obs::counter::find_ops, 42);
+    t.slots = 3;
+  }  // records nothing
   obs::hist_accum a;
   a.note(3);
   EXPECT_TRUE(a.empty());  // the accumulator is a no-op too
-  obs::hist_record(obs::hist::probe_depth, a);
+  obs::record_probe_depth(a);
   const obs::metrics_snapshot s = obs::snapshot();
-  for (const auto& h : s.hists) EXPECT_EQ(h.count, 0u);
+  EXPECT_EQ(s.probe_depth.count, 0u);
+  EXPECT_EQ(s.probe_depth.sum, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -195,34 +207,82 @@ class HistogramOn : public ::testing::Test {
 };
 
 obs::hist_snapshot probe_depth_now() {
-  return obs::snapshot()[obs::hist::probe_depth];
+  return obs::snapshot().probe_depth;
 }
 
-TEST_F(HistogramOn, ProbeDepthLedgerMatchesOpCounters) {
-  // The defining invariant: one probe-depth sample per operation, exactly,
-  // and it survives the table's destruction (no table owns histogram
-  // state). Read once with the table alive and once after it is gone.
+// Inserts `n` keys (with duplicates) through the scalar or the block path,
+// adds insert_bounded calls until one aborts, finds every key, and erases
+// the distinct ones, all at `workers` workers. Checks the probe-depth
+// ledger on that window, read once with the table alive and once after it
+// is gone.
+template <typename Table>
+void check_probe_ledger(bool block, int workers) {
+  SCOPED_TRACE(::testing::Message() << "block=" << block << " workers=" << workers);
+  scheduler::get().set_num_workers(workers);
+  const std::size_t n = 3000;
+  const auto keys = workloads::random_int_seq(n, 11);
+  std::vector<std::uint64_t> uniq(keys);
+  std::sort(uniq.begin(), uniq.end());
+  uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
+
+  const obs::metrics_snapshot before = obs::snapshot();
+  obs::metrics_snapshot live;
+  std::uint64_t bounded = 0;
+  {
+    Table t(1 << 12);
+    if (block) {
+      insert_batch(t, keys);
+    } else {
+      insert_batch_scalar(t, keys);
+    }
+    // A probe limit of 0 aborts as soon as the home slot holds a key the
+    // insert must pass (under prioritized order, a larger key).
+    for (std::uint64_t k = 1;; ++k) {
+      ++bounded;
+      if (t.insert_bounded(k, 0) == Table::insert_result::aborted) break;
+      ASSERT_LT(bounded, 1000u) << "no insert_bounded aborted";
+    }
+    const auto found = block ? find_batch(t, keys) : find_batch_scalar(t, keys);
+    ASSERT_EQ(found.size(), n);
+    if (block) {
+      erase_batch(t, uniq);
+    } else {
+      erase_batch_scalar(t, uniq);
+    }
+    live = obs::snapshot();
+  }
   for (const bool destroy_first : {false, true}) {
     SCOPED_TRACE(destroy_first);
-    const obs::metrics_snapshot before = obs::snapshot();
-    obs::metrics_snapshot live;
-    {
-      deterministic_table<> t(1024);
-      for (std::uint64_t v = 1; v <= 300; ++v) t.insert(v);
-      for (std::uint64_t v = 1; v <= 300; ++v) (void)t.find(v);
-      for (std::uint64_t v = 1; v <= 100; ++v) t.erase(v);
-      live = obs::snapshot();
-    }
+    // One probe-depth sample per operation, exactly, and it survives the
+    // table's destruction (no table owns histogram state).
     const obs::metrics_snapshot d =
         (destroy_first ? obs::snapshot() : live) - before;
-    const obs::hist_snapshot& depth = d[obs::hist::probe_depth];
+    const obs::hist_snapshot& depth = d.probe_depth;
     const std::uint64_t ops = d[obs::counter::find_ops] +
                               d[obs::counter::insert_ops] +
                               d[obs::counter::erase_ops];
-    EXPECT_EQ(ops, 700u);
+    EXPECT_EQ(ops, n + bounded + n + uniq.size());
+    EXPECT_EQ(d[obs::counter::insert_aborts], 1u);
     EXPECT_EQ(depth.count, ops);
+    // Every slot load is in exactly one sample, except that a block lane
+    // loads its stop slot and the scalar continuation loads it again.
+    EXPECT_EQ(depth.sum, d[obs::counter::probe_slots] +
+                             d[obs::counter::batch_probe_slots] -
+                             d[obs::counter::batch_handoffs]);
+    if (!block) {
+      EXPECT_EQ(d[obs::counter::batch_handoffs], 0u);
+    }
     EXPECT_GE(depth.sum, depth.count);  // every op probes at least one slot
     EXPECT_GE(depth.max, 1u);
+  }
+}
+
+TEST_F(HistogramOn, ProbeDepthLedgerMatchesOpCounters) {
+  for (const int p : {1, 4}) {
+    for (const bool block : {false, true}) {
+      check_probe_ledger<deterministic_table<>>(block, p);
+      check_probe_ledger<nd_linear_table<>>(block, p);
+    }
   }
 }
 
@@ -233,10 +293,10 @@ TEST_F(HistogramOn, BlockFlushMatchesPerSampleRecords) {
   EXPECT_TRUE(a.empty());
   for (std::uint64_t v = 0; v <= 100; ++v) a.note(v);
   EXPECT_FALSE(a.empty());
-  obs::hist_record(obs::hist::probe_depth, a);
+  obs::record_probe_depth(a);
   const obs::hist_snapshot s = probe_depth_now();
   obs::reset();
-  for (std::uint64_t v = 0; v <= 100; ++v) obs::hist_record(obs::hist::probe_depth, v);
+  for (std::uint64_t v = 0; v <= 100; ++v) obs::op_tally t(obs::counter::find_ops, v);
   const obs::hist_snapshot r = probe_depth_now();
   EXPECT_EQ(s.buckets, r.buckets);
   EXPECT_EQ(s.count, 101u);
@@ -269,12 +329,14 @@ obs::hist_snapshot hammer_while_draining(std::size_t n, Record record) {
   return s;
 }
 
-// The TSan-job hammer for the per-sample path.
+// The TSan-job hammer for the per-op path: each op_tally flushes one
+// sample when it goes out of scope.
 TEST_F(HistogramOn, ConcurrentRecordWhileDrainIsRaceFree) {
   constexpr std::size_t kPerWorker = 20000;
   const std::size_t n = static_cast<std::size_t>(num_workers()) * kPerWorker;
   const obs::hist_snapshot s = hammer_while_draining(n, [](std::size_t i) {
-    obs::hist_record(obs::hist::probe_depth, (i % 61) + 1);
+    obs::op_tally t(obs::counter::find_ops, i % 61);
+    t.slots = 1;
   });
   EXPECT_EQ(s.count, n);
   EXPECT_EQ(s.max, 61u);
@@ -289,7 +351,7 @@ TEST_F(HistogramOn, ConcurrentBlockFlushWhileDrainIsRaceFree) {
   const obs::hist_snapshot s = hammer_while_draining(n, [](std::size_t i) {
     obs::hist_accum a;
     for (std::uint64_t v = 1; v <= kPerBlock; ++v) a.note((i + v) % 61 + 1);
-    obs::hist_record(obs::hist::probe_depth, a);
+    obs::record_probe_depth(a);
   });
   EXPECT_EQ(s.count, n * kPerBlock);
   EXPECT_EQ(s.max, 61u);  // kPerBlock > 61, so every block sees the max

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "phch/core/batch_ops.h"
@@ -45,10 +46,10 @@ TEST(TelemetryOff, LayerIsCompiledOut) {
   // it.
   EXPECT_EQ(sizeof(unchecked_phases), sizeof(phase_runtime));
   obs::count(counter::probe_slots, 123);
-  EXPECT_EQ(obs::total(counter::probe_slots), 0u);
+  EXPECT_EQ(obs::snapshot()[counter::probe_slots], 0u);
   const obs::metrics_snapshot m = obs::snapshot();
   for (const auto v : m.totals) EXPECT_EQ(v, 0u);
-  for (const auto& h : m.hists) EXPECT_EQ(h.count, 0u);
+  EXPECT_EQ(m.probe_depth.count, 0u);
   obs::mark("off");
   EXPECT_TRUE(obs::marks().empty());
   EXPECT_TRUE(obs::drain_trace().events.empty());
@@ -56,16 +57,21 @@ TEST(TelemetryOff, LayerIsCompiledOut) {
   EXPECT_FALSE(obs::write_chrome_trace("/tmp/phch_off_trace.json"));
 }
 
-TEST(TelemetryOff, ProbeTallyIsInert) {
+TEST(TelemetryOff, OpTallyIsInert) {
   if (obs::compiled) GTEST_SKIP() << "telemetry compiled in";
+  // Compiled out, a scalar op's record is plain dead stores.
+  static_assert(obs::compiled || std::is_trivially_destructible_v<obs::op_tally>);
   {
-    obs::probe_tally t;
+    obs::op_tally t(counter::insert_ops, 2);
+    t.set_outcome(counter::insert_commits);
     t.slots = 7;
     t.cas = 3;
     t.cas_failed = 1;
-  }  // destructor must not publish anything
-  EXPECT_EQ(obs::total(counter::probe_slots), 0u);
-  EXPECT_EQ(obs::total(counter::cas_attempts), 0u);
+  }  // nothing may be published
+  EXPECT_EQ(obs::snapshot()[counter::probe_slots], 0u);
+  EXPECT_EQ(obs::snapshot()[counter::cas_attempts], 0u);
+  EXPECT_EQ(obs::snapshot()[counter::insert_ops], 0u);
+  EXPECT_EQ(obs::snapshot().probe_depth.count, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -173,10 +179,10 @@ TEST_F(TelemetryOn, MarksCaptureQuiescentDeltas) {
   EXPECT_EQ(ms[0].label, "t0");
   EXPECT_EQ((ms[1].metrics - ms[0].metrics)[counter::steals], 3u);
   EXPECT_EQ((ms[2].metrics - ms[1].metrics)[counter::steals], 4u);
-  EXPECT_EQ((ms[2].metrics - ms[1].metrics)[obs::hist::probe_depth].count, 0u);
+  EXPECT_EQ((ms[2].metrics - ms[1].metrics).probe_depth.count, 0u);
   const obs::metrics_snapshot phase = ms[3].metrics - ms[2].metrics;
   EXPECT_EQ(phase[counter::insert_ops] + phase[counter::find_ops], 1600u);
-  EXPECT_EQ(phase[obs::hist::probe_depth].count, 1600u);
+  EXPECT_EQ(phase.probe_depth.count, 1600u);
   EXPECT_LE(ms[0].ts_ns, ms[1].ts_ns);
 }
 
@@ -187,7 +193,7 @@ TEST_F(TelemetryOn, PhaseTransitionsRecordedOncePerBoundary) {
   t.erase(2);       // query -> erase boundary
   (void)t.find(3);  // erase -> query boundary
   // 4 transitions: first-op, plus the three class changes.
-  EXPECT_EQ(obs::total(counter::phase_transitions), 4u);
+  EXPECT_EQ(obs::snapshot()[counter::phase_transitions], 4u);
   const auto tr = obs::drain_trace();
   std::vector<std::string> phases;
   for (const auto& e : tr.events) {
@@ -259,7 +265,7 @@ TEST_F(TelemetryOn, ConcurrentCountersAndRingsAreRaceFree) {
                         i, obs::now_ns(), 1);
     }
   });
-  EXPECT_EQ(obs::total(counter::probe_slots), n);
+  EXPECT_EQ(obs::snapshot()[counter::probe_slots], n);
   const auto tr = obs::drain_trace();
   // Rings keep the newest kRingCapacity events per stripe; everything else
   // is accounted as dropped, never lost silently. The run records exactly

@@ -20,7 +20,7 @@
 // and in every workload insert_ops == commits + dups + aborts. For the
 // linear-probing families the probe-depth *histogram* obeys the same
 // discipline — every operation records exactly one sample — so the ledger
-//   Δ hist(probe_depth).count == Δ (find_ops + insert_ops + erase_ops)
+//   Δ probe_depth.count == Δ (find_ops + insert_ops + erase_ops)
 // is checked on the same snapshot delta after every workload.
 //
 // -table swaps the backend: the same identities must hold for every table
@@ -68,7 +68,7 @@ void check_insert_identity(const obs::metrics_snapshot& d) {
 // operation (scalar and software-pipelined paths alike), so the
 // histogram's population must equal the op counters exactly.
 void check_probe_ledger(const obs::metrics_snapshot& d) {
-  expect_eq("probe-depth ledger: hist == ops", d[obs::hist::probe_depth].count,
+  expect_eq("probe-depth ledger: hist == ops", d.probe_depth.count,
             d[obs::counter::find_ops] + d[obs::counter::insert_ops] +
                 d[obs::counter::erase_ops]);
 }
@@ -218,7 +218,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (num_workers() == 1) {
-    expect_eq("cas_failures at p=1", obs::total(obs::counter::cas_failures), 0);
+    expect_eq("cas_failures at p=1", obs::snapshot()[obs::counter::cas_failures], 0);
   }
 
   if (!obs::write_metrics_json(metrics_path.c_str())) {

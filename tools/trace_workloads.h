@@ -37,7 +37,7 @@ namespace phch::tools {
 //
 // probe_ledger marks the linear-probing families whose every operation
 // records exactly one probe-depth sample, so at a quiescent point
-//   Δ snapshot()[hist::probe_depth].count
+//   Δ snapshot().probe_depth.count
 //     == Δ (find_ops + insert_ops + erase_ops)
 // holds exactly. The sparse families (chained, cuckoo, hopscotch) count
 // their own step metrics (chain links, evictions, displacements) instead of
