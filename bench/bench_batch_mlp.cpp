@@ -92,13 +92,12 @@ int main(int argc, char** argv) {
   const char* json_path = argc > 1 ? argv[1] : "BENCH_batch.json";
   const std::size_t cap = round_up_pow2(scaled_size(std::size_t{1} << 23));
   const std::size_t qbatch = std::min(cap / 8, scaled_size(std::size_t{1} << 20));
-  const std::size_t width = kBatchWidth;
 
   std::printf("Batch-probe MLP: scalar vs prefetch-ahead vs pipelined, one worker\n");
   std::printf("table capacity = %zu (%.0f MB), batch = %zu ops, width = %zu, "
               "reps = %ld (median)\n",
               cap, static_cast<double>(cap * sizeof(std::uint64_t)) / 1048576.0,
-              qbatch, width, reps());
+              qbatch, kBatchWidth, reps());
   std::printf("  %5s %10s | %26s | %26s | %26s\n", "", "", "find ns/op",
               "insert ns/op", "erase ns/op");
   std::printf("  %5s %10s | %8s %8s %8s | %8s %8s %8s | %8s %8s %8s\n", "load",
@@ -126,7 +125,7 @@ int main(int argc, char** argv) {
     pt.find.prefetch =
         per_q * time_median([] {}, [&] { find_serial_prefetch(t, qkeys, out); });
     pt.find.pipelined = per_q * time_median([] {}, [&] {
-      t.find_block(qkeys.data(), qbatch, out.data(), width);
+      t.find_block(qkeys.data(), qbatch, out.data());
     });
 
     // Insert a fresh slab beyond the pool range, then erase it. The table is
@@ -169,8 +168,8 @@ int main(int argc, char** argv) {
           }
         });
     std::tie(pt.insert.pipelined, pt.erase.pipelined) = pairwise(
-        [&] { t.insert_block(dkeys.data(), dbatch, width); },
-        [&] { t.erase_block(dkeys.data(), dbatch, width); });
+        [&] { t.insert_block(dkeys.data(), dbatch); },
+        [&] { t.erase_block(dkeys.data(), dbatch); });
 
     std::printf("  %5.2f %10.2f | %8.1f %8.1f %8.1f | %8.1f %8.1f %8.1f | "
                 "%8.1f %8.1f %8.1f\n",
@@ -270,7 +269,7 @@ int main(int argc, char** argv) {
         for (std::size_t i = 0; i < sqbatch; ++i) sout[i] = t.find(sqkeys[i]);
       });
       r.find_batched = per_q * time_median([] {}, [&] {
-        t.find_block(sqkeys.data(), sqbatch, sout.data(), width);
+        t.find_block(sqkeys.data(), sqbatch, sout.data());
       });
 
       const std::size_t sdbatch = std::min(sqbatch, sfill / 2);
@@ -295,8 +294,8 @@ int main(int argc, char** argv) {
             for (std::size_t i = 0; i < sdbatch; ++i) t.insert(sdkeys[i]);
           });
       std::tie(r.erase_batched, r.insert_batched) = pairwise(
-          [&] { t.erase_block(sdkeys.data(), sdbatch, width); },
-          [&] { t.insert_block(sdkeys.data(), sdbatch, width); });
+          [&] { t.erase_block(sdkeys.data(), sdbatch); },
+          [&] { t.insert_block(sdkeys.data(), sdbatch); });
       sparse.push_back(r);
     };
     sparse_bench.template operator()<cuckoo_table<int_entry<>>>("cuckoo");
@@ -351,7 +350,7 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "{\n  \"bench\": \"batch_mlp\",\n  \"capacity\": %zu,\n", cap);
   std::fprintf(f, "  \"batch\": %zu,\n  \"width\": %zu,\n  \"reps\": %ld,\n", qbatch,
-               width, reps());
+               kBatchWidth, reps());
   std::fprintf(f, "  \"loads\": [\n");
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& p = points[i];

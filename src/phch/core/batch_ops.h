@@ -9,10 +9,10 @@
 // one rotation ago, either completes the operation or prefetches its next
 // line, then rotates to the next in-flight operation. Every cache miss
 // along the whole probe chain — not just the home line — overlaps with up
-// to width-1 others, the asynchronous-memory-access-chaining (AMAC)
+// to kBatchWidth-1 others, the asynchronous-memory-access-chaining (AMAC)
 // structure of Kocberber et al.
 //
-// run_batch_ring below is the only ring loop. It owns the width clamp, the
+// run_batch_ring below is the only ring loop. It owns the kBatchWidth
 // lanes, issue/refill/retire/rotate and the batch_rotations / batch_blocks
 // counts; a kernel supplies only a lane type, start(lane, i) (hash op i,
 // prefetch its first line) and step(lane) -> done (inspect the prefetched
@@ -35,9 +35,9 @@
 // Every block table exposes the same three serial members, each opening
 // one phase scope of its class for the block:
 //
-//   insert_block(const V* values, n, width = kBatchWidth)
-//   find_block(const K* keys, n, value_type* out, width = kBatchWidth)
-//   erase_block(const K* keys, n, width = kBatchWidth)
+//   insert_block(const V* values, n)
+//   find_block(const K* keys, n, value_type* out)
+//   erase_block(const K* keys, n)
 //
 // and the free insert_batch / find_batch / erase_batch below are the only
 // parallel drivers: blocked_for over kBatchBlock-op blocks, one block
@@ -51,12 +51,12 @@
 // Each block's scope announces that class to the table's phase_runtime, so
 // a batch that starts a new phase advances the epoch exactly once. The
 // scope is held per block, on the worker running it, not across the whole
-// batch: checked_phases sees batch traffic only while a block runs, so an
-// operation of another class started between two blocks is not reported,
-// and an empty batch opens no scope and marks no phase boundary.
+// batch: an operation of another class that starts while a block runs is
+// reported when the block's scope exits, one that starts and finishes
+// between two blocks is not, and an empty batch opens no scope and marks no
+// phase boundary.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -69,12 +69,9 @@
 
 namespace phch {
 
-// In-flight operations per worker in a block member's ring.
+// In-flight operations per worker in a block member's ring, within the
+// hardware's miss handling capacity (~10-20 line fill buffers).
 inline constexpr std::size_t kBatchWidth = 12;
-
-// Hard cap on the ring width; beyond the hardware's miss handling capacity
-// (~10-20 line fill buffers) extra lanes only thrash.
-inline constexpr std::size_t kMaxBatchWidth = 64;
 
 // Operations per block the parallel drivers hand to one block member call.
 inline constexpr std::size_t kBatchBlock = 2048;
@@ -86,27 +83,24 @@ namespace batch_detail {
 template <typename V>
 inline constexpr std::size_t slots_per_line = sizeof(V) < 64 ? 64 / sizeof(V) : 1;
 
-// Runs operations 0..n through a ring of `width` lanes (clamped to
-// [1, kMaxBatchWidth]) on the calling thread. start(lane, i) issues
-// operation i into a lane; step(lane) advances it by one prefetched line
-// and returns true once it is finished. A finished lane is refilled with
-// the next operation; once the batch is fully issued it is retired by
-// moving the last live lane into its place.
+// Runs operations 0..n through a ring of kBatchWidth lanes on the calling
+// thread. start(lane, i) issues operation i into a lane; step(lane)
+// advances it by one prefetched line and returns true once it is finished.
+// A finished lane is refilled with the next operation; once the batch is
+// fully issued it is retired by moving the last live lane into its place.
 //
 // The callables are copied into locals. GCC keeps a local closure's
 // by-value captures (slot pointer, mask, capacity) in registers, but
 // reloads a parameter's from memory after every seq_cst slot load.
 template <typename Lane, typename Start, typename Step>
-void run_batch_ring(std::size_t n, std::size_t width, const Start& start_fn,
-                    const Step& step_fn) {
+void run_batch_ring(std::size_t n, const Start& start_fn, const Step& step_fn) {
   Start start = start_fn;
   Step step = step_fn;
-  width = std::clamp<std::size_t>(width, 1, kMaxBatchWidth);
-  std::array<Lane, kMaxBatchWidth> ring;
+  std::array<Lane, kBatchWidth> ring;
   std::size_t issued = 0;
   std::size_t live = 0;
   std::uint64_t rotations = 0;
-  while (live < width && issued < n) start(ring[live++], issued++);
+  while (live < kBatchWidth && issued < n) start(ring[live++], issued++);
   std::size_t r = 0;
   while (live > 0) {
     Lane& lane = ring[r];
@@ -131,10 +125,9 @@ void run_batch_ring(std::size_t n, std::size_t width, const Start& start_fn,
 // op(i) -- the table's scalar operation -- on the lines that prefetch warmed
 // one rotation ago. Each of the n operations counts as one batch_handoff.
 template <typename Prefetch, typename Op>
-void run_handoff_block(std::size_t n, std::size_t width, const Prefetch& prefetch,
-                       const Op& op) {
+void run_handoff_block(std::size_t n, const Prefetch& prefetch, const Op& op) {
   run_batch_ring<std::size_t>(
-      n, width,
+      n,
       [prefetch](std::size_t& lane, std::size_t i) {
         lane = i;
         prefetch(i);

@@ -34,7 +34,7 @@
 
 #include "phch/core/batch_ops.h"
 #include "phch/core/entry_traits.h"
-#include "phch/core/phase_guard.h"
+#include "phch/core/phase_runtime.h"
 #include "phch/core/table_common.h"
 #include "phch/obs/telemetry.h"
 #include "phch/parallel/atomics.h"
@@ -45,8 +45,7 @@
 
 namespace phch {
 
-template <typename Traits = int_entry<>, bool ContentionReducing = false,
-          typename Phase = unchecked_phases>
+template <typename Traits = int_entry<>, bool ContentionReducing = false>
 class chained_table {
  public:
   using traits = Traits;
@@ -74,17 +73,17 @@ class chained_table {
   }
 
   void insert(value_type v) PHCH_REQUIRES_PHASE(insert) {
-    typename Phase::scope guard(phase_, op_kind::insert);
+    phase_runtime::scope guard(phase_, op_kind::insert);
     insert_impl(v);
   }
 
   void erase(key_type kq) PHCH_REQUIRES_PHASE(erase) {
-    typename Phase::scope guard(phase_, op_kind::erase);
+    phase_runtime::scope guard(phase_, op_kind::erase);
     erase_impl(kq);
   }
 
   value_type find(key_type kq) const PHCH_REQUIRES_PHASE(query) {
-    typename Phase::scope guard(phase_, op_kind::query);
+    phase_runtime::scope guard(phase_, op_kind::query);
     return find_impl(kq);
   }
 
@@ -95,7 +94,7 @@ class chained_table {
   // Paper's scheme: per-bucket chain counts, a prefix sum for offsets, then
   // parallel per-bucket copies.
   std::vector<value_type> elements() const PHCH_REQUIRES_PHASE(query) {
-    typename Phase::scope guard(phase_, op_kind::query);
+    phase_runtime::scope guard(phase_, op_kind::query);
     std::vector<std::size_t> offsets(num_buckets_);
     parallel_for(0, num_buckets_, [&](std::size_t b) {
       std::size_t c = 0;
@@ -118,11 +117,11 @@ class chained_table {
   // AMAC chain walk: each lane is a tiny state machine — load the bucket
   // head (line prefetched at issue), then follow next pointers, prefetching
   // each node one rotation before inspecting it. Every miss of the pointer
-  // chase overlaps with up to width-1 others.
+  // chase overlaps with up to kBatchWidth-1 others.
   template <typename K>
-  void find_block(const K* keys, std::size_t n, value_type* out,
-                  std::size_t width = kBatchWidth) const PHCH_REQUIRES_PHASE(query) {
-    typename Phase::scope guard(phase_, op_kind::query);
+  void find_block(const K* keys, std::size_t n, value_type* out) const
+      PHCH_REQUIRES_PHASE(query) {
+    phase_runtime::scope guard(phase_, op_kind::query);
     struct lane {
       std::size_t idx;
       std::size_t b;
@@ -133,7 +132,7 @@ class chained_table {
     obs::tally t_hits(obs::counter::find_hits);
     obs::tally t_links(obs::counter::chained_chain_links);
     batch_detail::run_batch_ring<lane>(
-        n, width,
+        n,
         [&](lane& o, std::size_t i) {
           const key_type kq = keys[i];
           o = lane{i, bucket(kq), nullptr, kq};
@@ -167,11 +166,10 @@ class chained_table {
   // Mutating blocks run through run_handoff_block: the bucket head and lock
   // line are prefetched ahead of the scalar op.
   template <typename V>
-  void insert_block(const V* values, std::size_t n, std::size_t width = kBatchWidth)
-      PHCH_REQUIRES_PHASE(insert) {
-    typename Phase::scope guard(phase_, op_kind::insert);
+  void insert_block(const V* values, std::size_t n) PHCH_REQUIRES_PHASE(insert) {
+    phase_runtime::scope guard(phase_, op_kind::insert);
     batch_detail::run_handoff_block(
-        n, width,
+        n,
         [&](std::size_t i) {
           const value_type v = values[i];
           prefetch_bucket(bucket(Traits::key(v)));
@@ -180,17 +178,16 @@ class chained_table {
   }
 
   template <typename K>
-  void erase_block(const K* keys, std::size_t n, std::size_t width = kBatchWidth)
-      PHCH_REQUIRES_PHASE(erase) {
-    typename Phase::scope guard(phase_, op_kind::erase);
+  void erase_block(const K* keys, std::size_t n) PHCH_REQUIRES_PHASE(erase) {
+    phase_runtime::scope guard(phase_, op_kind::erase);
     batch_detail::run_handoff_block(
-        n, width, [&](std::size_t i) { prefetch_bucket(bucket(keys[i])); },
+        n, [&](std::size_t i) { prefetch_bucket(bucket(keys[i])); },
         [&](std::size_t i) { erase_impl(keys[i]); });
   }
 
   // The table's single phase-state word (phase epoch + current class,
   // core/phase_runtime.h), shared by scalar and block scopes.
-  phase_runtime& phase_rt() const noexcept { return phase_.runtime(); }
+  phase_runtime& phase_rt() const noexcept { return phase_; }
 
  private:
   static constexpr std::size_t kMaxLocks = 1 << 16;
@@ -411,11 +408,11 @@ class chained_table {
   mutable std::vector<spinlock> locks_;
   std::size_t lock_mask_;
   mutable node_pool pool_;
-  mutable Phase phase_;
+  mutable phase_runtime phase_;
 
  public:
   // Phase-capability tokens (utils/phase_caps.h): the static half of the
-  // phase contract the Phase policy enforces at runtime.
+  // phase contract the phase scopes check at runtime.
   PHCH_PHASE_CAPABILITIES();
 };
 

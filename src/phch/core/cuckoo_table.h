@@ -30,7 +30,7 @@
 
 #include "phch/core/batch_ops.h"
 #include "phch/core/entry_traits.h"
-#include "phch/core/phase_guard.h"
+#include "phch/core/phase_runtime.h"
 #include "phch/core/table_common.h"
 #include "phch/obs/telemetry.h"
 #include "phch/parallel/atomics.h"
@@ -39,7 +39,7 @@
 
 namespace phch {
 
-template <typename Traits = int_entry<>, typename Phase = unchecked_phases>
+template <typename Traits = int_entry<>>
 class cuckoo_table {
  public:
   using traits = Traits;
@@ -57,17 +57,17 @@ class cuckoo_table {
   void clear() { slots_.clear(); }
 
   void insert(value_type v) PHCH_REQUIRES_PHASE(insert) {
-    typename Phase::scope guard(phase_, op_kind::insert);
+    phase_runtime::scope guard(phase_, op_kind::insert);
     insert_impl(v);
   }
 
   void erase(key_type kq) PHCH_REQUIRES_PHASE(erase) {
-    typename Phase::scope guard(phase_, op_kind::erase);
+    phase_runtime::scope guard(phase_, op_kind::erase);
     erase_impl(kq);
   }
 
   value_type find(key_type kq) const PHCH_REQUIRES_PHASE(query) {
-    typename Phase::scope guard(phase_, op_kind::query);
+    phase_runtime::scope guard(phase_, op_kind::query);
     return find_impl(kq);
   }
 
@@ -76,7 +76,7 @@ class cuckoo_table {
   }
 
   std::vector<value_type> elements() const PHCH_REQUIRES_PHASE(query) {
-    typename Phase::scope guard(phase_, op_kind::query);
+    phase_runtime::scope guard(phase_, op_kind::query);
     return slots_.elements();
   }
 
@@ -91,9 +91,9 @@ class cuckoo_table {
   // the plain scalar chain).
 
   template <typename K>
-  void find_block(const K* keys, std::size_t n, value_type* out,
-                  std::size_t width = kBatchWidth) const PHCH_REQUIRES_PHASE(query) {
-    typename Phase::scope guard(phase_, op_kind::query);
+  void find_block(const K* keys, std::size_t n, value_type* out) const
+      PHCH_REQUIRES_PHASE(query) {
+    phase_runtime::scope guard(phase_, op_kind::query);
     struct lane {
       std::size_t idx;
       std::size_t i1, i2;
@@ -102,7 +102,7 @@ class cuckoo_table {
     obs::tally t_slots(obs::counter::batch_probe_slots);
     obs::tally t_hits(obs::counter::find_hits);
     batch_detail::run_batch_ring<lane>(
-        n, width,
+        n,
         [&](lane& o, std::size_t i) {
           const key_type kq = keys[i];
           o = lane{i, home1(kq), home2(kq), kq};
@@ -129,11 +129,10 @@ class cuckoo_table {
   }
 
   template <typename V>
-  void insert_block(const V* values, std::size_t n, std::size_t width = kBatchWidth)
-      PHCH_REQUIRES_PHASE(insert) {
-    typename Phase::scope guard(phase_, op_kind::insert);
+  void insert_block(const V* values, std::size_t n) PHCH_REQUIRES_PHASE(insert) {
+    phase_runtime::scope guard(phase_, op_kind::insert);
     batch_detail::run_handoff_block(
-        n, width,
+        n,
         [&](std::size_t i) {
           const value_type v = values[i];
           prefetch_candidates(Traits::key(v));
@@ -142,17 +141,16 @@ class cuckoo_table {
   }
 
   template <typename K>
-  void erase_block(const K* keys, std::size_t n, std::size_t width = kBatchWidth)
-      PHCH_REQUIRES_PHASE(erase) {
-    typename Phase::scope guard(phase_, op_kind::erase);
+  void erase_block(const K* keys, std::size_t n) PHCH_REQUIRES_PHASE(erase) {
+    phase_runtime::scope guard(phase_, op_kind::erase);
     batch_detail::run_handoff_block(
-        n, width, [&](std::size_t i) { prefetch_candidates(keys[i]); },
+        n, [&](std::size_t i) { prefetch_candidates(keys[i]); },
         [&](std::size_t i) { erase_impl(keys[i]); });
   }
 
   // The table's single phase-state word (phase epoch + current class,
   // core/phase_runtime.h), shared by scalar and block scopes.
-  phase_runtime& phase_rt() const noexcept { return phase_.runtime(); }
+  phase_runtime& phase_rt() const noexcept { return phase_; }
 
  private:
   static constexpr std::size_t kMaxEvictions = 10000;
@@ -282,11 +280,11 @@ class cuckoo_table {
 
   slot_array<Traits> slots_;
   mutable std::vector<spinlock> locks_;
-  mutable Phase phase_;
+  mutable phase_runtime phase_;
 
  public:
   // Phase-capability tokens (utils/phase_caps.h): the static half of the
-  // phase contract the Phase policy enforces at runtime.
+  // phase contract the phase scopes check at runtime.
   PHCH_PHASE_CAPABILITIES();
 };
 

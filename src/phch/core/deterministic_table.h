@@ -11,7 +11,8 @@
 //  - operations are non-blocking and terminate provided the table never
 //    becomes full.
 //
-// Phase discipline (caller's contract, checkable via the Phase parameter):
+// Phase discipline (caller's contract, checked by every operation's phase
+// scope, core/phase_runtime.h):
 //    S = { {insert}, {erase}, {find, contains, elements} }.
 //
 // The implementation is one policy choice over the shared open-addressing
@@ -27,8 +28,7 @@
 
 namespace phch {
 
-template <typename Traits = int_entry<>, typename Phase = unchecked_phases>
-using deterministic_table =
-    probe_engine<Traits, Phase, prioritized_order>;
+template <typename Traits = int_entry<>>
+using deterministic_table = probe_engine<Traits, prioritized_order>;
 
 }  // namespace phch

@@ -64,10 +64,10 @@
 
 namespace phch {
 
-template <typename Traits = int_entry<>, typename Phase = unchecked_phases>
+template <typename Traits = int_entry<>>
 class growable_table {
  public:
-  using inner_table = deterministic_table<Traits, Phase>;
+  using inner_table = deterministic_table<Traits>;
   using traits = Traits;
   using value_type = typename Traits::value_type;
   using key_type = typename Traits::key_type;
@@ -191,8 +191,8 @@ class growable_table {
   const inner_table& inner() const noexcept { return *cur(); }
 
   // Phase-capability tokens (utils/phase_caps.h): the static half of the
-  // phase contract the Phase policy enforces at runtime. Public so callers'
-  // phase-region markers can name them in their own annotations.
+  // phase contract the inner table's phase scopes check at runtime. Public
+  // so callers' phase-region markers can name them in their own annotations.
   PHCH_PHASE_CAPABILITIES();
 
  private:

@@ -43,7 +43,7 @@
 
 #include "phch/core/batch_ops.h"
 #include "phch/core/entry_traits.h"
-#include "phch/core/phase_guard.h"
+#include "phch/core/phase_runtime.h"
 #include "phch/core/table_common.h"
 #include "phch/obs/telemetry.h"
 #include "phch/parallel/atomics.h"
@@ -53,8 +53,7 @@
 
 namespace phch {
 
-template <typename Traits = int_entry<>, bool WithTimestamps = true,
-          typename Phase = unchecked_phases>
+template <typename Traits = int_entry<>, bool WithTimestamps = true>
 class hopscotch_table {
  public:
   using traits = Traits;
@@ -80,17 +79,17 @@ class hopscotch_table {
   }
 
   void insert(value_type v) PHCH_REQUIRES_PHASE(insert) {
-    typename Phase::scope guard(phase_, op_kind::insert);
+    phase_runtime::scope guard(phase_, op_kind::insert);
     insert_impl(v);
   }
 
   void erase(key_type kq) PHCH_REQUIRES_PHASE(erase) {
-    typename Phase::scope guard(phase_, op_kind::erase);
+    phase_runtime::scope guard(phase_, op_kind::erase);
     erase_impl(kq);
   }
 
   value_type find(key_type kq) const PHCH_REQUIRES_PHASE(query) {
-    typename Phase::scope guard(phase_, op_kind::query);
+    phase_runtime::scope guard(phase_, op_kind::query);
     return find_impl(kq);
   }
 
@@ -99,7 +98,7 @@ class hopscotch_table {
   }
 
   std::vector<value_type> elements() const PHCH_REQUIRES_PHASE(query) {
-    typename Phase::scope guard(phase_, op_kind::query);
+    phase_runtime::scope guard(phase_, op_kind::query);
     return slots_.elements();
   }
 
@@ -110,20 +109,19 @@ class hopscotch_table {
   // the scalar walk runs on warm lines.
 
   template <typename K>
-  void find_block(const K* keys, std::size_t n, value_type* out,
-                  std::size_t width = kBatchWidth) const PHCH_REQUIRES_PHASE(query) {
-    typename Phase::scope guard(phase_, op_kind::query);
+  void find_block(const K* keys, std::size_t n, value_type* out) const
+      PHCH_REQUIRES_PHASE(query) {
+    phase_runtime::scope guard(phase_, op_kind::query);
     batch_detail::run_handoff_block(
-        n, width, [&](std::size_t i) { prefetch_neighborhood_ro(home(keys[i])); },
+        n, [&](std::size_t i) { prefetch_neighborhood_ro(home(keys[i])); },
         [&](std::size_t i) { out[i] = find_impl(keys[i]); });
   }
 
   template <typename V>
-  void insert_block(const V* values, std::size_t n, std::size_t width = kBatchWidth)
-      PHCH_REQUIRES_PHASE(insert) {
-    typename Phase::scope guard(phase_, op_kind::insert);
+  void insert_block(const V* values, std::size_t n) PHCH_REQUIRES_PHASE(insert) {
+    phase_runtime::scope guard(phase_, op_kind::insert);
     batch_detail::run_handoff_block(
-        n, width,
+        n,
         [&](std::size_t i) {
           const value_type v = values[i];
           prefetch_neighborhood_rw(home(Traits::key(v)));
@@ -132,17 +130,16 @@ class hopscotch_table {
   }
 
   template <typename K>
-  void erase_block(const K* keys, std::size_t n, std::size_t width = kBatchWidth)
-      PHCH_REQUIRES_PHASE(erase) {
-    typename Phase::scope guard(phase_, op_kind::erase);
+  void erase_block(const K* keys, std::size_t n) PHCH_REQUIRES_PHASE(erase) {
+    phase_runtime::scope guard(phase_, op_kind::erase);
     batch_detail::run_handoff_block(
-        n, width, [&](std::size_t i) { prefetch_neighborhood_rw(home(keys[i])); },
+        n, [&](std::size_t i) { prefetch_neighborhood_rw(home(keys[i])); },
         [&](std::size_t i) { erase_impl(keys[i]); });
   }
 
   // The table's single phase-state word (phase epoch + current class,
   // core/phase_runtime.h), shared by scalar and block scopes.
-  phase_runtime& phase_rt() const noexcept { return phase_.runtime(); }
+  phase_runtime& phase_rt() const noexcept { return phase_; }
 
  private:
   static constexpr std::size_t kSegmentSize = 256;  // buckets per lock stripe
@@ -344,11 +341,11 @@ class hopscotch_table {
   std::vector<std::uint64_t> hop_;
   mutable std::vector<spinlock> locks_;
   std::vector<std::atomic<std::uint32_t>> timestamps_;
-  mutable Phase phase_;
+  mutable phase_runtime phase_;
 
  public:
   // Phase-capability tokens (utils/phase_caps.h): the static half of the
-  // phase contract the Phase policy enforces at runtime.
+  // phase contract the phase scopes check at runtime.
   PHCH_PHASE_CAPABILITIES();
 };
 

@@ -24,7 +24,7 @@
 
 namespace phch {
 
-template <typename Traits = int_entry<>, typename Phase = unchecked_phases>
-using nd_linear_table = probe_engine<Traits, Phase, arrival_order>;
+template <typename Traits = int_entry<>>
+using nd_linear_table = probe_engine<Traits, arrival_order>;
 
 }  // namespace phch

@@ -47,7 +47,7 @@
 
 #include "phch/core/batch_ops.h"
 #include "phch/core/entry_traits.h"
-#include "phch/core/phase_guard.h"
+#include "phch/core/phase_runtime.h"
 #include "phch/core/table_common.h"
 #include "phch/obs/histogram.h"
 #include "phch/obs/telemetry.h"
@@ -73,7 +73,7 @@ struct arrival_order {
   static constexpr bool ordered_probes = false;
 };
 
-template <typename Traits, typename Phase, typename Order>
+template <typename Traits, typename Order>
 class probe_engine {
  public:
   using traits = Traits;
@@ -154,6 +154,7 @@ class probe_engine {
   // value: commutativity is with respect to table state, and "was it new?"
   // is not well defined under concurrent merging.
   void insert(value_type v) PHCH_REQUIRES_PHASE(insert) {
+    phase_runtime::scope guard(phase_, op_kind::insert);
     insert_impl(v, capacity() + 1, home(Traits::key(v)), 0);
   }
 
@@ -164,6 +165,7 @@ class probe_engine {
   // insert completes and merely reports `lengthy`.
   insert_result insert_bounded(value_type v, std::size_t probe_limit)
       PHCH_REQUIRES_PHASE(insert) {
+    phase_runtime::scope guard(phase_, op_kind::insert);
     return insert_impl(v, probe_limit, home(Traits::key(v)), 0);
   }
 
@@ -177,12 +179,12 @@ class probe_engine {
     return false;
   }
 
-  // The Figure-1 insert loop from slot i, `advances` slots past home. An
-  // insert_block lane resumes here from its pipelined prefix; the slot at i
-  // is re-loaded, so a stale prefix read only costs a retry.
+  // The Figure-1 insert loop from slot i, `advances` slots past home, run
+  // inside the caller's insert scope. An insert_block lane resumes here from
+  // its pipelined prefix; the slot at i is re-loaded, so a stale prefix read
+  // only costs a retry.
   insert_result insert_impl(value_type v, std::size_t probe_limit, std::size_t i,
                             std::size_t advances) {
-    typename Phase::scope guard(phase_, op_kind::insert);
     assert(!Traits::is_empty(v));
     // `advances` slots were already walked by the pipelined prefix; they
     // count toward this op's probe-depth sample.
@@ -252,7 +254,7 @@ class probe_engine {
   // erases only. Removes the (single) entry whose key equals `kq`, filling
   // the hole history-independently via FindReplacement.
   void erase(key_type kq) PHCH_REQUIRES_PHASE(erase) {
-    typename Phase::scope guard(phase_, op_kind::erase);
+    phase_runtime::scope guard(phase_, op_kind::erase);
     obs::op_tally tally(obs::counter::erase_ops);
     const std::size_t cap = capacity();
     // Unwrapped coordinates, offset by one capacity so they never
@@ -266,12 +268,13 @@ class probe_engine {
       ++k;
       if (k - i > cap) throw table_full_error();
     }
-    erase_downward(tally, kq, i, k);
+    erase_impl(tally, kq, i, k);
   }
 
  private:
   // Insert continuation for insert_block: resume the scalar loop at slot i,
-  // `advances` slots past home. Both block continuations stay out of line:
+  // `advances` slots past home. Both block continuations run inside the
+  // block's phase scope and open none of their own. Both stay out of line:
   // inlined into the ring, the scalar loop halved an arrival-order table's
   // pipelined insert throughput in bench_batch_mlp (gcc 12).
   [[gnu::noinline]] void insert_from(value_type v, std::size_t i, std::size_t advances)
@@ -284,16 +287,15 @@ class probe_engine {
   // home; the downward scan runs from there.
   [[gnu::noinline]] void erase_from(key_type kq, std::size_t fwd_advances)
       PHCH_REQUIRES_PHASE(erase) {
-    typename Phase::scope guard(phase_, op_kind::erase);
     obs::op_tally tally(obs::counter::erase_ops, fwd_advances);
     const std::uint64_t i = capacity() + home(kq);
-    erase_downward(tally, kq, i, i + fwd_advances);
+    erase_impl(tally, kq, i, i + fwd_advances);
   }
 
   // Downward scan (lines 30-41), from unwrapped position k down to the
-  // query key's unwrapped home i.
-  void erase_downward(obs::op_tally& tally, key_type kq, std::uint64_t i,
-                      std::uint64_t k) {
+  // query key's unwrapped home i, inside the caller's erase scope.
+  void erase_impl(obs::op_tally& tally, key_type kq, std::uint64_t i,
+                  std::uint64_t k) {
     while (k >= i) {
       const value_type c = atomic_load(slot(k));
       ++tally.slots;
@@ -328,7 +330,7 @@ class probe_engine {
   // is not higher than kq — absent keys can be cheaper than in standard
   // linear probing.
   value_type find(key_type kq) const PHCH_REQUIRES_PHASE(query) {
-    typename Phase::scope guard(phase_, op_kind::query);
+    phase_runtime::scope guard(phase_, op_kind::query);
     obs::op_tally tally(obs::counter::find_ops);
     const std::size_t cap = capacity();
     std::size_t i = home(kq);
@@ -358,7 +360,7 @@ class probe_engine {
   // order the result is a deterministic function of the table's contents
   // (history independence). Same phase class as find.
   std::vector<value_type> elements() const PHCH_REQUIRES_PHASE(query) {
-    typename Phase::scope guard(phase_, op_kind::query);
+    phase_runtime::scope guard(phase_, op_kind::query);
     return slots_.elements();
   }
 
@@ -369,7 +371,7 @@ class probe_engine {
   // operation class plus the monotone phase epoch. Exposed so the tests and
   // the trace-ledger validation in tools/phch_trace read the same state the
   // operation scopes advance.
-  phase_runtime& phase_rt() const noexcept { return phase_.runtime(); }
+  phase_runtime& phase_rt() const noexcept { return phase_; }
 
   // --- pipelined block members (core/batch_ops.h) ---------------------------
   //
@@ -394,9 +396,9 @@ class probe_engine {
 
   // Pipelined finds: the whole read-only probe scan rotates line by line.
   template <typename K>
-  void find_block(const K* keys, std::size_t n, value_type* out,
-                  std::size_t width = kBatchWidth) const PHCH_REQUIRES_PHASE(query) {
-    typename Phase::scope guard(phase_, op_kind::query);
+  void find_block(const K* keys, std::size_t n, value_type* out) const
+      PHCH_REQUIRES_PHASE(query) {
+    phase_runtime::scope guard(phase_, op_kind::query);
     const value_type* slots = slots_.data();
     const std::size_t cap = capacity();
     const std::size_t mask = slots_.mask();
@@ -411,7 +413,7 @@ class probe_engine {
     obs::tally t_hits(obs::counter::find_hits);
     obs::hist_accum t_depth;
     batch_detail::run_batch_ring<lane>(
-        n, width,
+        n,
         [keys, slots, mask](lane& o, std::size_t i) {
           const key_type kq = keys[i];
           o = lane{i, static_cast<std::size_t>(Traits::hash(kq)) & mask, 0, kq};
@@ -462,9 +464,8 @@ class probe_engine {
   // so every pipelined execution is some legal scalar interleaving, and
   // Theorem 1 makes the final layout independent of which one.
   template <typename V>
-  void insert_block(const V* values, std::size_t n, std::size_t width = kBatchWidth)
-      PHCH_REQUIRES_PHASE(insert) {
-    typename Phase::scope guard(phase_, op_kind::insert);
+  void insert_block(const V* values, std::size_t n) PHCH_REQUIRES_PHASE(insert) {
+    phase_runtime::scope guard(phase_, op_kind::insert);
     const value_type* slots = slots_.data();
     const std::size_t cap = capacity();
     const std::size_t mask = slots_.mask();
@@ -477,7 +478,7 @@ class probe_engine {
     obs::tally t_slots(obs::counter::batch_probe_slots);
     obs::tally t_handoffs(obs::counter::batch_handoffs);
     batch_detail::run_batch_ring<lane>(
-        n, width,
+        n,
         [values, slots, mask](lane& o, std::size_t i) {
           const value_type v = values[i];
           o = lane{static_cast<std::size_t>(Traits::hash(Traits::key(v))) & mask, 0, v};
@@ -511,9 +512,8 @@ class probe_engine {
   // precede the key; where the scalar scan would stop, erase_from takes the
   // CAS work on the lines this scan just loaded.
   template <typename K>
-  void erase_block(const K* keys, std::size_t n, std::size_t width = kBatchWidth)
-      PHCH_REQUIRES_PHASE(erase) {
-    typename Phase::scope guard(phase_, op_kind::erase);
+  void erase_block(const K* keys, std::size_t n) PHCH_REQUIRES_PHASE(erase) {
+    phase_runtime::scope guard(phase_, op_kind::erase);
     const value_type* slots = slots_.data();
     const std::size_t cap = capacity();
     const std::size_t mask = slots_.mask();
@@ -526,7 +526,7 @@ class probe_engine {
     obs::tally t_slots(obs::counter::batch_probe_slots);
     obs::tally t_handoffs(obs::counter::batch_handoffs);
     batch_detail::run_batch_ring<lane>(
-        n, width,
+        n,
         [keys, slots, mask](lane& o, std::size_t i) {
           const key_type kq = keys[i];
           o = lane{static_cast<std::size_t>(Traits::hash(kq)) & mask, 0, kq};
@@ -618,11 +618,11 @@ class probe_engine {
   }
 
   slot_array<Traits> slots_;
-  mutable Phase phase_;
+  mutable phase_runtime phase_;
 
  public:
   // Phase-capability tokens (utils/phase_caps.h): the static half of the
-  // phase contract the Phase policy enforces at runtime. Public so callers'
+  // phase contract the phase scopes check at runtime. Public so callers'
   // phase-region markers can name them in their own annotations.
   PHCH_PHASE_CAPABILITIES();
 };

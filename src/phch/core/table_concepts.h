@@ -52,9 +52,8 @@ concept deletable_table = phase_table<T> && requires(T& t, typename T::key_type 
 
 // A table that exposes its phase_runtime (core/phase_runtime.h): the single
 // per-table phase-state word (current operation class + monotone epoch).
-// Every first-party phase-concurrent table models this via its phase
-// policy; tools/phch_trace validates the exactly-once transition ledger
-// through it.
+// Every first-party phase-concurrent table models this; tools/phch_trace
+// validates the exactly-once transition ledger through it.
 template <typename T>
 concept phase_epoch_table = requires(const T& ct) {
   { ct.phase_rt() } -> std::same_as<phase_runtime&>;

@@ -3,8 +3,8 @@
 //
 // The paper's guarantee rests on callers keeping operation classes
 //     S = { {insert}, {delete}, {find, elements} }
-// from overlapping in time. At runtime that contract is enforced by
-// checked_phases (core/phase_guard.h) and observed by TSan — both
+// from overlapping in time. At runtime every table operation's phase scope
+// (core/phase_runtime.h) checks that contract, and TSan observes it — both
 // probabilistic: a misuse must actually overlap under load to be caught.
 // This header makes the same contract *static*. Every phase-concurrent
 // table carries three zero-size capability tokens (one per operation

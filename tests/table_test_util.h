@@ -2,11 +2,15 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "phch/core/entry_traits.h"
+#include "phch/core/phase_runtime.h"
 #include "phch/core/table_concepts.h"
 #include "phch/parallel/parallel_for.h"
 #include "phch/utils/rand.h"
@@ -32,6 +36,31 @@ bool ordering_invariant_holds(const typename Traits::value_type* slots,
   }
   return true;
 }
+
+// int_entry whose hash runs a one-shot hook when it hashes `trigger`: a
+// test starts a conflicting operation, or throws, from inside a table
+// operation. Only the thread that hashes the trigger reads `hook`. The hash
+// is not noexcept, so a hook may throw.
+struct hooked_entry : int_entry<> {
+  static inline std::uint64_t trigger = 0;
+  static inline std::function<void()> hook;
+  static std::uint64_t hash(std::uint64_t k) {
+    if (k == trigger && hook) std::exchange(hook, nullptr)();
+    return int_entry<>::hash(k);
+  }
+};
+
+// A phase-violation handler that counts reports and keeps the last one,
+// for tests that intercept reports in-process instead of aborting. Only
+// one thread may report while it is installed (`last` is a plain copy).
+struct violation_capture {
+  static inline std::atomic<int> calls{0};
+  static inline phase_violation last;
+  static void capture(const phase_violation& v) {
+    last = v;
+    calls.fetch_add(1, std::memory_order_relaxed);
+  }
+};
 
 // Distinct keys in [1, limit), deterministic.
 inline std::vector<std::uint64_t> unique_keys(std::size_t n, std::uint64_t seed = 1) {

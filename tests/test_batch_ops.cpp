@@ -1,14 +1,12 @@
 // Batched operations with software-pipelined (AMAC-style) probing:
 // identical semantics — and for deterministic tables identical *layouts* —
-// to per-op scalar calls, on every workload distribution and pipeline
-// width, for every table with block members.
+// to per-op scalar calls, on every workload distribution and block length,
+// for every table with block members.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 #include <set>
-#include <utility>
 #include <vector>
 
 #include "phch/core/batch_ops.h"
@@ -269,28 +267,28 @@ TEST(BatchOps, EraseBatchInterleavedWithInsertBatchAcrossPhases) {
 // history-independent layout; the others are compared as element sets.
 
 struct lineard_family {
-  template <typename Tr, typename Ph = unchecked_phases>
-  using table = deterministic_table<Tr, Ph>;
+  template <typename Tr>
+  using table = deterministic_table<Tr>;
   static constexpr bool same_layout = true;
 };
 struct linearnd_family {
-  template <typename Tr, typename Ph = unchecked_phases>
-  using table = nd_linear_table<Tr, Ph>;
+  template <typename Tr>
+  using table = nd_linear_table<Tr>;
   static constexpr bool same_layout = false;
 };
 struct cuckoo_family {
-  template <typename Tr, typename Ph = unchecked_phases>
-  using table = cuckoo_table<Tr, Ph>;
+  template <typename Tr>
+  using table = cuckoo_table<Tr>;
   static constexpr bool same_layout = false;
 };
 struct hopscotch_family {
-  template <typename Tr, typename Ph = unchecked_phases>
-  using table = hopscotch_table<Tr, true, Ph>;
+  template <typename Tr>
+  using table = hopscotch_table<Tr, true>;
   static constexpr bool same_layout = false;
 };
 struct chained_family {
-  template <typename Tr, typename Ph = unchecked_phases>
-  using table = chained_table<Tr, true, Ph>;
+  template <typename Tr>
+  using table = chained_table<Tr, true>;
   static constexpr bool same_layout = false;
 };
 
@@ -311,53 +309,48 @@ void expect_same_contents(const Table& a, const Table& b) {
   if constexpr (Family::same_layout) expect_same_layout(a, b);
 }
 
-// Widths 0 and 65 must behave exactly like 1 and 64: the ring driver
-// clamps the width. With telemetry compiled in, equal batch_rotations
-// counts for the clamped pairs check that on the ring itself.
-TYPED_TEST(BlockTables, EveryWidthMatchesScalar) {
+// Block lengths around the ring width: no lane (0), one, one short of a
+// full ring, a full ring, one refill, and many refills and retires. Each
+// block member must match the scalar loops on the same keys.
+TYPED_TEST(BlockTables, EveryBlockLengthMatchesScalar) {
   using Table = typename TypeParam::template table<int_entry<>>;
   // About 6.6k distinct keys in 2^14 slots: load ~0.40, long enough
   // linear probe chains to cross cache lines, under cuckoo's 0.5 limit.
-  const auto keys = test::dup_keys(12000, 9000, 21);
+  const auto all = test::dup_keys(12000, 9000, 21);
   constexpr std::uint64_t absent = 1ULL << 49;
-  std::vector<std::uint64_t> queries = keys;
-  queries.push_back(absent);
-  std::vector<std::uint64_t> dels(keys.begin(), keys.begin() + 5000);
-  dels.push_back(absent);  // an absent erase must be a no-op
-  Table reference(1 << 14);
-  insert_batch_scalar(reference, keys);
-  const auto ref_finds = find_batch_scalar(reference, queries);
-  Table erased_ref(1 << 14);
-  insert_batch_scalar(erased_ref, keys);
-  erase_batch_scalar(erased_ref, dels);
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, kBatchWidth - 1, kBatchWidth, kBatchWidth + 1,
+        all.size()}) {
+    SCOPED_TRACE(testing::Message() << "block length " << n);
+    const std::vector<std::uint64_t> keys(all.begin(), all.begin() + n);
+    std::vector<std::uint64_t> queries = keys;
+    queries.push_back(absent);
+    std::vector<std::uint64_t> dels(keys.begin(),
+                                    keys.begin() + std::min<std::size_t>(n, 5000));
+    dels.push_back(absent);  // an absent erase must be a no-op
+    Table reference(1 << 14);
+    insert_batch_scalar(reference, keys);
+    const auto ref_finds = find_batch_scalar(reference, queries);
+    Table erased_ref(1 << 14);
+    insert_batch_scalar(erased_ref, keys);
+    erase_batch_scalar(erased_ref, dels);
 
-  for (const std::size_t width : {0, 1, 2, 3, 5, 8, 12, 16, 64, 65}) {
-    SCOPED_TRACE(testing::Message() << "width " << width);
     Table t(1 << 14);
-    t.insert_block(keys.data(), keys.size(), width);
+    t.insert_block(keys.data(), keys.size());
     expect_same_contents<TypeParam>(t, reference);
 
     std::vector<std::uint64_t> out(queries.size());
-    t.find_block(queries.data(), queries.size(), out.data(), width);
+    t.find_block(queries.data(), queries.size(), out.data());
     for (std::size_t i = 0; i < queries.size(); ++i) {
       ASSERT_EQ(out[i], ref_finds[i]) << "query " << i;
     }
 
-    t.erase_block(dels.data(), dels.size(), width);
+    t.erase_block(dels.data(), dels.size());
     expect_same_contents<TypeParam>(t, erased_ref);
 
-    t.erase_block(queries.data(), queries.size(), width);
+    t.erase_block(queries.data(), queries.size());
     ASSERT_EQ(t.count(), 0u);
   }
-
-  auto rotations_at = [&](std::size_t width) {
-    std::vector<std::uint64_t> out(queries.size());
-    const std::uint64_t before = obs::snapshot()[obs::counter::batch_rotations];
-    reference.find_block(queries.data(), queries.size(), out.data(), width);
-    return obs::snapshot()[obs::counter::batch_rotations] - before;
-  };
-  EXPECT_EQ(rotations_at(0), rotations_at(1));
-  EXPECT_EQ(rotations_at(65), rotations_at(64));
 }
 
 TYPED_TEST(BlockTables, EmptyAndShortBlocks) {
@@ -380,7 +373,7 @@ TYPED_TEST(BlockTables, EmptyAndShortBlocks) {
 }
 
 TYPED_TEST(BlockTables, CheckedPhasesAcceptsBatchSequences) {
-  using Table = typename TypeParam::template table<int_entry<>, checked_phases>;
+  using Table = typename TypeParam::template table<int_entry<>>;
   const auto keys = test::unique_keys(5000, 31);  // several blocks
   Table t(1 << 14);
   insert_batch(t, keys);
@@ -390,31 +383,24 @@ TYPED_TEST(BlockTables, CheckedPhasesAcceptsBatchSequences) {
   EXPECT_EQ(t.count(), 0u);
 }
 
-// int_entry whose hash runs a one-shot hook when it hashes the trigger key.
-// A block member hashes each key as its lane starts, between the scalar
-// steps of the other lanes, so the hook runs inside the block but outside
-// any per-operation scope: only the block's own scope can make a
-// conflicting operation started there visible to checked_phases.
-struct hooked_entry : int_entry<> {
-  static inline std::uint64_t trigger = 0;
-  static inline std::function<void()> hook;
-  static std::uint64_t hash(std::uint64_t k) noexcept {
-    if (k == trigger && hook) std::exchange(hook, nullptr)();
-    return int_entry<>::hash(k);
-  }
-};
+// test::hooked_entry's hook runs when a block member hashes the trigger key
+// as its lane starts, between the scalar steps of the other lanes: inside
+// the block but outside any per-operation scope, so only the block's own
+// scope can see a conflicting operation started there.
+using test::violation_capture;
 
-struct violation_capture {
-  static inline int calls = 0;
-  static inline op_kind attempted = op_kind::insert;
-  static void capture(const phase_violation& v) {
-    ++calls;
-    attempted = v.attempted;
-  }
-};
+// The block's scope reports the overlap once, as its own class, having
+// seen the epoch move past the one it entered.
+void expect_block_report(int calls, op_kind block) {
+  EXPECT_EQ(violation_capture::calls.load(), calls);
+  EXPECT_EQ(violation_capture::last.kind, block);
+  EXPECT_GT(phase_runtime::epoch_of(violation_capture::last.seen),
+            phase_runtime::epoch_of(violation_capture::last.entered));
+}
 
 TYPED_TEST(BlockTables, CheckedPhasesReportsConflictInsideBlock) {
-  using Table = typename TypeParam::template table<hooked_entry, checked_phases>;
+  using test::hooked_entry;
+  using Table = typename TypeParam::template table<hooked_entry>;
   const auto keys = test::unique_keys(200, 37);
   constexpr std::uint64_t other = 1ULL << 40;  // never one of `keys`
   Table t(1 << 12);
@@ -426,19 +412,17 @@ TYPED_TEST(BlockTables, CheckedPhasesReportsConflictInsideBlock) {
 
   hooked_entry::hook = [&] { (void)t.find(other); };  // a query starts...
   t.insert_block(keys.data(), keys.size());           // ...inside an insert block
-  EXPECT_EQ(violation_capture::calls, 1);
-  EXPECT_EQ(violation_capture::attempted, op_kind::query);
+  expect_block_report(1, op_kind::insert);
+  EXPECT_EQ(violation_capture::last.runtime, &t.phase_rt());
 
   std::vector<std::uint64_t> out(keys.size());
   hooked_entry::hook = [&] { t.insert(other); };
   t.find_block(keys.data(), keys.size(), out.data());
-  EXPECT_EQ(violation_capture::calls, 2);
-  EXPECT_EQ(violation_capture::attempted, op_kind::insert);
+  expect_block_report(2, op_kind::query);
 
   hooked_entry::hook = [&] { (void)t.find(other); };
   t.erase_block(keys.data(), keys.size());
-  EXPECT_EQ(violation_capture::calls, 3);
-  EXPECT_EQ(violation_capture::attempted, op_kind::query);
+  expect_block_report(3, op_kind::erase);
 
   set_phase_violation_handler(prev);
   hooked_entry::hook = nullptr;

@@ -1,22 +1,42 @@
-// Phase-discipline enforcement (Definition 1): the checked policy accepts
-// same-phase concurrency and find+elements mixing, and aborts the process
-// when operations of different classes overlap in time.
+// Phase-discipline enforcement (Definition 1) on real tables: every
+// table's phase scopes accept same-phase concurrency and find+elements
+// mixing, and report (by default: abort) when operations of different
+// classes overlap in time. Overlaps are made deterministic by
+// test::hooked_entry, whose hash runs a hook from inside an operation.
 #include <gtest/gtest.h>
 
-#include <string>
+#include <atomic>
+#include <stdexcept>
 #include <thread>
 
 #include "phch/core/deterministic_table.h"
-#include "phch/core/phase_guard.h"
+#include "phch/core/phase_runtime.h"
 #include "table_test_util.h"
 
 namespace phch {
 namespace {
 
-using checked = deterministic_table<int_entry<>, checked_phases>;
+using test::hooked_entry;
+using hooked_table = deterministic_table<hooked_entry>;
+
+using test::violation_capture;
+
+// Installs the capturing handler for one test and restores the aborting
+// default afterwards. A handler that returns lets the program go on.
+struct capturing {
+  capturing() {
+    violation_capture::calls = 0;
+    EXPECT_EQ(set_phase_violation_handler(&violation_capture::capture),
+              &abort_on_phase_violation);
+  }
+  ~capturing() {
+    set_phase_violation_handler(nullptr);
+    hooked_entry::hook = nullptr;
+  }
+};
 
 TEST(PhaseGuard, SequentialPhasesAreAccepted) {
-  checked t(1 << 12);
+  deterministic_table<int_entry<>> t(1 << 12);
   const auto keys = test::unique_keys(1000, 3);
   test::parallel_insert(t, keys);   // insert phase
   for (const auto k : keys) ASSERT_TRUE(t.contains(k));  // find phase
@@ -26,7 +46,7 @@ TEST(PhaseGuard, SequentialPhasesAreAccepted) {
 }
 
 TEST(PhaseGuard, ConcurrentSameClassOpsAreAccepted) {
-  checked t(1 << 16);
+  deterministic_table<int_entry<>> t(1 << 16);
   test::parallel_insert(t, test::unique_keys(20000, 5));  // concurrent inserts
   std::atomic<std::size_t> hits{0};
   parallel_for(0, 20000, [&](std::size_t i) {
@@ -36,7 +56,7 @@ TEST(PhaseGuard, ConcurrentSameClassOpsAreAccepted) {
 }
 
 TEST(PhaseGuard, FindAndElementsShareAPhase) {
-  checked t(256);
+  deterministic_table<int_entry<>> t(256);
   t.insert(1);
   std::thread reader([&] {
     for (int i = 0; i < 100; ++i) (void)t.elements();
@@ -52,9 +72,10 @@ TEST(PhaseGuardDeath, InsertWhileQueryInFlightAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        checked_phases g;
-        checked_phases::scope query(g, op_kind::query);
-        checked_phases::scope insert(g, op_kind::insert);  // illegal overlap
+        hooked_table t(256);
+        hooked_entry::trigger = 7;
+        hooked_entry::hook = [&] { t.insert(8); };  // illegal overlap
+        (void)t.find(7);
       },
       "phase-concurrency violation");
 }
@@ -63,60 +84,51 @@ TEST(PhaseGuardDeath, DeleteWhileInsertInFlightAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        checked_phases g;
-        checked_phases::scope insert(g, op_kind::insert);
-        checked_phases::scope erase(g, op_kind::erase);  // illegal overlap
+        hooked_table t(256);
+        hooked_entry::trigger = 7;
+        hooked_entry::hook = [&] { t.erase(8); };  // illegal overlap
+        t.insert(7);
       },
       "phase-concurrency violation");
 }
 
 TEST(PhaseGuard, ScopesOfOneClassNest) {
-  checked_phases g;
-  checked_phases::scope a(g, op_kind::insert);
-  checked_phases::scope b(g, op_kind::insert);
-  checked_phases::scope c(g, op_kind::insert);
-  SUCCEED();
+  capturing c;
+  hooked_table t(256);
+  hooked_entry::trigger = 7;
+  hooked_entry::hook = [&] { t.insert(8); };  // an insert inside an insert
+  t.insert(7);
+  EXPECT_EQ(violation_capture::calls.load(), 0);
+  EXPECT_EQ(t.phase_rt().epoch(), 1u);
+  EXPECT_EQ(t.count(), 2u);
 }
 
 TEST(PhaseGuard, PhaseBoundaryResetsState) {
-  checked_phases g;
-  { checked_phases::scope a(g, op_kind::insert); }
-  { checked_phases::scope b(g, op_kind::erase); }
-  { checked_phases::scope c(g, op_kind::query); }
-  SUCCEED();
+  capturing c;
+  deterministic_table<int_entry<>> t(256);
+  t.insert(1);
+  t.erase(1);
+  (void)t.find(1);
+  t.insert(2);
+  EXPECT_EQ(violation_capture::calls.load(), 0);
+  EXPECT_EQ(t.phase_rt().epoch(), 4u);
 }
-
-// A test-installed handler intercepts the structured report in-process; the
-// offending operation then proceeds (useful for counting violations in
-// fuzz-style tests without dying on the first one).
-namespace violation_capture {
-phase_violation last;
-int calls = 0;
-void capture(const phase_violation& v) {
-  last = v;
-  ++calls;
-}
-}  // namespace violation_capture
 
 TEST(PhaseGuard, PluggableHandlerReceivesStructuredReport) {
-  violation_capture::calls = 0;
-  phase_violation_handler prev = set_phase_violation_handler(&violation_capture::capture);
-  EXPECT_EQ(prev, &abort_on_phase_violation);
-  {
-    checked_phases g;
-    g.set_name("report-test");
-    checked_phases::scope query(g, op_kind::query);
-    checked_phases::scope insert(g, op_kind::insert);  // illegal overlap
-  }
-  set_phase_violation_handler(nullptr);  // restore the aborting default
-  ASSERT_EQ(violation_capture::calls, 1);
+  capturing c;
+  hooked_table t(256);
+  t.insert(8);  // epoch 1: insert
+  hooked_entry::trigger = 7;
+  hooked_entry::hook = [&] { t.insert(9); };  // epoch 3: insert
+  (void)t.find(7);                            // epoch 2: query
+  ASSERT_EQ(violation_capture::calls.load(), 1);
   const phase_violation& v = violation_capture::last;
-  EXPECT_EQ(v.table_name, std::string("report-test"));
-  EXPECT_NE(v.table, nullptr);
-  EXPECT_EQ(v.attempted, op_kind::insert);
-  EXPECT_EQ(v.in_flight[static_cast<int>(op_kind::query)], 1u);
-  EXPECT_EQ(v.in_flight[static_cast<int>(op_kind::insert)], 0u);
-  EXPECT_EQ(v.in_flight[static_cast<int>(op_kind::erase)], 0u);
+  EXPECT_EQ(v.runtime, &t.phase_rt());
+  EXPECT_EQ(v.kind, op_kind::query);
+  EXPECT_EQ(phase_runtime::epoch_of(v.entered), 2u);
+  EXPECT_EQ(phase_runtime::class_of(v.entered), static_cast<std::uint64_t>(op_kind::query));
+  EXPECT_EQ(phase_runtime::epoch_of(v.seen), 3u);
+  EXPECT_EQ(phase_runtime::class_of(v.seen), static_cast<std::uint64_t>(op_kind::insert));
   // Whatever this thread's scheduler identity is, the report carries it.
   EXPECT_EQ(v.worker, scheduler::worker_id());
 }
@@ -127,15 +139,62 @@ TEST(PhaseGuard, RestoringDefaultHandlerReturnsInstalledOne) {
   (void)prev;
 }
 
-TEST(PhaseGuard, PoliciesCarryExactlyOnePhaseStateWord) {
-  // Both policies are views over a single phase_runtime cache line — the
-  // table's sole phase-state word (it drives the obs tracer and the phase
-  // epoch, so it is functional state, not instrumentation). The
-  // default policy adds nothing beyond it; checked adds only the in-flight
-  // counters and the debug name. Compile-time property, asserted via size.
-  static_assert(sizeof(unchecked_phases) == sizeof(phase_runtime));
-  static_assert(sizeof(deterministic_table<int_entry<>>) < sizeof(checked));
-  SUCCEED();
+// Two threads, one table, an overlap forced by handshakes: thread 1's find
+// waits inside its scope until thread 2 has finished an insert. Only the
+// operation that started first sees the word change, so exactly one report.
+TEST(PhaseGuard, OverlapAcrossThreadsIsReportedOnce) {
+  capturing c;
+  hooked_table t(1 << 10);
+  t.insert(8);
+  std::atomic<bool> finding{false};
+  std::atomic<bool> inserted{false};
+  hooked_entry::trigger = 7;
+  hooked_entry::hook = [&] {
+    finding.store(true, std::memory_order_release);
+    while (!inserted.load(std::memory_order_acquire)) std::this_thread::yield();
+  };
+  std::thread finder([&] { (void)t.find(7); });
+  std::thread inserter([&] {
+    while (!finding.load(std::memory_order_acquire)) std::this_thread::yield();
+    t.insert(9);
+    inserted.store(true, std::memory_order_release);
+  });
+  finder.join();
+  inserter.join();
+  ASSERT_EQ(violation_capture::calls.load(), 1);
+  EXPECT_EQ(violation_capture::last.kind, op_kind::query);
+  EXPECT_EQ(violation_capture::last.worker, -1);  // neither is a pool worker
+  EXPECT_EQ(t.phase_rt().epoch(), 3u);
+}
+
+// An exception that leaves an operation unwinds its scope without a
+// report, and the table's phase word stays usable: the next query phase
+// advances the epoch exactly once.
+TEST(PhaseGuard, TableFullErrorLeavesNoReport) {
+  capturing c;
+  deterministic_table<int_entry<>> t(8);
+  for (std::uint64_t k = 1; k <= t.capacity(); ++k) t.insert(k);
+  const std::uint64_t epoch = t.phase_rt().epoch();
+  EXPECT_THROW(t.insert(t.capacity() + 1), table_full_error);
+  EXPECT_EQ(t.phase_rt().epoch(), epoch);
+  (void)t.elements();
+  (void)t.elements();
+  EXPECT_EQ(t.phase_rt().epoch(), epoch + 1);
+  EXPECT_EQ(violation_capture::calls.load(), 0);
+}
+
+TEST(PhaseGuard, ExceptionInsideBlockLeavesNoReport) {
+  capturing c;
+  hooked_table t(1 << 10);
+  const auto keys = test::unique_keys(100, 41);
+  hooked_entry::trigger = keys[50];
+  hooked_entry::hook = [] { throw std::runtime_error("hash failed"); };
+  EXPECT_THROW(t.insert_block(keys.data(), keys.size()), std::runtime_error);
+  EXPECT_EQ(t.phase_rt().epoch(), 1u);
+  (void)t.find(keys[0]);
+  (void)t.elements();
+  EXPECT_EQ(t.phase_rt().epoch(), 2u);
+  EXPECT_EQ(violation_capture::calls.load(), 0);
 }
 
 }  // namespace

@@ -1,18 +1,20 @@
 // phase_runtime (core/phase_runtime.h): the single per-table phase-state
 // word. Epoch monotonicity, the exactly-once transition edge under
-// concurrency (worker counts 1/4/8), checked/unchecked policy equivalence
-// (both are views over the same state machine), batch scopes sharing the
-// scalar epoch, and violation-handler interception surviving the refactor
-// unchanged.
+// concurrency (worker counts 1/4/8), every table driving the same epoch
+// trajectory through its scopes, batch scopes sharing the scalar epoch, and
+// the violation handler intercepting a report while the epoch stays
+// tracked.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <string>
 #include <vector>
 
 #include "phch/core/batch_ops.h"
+#include "phch/core/chained_table.h"
+#include "phch/core/cuckoo_table.h"
 #include "phch/core/deterministic_table.h"
-#include "phch/core/phase_guard.h"
+#include "phch/core/hopscotch_table.h"
+#include "phch/core/nd_linear_table.h"
 #include "phch/core/phase_runtime.h"
 #include "phch/core/table_concepts.h"
 #include "phch/parallel/parallel_for.h"
@@ -67,30 +69,32 @@ TEST(PhaseRuntime, ExactlyOnceTransitionEdgeAcrossWorkerCounts) {
   scheduler::get().set_num_workers(original);
 }
 
-// Both phase policies are views over the same state machine: the same
-// operation sequence produces the same epoch trajectory, and every
-// first-party table exposes the word through phase_rt().
-TEST(PhaseRuntime, CheckedAndUncheckedPoliciesDriveTheSameEpoch) {
-  using unchecked_t = deterministic_table<int_entry<>>;
-  using checked_t = deterministic_table<int_entry<>, checked_phases>;
-  static_assert(phase_epoch_table<unchecked_t>);
-  static_assert(phase_epoch_table<checked_t>);
+// Every table announces its operations through the one word, so the same
+// operation sequence produces the same epoch trajectory on each, and each
+// exposes the word through phase_rt().
+template <typename Table>
+void expect_epoch_trajectory() {
+  static_assert(phase_epoch_table<Table>);
+  Table t(1 << 10);
+  t.insert(1);        // idle -> insert
+  t.insert(2);        // same class
+  (void)t.find(1);    // -> query
+  (void)t.contains(2);
+  (void)t.elements(); // elements shares the query class
+  t.erase(1);         // -> erase
+  (void)t.find(2);    // -> query
+  EXPECT_EQ(t.phase_rt().epoch(), 4u);
+  EXPECT_EQ(t.phase_rt().current_class(), static_cast<std::uint64_t>(op_kind::query));
+}
 
-  unchecked_t u(1 << 10);
-  checked_t c(1 << 10);
-  const auto run = [](auto& t) {
-    t.insert(1);        // idle -> insert
-    t.insert(2);        // same class
-    (void)t.find(1);    // -> query
-    (void)t.contains(2);
-    (void)t.elements(); // elements shares the query class
-    t.erase(1);         // -> erase
-    (void)t.find(2);    // -> query
-  };
-  run(u);
-  run(c);
-  EXPECT_EQ(u.phase_rt().epoch(), 4u);
-  EXPECT_EQ(c.phase_rt().epoch(), u.phase_rt().epoch());
+TEST(PhaseRuntime, EveryTableDrivesTheSameEpoch) {
+  expect_epoch_trajectory<deterministic_table<int_entry<>>>();
+  expect_epoch_trajectory<nd_linear_table<int_entry<>>>();
+  expect_epoch_trajectory<cuckoo_table<int_entry<>>>();
+  expect_epoch_trajectory<hopscotch_table<int_entry<>, true>>();
+  expect_epoch_trajectory<hopscotch_table<int_entry<>, false>>();
+  expect_epoch_trajectory<chained_table<int_entry<>, false>>();
+  expect_epoch_trajectory<chained_table<int_entry<>, true>>();
 }
 
 // Batch scopes are routed through the same word as scalar operations: a
@@ -113,32 +117,22 @@ TEST(PhaseRuntime, BatchScopesShareTheScalarEpoch) {
 
 // The pluggable violation handler still intercepts structured reports, and
 // the runtime keeps tracking epochs across a (handled) violation.
-namespace capture {
-phase_violation last;
-std::atomic<int> calls{0};
-void handler(const phase_violation& v) {
-  last = v;
-  calls.fetch_add(1);
-}
-}  // namespace capture
-
 TEST(PhaseRuntime, ViolationHandlerInterceptionUnchanged) {
+  using capture = test::violation_capture;
   capture::calls = 0;
-  phase_violation_handler prev = set_phase_violation_handler(&capture::handler);
+  phase_violation_handler prev = set_phase_violation_handler(&capture::capture);
   EXPECT_EQ(prev, &abort_on_phase_violation);
-  checked_phases g;
-  g.set_name("runtime-report-test");
-  {
-    checked_phases::scope query(g, op_kind::query);
-    checked_phases::scope insert(g, op_kind::insert);  // illegal overlap
-  }
+  deterministic_table<test::hooked_entry> t(1 << 10);
+  test::hooked_entry::trigger = 7;
+  test::hooked_entry::hook = [&] { t.insert(8); };  // illegal overlap
+  (void)t.find(7);
   set_phase_violation_handler(nullptr);  // restore the aborting default
   ASSERT_EQ(capture::calls.load(), 1);
-  EXPECT_EQ(capture::last.table_name, std::string("runtime-report-test"));
-  EXPECT_EQ(capture::last.attempted, op_kind::insert);
-  EXPECT_EQ(capture::last.in_flight[static_cast<int>(op_kind::query)], 1u);
-  // Both scopes announced their class; the overlap is two transitions.
-  EXPECT_EQ(g.runtime().epoch(), 2u);
+  EXPECT_EQ(capture::last.runtime, &t.phase_rt());
+  EXPECT_EQ(capture::last.kind, op_kind::query);
+  // Both operations announced their class; the overlap is two transitions.
+  EXPECT_EQ(t.phase_rt().epoch(), 2u);
+  EXPECT_EQ(phase_runtime::epoch_of(capture::last.seen), 2u);
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // deletable_table / block_table, so the free batch functions drive its
 // pipelined block members — never the scalar fallback — with set semantics
 // identical to per-op calls across all six paper key distributions. (The
-// width sweep and the checked-phases tests over all six block tables live
-// in test_batch_ops.cpp.) None of the three has a deterministic layout
+// block-length sweep and the phase-check tests over all five block tables
+// live in test_batch_ops.cpp.) None of the three has a deterministic layout
 // (eviction interleavings, displacement order, and chain order are all
 // history-dependent), so equality is of element *sets*, not slot arrays.
 #include <gtest/gtest.h>
@@ -30,16 +30,16 @@ namespace {
 // template arguments to the variant the paper benchmarks (chainedHash-CR,
 // hopscotchHash with timestamps).
 struct chained_family {
-  template <typename Tr, typename Ph = unchecked_phases>
-  using table = chained_table<Tr, true, Ph>;
+  template <typename Tr>
+  using table = chained_table<Tr, true>;
 };
 struct cuckoo_family {
-  template <typename Tr, typename Ph = unchecked_phases>
-  using table = cuckoo_table<Tr, Ph>;
+  template <typename Tr>
+  using table = cuckoo_table<Tr>;
 };
 struct hopscotch_family {
-  template <typename Tr, typename Ph = unchecked_phases>
-  using table = hopscotch_table<Tr, true, Ph>;
+  template <typename Tr>
+  using table = hopscotch_table<Tr, true>;
 };
 
 template <typename Family>
@@ -66,8 +66,6 @@ TYPED_TEST(SparseBatch, ModelsClaimedConcepts) {
   assert_sparse_concepts<typename TypeParam::template table<int_entry<>>>();
   assert_sparse_concepts<typename TypeParam::template table<pair_entry<combine_min>>>();
   assert_sparse_concepts<typename TypeParam::template table<string_entry>>();
-  assert_sparse_concepts<
-      typename TypeParam::template table<int_entry<>, checked_phases>>();
 }
 
 // --- batch vs scalar: set-semantics equality --------------------------------

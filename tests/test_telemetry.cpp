@@ -20,7 +20,7 @@
 
 #include "phch/core/batch_ops.h"
 #include "phch/core/deterministic_table.h"
-#include "phch/core/phase_guard.h"
+#include "phch/core/phase_runtime.h"
 #include "phch/core/table_common.h"
 #include "phch/obs/export.h"
 #include "phch/obs/telemetry.h"
@@ -40,11 +40,10 @@ using obs::counter;
 
 TEST(TelemetryOff, LayerIsCompiledOut) {
   if (obs::compiled) GTEST_SKIP() << "telemetry compiled in";
-  // The phase policies carry no telemetry state: unchecked_phases is
-  // exactly the one phase_runtime cache line. That word is functional (it
-  // drives phase tracking), not telemetry — compiling obs in must not widen
-  // it.
-  EXPECT_EQ(sizeof(unchecked_phases), sizeof(phase_runtime));
+  // A table's phase state is exactly the one phase_runtime cache line. That
+  // word is functional (it drives phase tracking and checking), not
+  // telemetry — compiling obs in must not widen it.
+  EXPECT_EQ(sizeof(phase_runtime), 64u);
   obs::count(counter::probe_slots, 123);
   EXPECT_EQ(obs::snapshot()[counter::probe_slots], 0u);
   const obs::metrics_snapshot m = obs::snapshot();

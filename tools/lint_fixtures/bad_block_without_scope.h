@@ -1,7 +1,7 @@
 // phch_lint: table-header
 // Known-bad fixture: `insert_block` carries the annotation but runs its ops
-// without opening a phase scope, so checked_phases could not see the block
-// — phch_lint must report phase-scope-missing for it.
+// without opening a phase scope, so no phase check could see the block —
+// phch_lint must report phase-scope-missing for it.
 #pragma once
 
 #include <cstddef>

@@ -9,9 +9,9 @@ because they are *project policy*, not C++ rules:
                             explicit PHCH_NO_TSA opt-out), so new tables
                             cannot silently skip the static phase contract.
   phase-scope-missing       every public table operation must open a phase
-                            scope (a Phase::scope guard, or a delegation
-                            to an operation, or its *_impl / *_range
-                            form, that does). The block members
+                            scope (a phase_runtime::scope guard, or a
+                            delegation to an operation, or its *_impl /
+                            *_range form, that does). The block members
                             (insert_block / find_block / erase_block) are
                             operations too: each opens its own scope.
   atomic-implicit-order     no atomic access may rely on the implicit
@@ -614,7 +614,7 @@ def check_phase_contract(sf: SourceFile) -> list:
             findings.append(Finding(
                 "phase-scope-missing", sf.path, line,
                 f"public table operation `{name}` opens no phase scope "
-                f"(expected a Phase::scope guard, or delegation to an "
+                f"(expected a phase_runtime::scope guard, or delegation to an "
                 f"operation, or its _impl/_range form, that opens one)",
                 name))
     return findings
