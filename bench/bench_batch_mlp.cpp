@@ -1,20 +1,26 @@
 // Memory-level parallelism of the batch engines (core/batch_ops.h).
 //
-// Single-worker ns/op for the three find/insert/erase batch paths —
-//   scalar     per-op loop, no prefetching
-//   prefetch   home-line prefetched kPrefetchAhead positions down the batch
-//              (the previous engine, kept as the baseline)
-//   pipelined  AMAC-style ring of kBatchWidth in-flight probes
-// — on a DRAM-resident linearHash-D table (default 2^23 slots, 64 MB) at
-// load factors 0.25 / 0.5 / 0.75 / 0.9, uniform integer keys. The engines
-// are called through the tables' block members on one thread, so the
-// numbers isolate MLP from multicore parallelism. Mean/max probe lengths
-// from table_stats accompany each load so ns/op can be read against the
-// probe chains actually traversed.
+// Single-worker ns/op of the find/insert/erase batch paths on a
+// DRAM-resident linearHash-D table (default 2^23 slots, 64 MB) at load
+// factors 0.25 / 0.5 / 0.75 / 0.9, uniform integer keys:
+//   find    scalar     per-op loop, no prefetching
+//           prefetch   home line prefetched kPrefetchAhead positions down
+//                      the batch (the baseline the ring must beat)
+//           pipelined  find_block: AMAC-style ring of kBatchWidth in-flight
+//                      probes, prefetching every line a probe crosses
+//   insert and erase
+//           scalar     per-op loop
+//           block      insert_block / erase_block: the home line
+//                      prefetched kBatchWidth ops ahead, then the scalar op
+//                      (run_handoff_block)
+// The engines are called through the table's block members on one thread,
+// so the numbers isolate MLP from multicore parallelism. Mean/max probe
+// lengths from table_stats accompany each load so ns/op can be read against
+// the probe chains actually traversed.
 //
-// Expected shape: at low load everything is a one-line probe and prefetch
-// ≈ pipelined; as load (and probe length) grows, the pipelined engine keeps
-// every chained miss overlapped and pulls ahead of home-line-only prefetch.
+// Expected shape: at low load every find is a one-line probe and prefetch
+// ≈ pipelined; as load (and probe length) grows, the ring keeps every
+// chained miss overlapped and pulls ahead of home-line-only prefetch.
 //
 // Also measures the occupancy-counter contention microbenchmark: ns per
 // increment of one shared atomic vs the striped counter behind
@@ -45,14 +51,19 @@ using table_t = deterministic_table<int_entry<>>;
 
 namespace {
 
-struct engine_times {
+struct find_times {
   double scalar = 0, prefetch = 0, pipelined = 0;
+};
+
+struct update_times {
+  double scalar = 0, block = 0;
 };
 
 struct load_point {
   double load = 0;
   probe_stats stats;
-  engine_times find, insert, erase;
+  find_times find;
+  update_times insert, erase;
 };
 
 // Single-thread reference loops (the parallel wrappers in batch_ops.h would
@@ -63,20 +74,19 @@ void find_serial(const Table& t, const std::vector<std::uint64_t>& keys,
   for (std::size_t i = 0; i < keys.size(); ++i) out[i] = t.find(keys[i]);
 }
 
-// The prefetch-ahead baseline: hash the key kPrefetchAhead positions down
-// the batch and prefetch its home slot, where every Figure-1 probe starts.
+// The prefetch-ahead find baseline: hash the key kPrefetchAhead positions
+// down the batch and prefetch its home slot, where every Figure-1 probe
+// starts.
 constexpr std::size_t kPrefetchAhead = 8;
-
-const void* home_slot(const table_t& t, std::uint64_t k) {
-  return t.raw_slots() + (table_t::traits::hash(k) & (t.capacity() - 1));
-}
 
 void find_serial_prefetch(const table_t& t, const std::vector<std::uint64_t>& keys,
                           std::vector<std::uint64_t>& out) {
   const std::size_t n = keys.size();
+  const std::size_t mask = t.capacity() - 1;
   for (std::size_t i = 0; i < n; ++i) {
     if (i + kPrefetchAhead < n)
-      detail::prefetch_ro(home_slot(t, keys[i + kPrefetchAhead]));
+      detail::prefetch_ro(t.raw_slots() +
+                          (table_t::traits::hash(keys[i + kPrefetchAhead]) & mask));
     out[i] = t.find(keys[i]);
   }
 }
@@ -93,16 +103,15 @@ int main(int argc, char** argv) {
   const std::size_t cap = round_up_pow2(scaled_size(std::size_t{1} << 23));
   const std::size_t qbatch = std::min(cap / 8, scaled_size(std::size_t{1} << 20));
 
-  std::printf("Batch-probe MLP: scalar vs prefetch-ahead vs pipelined, one worker\n");
+  std::printf("Batch-probe MLP: scalar vs prefetch-ahead vs block engines, one worker\n");
   std::printf("table capacity = %zu (%.0f MB), batch = %zu ops, width = %zu, "
               "reps = %ld (median)\n",
               cap, static_cast<double>(cap * sizeof(std::uint64_t)) / 1048576.0,
               qbatch, kBatchWidth, reps());
-  std::printf("  %5s %10s | %26s | %26s | %26s\n", "", "", "find ns/op",
+  std::printf("  %5s %10s | %26s | %17s | %17s\n", "", "", "find ns/op",
               "insert ns/op", "erase ns/op");
-  std::printf("  %5s %10s | %8s %8s %8s | %8s %8s %8s | %8s %8s %8s\n", "load",
-              "avg probe", "scalar", "prefetch", "pipeline", "scalar", "prefetch",
-              "pipeline", "scalar", "prefetch", "pipeline");
+  std::printf("  %5s %10s | %8s %8s %8s | %8s %8s | %8s %8s\n", "load", "avg probe",
+              "scalar", "prefetch", "pipeline", "scalar", "block", "scalar", "block");
 
   const auto pool = tabulate(cap, [](std::size_t i) { return std::uint64_t{i + 1}; });
   std::vector<load_point> points;
@@ -130,7 +139,7 @@ int main(int argc, char** argv) {
 
     // Insert a fresh slab beyond the pool range, then erase it. The table is
     // history-independent (Theorem 2), so erasing restores the exact layout
-    // and the next engine measures the same table state.
+    // and the block engine measures the same table state.
     const std::size_t dbatch = std::min(qbatch, (cap - fill) / 2 + 1);
     const auto dkeys =
         tabulate(dbatch, [&](std::size_t i) { return std::uint64_t{cap + 1 + i}; });
@@ -152,37 +161,20 @@ int main(int argc, char** argv) {
         [&] {
           for (std::size_t i = 0; i < dbatch; ++i) t.erase(dkeys[i]);
         });
-    std::tie(pt.insert.prefetch, pt.erase.prefetch) = pairwise(
-        [&] {
-          for (std::size_t i = 0; i < dbatch; ++i) {
-            if (i + kPrefetchAhead < dbatch)
-              detail::prefetch_rw(home_slot(t, dkeys[i + kPrefetchAhead]));
-            t.insert(dkeys[i]);
-          }
-        },
-        [&] {
-          for (std::size_t i = 0; i < dbatch; ++i) {
-            if (i + kPrefetchAhead < dbatch)
-              detail::prefetch_rw(home_slot(t, dkeys[i + kPrefetchAhead]));
-            t.erase(dkeys[i]);
-          }
-        });
-    std::tie(pt.insert.pipelined, pt.erase.pipelined) = pairwise(
+    std::tie(pt.insert.block, pt.erase.block) = pairwise(
         [&] { t.insert_block(dkeys.data(), dbatch); },
         [&] { t.erase_block(dkeys.data(), dbatch); });
 
-    std::printf("  %5.2f %10.2f | %8.1f %8.1f %8.1f | %8.1f %8.1f %8.1f | "
-                "%8.1f %8.1f %8.1f\n",
+    std::printf("  %5.2f %10.2f | %8.1f %8.1f %8.1f | %8.1f %8.1f | %8.1f %8.1f\n",
                 load, pt.stats.mean_probe, pt.find.scalar, pt.find.prefetch,
-                pt.find.pipelined, pt.insert.scalar, pt.insert.prefetch,
-                pt.insert.pipelined, pt.erase.scalar, pt.erase.prefetch,
-                pt.erase.pipelined);
+                pt.find.pipelined, pt.insert.scalar, pt.insert.block,
+                pt.erase.scalar, pt.erase.block);
     points.push_back(pt);
   }
 
   // --- growable wrapper batch forwarding -----------------------------------
   //
-  // Whole-batch insert through the wrapper (chunked pipelined engine, one
+  // Whole-batch insert through the wrapper (chunked block engine, one
   // load-bound check per chunk, batched migration) vs the pre-refactor path:
   // a per-op insert loop with a per-insert load-bound check. Both start tiny
   // and grow to the same final capacity. Uses the configured worker pool.
@@ -356,13 +348,14 @@ int main(int argc, char** argv) {
     const auto& p = points[i];
     std::fprintf(f, "    {\"load\": %.2f, \"mean_probe\": %.3f, \"max_probe\": %zu,\n",
                  p.load, p.stats.mean_probe, p.stats.max_probe);
-    auto emit = [&](const char* op, const engine_times& e, const char* tail) {
-      std::fprintf(f,
-                   "     \"%s\": {\"scalar_ns\": %.1f, \"prefetch_ns\": %.1f, "
-                   "\"pipelined_ns\": %.1f}%s\n",
-                   op, e.scalar, e.prefetch, e.pipelined, tail);
+    std::fprintf(f,
+                 "     \"find\": {\"scalar_ns\": %.1f, \"prefetch_ns\": %.1f, "
+                 "\"pipelined_ns\": %.1f},\n",
+                 p.find.scalar, p.find.prefetch, p.find.pipelined);
+    auto emit = [&](const char* op, const update_times& e, const char* tail) {
+      std::fprintf(f, "     \"%s\": {\"scalar_ns\": %.1f, \"block_ns\": %.1f}%s\n",
+                   op, e.scalar, e.block, tail);
     };
-    emit("find", p.find, ",");
     emit("insert", p.insert, ",");
     emit("erase", p.erase, "");
     std::fprintf(f, "    }%s\n", i + 1 < points.size() ? "," : "");

@@ -175,7 +175,7 @@ inline std::vector<std::int64_t> array_bfs(const graph::csr_graph& g,
 // §16). The count depends only on the discovered set, so layouts stay
 // deterministic. Each WRITEMIN winner v marks its children visited and
 // inserts them from the claim loop, buffered per block and flushed through
-// the table's pipelined insert_block (core/batch_ops.h), which opens the
+// the table's insert_block (core/batch_ops.h), which opens the
 // insert phase's scope for each flush; the next frontier is ELEMENTS().
 // Both walks go through walk_frontier, which prefetches the parents words
 // they touch. Only v ever sees parents[w] == v, so one thread writes each

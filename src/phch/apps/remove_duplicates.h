@@ -14,8 +14,8 @@ namespace phch::apps {
 
 // Table is any phase_table whose value_type matches In. The whole input is
 // one insert phase, routed through insert_batch (core/batch_ops.h): block
-// tables get software-pipelined multi-probe inserts, others a plain
-// parallel insert loop. Under PHCH_TELEMETRY the two phases
+// tables get inserts whose first lines are prefetched a ring ahead, others
+// a plain parallel insert loop. Under PHCH_TELEMETRY the two phases
 // (insert, elements) are bracketed by marks, so the metrics JSON reports
 // per-phase counter deltas, and each phase is a trace span.
 template <phase_table Table, typename In>

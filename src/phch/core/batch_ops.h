@@ -7,30 +7,31 @@
 // keep kBatchWidth in-flight operations per worker in a ring and advance
 // them round-robin: each step inspects the line whose prefetch was issued
 // one rotation ago, either completes the operation or prefetches its next
-// line, then rotates to the next in-flight operation. Every cache miss
-// along the whole probe chain — not just the home line — overlaps with up
-// to kBatchWidth-1 others, the asynchronous-memory-access-chaining (AMAC)
-// structure of Kocberber et al.
+// line, then rotates to the next in-flight operation. A pipelined find
+// overlaps every cache miss along its whole probe chain — not just the
+// home line — with up to kBatchWidth-1 others, the
+// asynchronous-memory-access-chaining (AMAC) structure of Kocberber et al.;
+// an insert or erase overlaps its first lines' misses and then runs the
+// scalar loop.
 //
 // run_batch_ring below is the only ring loop. It owns the kBatchWidth
 // lanes, issue/refill/retire/rotate and the batch_rotations / batch_blocks
 // counts; a kernel supplies only a lane type, start(lane, i) (hash op i,
 // prefetch its first line) and step(lane) -> done (inspect the prefetched
-// line, then finish the operation or prefetch the next line).
-// run_handoff_block is its one-step form: a lane is an op index, start runs
-// the table's prefetch for op i and step runs the table's scalar op on the
-// lines that prefetch warmed. The kernels live next to each table's probe
-// logic:
+// line, then finish the operation or prefetch the next line). Only the
+// finds of the linear, cuckoo and chained tables are multi-step kernels:
 //
-//   probe_engine (linearHash-D/ND)             find/erase scans pipelined
-//                 line by line; insert pipelines the advance-past-occupants
-//                 prefix and hands off to the scalar CAS loop at the first
-//                 potential commit point
+//   probe_engine (linearHash-D/ND) find        the probe scan pipelined
+//                 line by line
 //   cuckoo / chained find                      both candidate buckets
 //                 resolved inline, or one chain link per rotation
-//   every other sparse block member            run_handoff_block: both
-//                 cuckoo candidates, the hopscotch home neighborhood, or
-//                 the chained bucket head prefetched, then the scalar op
+//
+// run_handoff_block is the ring's one-step form and serves every other
+// block member: a lane is an op index and its key's hash. Start runs the
+// table's prefetch for op i, which hashes the key once and prefetches its
+// first lines (the linear home line, both cuckoo candidates, the hopscotch
+// home neighborhood, or the chained bucket head); step runs the table's
+// scalar op from that hash on the lines the prefetch warmed.
 //
 // Every block table exposes the same three serial members, each opening
 // one phase scope of its class for the block:
@@ -121,19 +122,22 @@ void run_batch_ring(std::size_t n, const Start& start_fn, const Step& step_fn) {
 }
 
 // The handoff form of the ring, for kernels that finish every operation in
-// one step: a lane is an op index, start runs prefetch(i), and step runs
-// op(i) -- the table's scalar operation -- on the lines that prefetch warmed
-// one rotation ago. Each of the n operations counts as one batch_handoff.
+// one step: a lane is an op index and its key's hash. Start runs
+// prefetch(i), which hashes op i's key, prefetches from the hash and
+// returns it; step runs op(i, hash) -- the table's scalar operation from
+// that hash -- on the lines the prefetch warmed one rotation ago, so each
+// key is hashed once. Each of the n operations counts as one
+// batch_handoff.
 template <typename Prefetch, typename Op>
 void run_handoff_block(std::size_t n, const Prefetch& prefetch, const Op& op) {
-  run_batch_ring<std::size_t>(
-      n,
-      [prefetch](std::size_t& lane, std::size_t i) {
-        lane = i;
-        prefetch(i);
-      },
-      [op](std::size_t& lane) {
-        op(lane);
+  struct lane {
+    std::size_t idx;
+    std::uint64_t hash;
+  };
+  run_batch_ring<lane>(
+      n, [prefetch](lane& o, std::size_t i) { o = lane{i, prefetch(i)}; },
+      [op](lane& o) {
+        op(o.idx, o.hash);
         return true;
       });
   obs::count(obs::counter::batch_handoffs, n);

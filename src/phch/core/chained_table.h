@@ -21,8 +21,8 @@
 // find_block is a true AMAC walk: each lane of core/batch_ops.h's ring
 // prefetches its next node (starting from the bucket-head line) and yields,
 // advancing one link per rotation on warm lines. Mutating blocks run through
-// run_handoff_block: the bucket head and lock line are prefetched one
-// rotation ahead of the scalar op.
+// run_handoff_block: the key is hashed once and its bucket head and lock
+// line are prefetched one rotation ahead of the scalar op.
 // The table keeps no element count; count() is an O(buckets + nodes) scan.
 #pragma once
 
@@ -74,12 +74,12 @@ class chained_table {
 
   void insert(value_type v) PHCH_REQUIRES_PHASE(insert) {
     phase_runtime::scope guard(phase_, op_kind::insert);
-    insert_impl(v);
+    insert_impl(v, bucket(Traits::key(v)));
   }
 
   void erase(key_type kq) PHCH_REQUIRES_PHASE(erase) {
     phase_runtime::scope guard(phase_, op_kind::erase);
-    erase_impl(kq);
+    erase_impl(kq, bucket(kq));
   }
 
   value_type find(key_type kq) const PHCH_REQUIRES_PHASE(query) {
@@ -163,26 +163,22 @@ class chained_table {
     obs::count(obs::counter::find_ops, n);
   }
 
-  // Mutating blocks run through run_handoff_block: the bucket head and lock
-  // line are prefetched ahead of the scalar op.
+  // Mutating blocks run through run_handoff_block: the key is hashed once,
+  // and its bucket head and lock line are prefetched ahead of the scalar op.
   template <typename V>
   void insert_block(const V* values, std::size_t n) PHCH_REQUIRES_PHASE(insert) {
     phase_runtime::scope guard(phase_, op_kind::insert);
     batch_detail::run_handoff_block(
-        n,
-        [&](std::size_t i) {
-          const value_type v = values[i];
-          prefetch_bucket(bucket(Traits::key(v)));
-        },
-        [&](std::size_t i) { insert_impl(values[i]); });
+        n, [&](std::size_t i) { return prefetch_bucket(Traits::key(values[i])); },
+        [&](std::size_t i, std::uint64_t h) { insert_impl(values[i], h & mask_); });
   }
 
   template <typename K>
   void erase_block(const K* keys, std::size_t n) PHCH_REQUIRES_PHASE(erase) {
     phase_runtime::scope guard(phase_, op_kind::erase);
     batch_detail::run_handoff_block(
-        n, [&](std::size_t i) { prefetch_bucket(bucket(keys[i])); },
-        [&](std::size_t i) { erase_impl(keys[i]); });
+        n, [&](std::size_t i) { return prefetch_bucket(keys[i]); },
+        [&](std::size_t i, std::uint64_t h) { erase_impl(keys[i], h & mask_); });
   }
 
   // The table's single phase-state word (phase epoch + current class,
@@ -281,16 +277,19 @@ class chained_table {
     spinlock grow_lock_;
   };
 
-  std::size_t bucket(key_type k) const noexcept { return Traits::hash(k) & mask_; }
+  std::size_t bucket(key_type k) const { return Traits::hash(k) & mask_; }
 
   const node* load_head(std::size_t b) const noexcept { return atomic_load(&buckets_[b]); }
 
-  // A mutating block lane's first touches: the bucket head and its lock.
-  // Always inlined, so GCC cannot delete the prefetches (see
-  // detail::prefetch_rw).
-  [[gnu::always_inline]] void prefetch_bucket(std::size_t b) const noexcept {
+  // A mutating block lane's first touches: hash k once, prefetch its bucket
+  // head and lock, and return the hash for the lane's step. Always inlined,
+  // so GCC cannot delete the prefetches (see detail::prefetch_rw).
+  [[gnu::always_inline]] std::uint64_t prefetch_bucket(key_type k) const {
+    const std::uint64_t h = Traits::hash(k);
+    const std::size_t b = h & mask_;
     detail::prefetch_rw(&buckets_[b]);
     detail::prefetch_rw(&locks_[b & lock_mask_]);
+    return h;
   }
 
   // Lock-free chain walk; `links` accumulates nodes visited (flushed to the
@@ -326,14 +325,14 @@ class chained_table {
     (void)incoming;
   }
 
-  // Scalar insert, shared by insert() and insert_block's handoff. Exactly one of
-  // insert_commits / insert_dups is recorded per call.
-  void insert_impl(value_type v) {
+  // Scalar insert of v into its bucket b, shared by insert() and
+  // insert_block's handoff. Exactly one of insert_commits / insert_dups is
+  // recorded per call.
+  void insert_impl(value_type v, std::size_t b) {
     obs::count(obs::counter::insert_ops);
     assert(!Traits::is_empty(v));
     std::uint64_t links = 0;
     const key_type k = Traits::key(v);
-    const std::size_t b = bucket(k);
     if constexpr (ContentionReducing) {
       // Lock-free pre-pass: on a duplicate hit, combine (or drop) without
       // ever touching the lock.
@@ -361,10 +360,9 @@ class chained_table {
     obs::count(obs::counter::chained_chain_links, links);
   }
 
-  void erase_impl(key_type kq) {
+  void erase_impl(key_type kq, std::size_t b) {
     obs::count(obs::counter::erase_ops);
     std::uint64_t links = 0;
-    const std::size_t b = bucket(kq);
     if constexpr (ContentionReducing) {
       if (find_node(b, kq, links) == nullptr) {  // miss: no lock needed
         obs::count(obs::counter::chained_chain_links, links);

@@ -18,9 +18,9 @@
 // buckets (and their lock lines, for mutating ops) one rotation before
 // resolving each operation on warm lines. find_block resolves inline;
 // insert_block and erase_block run through run_handoff_block, whose step is
-// the scalar op — the first eviction and any chain after it run exactly the
-// scalar code. The table keeps no element count; count() is an O(capacity)
-// scan.
+// the scalar op from the hash the lane's start computed — the first
+// eviction and any chain after it run exactly the scalar code. The table
+// keeps no element count; count() is an O(capacity) scan.
 #pragma once
 
 #include <cassert>
@@ -58,12 +58,12 @@ class cuckoo_table {
 
   void insert(value_type v) PHCH_REQUIRES_PHASE(insert) {
     phase_runtime::scope guard(phase_, op_kind::insert);
-    insert_impl(v);
+    insert_impl(v, Traits::hash(Traits::key(v)));
   }
 
   void erase(key_type kq) PHCH_REQUIRES_PHASE(erase) {
     phase_runtime::scope guard(phase_, op_kind::erase);
-    erase_impl(kq);
+    erase_impl(kq, Traits::hash(kq));
   }
 
   value_type find(key_type kq) const PHCH_REQUIRES_PHASE(query) {
@@ -87,8 +87,8 @@ class cuckoo_table {
   // back the step runs on warm lines: a lookup inspects at most two
   // resident slots, reusing the homes its start computed; a mutating op runs
   // through run_handoff_block, whose scalar loop takes its first
-  // lock/probe/CAS on the lines just fetched (evictions past that point run
-  // the plain scalar chain).
+  // lock/probe/CAS from the start's hash on the lines just fetched
+  // (evictions past that point run the plain scalar chain).
 
   template <typename K>
   void find_block(const K* keys, std::size_t n, value_type* out) const
@@ -105,7 +105,8 @@ class cuckoo_table {
         n,
         [&](lane& o, std::size_t i) {
           const key_type kq = keys[i];
-          o = lane{i, home1(kq), home2(kq), kq};
+          const std::uint64_t h = Traits::hash(kq);
+          o = lane{i, home1(h), home2(h), kq};
           detail::prefetch_ro(&slots_[o.i1]);
           detail::prefetch_ro(&slots_[o.i2]);
         },
@@ -132,20 +133,16 @@ class cuckoo_table {
   void insert_block(const V* values, std::size_t n) PHCH_REQUIRES_PHASE(insert) {
     phase_runtime::scope guard(phase_, op_kind::insert);
     batch_detail::run_handoff_block(
-        n,
-        [&](std::size_t i) {
-          const value_type v = values[i];
-          prefetch_candidates(Traits::key(v));
-        },
-        [&](std::size_t i) { insert_impl(values[i]); });
+        n, [&](std::size_t i) { return prefetch_candidates(Traits::key(values[i])); },
+        [&](std::size_t i, std::uint64_t h) { insert_impl(values[i], h); });
   }
 
   template <typename K>
   void erase_block(const K* keys, std::size_t n) PHCH_REQUIRES_PHASE(erase) {
     phase_runtime::scope guard(phase_, op_kind::erase);
     batch_detail::run_handoff_block(
-        n, [&](std::size_t i) { prefetch_candidates(keys[i]); },
-        [&](std::size_t i) { erase_impl(keys[i]); });
+        n, [&](std::size_t i) { return prefetch_candidates(keys[i]); },
+        [&](std::size_t i, std::uint64_t h) { erase_impl(keys[i], h); });
   }
 
   // The table's single phase-state word (phase epoch + current class,
@@ -155,23 +152,25 @@ class cuckoo_table {
  private:
   static constexpr std::size_t kMaxEvictions = 10000;
 
-  std::size_t home1(key_type k) const noexcept {
-    return Traits::hash(k) & slots_.mask();
-  }
-  std::size_t home2(key_type k) const noexcept {
+  // The two candidate slots of a key whose Traits::hash is h.
+  std::size_t home1(std::uint64_t h) const noexcept { return h & slots_.mask(); }
+  std::size_t home2(std::uint64_t h) const noexcept {
     // Independent second hash from a re-mix of the primary hash.
-    return hash64(Traits::hash(k) ^ 0xc2b2ae3d27d4eb4fULL) & slots_.mask();
+    return hash64(h ^ 0xc2b2ae3d27d4eb4fULL) & slots_.mask();
   }
 
-  // A mutating block lane's first touches: both candidate slots and their
-  // lock lines. Always inlined, so GCC cannot delete the prefetches (see
+  // A mutating block lane's first touches: hash k once, prefetch both
+  // candidate slots and their lock lines, and return the hash for the
+  // lane's step. Always inlined, so GCC cannot delete the prefetches (see
   // detail::prefetch_rw).
-  [[gnu::always_inline]] void prefetch_candidates(key_type k) const noexcept {
-    const std::size_t i1 = home1(k), i2 = home2(k);
+  [[gnu::always_inline]] std::uint64_t prefetch_candidates(key_type k) const {
+    const std::uint64_t h = Traits::hash(k);
+    const std::size_t i1 = home1(h), i2 = home2(h);
     detail::prefetch_rw(&slots_[i1]);
     detail::prefetch_rw(&slots_[i2]);
     detail::prefetch_rw(&locks_[i1]);
     detail::prefetch_rw(&locks_[i2]);
+    return h;
   }
 
   void lock_pair(std::size_t a, std::size_t b) const {
@@ -188,11 +187,12 @@ class cuckoo_table {
     if (b != a) locks_[b].unlock();
   }
 
-  // Scalar insert loop, shared by insert() and insert_block's handoff. Exactly
-  // one of insert_commits / insert_dups / insert_aborts is recorded per
-  // call (the ledger identity phch_trace checks); eviction-chain steps that
-  // re-place a carried victim tick only cuckoo_evictions.
-  void insert_impl(value_type v) {
+  // Scalar insert loop of v, whose key hashes to h, shared by insert() and
+  // insert_block's handoff. Exactly one of insert_commits / insert_dups /
+  // insert_aborts is recorded per call (the ledger identity phch_trace
+  // checks); eviction-chain steps that re-place a carried victim tick only
+  // cuckoo_evictions.
+  void insert_impl(value_type v, std::uint64_t h) {
     assert(!Traits::is_empty(v));
     obs::count(obs::counter::insert_ops);
     // `avoid` is the slot the current element was just evicted from, so the
@@ -201,8 +201,8 @@ class cuckoo_table {
     bool carrying = false;           // v is an evicted victim, already counted
     for (std::size_t iter = 0; iter < kMaxEvictions; ++iter) {
       const key_type k = Traits::key(v);
-      const std::size_t i1 = home1(k);
-      const std::size_t i2 = home2(k);
+      const std::size_t i1 = home1(h);
+      const std::size_t i2 = home2(h);
       lock_pair(i1, i2);
       // Duplicate key already present? A carried victim can hit this branch
       // too: while it was in flight, a concurrent insert of the same key may
@@ -238,6 +238,7 @@ class cuckoo_table {
       }
       obs::count(obs::counter::cuckoo_evictions);
       v = victim;
+      h = Traits::hash(Traits::key(v));
       avoid = victim_slot;
     }
     // Eviction chain too long: table effectively full. The carried victim
@@ -246,10 +247,10 @@ class cuckoo_table {
     throw table_full_error();
   }
 
-  void erase_impl(key_type kq) {
+  void erase_impl(key_type kq, std::uint64_t h) {
     obs::count(obs::counter::erase_ops);
-    const std::size_t i1 = home1(kq);
-    const std::size_t i2 = home2(kq);
+    const std::size_t i1 = home1(h);
+    const std::size_t i2 = home2(h);
     lock_pair(i1, i2);
     bool hit = false;
     for (const std::size_t s : {i1, i2}) {
@@ -267,7 +268,8 @@ class cuckoo_table {
   value_type find_impl(key_type kq) const {
     obs::count(obs::counter::find_ops);
     obs::tally slots(obs::counter::probe_slots);
-    for (const std::size_t s : {home1(kq), home2(kq)}) {
+    const std::uint64_t h = Traits::hash(kq);
+    for (const std::size_t s : {home1(h), home2(h)}) {
       const value_type c = atomic_load(&slots_[s]);
       slots.add();
       if (!Traits::is_empty(c) && Traits::key_equal(Traits::key(c), kq)) {

@@ -9,8 +9,8 @@
 // contents before continuing — re-inserting with the same deterministic
 // protocol, so the migrated layout is history-independent too. Migration is
 // batched: the old table's live elements are packed out in parallel and
-// re-inserted through the inner table's pipelined insert_block, so the copy
-// overlaps its cache misses exactly like any other insert batch.
+// re-inserted through the inner table's insert_block, so the copy
+// overlaps its home-line misses exactly like any other insert batch.
 //
 // Divergence from the paper's sketch, documented here: the paper migrates
 // *incrementally* (each insert copies two elements and both tables stay
@@ -136,7 +136,7 @@ class growable_table {
   //
   // Batch inserts run in fixed-size chunks. Each chunk reserves its size in
   // the load bound and checks once that the bound stays under the 3/4
-  // ceiling; the chunk then runs the inner table's pipelined block members
+  // ceiling; the chunk then runs the inner table's block members
   // with no per-insert bookkeeping. A chunk that does not fit is
   // inserted by resync() instead, after any growth it needs, with the table
   // to itself. A batch is one insert phase (Definition 1), so finds/erases
@@ -202,7 +202,7 @@ class growable_table {
 
   // Elements per growth-checked chunk of a batch insert. Small enough that
   // "fits under the load ceiling" is checkable up front per chunk,
-  // large enough to amortize the check and keep the pipelined engine's
+  // large enough to amortize the check and keep the block engine's
   // blocks full.
   static constexpr std::size_t kGrowChunk = 4096;
 
@@ -287,7 +287,7 @@ class growable_table {
   }
 
   // Allocates the new table and migrates: deterministic re-insertion of the
-  // old contents through the pipelined block members. Theorem 1 makes the
+  // old contents through the block members. Theorem 1 makes the
   // migrated layout identical to a fresh build regardless of re-insertion
   // order, so batching changes nothing observable. Called by resync() with
   // writers drained and, inside a parallel region, with joins disabled: the

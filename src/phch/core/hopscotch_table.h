@@ -80,17 +80,17 @@ class hopscotch_table {
 
   void insert(value_type v) PHCH_REQUIRES_PHASE(insert) {
     phase_runtime::scope guard(phase_, op_kind::insert);
-    insert_impl(v);
+    insert_impl(v, home(Traits::key(v)));
   }
 
   void erase(key_type kq) PHCH_REQUIRES_PHASE(erase) {
     phase_runtime::scope guard(phase_, op_kind::erase);
-    erase_impl(kq);
+    erase_impl(kq, home(kq));
   }
 
   value_type find(key_type kq) const PHCH_REQUIRES_PHASE(query) {
     phase_runtime::scope guard(phase_, op_kind::query);
-    return find_impl(kq);
+    return find_impl(kq, home(kq));
   }
 
   bool contains(key_type kq) const PHCH_REQUIRES_PHASE(query) {
@@ -105,36 +105,34 @@ class hopscotch_table {
   // --- pipelined block members (core/batch_ops.h) ---------------------------
   // Serial within a block; the free batch functions supply the cross-block
   // parallelism. All three run through run_handoff_block: a lane's start
-  // prefetches the home neighborhood, so by the time the ring rotates back
-  // the scalar walk runs on warm lines.
+  // hashes the key and prefetches its home neighborhood, so by the time the
+  // ring rotates back the scalar walk runs from that home on warm lines.
 
   template <typename K>
   void find_block(const K* keys, std::size_t n, value_type* out) const
       PHCH_REQUIRES_PHASE(query) {
     phase_runtime::scope guard(phase_, op_kind::query);
     batch_detail::run_handoff_block(
-        n, [&](std::size_t i) { prefetch_neighborhood_ro(home(keys[i])); },
-        [&](std::size_t i) { out[i] = find_impl(keys[i]); });
+        n, [&](std::size_t i) { return prefetch_neighborhood_ro(keys[i]); },
+        [&](std::size_t i, std::uint64_t h) {
+          out[i] = find_impl(keys[i], h & slots_.mask());
+        });
   }
 
   template <typename V>
   void insert_block(const V* values, std::size_t n) PHCH_REQUIRES_PHASE(insert) {
     phase_runtime::scope guard(phase_, op_kind::insert);
     batch_detail::run_handoff_block(
-        n,
-        [&](std::size_t i) {
-          const value_type v = values[i];
-          prefetch_neighborhood_rw(home(Traits::key(v)));
-        },
-        [&](std::size_t i) { insert_impl(values[i]); });
+        n, [&](std::size_t i) { return prefetch_neighborhood_rw(Traits::key(values[i])); },
+        [&](std::size_t i, std::uint64_t h) { insert_impl(values[i], h & slots_.mask()); });
   }
 
   template <typename K>
   void erase_block(const K* keys, std::size_t n) PHCH_REQUIRES_PHASE(erase) {
     phase_runtime::scope guard(phase_, op_kind::erase);
     batch_detail::run_handoff_block(
-        n, [&](std::size_t i) { prefetch_neighborhood_rw(home(keys[i])); },
-        [&](std::size_t i) { erase_impl(keys[i]); });
+        n, [&](std::size_t i) { return prefetch_neighborhood_rw(keys[i]); },
+        [&](std::size_t i, std::uint64_t h) { erase_impl(keys[i], h & slots_.mask()); });
   }
 
   // The table's single phase-state word (phase epoch + current class,
@@ -145,9 +143,7 @@ class hopscotch_table {
   static constexpr std::size_t kSegmentSize = 256;  // buckets per lock stripe
   static constexpr int kFindRetries = 2;
 
-  std::size_t home(key_type k) const noexcept {
-    return Traits::hash(k) & slots_.mask();
-  }
+  std::size_t home(key_type k) const { return Traits::hash(k) & slots_.mask(); }
   std::size_t segment(std::uint64_t unwrapped) const noexcept {
     return (unwrapped & slots_.mask()) / kSegmentSize;
   }
@@ -158,22 +154,29 @@ class hopscotch_table {
     return &slots_[unwrapped & slots_.mask()];
   }
 
-  // Home-neighborhood prefetch: the hop word plus the first two slot lines
-  // of the window [b, b + H). At sane load factors nearly every resident of
-  // bucket b sits within the first dozen positions, so these lines cover
-  // the scalar walk that resolves the operation. Always inlined, so GCC
-  // cannot delete the prefetches (see detail::prefetch_rw).
-  [[gnu::always_inline]] void prefetch_neighborhood_ro(std::size_t b) const noexcept {
+  // Home-neighborhood prefetch of key k, returning its hash for the
+  // lane's step: the hop word plus the first two slot lines of the window
+  // [b, b + H) of k's home bucket b. At sane load factors nearly every
+  // resident of bucket b sits within the first dozen positions, so these
+  // lines cover the scalar walk that resolves the operation. Always
+  // inlined, so GCC cannot delete the prefetches (see detail::prefetch_rw).
+  [[gnu::always_inline]] std::uint64_t prefetch_neighborhood_ro(key_type k) const {
+    const std::uint64_t h = Traits::hash(k);
+    const std::size_t b = h & slots_.mask();
     detail::prefetch_ro(&hop_[b]);
     detail::prefetch_ro(&slots_[b]);
     detail::prefetch_ro(slot(b + batch_detail::slots_per_line<value_type>));
+    return h;
   }
   // Mutating ops also take the home segment's lock.
-  [[gnu::always_inline]] void prefetch_neighborhood_rw(std::size_t b) const noexcept {
+  [[gnu::always_inline]] std::uint64_t prefetch_neighborhood_rw(key_type k) const {
+    const std::uint64_t h = Traits::hash(k);
+    const std::size_t b = h & slots_.mask();
     detail::prefetch_rw(&hop_[b]);
     detail::prefetch_rw(&slots_[b]);
     detail::prefetch_rw(slot(b + batch_detail::slots_per_line<value_type>));
     detail::prefetch_rw(&locks_[segment(b)]);
+    return h;
   }
 
   std::uint64_t hop_load(std::size_t b) const noexcept {
@@ -194,13 +197,13 @@ class hopscotch_table {
       timestamps_[seg].fetch_add(1, std::memory_order_acq_rel);
   }
 
-  // Scalar insert, shared by insert() and insert_block's handoff. Exactly one of
-  // insert_commits / insert_dups / insert_aborts is recorded per call.
-  void insert_impl(value_type v) {
+  // Scalar insert of v into its home bucket b, shared by insert() and
+  // insert_block's handoff. Exactly one of insert_commits / insert_dups /
+  // insert_aborts is recorded per call.
+  void insert_impl(value_type v, std::size_t b) {
     obs::count(obs::counter::insert_ops);
     assert(!Traits::is_empty(v));
     const key_type k = Traits::key(v);
-    const std::size_t b = home(k);
     std::lock_guard<spinlock> lg(locks_[segment(b)]);
     // Duplicate check through the hop bitmap (home segment is locked, so
     // bucket b's membership cannot change underneath us).
@@ -246,9 +249,8 @@ class hopscotch_table {
     obs::count(obs::counter::insert_commits);
   }
 
-  void erase_impl(key_type kq) {
+  void erase_impl(key_type kq, std::size_t b) {
     obs::count(obs::counter::erase_ops);
-    const std::size_t b = home(kq);
     std::lock_guard<spinlock> lg(locks_[segment(b)]);
     std::uint64_t bits = hop_load(b);
     while (bits != 0) {
@@ -267,10 +269,9 @@ class hopscotch_table {
     }
   }
 
-  value_type find_impl(key_type kq) const {
+  value_type find_impl(key_type kq, std::size_t b) const {
     obs::count(obs::counter::find_ops);
     obs::tally slots(obs::counter::probe_slots);
-    const std::size_t b = home(kq);
     for (int attempt = 0; attempt < kFindRetries; ++attempt) {
       const std::uint32_t ts0 = read_timestamp(segment(b));
       std::uint64_t bits = hop_load(b);

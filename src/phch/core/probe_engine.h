@@ -17,9 +17,9 @@
 //                        equal key (linearHash-ND, after Gao et al.).
 //
 // probe_engine owns everything the policies share: the slot array, the
-// probe/CAS loops (scalar entry points plus the pipelined block members,
-// whose insert and erase resume the scalar loops mid-probe), capacity
-// handling, phase-checking scopes, and the ELEMENTS() pack. Like the
+// probe/CAS loops (scalar entry points plus the block members, whose insert
+// and erase run the same loops from a prefetched home), capacity handling,
+// phase-checking scopes, and the ELEMENTS() pack. Like the
 // paper's tables it keeps no element count: a scalar insert or erase
 // commits with one CAS, and count() scans. The concrete tables are thin
 // aliases:
@@ -29,15 +29,15 @@
 //
 // The engine also distills the ordering policy into three static probe
 // classifiers — classify_find / insert_scan_stop / erase_scan_stop — which
-// the scalar loops and the pipelined block members both drive, so both
-// policies get software-pipelined batching for free.
+// the scalar loops drive; find_block's pipelined ring drives classify_find
+// too, so both policies get software-pipelined finds for free.
 //
-// Telemetry (obs/telemetry.h): each scalar op (insert_impl, erase,
-// erase_from, find) declares exactly one obs::op_tally. The loop bumps its
-// slot and CAS fields, each return path sets its outcome, and the tally
-// flushes all of it, with the op's probe-depth sample, to the caller's
-// stripe once. The block members tally per block instead. Compiled out,
-// both are dead stores.
+// Telemetry (obs/telemetry.h): each scalar op (insert_impl, erase_impl,
+// find) declares exactly one obs::op_tally. The loop bumps its slot and CAS
+// fields, each return path sets its outcome, and the tally flushes all of
+// it, with the op's probe-depth sample, to the caller's stripe once. The
+// block inserts and erases run those same bodies; find_block tallies per
+// block instead. Compiled out, both are dead stores.
 #pragma once
 
 #include <cassert>
@@ -95,9 +95,8 @@ class probe_engine {
   // --- probe classification (the ordering policy, distilled) ---------------
   //
   // These three statics are the whole ordering policy as seen by a probe
-  // loop. The scalar operations and the pipelined block members below
-  // both consume them, so scalar and batched execution agree by
-  // construction.
+  // loop. The scalar operations and find_block's ring both consume them,
+  // so scalar and batched execution agree by construction.
 
   // Verdict for one slot during a find for kq.
   static probe_verdict classify_find(value_type c, key_type kq) noexcept {
@@ -116,8 +115,7 @@ class probe_engine {
   // True iff an insert of v probing slot contents c has reached a potential
   // commit point (empty slot, duplicate key, or — under the ordering
   // invariant — a not-higher-priority occupant to displace). While false,
-  // the probe advances without writing, which is what insert_block
-  // pipelines; the scalar loop takes over from the first stop.
+  // the probe advances without writing.
   static bool insert_scan_stop(value_type c, value_type v) noexcept {
     if (Traits::is_empty(c)) return true;
     if constexpr (Order::ordered_probes) {
@@ -155,7 +153,7 @@ class probe_engine {
   // is not well defined under concurrent merging.
   void insert(value_type v) PHCH_REQUIRES_PHASE(insert) {
     phase_runtime::scope guard(phase_, op_kind::insert);
-    insert_impl(v, capacity() + 1, home(Traits::key(v)), 0);
+    insert_impl(v, capacity() + 1, home(Traits::key(v)));
   }
 
   // Insert that detects an overfull table for the growable wrapper via the
@@ -166,7 +164,7 @@ class probe_engine {
   insert_result insert_bounded(value_type v, std::size_t probe_limit)
       PHCH_REQUIRES_PHASE(insert) {
     phase_runtime::scope guard(phase_, op_kind::insert);
-    return insert_impl(v, probe_limit, home(Traits::key(v)), 0);
+    return insert_impl(v, probe_limit, home(Traits::key(v)));
   }
 
  private:
@@ -179,17 +177,13 @@ class probe_engine {
     return false;
   }
 
-  // The Figure-1 insert loop from slot i, `advances` slots past home, run
-  // inside the caller's insert scope. An insert_block lane resumes here from
-  // its pipelined prefix; the slot at i is re-loaded, so a stale prefix read
-  // only costs a retry.
-  insert_result insert_impl(value_type v, std::size_t probe_limit, std::size_t i,
-                            std::size_t advances) {
+  // The Figure-1 insert loop from v's home slot i, run inside the caller's
+  // insert scope (the op's own, or insert_block's).
+  insert_result insert_impl(value_type v, std::size_t probe_limit, std::size_t i) {
     assert(!Traits::is_empty(v));
-    // `advances` slots were already walked by the pipelined prefix; they
-    // count toward this op's probe-depth sample.
-    obs::op_tally tally(obs::counter::insert_ops, advances);
+    obs::op_tally tally(obs::counter::insert_ops);
     const std::size_t cap = capacity();
+    std::size_t advances = 0;
     bool committed = false;
     for (;;) {
       const value_type c = atomic_load(&slots_[i]);
@@ -255,12 +249,19 @@ class probe_engine {
   // the hole history-independently via FindReplacement.
   void erase(key_type kq) PHCH_REQUIRES_PHASE(erase) {
     phase_runtime::scope guard(phase_, op_kind::erase);
+    erase_impl(kq, home(kq));
+  }
+
+ private:
+  // The Figure-1 delete loop from kq's home slot h, run inside the caller's
+  // erase scope (the op's own, or erase_block's).
+  void erase_impl(key_type kq, std::size_t h) {
     obs::op_tally tally(obs::counter::erase_ops);
     const std::size_t cap = capacity();
     // Unwrapped coordinates, offset by one capacity so they never
     // underflow. Initial forward scan (lines 27-29): past every slot the
     // ordering policy says could still precede the key.
-    const std::uint64_t i = cap + home(kq);
+    std::uint64_t i = cap + h;
     std::uint64_t k = i;
     for (;;) {
       ++tally.slots;
@@ -268,34 +269,7 @@ class probe_engine {
       ++k;
       if (k - i > cap) throw table_full_error();
     }
-    erase_impl(tally, kq, i, k);
-  }
-
- private:
-  // Insert continuation for insert_block: resume the scalar loop at slot i,
-  // `advances` slots past home. Both block continuations run inside the
-  // block's phase scope and open none of their own. Both stay out of line:
-  // inlined into the ring, the scalar loop halved an arrival-order table's
-  // pipelined insert throughput in bench_batch_mlp (gcc 12).
-  [[gnu::noinline]] void insert_from(value_type v, std::size_t i, std::size_t advances)
-      PHCH_REQUIRES_PHASE(insert) {
-    insert_impl(v, capacity() + 1, i, advances);
-  }
-
-  // Erase continuation for erase_block: its pipelined lane has already run
-  // the initial forward scan, stopping `fwd_advances` slots past the key's
-  // home; the downward scan runs from there.
-  [[gnu::noinline]] void erase_from(key_type kq, std::size_t fwd_advances)
-      PHCH_REQUIRES_PHASE(erase) {
-    obs::op_tally tally(obs::counter::erase_ops, fwd_advances);
-    const std::uint64_t i = capacity() + home(kq);
-    erase_impl(tally, kq, i, i + fwd_advances);
-  }
-
-  // Downward scan (lines 30-41), from unwrapped position k down to the
-  // query key's unwrapped home i, inside the caller's erase scope.
-  void erase_impl(obs::op_tally& tally, key_type kq, std::uint64_t i,
-                  std::uint64_t k) {
+    // Downward scan (lines 30-41), from k down to the query key's home i.
     while (k >= i) {
       const value_type c = atomic_load(slot(k));
       ++tally.slots;
@@ -373,19 +347,19 @@ class probe_engine {
   // operation scopes advance.
   phase_runtime& phase_rt() const noexcept { return phase_; }
 
-  // --- pipelined block members (core/batch_ops.h) ---------------------------
+  // --- block members (core/batch_ops.h) -------------------------------------
   //
   // Serial within a block; the free batch functions supply the cross-block
-  // parallelism. Each opens one phase scope for the block and runs its ops
-  // through run_batch_ring. Linear chains are *sequential*, so a probe only
-  // risks a cache miss when it crosses into the next 64-byte line: each
-  // step scans to the end of the current line before yielding its lane, so
-  // rotation (and a prefetch) happens per line crossed, not per slot. Each
-  // operation hashes its key exactly once.
+  // parallelism. Each opens one phase scope for the block and hashes each
+  // key exactly once.
   //
-  // A probe that sweeps more than `capacity` slots has wrapped the table:
-  // the table broke the never-full precondition and the step throws, like
-  // the scalar loop.
+  // find_block runs its ops through run_batch_ring. Linear chains are
+  // *sequential*, so a probe only risks a cache miss when it crosses into
+  // the next 64-byte line: each step scans to the end of the current line
+  // before yielding its lane, so rotation (and a prefetch) happens per line
+  // crossed, not per slot. A probe that sweeps more than `capacity` slots
+  // has wrapped the table: the table broke the never-full precondition and
+  // the step throws, like the scalar loop.
   //
   // Each slot load is a seq_cst atomic, which the compiler treats as a
   // barrier for every variable whose address escapes, and a by-reference
@@ -455,108 +429,40 @@ class probe_engine {
     obs::record_probe_depth(t_depth);
   }
 
-  // Pipelined inserts: the prefix advances exactly while the scalar loop
-  // would advance without CASing. At the first potential commit point
-  // (insert_scan_stop: empty slot, duplicate key, or a displaceable
-  // occupant) the lane hands off to the scalar loop resuming at that
-  // position, so displacement chains run exactly the Figure-1 loop. The
-  // prefix performs the same one-load-per-advance reads as the scalar loop,
-  // so every pipelined execution is some legal scalar interleaving, and
-  // Theorem 1 makes the final layout independent of which one.
+  // Block inserts and erases run through run_handoff_block: a lane's start
+  // hashes the key and prefetches its home line, and its step runs the
+  // Figure-1 loop (insert_impl / erase_impl) from that home one rotation
+  // later, so every block op is exactly a scalar op.
   template <typename V>
   void insert_block(const V* values, std::size_t n) PHCH_REQUIRES_PHASE(insert) {
     phase_runtime::scope guard(phase_, op_kind::insert);
-    const value_type* slots = slots_.data();
-    const std::size_t cap = capacity();
-    const std::size_t mask = slots_.mask();
-    constexpr std::size_t line = batch_detail::slots_per_line<value_type>;
-    struct lane {
-      std::size_t slot;
-      std::size_t advances;
-      value_type v;
-    };
-    obs::tally t_slots(obs::counter::batch_probe_slots);
-    obs::tally t_handoffs(obs::counter::batch_handoffs);
-    batch_detail::run_batch_ring<lane>(
-        n,
-        [values, slots, mask](lane& o, std::size_t i) {
-          const value_type v = values[i];
-          o = lane{static_cast<std::size_t>(Traits::hash(Traits::key(v))) & mask, 0, v};
-          detail::prefetch_rw(&slots[o.slot]);
-        },
-        [&, slots, mask, cap](lane& o) {
-          std::uint64_t scanned = 0;
-          bool stop = false;
-          do {
-            ++scanned;
-            if (insert_scan_stop(atomic_load(&slots[o.slot]), o.v)) {
-              stop = true;
-              break;
-            }
-            o.slot = (o.slot + 1) & mask;
-            if (++o.advances > cap) throw table_full_error();
-          } while (o.slot & (line - 1));
-          t_slots.add(scanned);
-          if (!stop) {
-            detail::prefetch_rw(&slots[o.slot]);
-            return false;
-          }
-          t_handoffs.add();
-          insert_from(o.v, o.slot, o.advances);
-          return true;
+    batch_detail::run_handoff_block(
+        n, [&](std::size_t i) { return prefetch_home(Traits::key(values[i])); },
+        [&](std::size_t i, std::uint64_t h) {
+          insert_impl(values[i], capacity() + 1, h & slots_.mask());
         });
   }
 
-  // Pipelined erases: the initial forward scan (Figure 1, lines 27-29)
-  // rotates line by line, past every slot erase_scan_stop says could still
-  // precede the key; where the scalar scan would stop, erase_from takes the
-  // CAS work on the lines this scan just loaded.
   template <typename K>
   void erase_block(const K* keys, std::size_t n) PHCH_REQUIRES_PHASE(erase) {
     phase_runtime::scope guard(phase_, op_kind::erase);
-    const value_type* slots = slots_.data();
-    const std::size_t cap = capacity();
-    const std::size_t mask = slots_.mask();
-    constexpr std::size_t line = batch_detail::slots_per_line<value_type>;
-    struct lane {
-      std::size_t slot;
-      std::size_t advances;
-      key_type kq;
-    };
-    obs::tally t_slots(obs::counter::batch_probe_slots);
-    obs::tally t_handoffs(obs::counter::batch_handoffs);
-    batch_detail::run_batch_ring<lane>(
-        n,
-        [keys, slots, mask](lane& o, std::size_t i) {
-          const key_type kq = keys[i];
-          o = lane{static_cast<std::size_t>(Traits::hash(kq)) & mask, 0, kq};
-          detail::prefetch_rw(&slots[o.slot]);
-        },
-        [&, slots, mask, cap](lane& o) {
-          std::uint64_t scanned = 0;
-          bool stop = false;
-          do {
-            ++scanned;
-            if (erase_scan_stop(atomic_load(&slots[o.slot]), o.kq)) {
-              stop = true;
-              break;
-            }
-            o.slot = (o.slot + 1) & mask;
-            if (++o.advances > cap) throw table_full_error();
-          } while (o.slot & (line - 1));
-          t_slots.add(scanned);
-          if (stop) {
-            t_handoffs.add();
-            erase_from(o.kq, o.advances);
-            return true;
-          }
-          detail::prefetch_rw(&slots[o.slot]);
-          return false;
-        });
+    batch_detail::run_handoff_block(
+        n, [&](std::size_t i) { return prefetch_home(keys[i]); },
+        [&](std::size_t i, std::uint64_t h) { erase_impl(keys[i], h & slots_.mask()); });
   }
 
  private:
-  std::size_t home(key_type k) const noexcept { return Traits::hash(k) & slots_.mask(); }
+  std::size_t home(key_type k) const { return Traits::hash(k) & slots_.mask(); }
+
+  // A mutating block lane's first touch: hash k once and prefetch its home
+  // line for writing; the lane's step runs from the returned hash. Always
+  // inlined, so GCC cannot delete the prefetch (see detail::prefetch_rw).
+  [[gnu::always_inline]] std::uint64_t prefetch_home(key_type k) const {
+    const std::uint64_t h = Traits::hash(k);
+    detail::prefetch_rw(&slots_[h & slots_.mask()]);
+    return h;
+  }
+
   std::size_t next(std::size_t i) const noexcept { return (i + 1) & slots_.mask(); }
   value_type* slot(std::uint64_t unwrapped) noexcept {
     return &slots_[unwrapped & slots_.mask()];
@@ -567,7 +473,7 @@ class probe_engine {
 
   // Unwrapped home position of element v observed at unwrapped position j:
   // the representative of h(key(v)) in the window (j - capacity, j].
-  std::uint64_t unwrapped_home(value_type v, std::uint64_t j) const noexcept {
+  std::uint64_t unwrapped_home(value_type v, std::uint64_t j) const {
     const std::uint64_t raw = home(Traits::key(v));
     return j - ((j - raw) & slots_.mask());
   }

@@ -113,7 +113,7 @@ class serial_table_hi {
   const value_type* raw_slots() const noexcept { return slots_.data(); }
 
  private:
-  std::size_t home(key_type k) const noexcept { return Traits::hash(k) & slots_.mask(); }
+  std::size_t home(key_type k) const { return Traits::hash(k) & slots_.mask(); }
   std::size_t next(std::size_t i) const noexcept { return (i + 1) & slots_.mask(); }
 
   slot_array<Traits> slots_;
@@ -195,7 +195,7 @@ class serial_table_hd {
   const value_type* raw_slots() const noexcept { return slots_.data(); }
 
  private:
-  std::size_t home(key_type k) const noexcept { return Traits::hash(k) & slots_.mask(); }
+  std::size_t home(key_type k) const { return Traits::hash(k) & slots_.mask(); }
   std::size_t next(std::size_t i) const noexcept { return (i + 1) & slots_.mask(); }
 
   slot_array<Traits> slots_;

@@ -67,9 +67,8 @@ concept open_addressing_table = phase_table<T> && requires(const T& ct) {
 };
 
 // A table with the three serial block members the free batch functions
-// drive (core/batch_ops.h): each runs n operations through the table's
-// pipelined ring on the calling thread, inside one phase scope of its
-// class. probe_engine (both ordering policies), cuckoo, hopscotch and
+// drive (core/batch_ops.h): each runs n operations through the batch ring
+// on the calling thread, inside one phase scope of its class. probe_engine (both ordering policies), cuckoo, hopscotch and
 // chained tables model it.
 template <typename T>
 concept block_table =

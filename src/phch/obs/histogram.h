@@ -18,8 +18,8 @@
 // hist_bucket_upper are pure constexpr functions available in both build
 // modes (the unit tests exercise them compiled-out too).
 //
-// Block accumulation. The pipelined engines note() each sample into a
-// block-local hist_accum (plain stack memory, like their other tallies) and
+// Block accumulation. The linear tables' pipelined find_block note()s each
+// sample into a block-local hist_accum (plain stack memory, like their other tallies) and
 // flush the whole block once (obs::record_probe_depth), one add per
 // touched bucket instead of three atomics per op. Compiled out, hist_accum
 // is an empty class.
@@ -125,7 +125,7 @@ inline hist_snapshot operator-(const hist_snapshot& a, const hist_snapshot& b) {
 
 #if PHCH_TELEMETRY_ENABLED
 
-// Block-local accumulator for the pipelined engines, mirroring their plain
+// Block-local accumulator for the pipelined finds, mirroring their plain
 // local tallies (t_slots, t_hits, ...): note() is pure register/stack work,
 // and the stripe is touched once per block, not once per op.
 struct hist_accum {

@@ -5,7 +5,7 @@
 // traffic, and scalability, but table_stats can only measure those offline
 // (it walks a quiesced slot array). This layer counts what the *live*
 // system does — probe slot loads, CAS attempts and failures, batch-lane
-// rotations and scalar handoffs, steals and backoff sleeps, growth
+// rotations and block handoffs, steals and backoff sleeps, growth
 // migrations, phase transitions — and how deep each linear probe went:
 //
 //  * One switch. The whole subsystem exists only when the CMake option
@@ -50,7 +50,7 @@ inline constexpr bool compiled = PHCH_TELEMETRY_ENABLED == 1;
 // Everything the runtime counts. Kept flat and dense so a snapshot is one
 // small array and the JSON exporter can enumerate mechanically.
 enum class counter : std::uint8_t {
-  // probe_engine scalar loops (incl. the continuations batch ops resume).
+  // probe_engine scalar loops (block inserts and erases run them too).
   probe_slots,       // slot loads performed by scalar probe loops
   cas_attempts,      // CASes issued by insert/erase paths
   cas_failures,      // CASes that lost to a concurrent operation
@@ -62,11 +62,11 @@ enum class counter : std::uint8_t {
   erase_hits,        // erases that actually removed a live element
   find_ops,          // finds started (scalar or pipelined)
   find_hits,         // finds that returned a stored value
-  // core/batch_ops.h pipelined engines.
-  batch_probe_slots, // slot inspections by the pipelined prefix scans
-  batch_rotations,   // ring-lane rotations (one per line crossed per op)
-  batch_handoffs,    // pipelined-prefix -> scalar-continuation handoffs
-  batch_blocks,      // pipelined blocks executed
+  // core/batch_ops.h ring engines.
+  batch_probe_slots, // slot/bucket inspections by the find_block rings
+  batch_rotations,   // ring-lane rotations (one per ring step)
+  batch_handoffs,    // ops run_handoff_block ran as scalar ops from a prefetch
+  batch_blocks,      // ring blocks executed
   // parallel/scheduler.cpp.
   steals,            // tasks stolen from another worker's deque
   steal_failures,    // full victim sweeps that found nothing
@@ -221,12 +221,9 @@ inline void record_probe_depth(const hist_accum& a) noexcept {
 // path names its outcome counter (set_outcome), and the destructor flushes
 // everything to the caller's stripe with one lookup: the op counter, the
 // outcome, slots, CAS attempts and failures, and one probe-depth sample of
-// depth_base + slots, where depth_base is the distance a pipelined prefix
-// already walked before this scalar continuation took over. It runs on
-// every exit path, a thrown table_full_error included.
+// `slots`. It runs on every exit path, a thrown table_full_error included.
 struct op_tally {
-  explicit op_tally(counter op, std::uint64_t depth_base = 0) noexcept
-      : op_(op), depth_base_(depth_base) {}
+  explicit op_tally(counter op) noexcept : op_(op) {}
   op_tally(const op_tally&) = delete;
   op_tally& operator=(const op_tally&) = delete;
   ~op_tally() {
@@ -236,10 +233,9 @@ struct op_tally {
     if (slots != 0) s.add(counter::probe_slots, slots);
     if (cas != 0) s.add(counter::cas_attempts, cas);
     if (cas_failed != 0) s.add(counter::cas_failures, cas_failed);
-    const std::uint64_t depth = depth_base_ + slots;
-    s.buckets[hist_bucket(depth)].fetch_add(1, std::memory_order_relaxed);
-    s.sum.fetch_add(depth, std::memory_order_relaxed);
-    s.raise_max(depth);
+    s.buckets[hist_bucket(slots)].fetch_add(1, std::memory_order_relaxed);
+    s.sum.fetch_add(slots, std::memory_order_relaxed);
+    s.raise_max(slots);
   }
 
   // The counter this op's return path resolved to (a commit, a hit, ...).
@@ -252,7 +248,6 @@ struct op_tally {
  private:
   counter outcome_ = counter::kCount;  // kCount: the op ended with no outcome
   counter op_;
-  std::uint64_t depth_base_;
 };
 
 // One counter's tally for a batch block: plain adds while the block runs,
@@ -286,7 +281,7 @@ inline void record_probe_depth(const hist_accum&) noexcept {}
 // them. It keeps no outcome: a dead store there still perturbed register
 // allocation in the erase paths, where set_outcome() is a no-op call.
 struct op_tally {
-  explicit constexpr op_tally(counter, std::uint64_t = 0) noexcept {}
+  explicit constexpr op_tally(counter) noexcept {}
   void set_outcome(counter) noexcept {}
   std::uint64_t slots = 0;
   std::uint64_t cas = 0;

@@ -10,9 +10,9 @@
 namespace phch {
 
 namespace detail {
-thread_local worker_state* tl_worker = nullptr;
-thread_local std::uint64_t tl_worker_gen = 0;
-thread_local int tl_depth = 0;
+constinit thread_local worker_state* tl_worker = nullptr;
+constinit thread_local std::uint64_t tl_worker_gen = 0;
+constinit thread_local int tl_depth = 0;
 }  // namespace detail
 
 namespace {

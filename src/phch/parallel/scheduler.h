@@ -97,10 +97,13 @@ struct alignas(64) worker_state {
 // pool generation it belongs to (compared before dereferencing tl_worker so
 // a registration left over from before a set_num_workers rebuild is treated
 // as "not a pool thread" instead of a dangling pointer), and the fork
-// nesting depth (0 outside any parallel region).
-extern thread_local worker_state* tl_worker;
-extern thread_local std::uint64_t tl_worker_gen;
-extern thread_local int tl_depth;
+// nesting depth (0 outside any parallel region). constinit: their
+// initializers are constants, so no access goes through a TLS init
+// function. GCC 12 otherwise tests a weak reference to that function
+// before each access, and its UBSan null check branched on that test.
+extern constinit thread_local worker_state* tl_worker;
+extern constinit thread_local std::uint64_t tl_worker_gen;
+extern constinit thread_local int tl_depth;
 
 struct depth_guard {
   depth_guard() noexcept { ++tl_depth; }

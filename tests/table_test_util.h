@@ -50,6 +50,16 @@ struct hooked_entry : int_entry<> {
   }
 };
 
+// int_entry that counts its hash calls, for tests that pin how many times
+// an operation hashes a key.
+struct counting_entry : int_entry<> {
+  static inline std::atomic<std::uint64_t> hashes{0};
+  static std::uint64_t hash(std::uint64_t k) noexcept {
+    hashes.fetch_add(1, std::memory_order_relaxed);
+    return int_entry<>::hash(k);
+  }
+};
+
 // A phase-violation handler that counts reports and keeps the last one,
 // for tests that intercept reports in-process instead of aborting. Only
 // one thread may report while it is installed (`last` is a plain copy).

@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "phch/core/batch_ops.h"
@@ -428,6 +430,68 @@ TYPED_TEST(BlockTables, CheckedPhasesReportsConflictInsideBlock) {
   hooked_entry::hook = nullptr;
   EXPECT_EQ(out, keys);
   EXPECT_EQ(t.count(), 1u);
+}
+
+// An exception thrown from inside an operation (here by the key's hash)
+// propagates out of every block member and scalar op and unwinds its phase
+// scope without a report. The phase word stays usable: each operation
+// advances the epoch once, for its own class change, and the next phase
+// does the same.
+TYPED_TEST(BlockTables, ExceptionInsideOpLeavesNoReport) {
+  using test::hooked_entry;
+  using Table = typename TypeParam::template table<hooked_entry>;
+  const auto keys = test::unique_keys(100, 41);
+  const std::uint64_t thrower = keys[50];
+  Table t(1 << 10);
+  std::vector<std::uint64_t> out(keys.size());
+  violation_capture::calls = 0;
+  const phase_violation_handler prev =
+      set_phase_violation_handler(&violation_capture::capture);
+  const std::function<void()> ops[] = {
+      [&] { t.insert_block(keys.data(), keys.size()); },
+      [&] { t.find_block(keys.data(), keys.size(), out.data()); },
+      [&] { t.erase_block(keys.data(), keys.size()); },
+      [&] { t.insert(thrower); },
+      [&] { (void)t.find(thrower); },
+      [&] { t.erase(thrower); },
+  };
+  std::uint64_t epoch = t.phase_rt().epoch();
+  for (std::size_t i = 0; i < std::size(ops); ++i) {
+    SCOPED_TRACE(testing::Message() << "op " << i);
+    hooked_entry::trigger = thrower;
+    hooked_entry::hook = [] { throw std::runtime_error("hash failed"); };
+    EXPECT_THROW(ops[i](), std::runtime_error);
+    EXPECT_EQ(t.phase_rt().epoch(), ++epoch);
+  }
+  (void)t.elements();
+  (void)t.elements();
+  EXPECT_EQ(t.phase_rt().epoch(), epoch + 1);
+  set_phase_violation_handler(prev);
+  hooked_entry::hook = nullptr;
+  EXPECT_EQ(violation_capture::calls.load(), 0);
+}
+
+// A linear block op hashes its key once: the lane's start hashes it, and
+// the step runs from that hash (displaced elements are carried, never
+// re-hashed, on insert).
+template <typename Table>
+void expect_one_hash_per_block_op() {
+  using test::counting_entry;
+  const auto keys = test::unique_keys(3000, 43);
+  Table t(1 << 13);
+  counting_entry::hashes = 0;
+  t.insert_block(keys.data(), keys.size());
+  EXPECT_EQ(counting_entry::hashes.load(), keys.size());
+  std::vector<std::uint64_t> out(keys.size());
+  counting_entry::hashes = 0;
+  t.find_block(keys.data(), keys.size(), out.data());
+  EXPECT_EQ(counting_entry::hashes.load(), keys.size());
+  EXPECT_EQ(out, keys);
+}
+
+TEST(BatchOps, LinearBlockOpsHashEachKeyOnce) {
+  expect_one_hash_per_block_op<deterministic_table<test::counting_entry>>();
+  expect_one_hash_per_block_op<nd_linear_table<test::counting_entry>>();
 }
 
 }  // namespace

@@ -180,7 +180,7 @@ TEST(HistogramOff, LayerIsCompiledOut) {
   if (obs::compiled) GTEST_SKIP() << "telemetry compiled in";
   static_assert(obs::compiled || std::is_trivially_destructible_v<obs::op_tally>);
   {
-    obs::op_tally t(obs::counter::find_ops, 42);
+    obs::op_tally t(obs::counter::find_ops);
     t.slots = 3;
   }  // records nothing
   obs::hist_accum a;
@@ -264,14 +264,12 @@ void check_probe_ledger(bool block, int workers) {
     EXPECT_EQ(ops, n + bounded + n + uniq.size());
     EXPECT_EQ(d[obs::counter::insert_aborts], 1u);
     EXPECT_EQ(depth.count, ops);
-    // Every slot load is in exactly one sample, except that a block lane
-    // loads its stop slot and the scalar continuation loads it again.
-    EXPECT_EQ(depth.sum, d[obs::counter::probe_slots] +
-                             d[obs::counter::batch_probe_slots] -
-                             d[obs::counter::batch_handoffs]);
-    if (!block) {
-      EXPECT_EQ(d[obs::counter::batch_handoffs], 0u);
-    }
+    // Every slot load is in exactly one sample.
+    EXPECT_EQ(depth.sum,
+              d[obs::counter::probe_slots] + d[obs::counter::batch_probe_slots]);
+    // Each block insert and erase is handed to the scalar loop once; the
+    // scalar path hands off nothing.
+    EXPECT_EQ(d[obs::counter::batch_handoffs], block ? n + uniq.size() : 0u);
     EXPECT_GE(depth.sum, depth.count);  // every op probes at least one slot
     EXPECT_GE(depth.max, 1u);
   }
@@ -296,7 +294,10 @@ TEST_F(HistogramOn, BlockFlushMatchesPerSampleRecords) {
   obs::record_probe_depth(a);
   const obs::hist_snapshot s = probe_depth_now();
   obs::reset();
-  for (std::uint64_t v = 0; v <= 100; ++v) obs::op_tally t(obs::counter::find_ops, v);
+  for (std::uint64_t v = 0; v <= 100; ++v) {
+    obs::op_tally t(obs::counter::find_ops);
+    t.slots = v;
+  }
   const obs::hist_snapshot r = probe_depth_now();
   EXPECT_EQ(s.buckets, r.buckets);
   EXPECT_EQ(s.count, 101u);
@@ -335,8 +336,8 @@ TEST_F(HistogramOn, ConcurrentRecordWhileDrainIsRaceFree) {
   constexpr std::size_t kPerWorker = 20000;
   const std::size_t n = static_cast<std::size_t>(num_workers()) * kPerWorker;
   const obs::hist_snapshot s = hammer_while_draining(n, [](std::size_t i) {
-    obs::op_tally t(obs::counter::find_ops, i % 61);
-    t.slots = 1;
+    obs::op_tally t(obs::counter::find_ops);
+    t.slots = 1 + i % 61;
   });
   EXPECT_EQ(s.count, n);
   EXPECT_EQ(s.max, 61u);

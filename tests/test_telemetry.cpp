@@ -61,7 +61,7 @@ TEST(TelemetryOff, OpTallyIsInert) {
   // Compiled out, a scalar op's record is plain dead stores.
   static_assert(obs::compiled || std::is_trivially_destructible_v<obs::op_tally>);
   {
-    obs::op_tally t(counter::insert_ops, 2);
+    obs::op_tally t(counter::insert_ops);
     t.set_outcome(counter::insert_commits);
     t.slots = 7;
     t.cas = 3;
