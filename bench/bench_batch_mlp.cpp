@@ -23,8 +23,8 @@
 // chained miss overlapped and pulls ahead of home-line-only prefetch.
 //
 // Also measures the occupancy-counter contention microbenchmark: ns per
-// increment of one shared atomic vs the striped counter behind
-// growable_table's load bound, across PHCH_THREADS workers.
+// increment of one shared atomic vs parallel/striped_counter.h, across
+// PHCH_THREADS workers.
 //
 // Writes machine-readable results to BENCH_batch.json (or argv[1]).
 #include <cstdio>
@@ -331,7 +331,7 @@ int main(int argc, char** argv) {
   std::printf("\ncounter contention (%zu increments, %d threads):\n", incs,
               num_workers());
   std::printf("  %-22s %8.2f ns/inc\n", "shared atomic", g_ns);
-  std::printf("  %-22s %8.2f ns/inc   (growable bound)\n", "striped counter", s_ns);
+  std::printf("  %-22s %8.2f ns/inc\n", "striped counter", s_ns);
   std::printf("\nshape check: pipelined find should beat prefetch-ahead from load 0.5\n"
               "up, by more as probe chains lengthen; at 0.25 load the two are close.\n");
 

@@ -6,13 +6,11 @@
 // and spanning forest implementations, reports times, and checks that the
 // deterministic variants agree exactly.
 #include <cinttypes>
-#include <set>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 #include "phch/apps/bfs.h"
-#include "phch/apps/connected_components.h"
 #include "phch/apps/spanning_forest.h"
 #include "phch/core/deterministic_table.h"
 #include "phch/core/nd_linear_table.h"
@@ -74,16 +72,5 @@ int main(int argc, char** argv) {
       deterministic_table<packed_pair_entry<combine_min>>>(g.num_vertices(), edges);
   std::printf("  SF  linearHash-D     %.3fs   (forest identical to array: %s)\n",
               t.elapsed(), fa == fh ? "yes" : "NO");
-
-  // --- connected components by contraction --------------------------------
-  t.reset();
-  apps::cc_stats cc;
-  const auto comp = apps::connected_components<
-      deterministic_table<pair_entry<combine_add>>>(g.num_vertices(), edges, &cc);
-  const auto ref = apps::serial_connected_components(g.num_vertices(), edges);
-  std::set<std::uint32_t> dref(ref.begin(), ref.end());
-  std::printf("  CC  contraction      %.3fs   (%zu components in %zu rounds, exact: %s)\n",
-              t.elapsed(), cc.num_components, cc.rounds,
-              cc.num_components == dref.size() ? "yes" : "NO");
   return 0;
 }

@@ -1,25 +1,27 @@
 // growable_table: the resizing extension outlined in §4 of the paper, on
 // top of the deterministic phase-concurrent table.
 //
-// An insert detects an overfull table when its probe sequence exceeds a
-// threshold of k * log2(capacity) slots (w.h.p. probes are shorter at a
-// bounded load factor). The detecting thread allocates a table of twice the
-// size behind a lock ("a lock can be used to avoid multiple processes
-// allocating simultaneously"), and insertions cooperate to migrate the old
-// contents before continuing — re-inserting with the same deterministic
-// protocol, so the migrated layout is history-independent too. Migration is
-// batched: the old table's live elements are packed out in parallel and
-// re-inserted through the inner table's insert_block, so the copy
-// overlaps its home-line misses exactly like any other insert batch.
+// Growth is decided by one load bound (below). A thread that finds the
+// table too full allocates one of twice the size behind a lock ("a lock can
+// be used to avoid multiple processes allocating simultaneously"), and the
+// old contents are re-inserted with the same deterministic protocol, so the
+// migrated layout is history-independent too. Migration is batched: the old
+// table's live elements are packed out in parallel and re-inserted through
+// the inner table's insert_block, so the copy overlaps its home-line misses
+// exactly like any other insert batch.
 //
-// Divergence from the paper's sketch, documented here: the paper migrates
-// *incrementally* (each insert copies two elements and both tables stay
-// live), which requires finds/deletes to consult both tables. We instead
-// drain in-flight *inserts* and migrate completely before new inserts
-// proceed — a stop-the-insert-phase variant that keeps exactly one live
-// table, preserves determinism trivially, and has the same amortized cost.
-// Only inserts can trigger growth; finds and deletes see a single table, as
-// in the paper.
+// Divergences from the paper's sketch, documented here:
+// - The paper grows when an insert's probe runs past k * log2(capacity)
+//   slots. We grow from a count instead (Maier et al.): a probe-length
+//   trigger does not bound the load of a small table, where probes stay
+//   short right up to full.
+// - The paper migrates *incrementally* (each insert copies two elements and
+//   both tables stay live), which requires finds/deletes to consult both
+//   tables. We instead drain in-flight *inserts* and migrate completely
+//   before new inserts proceed — a stop-the-insert-phase variant that keeps
+//   exactly one live table, preserves determinism trivially, and has the
+//   same amortized cost. Only inserts can trigger growth; finds and deletes
+//   see a single table, as in the paper.
 //
 // Lifetime of the old slot array: migrate() deletes it right after
 // publishing the new table. Writers cannot still be using it, because
@@ -28,22 +30,27 @@
 // insert phases, and only inserts grow.
 //
 // Load bound: the inner table keeps no element count (linearHash-D has
-// none), so the wrapper counts for itself and reconciles rarely (Maier et
-// al.). The bound is an upper bound on live elements in two parts: a scalar
-// insert adds 1 to the striped `bound_`, a batch chunk adds its size to the
-// single atomic `reserved_`, and erases touch neither. When an insert would
-// push the bound past 3/4 of capacity, resync() takes one exact count() with
-// writers drained, grows while count + incoming exceeds 3/4 or the count
-// alone exceeds 1/2, and resets the bound to the count. The 1/2 rule leaves
-// cap/4 of headroom after a resync that does not grow, so scans cost
-// amortized O(1) per insert even on duplicate-heavy input; unique keys grow
-// exactly where a per-insert count would grow them.
+// none), so the wrapper counts for itself and reconciles rarely. `bound_`
+// is one atomic upper bound on live elements: every insert reserves before
+// it touches a slot (a scalar insert 1, a batch chunk its size) and checks
+// the value its fetch_add returns against ceiling(); erases never touch it.
+// The ceiling is 3/4 of capacity but always leaves a slot empty, so a table
+// never fills. A reservation that does not fit is undone and handed to
+// resync(), which under grow_lock_ first retries it against the table that
+// is current now (another thread may just have grown it). Otherwise it
+// drains writers, takes one exact count(), grows while count + incoming
+// exceeds the ceiling or the count alone exceeds 1/2, inserts the incoming
+// values and resets the bound to count + incoming. The 1/2 rule leaves cap/4
+// of headroom after a resync that does not grow, so counts cost amortized
+// O(1) per insert even on duplicate-heavy input; unique keys grow exactly
+// where a per-insert count would grow them, at any worker count.
 //
 // The wrapper is the one table with its own insert_batch/find_batch/
 // erase_batch, which the free batch functions (core/batch_ops.h) forward to
-// (`batch_forwarding_table`): a batch insert runs in bounded chunks with one
-// load-bound check per chunk — never per element — and grows between
-// chunks, so a single batch may cross several capacity doublings.
+// (`batch_forwarding_table`): a batch insert runs in bounded chunks, one
+// after another, with one reservation per chunk — never per element — and
+// grows between chunks, so a single batch may cross several capacity
+// doublings.
 #pragma once
 
 #include <algorithm>
@@ -59,7 +66,6 @@
 #include "phch/obs/trace.h"
 #include "phch/parallel/scheduler.h"
 #include "phch/parallel/spinlock.h"  // cpu_relax
-#include "phch/parallel/striped_counter.h"
 #include "phch/utils/phase_caps.h"
 
 namespace phch {
@@ -84,39 +90,7 @@ class growable_table {
   std::size_t count() const { return cur()->count(); }
 
   void insert(value_type v) PHCH_REQUIRES_PHASE(insert) {
-    using result = typename inner_table::insert_result;
-    for (;;) {
-      enter();
-      result r;
-      std::size_t cap;
-      bool crowded = false;
-      try {
-        // Writers resolve the table pointer inside the enter()/leave()
-        // window so a migration observes every committed insert (resync()
-        // drains the active count before packing the old contents).
-        inner_table* t = cur();
-        cap = t->capacity();
-        r = t->insert_bounded(v, probe_limit(cap));
-        // Secondary trigger: the load bound, checked for room for the next
-        // insert (the probe-length trigger alone cannot protect very small
-        // tables, where probes can stay short right up to full). Counted
-        // inside the enter()/leave() window, so resync() drains it.
-        if (r != result::aborted) bound_.increment();
-        crowded = r == result::ok && over_ceiling(1, cap);
-      } catch (...) {
-        leave();
-        throw;
-      }
-      leave();
-      if (r == result::ok) {
-        if (crowded) resync(cap, false);
-        return;
-      }
-      // Probe sequence too long: this table is overfull. Grow it (or help a
-      // growth already under way), then retry if the insert was aborted.
-      resync(cap, true);
-      if (r == result::lengthy) return;  // inserted, just slowly
-    }
+    insert_reserved(&v, 1, [&](inner_table& t) { t.insert(v); });
   }
 
   // Erases and queries take no enter()/leave(): the phase discipline keeps
@@ -134,42 +108,23 @@ class growable_table {
 
   // --- whole-batch operations ----------------------------------------------
   //
-  // Batch inserts run in fixed-size chunks. Each chunk reserves its size in
-  // the load bound and checks once that the bound stays under the 3/4
-  // ceiling; the chunk then runs the inner table's block members
-  // with no per-insert bookkeeping. A chunk that does not fit is
-  // inserted by resync() instead, after any growth it needs, with the table
-  // to itself. A batch is one insert phase (Definition 1), so finds/erases
-  // never run concurrently with it. Inside a parallel region a chunk runs
-  // serially: it holds enter() across its joins, so a sibling insert stolen
-  // by one of them could wait in resync() for that enter() forever.
+  // Batch inserts run in fixed-size chunks, one after another, each through
+  // the scalar insert's routine: the chunk reserves its size in the load
+  // bound and then runs the inner table's block members with no per-insert
+  // bookkeeping. A batch is one insert phase (Definition 1), so
+  // finds/erases never run concurrently with it. Inside a parallel region a
+  // chunk runs serially: it holds enter() across its joins, so a sibling
+  // insert stolen by one of them could wait in resync() for that enter()
+  // forever.
 
   void insert_batch(const value_type* values, std::size_t n)
       PHCH_REQUIRES_PHASE(insert) {
     for (std::size_t s = 0; s < n; s += kGrowChunk) {
       const value_type* part = values + s;
       const std::size_t chunk = std::min(kGrowChunk, n - s);
-      enter();
-      inner_table* t = cur();
-      const std::size_t cap = t->capacity();
-      // Reserve, then check. Every chunk reserves with an RMW on the one
-      // atomic reserved_, so of two racing chunks the later one's RMW, and
-      // its check after it, see the earlier one's reservation: chunks that
-      // run together fit under the ceiling together.
-      reserved_.fetch_add(static_cast<std::int64_t>(chunk), std::memory_order_seq_cst);
-      if (over_ceiling(0, cap)) {
-        reserved_.fetch_sub(static_cast<std::int64_t>(chunk), std::memory_order_seq_cst);
-        leave();
-        resync(cap, false, part, chunk);
-        continue;
-      }
-      try {
-        run_serially_if_nested([&] { phch::insert_batch(*t, part, chunk); });
-      } catch (...) {
-        leave();
-        throw;
-      }
-      leave();
+      insert_reserved(part, chunk, [&](inner_table& t) {
+        run_serially_if_nested([&] { phch::insert_batch(t, part, chunk); });
+      });
     }
   }
   std::vector<value_type> find_batch(const std::vector<key_type>& keys) const
@@ -196,10 +151,6 @@ class growable_table {
   PHCH_PHASE_CAPABILITIES();
 
  private:
-  // Probe-length trigger: an insert whose probe passes
-  // kProbeLimitFactor * log2(capacity) slots declares the table overfull.
-  static constexpr std::size_t kProbeLimitFactor = 16;
-
   // Elements per growth-checked chunk of a batch insert. Small enough that
   // "fits under the load ceiling" is checkable up front per chunk,
   // large enough to amortize the check and keep the block engine's
@@ -210,12 +161,45 @@ class growable_table {
     return table_.load(std::memory_order_acquire);
   }
 
-  // True if `incoming` more elements would push the load bound past 3/4 of
-  // capacity. A scalar insert may miss a few racing increments of the
-  // striped part; the cap/4 slack and the probe-length trigger absorb them.
-  bool over_ceiling(std::size_t incoming, std::size_t cap) const noexcept {
-    const std::int64_t bound = bound_.sum() + reserved_.load(std::memory_order_relaxed);
-    return static_cast<std::size_t>(bound) + incoming > cap - cap / 4;
+  // Most live elements a table of capacity `cap` may hold: 3/4 of it, but
+  // never every slot (at capacity 2, 3/4 is the whole table).
+  static std::size_t ceiling(std::size_t cap) noexcept {
+    return cap - std::max<std::size_t>(cap / 4, 1);
+  }
+
+  // Reserves `n` elements in the load bound against capacity `cap`. Every
+  // reservation is an RMW on the one atomic bound_, so of two racing
+  // reservations the later one's RMW returns the earlier one's: inserts
+  // that run together fit under the ceiling together. A reservation that
+  // does not fit is undone.
+  bool reserve(std::size_t n, std::size_t cap) noexcept {
+    if (bound_.fetch_add(n, std::memory_order_seq_cst) + n <= ceiling(cap)) return true;
+    bound_.fetch_sub(n, std::memory_order_seq_cst);
+    return false;
+  }
+
+  // The one insert routine: reserve [values, values + n) in the load bound
+  // inside the enter()/leave() window, then run `insert` on the current
+  // table; a reservation that does not fit goes to resync() instead.
+  template <typename Insert>
+  void insert_reserved(const value_type* values, std::size_t n, const Insert& insert) {
+    enter();
+    // Writers resolve the table pointer inside the enter()/leave() window so
+    // a migration observes every committed insert (resync() drains the
+    // active count before counting or packing the old contents).
+    inner_table* t = cur();
+    if (!reserve(n, t->capacity())) {
+      leave();
+      resync(values, n);
+      return;
+    }
+    try {
+      insert(*t);
+    } catch (...) {
+      leave();
+      throw;
+    }
+    leave();
   }
 
   // Runs f with this thread's joins disabled when it is inside a parallel
@@ -229,14 +213,6 @@ class growable_table {
     } else {
       f();
     }
-  }
-
-  std::size_t probe_limit(std::size_t cap) const noexcept {
-    // Capped at half the capacity so small tables trigger growth instead of
-    // genuinely filling up.
-    std::size_t lg = 1;
-    for (std::size_t c = cap; c > 1; c >>= 1) ++lg;
-    return std::min(kProbeLimitFactor * lg, cap / 2);
   }
 
   // enter() and resync() form a store-buffering (Dekker) pair: each side
@@ -255,18 +231,15 @@ class growable_table {
   }
   void leave() noexcept { active_.fetch_sub(1, std::memory_order_release); }
 
-  // Reconciles the load bound with an exact count, growing as needed (header
-  // comment); `overfull` (the probe-length trigger) grows at least once. A
-  // batch chunk that did not fit is passed as [chunk, chunk + n) and
-  // inserted here before writers resume. Without one, the call returns if
-  // another thread resized or resynced since the caller saw `seen_cap`.
-  void resync(std::size_t seen_cap, bool overfull, const value_type* chunk = nullptr,
-              std::size_t n = 0) {
+  // Inserts [values, values + n), whose reservation did not fit (header
+  // comment). Under grow_lock_ no other resync() can swap the table, so a
+  // retried reservation that fits inserts without enter().
+  void resync(const value_type* values, std::size_t n) {
     std::lock_guard<std::mutex> lg(grow_lock_);
     inner_table* t = cur();
-    if (chunk == nullptr) {
-      if (t->capacity() != seen_cap) return;  // someone else grew it
-      if (!overfull && !over_ceiling(1, seen_cap)) return;  // or resynced
+    if (reserve(n, t->capacity())) {
+      run_serially_if_nested([&] { phch::insert_batch(*t, values, n); });
+      return;
     }
     resizing_.store(true, std::memory_order_seq_cst);
     // Drain in-flight inserts (seq_cst: see enter()).
@@ -275,14 +248,12 @@ class growable_table {
     run_serially_if_nested([&] {
       exact = t->count();
       const std::size_t cap = t->capacity();
-      std::size_t target = overfull ? cap * 2 : cap;
-      while (exact + n > target - target / 4 || exact > target / 2) target *= 2;
+      std::size_t target = cap;
+      while (exact + n > ceiling(target) || exact > target / 2) target *= 2;
       if (target != cap) t = migrate(t, target);
-      if (n != 0) phch::insert_batch(*t, chunk, n);
+      phch::insert_batch(*t, values, n);
     });
-    bound_.reset();
-    bound_.add(static_cast<std::int64_t>(exact + n));
-    reserved_.store(0, std::memory_order_relaxed);
+    bound_.store(exact + n, std::memory_order_relaxed);
     resizing_.store(false, std::memory_order_release);
   }
 
@@ -319,11 +290,9 @@ class growable_table {
   // made scalar inserts ~15% slower at 4 workers on a 4-core x86 VM.)
   alignas(64) std::atomic<std::size_t> active_{0};
   std::atomic<std::size_t> growths_{0};
-  // Upper bound on live elements (header comment): scalar inserts' striped
-  // part and batch chunks' reservations. Every insert reads both, so they
-  // get a cache line apart from active_'s RMWs.
-  alignas(64) striped_counter bound_;
-  std::atomic<std::int64_t> reserved_{0};
+  // Upper bound on live elements (header comment). It shares active_'s line:
+  // a line of its own measured the same at 4 workers.
+  std::atomic<std::size_t> bound_{0};
 };
 
 static_assert(batch_forwarding_table<growable_table<>>);

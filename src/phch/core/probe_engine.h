@@ -138,33 +138,13 @@ class probe_engine {
 
   // --- insert ---------------------------------------------------------------
 
-  // Outcome of insert_bounded, for the growable wrapper's resize trigger.
-  enum class insert_result {
-    ok,        // inserted within the probe limit
-    lengthy,   // inserted, but the probe sequence exceeded the limit: the
-               // table is overfull and should be grown (paper §4 Resizing)
-    aborted,   // probe limit hit before the first CAS: nothing was modified;
-               // grow and retry
-  };
-
   // INSERT (Figure 1, lines 1-10 for prioritized order; first-fit
   // otherwise). Safe to call concurrently with other inserts only. No return
   // value: commutativity is with respect to table state, and "was it new?"
   // is not well defined under concurrent merging.
   void insert(value_type v) PHCH_REQUIRES_PHASE(insert) {
     phase_runtime::scope guard(phase_, op_kind::insert);
-    insert_impl(v, capacity() + 1, home(Traits::key(v)));
-  }
-
-  // Insert that detects an overfull table for the growable wrapper via the
-  // probe-length trigger. An over-limit probe aborts cleanly if the
-  // operation has not yet modified the table; once committed (first
-  // successful CAS), a displacement chain cannot be abandoned, so the
-  // insert completes and merely reports `lengthy`.
-  insert_result insert_bounded(value_type v, std::size_t probe_limit)
-      PHCH_REQUIRES_PHASE(insert) {
-    phase_runtime::scope guard(phase_, op_kind::insert);
-    return insert_impl(v, probe_limit, home(Traits::key(v)));
+    insert_impl(v, home(Traits::key(v)));
   }
 
  private:
@@ -179,12 +159,11 @@ class probe_engine {
 
   // The Figure-1 insert loop from v's home slot i, run inside the caller's
   // insert scope (the op's own, or insert_block's).
-  insert_result insert_impl(value_type v, std::size_t probe_limit, std::size_t i) {
+  void insert_impl(value_type v, std::size_t i) {
     assert(!Traits::is_empty(v));
     obs::op_tally tally(obs::counter::insert_ops);
     const std::size_t cap = capacity();
     std::size_t advances = 0;
-    bool committed = false;
     for (;;) {
       const value_type c = atomic_load(&slots_[i]);
       ++tally.slots;
@@ -192,14 +171,14 @@ class probe_engine {
         // Duplicate key: merge values per the traits' combine function.
         if constexpr (!Traits::has_combine) {
           tally.set_outcome(obs::counter::insert_dups);
-          return finish(advances, probe_limit);  // key already present
+          return;  // key already present
         } else if constexpr (Order::ordered_probes) {
           // Whole-slot CAS merge; a failed CAS means another insert changed
           // the slot — re-examine it (it may no longer hold this key).
           const value_type merged = Traits::combine(c, v);
           if (bits_equal(merged, c) || cas_tallied(tally, &slots_[i], c, merged)) {
             tally.set_outcome(obs::counter::insert_dups);
-            return finish(advances, probe_limit);
+            return;
           }
           continue;
         } else {
@@ -207,7 +186,7 @@ class probe_engine {
           // an insert phase, so only the value word is merged (in place).
           combine_slot(tally, &slots_[i], c, v);
           tally.set_outcome(obs::counter::insert_dups);
-          return finish(advances, probe_limit);
+          return;
         }
       } else if (!insert_scan_stop(c, v)) {
         // The occupant keeps the slot; advance (below).
@@ -215,30 +194,21 @@ class probe_engine {
         if constexpr (Order::ordered_probes) {
           // The displaced (strictly lower priority) element, possibly ⊥, is
           // now this operation's responsibility.
-          committed = true;
           if (Traits::is_empty(c)) {
             tally.set_outcome(obs::counter::insert_commits);
-            return finish(advances, probe_limit);
+            return;
           }
           v = c;  // carry the displaced element onward (advance below)
         } else {
           tally.set_outcome(obs::counter::insert_commits);
-          return finish(advances, probe_limit);
+          return;
         }
       } else {
         continue;  // CAS failure: re-read the same slot and try again
       }
       i = next(i);
       if (++advances > cap) throw table_full_error();
-      if (!committed && advances > probe_limit) {
-        tally.set_outcome(obs::counter::insert_aborts);
-        return insert_result::aborted;
-      }
     }
-  }
-
-  static insert_result finish(std::size_t advances, std::size_t probe_limit) noexcept {
-    return advances > probe_limit ? insert_result::lengthy : insert_result::ok;
   }
 
  public:
@@ -439,7 +409,7 @@ class probe_engine {
     batch_detail::run_handoff_block(
         n, [&](std::size_t i) { return prefetch_home(Traits::key(values[i])); },
         [&](std::size_t i, std::uint64_t h) {
-          insert_impl(values[i], capacity() + 1, h & slots_.mask());
+          insert_impl(values[i], h & slots_.mask());
         });
   }
 

@@ -57,7 +57,7 @@ enum class counter : std::uint8_t {
   insert_ops,        // insert operations started (one per logical insert)
   insert_commits,    // inserts that claimed an empty slot (new element)
   insert_dups,       // inserts resolved against an existing key (merge/no-op)
-  insert_aborts,     // bounded inserts aborted by the probe limit (growable)
+  insert_aborts,     // cuckoo/hopscotch inserts that gave up on a full table
   erase_ops,         // erase operations started
   erase_hits,        // erases that actually removed a live element
   find_ops,          // finds started (scalar or pipelined)

@@ -1,5 +1,7 @@
-// Contention-free striped counter for hot-path counting (growable_table's
-// load bound).
+// Contention-free striped counter for hot-path counting. No table keeps
+// one any more; its users are phasebench's `counter` rung, which measures
+// what the occupancy counter the tables once kept cost per operation, and
+// bench_batch_mlp's counter-contention microbenchmark.
 //
 // A single shared std::atomic counter serializes every increment on one
 // cache line: under concurrent inserts the fetch_add ping-pongs the line

@@ -1,10 +1,12 @@
-// Resizing extension (§4 "Resizing"): growth triggers, migration
-// correctness, determinism of the final layout.
+// Resizing extension (§4 "Resizing"): the load bound that grows the table,
+// migration correctness, determinism of the final layout.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <set>
+#include <thread>
 
 #include "phch/core/growable_table.h"
 #include "phch/core/table_concepts.h"
@@ -15,6 +17,65 @@ namespace phch {
 namespace {
 
 using gtable = growable_table<int_entry<>>;
+
+// Sets the pool to `p` workers for one scope, and back on exit.
+class workers_scope {
+ public:
+  explicit workers_scope(int p) : original_(scheduler::get().num_workers()) {
+    scheduler::get().set_num_workers(p);
+  }
+  ~workers_scope() { scheduler::get().set_num_workers(original_); }
+  workers_scope(const workers_scope&) = delete;
+  workers_scope& operator=(const workers_scope&) = delete;
+
+ private:
+  int original_;
+};
+
+// Runs body(lane) on one parallel lane per worker, started together: a fill
+// of a few keys is over long before an idle worker wakes up. Each lane
+// waits at a start line until all have arrived (spinning, then yielding to
+// lanes that share its core) or `wait` has passed.
+template <typename Body>
+void race_lanes(std::chrono::microseconds wait, const Body& body) {
+  const std::size_t lanes = static_cast<std::size_t>(scheduler::get().num_workers());
+  const auto start = std::chrono::steady_clock::now();
+  std::atomic<std::size_t> arrived{0};
+  parallel_for(0, lanes, [&](std::size_t lane) {
+    arrived.fetch_add(1);
+    while (arrived.load() < lanes) {
+      const auto waited = std::chrono::steady_clock::now() - start;
+      if (waited > wait) break;
+      if (waited > wait / 4) std::this_thread::yield();
+      cpu_relax();
+    }
+    body(lane);
+  }, 1);
+}
+
+// One insert phase of `keys` into t, each lane inserting its share one key
+// at a time (scalar) or in batches of up to four (insert_batch).
+void racing_fill(gtable& t, const std::vector<std::uint64_t>& keys, bool batch) {
+  const std::size_t lanes = static_cast<std::size_t>(scheduler::get().num_workers());
+  const std::size_t n = keys.size();
+  race_lanes(std::chrono::milliseconds(1), [&](std::size_t lane) {
+    const std::size_t hi = (lane + 1) * n / lanes;
+    for (std::size_t i = lane * n / lanes; i < hi; i += batch ? 4 : 1) {
+      if (batch) {
+        t.insert_batch(keys.data() + i, std::min<std::size_t>(4, hi - i));
+      } else {
+        t.insert(keys[i]);
+      }
+    }
+  });
+}
+
+// The smallest doubling of capacity `c` whose load ceiling holds n
+// elements: 3/4 of the capacity, but never every slot.
+std::size_t ceiling_capacity(std::size_t c, std::size_t n) {
+  while (c - std::max<std::size_t>(c / 4, 1) < n) c *= 2;
+  return c;
+}
 
 TEST(GrowableTable, GrowsFromTinyCapacity) {
   gtable t(16);
@@ -173,6 +234,68 @@ TEST(GrowableTable, BatchInsertsInsideAParallelRegionComplete) {
         t.insert_batch(keys.data() + b * sh.per_batch, sh.per_batch);
       }, 1);
       ASSERT_EQ(t.count(), keys.size()) << "initial " << sh.initial << " rep " << rep;
+    }
+  }
+}
+
+TEST(GrowableTable, SmallInitialCapacityNeverFills) {
+  // Racing inserts into a tiny table must grow it before it fills: a full
+  // table throws table_full_error on insert, and a find for an absent key
+  // would probe forever. At capacity 2, 3/4 of the slots is every slot.
+  for (const int p : {4, 7}) {
+    const workers_scope workers(p);
+    for (const std::size_t initial : {1, 2, 4, 8}) {
+      // Keep every worker busy for a while first, so that the kernel spreads
+      // them over the cores and the fills' lanes really run at once.
+      race_lanes(std::chrono::milliseconds(10), [](std::size_t) {
+        const auto until = std::chrono::steady_clock::now() + std::chrono::milliseconds(10);
+        while (std::chrono::steady_clock::now() < until) cpu_relax();
+      });
+      for (int rep = 0; rep < 300; ++rep) {
+        const std::size_t n = 3 + static_cast<std::size_t>(rep) % 58;
+        const auto keys = test::unique_keys(n, 400 + rep);
+        for (const bool batch : {false, true}) {
+          SCOPED_TRACE(::testing::Message() << "workers " << p << " initial " << initial
+                                            << " n " << n << " batch " << batch);
+          gtable t(initial);
+          ASSERT_NO_THROW(racing_fill(t, keys, batch));
+          ASSERT_EQ(t.count(), n);
+          ASSERT_FALSE(t.contains(8 * n + 17));  // above every key unique_keys draws
+        }
+      }
+    }
+  }
+}
+
+TEST(GrowableTable, UniqueKeyCapacityIndependentOfWorkers) {
+  // With distinct keys the load bound is an exact count, so the table grows
+  // exactly when the ceiling is crossed: the final capacity is the smallest
+  // doubling whose ceiling holds n, whatever the worker count and path. The
+  // pairs sit on both sides of a ceiling; 12289 crosses it in the last
+  // chunk of a batch.
+  struct shape {
+    std::size_t initial, n;
+  };
+  const shape shapes[] = {{1, 1},    {1, 2},     {2, 1},     {2, 2},     {4, 3},
+                          {4, 4},    {16, 12},   {16, 13},   {64, 48},   {64, 49},
+                          {1024, 768}, {1024, 769}, {64, 12288}, {64, 12289}};
+  for (const int p : {1, 2, 4, 7}) {
+    const workers_scope workers(p);
+    for (const shape sh : shapes) {
+      const auto keys = test::unique_keys(sh.n, 500 + sh.n);
+      for (const bool batch : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "workers " << p << " initial " << sh.initial
+                                          << " n " << sh.n << " batch " << batch);
+        gtable t(sh.initial);
+        const std::size_t initial_capacity = t.capacity();  // at least 2
+        if (batch) {
+          t.insert_batch(keys.data(), keys.size());
+        } else {
+          test::parallel_insert(t, keys);
+        }
+        ASSERT_EQ(t.count(), sh.n);
+        EXPECT_EQ(t.capacity(), ceiling_capacity(initial_capacity, sh.n));
+      }
     }
   }
 }

@@ -527,7 +527,7 @@ def emit_contract(accesses: list, existing_rows: list) -> str:
 
 # Public operations every phase-concurrent table must annotate and scope.
 REQUIRED_OPS = (
-    "insert", "insert_bounded", "erase",
+    "insert", "erase",
     "find", "contains", "elements", "for_each",
     "insert_batch", "find_batch", "erase_batch",
     "insert_block", "find_block", "erase_block",
