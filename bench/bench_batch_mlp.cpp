@@ -227,9 +227,10 @@ int main(int argc, char** argv) {
 
   // --- sparse family: scalar vs batched block engines ----------------------
   //
-  // The cuckoo / hopscotch / chained block members run the shared ring with
-  // their own lanes (both candidate buckets, home neighborhood, or the chain
-  // pointer walk prefetched per in-flight lane). Measure each table's block
+  // The cuckoo / hopscotch / chained block members run the shared ring:
+  // handoff lanes that prefetch both candidate buckets or the home
+  // neighborhood or bucket head, and chained find's chain-walk lanes.
+  // Measure each table's block
   // members against its scalar per-op loop on one thread at load 0.5 —
   // uniform present keys for find, and a slab of present keys erased then
   // re-inserted so every rep measures the same key set. (Erase-then-insert,

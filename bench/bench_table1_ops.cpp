@@ -1,6 +1,6 @@
-// Table 1 (and the data behind Figure 3): Insert / Find-Random /
-// Find-Inserted / Delete-Random / Delete-Inserted / Elements for all nine
-// hash table implementations across the six PBBS input distributions.
+// Table 1 and Figure 3: Insert / Find-Random / Find-Inserted /
+// Delete-Random / Delete-Inserted / Elements for all nine hash table
+// implementations across the six PBBS input distributions.
 //
 // Output: one matrix per distribution, seconds per full pass of n
 // operations. The paper ran n = 1e8 on 40 cores; defaults here are scaled
@@ -8,6 +8,13 @@
 //   - linearHash-D within ~10% of linearHash-ND on all ops;
 //   - both linear tables beat cuckoo, chained and hopscotch on updates;
 //   - chainedHash (non-CR) collapses on duplicate-heavy inputs.
+//
+// The paper draws Figure 3's two panels from Table 1's 40h columns for
+// randomSeq-int (a) and trigramSeq-pairInt (b). After those two matrices
+// the panel is printed from the same run: every concurrent table's ratio
+// to linearHash-D, measured | paper. Absolute times differ (different
+// machine and scale); the ratios are what the figure communicates.
+#include <iterator>
 #include <optional>
 
 #include "bench_common.h"
@@ -30,6 +37,38 @@ struct six_ops {
   double insert = 0, find_rand = 0, find_ins = 0, del_rand = 0, del_ins = 0,
          elements = 0;
 };
+
+// The seven concurrent tables, in the paper's row order.
+constexpr const char* kConcurrentImpls[] = {
+    "linearHash-D",   "linearHash-ND", "cuckooHash",      "chainedHash",
+    "chainedHash-CR", "hopscotchHash", "hopscotchHash-PC"};
+constexpr std::size_t kNumConcurrent = std::size(kConcurrentImpls);
+
+// One Figure 3 panel: the paper's Table 1 (40h) insert and delete-random
+// seconds for the seven concurrent tables, in kConcurrentImpls order.
+struct fig3_paper {
+  double insert, del_rand;
+};
+struct fig3_panel {
+  const char* title;
+  fig3_paper paper[kNumConcurrent];
+};
+constexpr fig3_panel kFig3a = {"(a): randomSeq-int",
+                               {{0.171, 0.211},
+                                {0.170, 0.213},
+                                {0.364, 0.210},
+                                {0.774, 0.630},
+                                {0.708, 0.571},
+                                {0.349, 0.302},
+                                {0.345, 0.301}}};
+constexpr fig3_panel kFig3b = {"(b): trigramSeq-pairInt",
+                               {{0.204, 0.109},
+                                {0.174, 0.109},
+                                {0.242, 0.166},
+                                {18.4, 2.70},
+                                {0.438, 0.137},
+                                {2.36, 1.29},
+                                {2.45, 1.34}}};
 
 template <typename Table, bool Concurrent, typename V, typename KeyOf>
 six_ops run_one(const std::vector<V>& ins, const std::vector<V>& rnd, std::size_t cap,
@@ -88,9 +127,26 @@ void print_ops_row(const char* impl, const six_ops& r) {
               r.find_rand, r.find_ins, r.del_rand, r.del_ins, r.elements);
 }
 
+void print_fig3(const fig3_panel& panel, const six_ops (&measured)[kNumConcurrent]) {
+  std::printf("\n--- Figure 3%s ---\n", panel.title);
+  std::printf("  %-18s %8s %8s %8s %8s   (ratio to linearHash-D: measured | paper)\n",
+              "impl", "insert", "findR", "delR", "elems");
+  const six_ops& base = measured[0];
+  const fig3_paper& pbase = panel.paper[0];
+  for (std::size_t i = 0; i < kNumConcurrent; ++i) {
+    const six_ops& m = measured[i];
+    const fig3_paper& p = panel.paper[i];
+    std::printf("  %-18s %8.3f %8.3f %8.3f %8.3f   ins %4.2f|%4.2f  del %4.2f|%4.2f\n",
+                kConcurrentImpls[i], m.insert, m.find_rand, m.del_rand, m.elements,
+                m.insert / base.insert, p.insert / pbase.insert,
+                m.del_rand / base.del_rand, p.del_rand / pbase.del_rand);
+  }
+}
+
 template <typename Traits, typename V, typename KeyOf>
 void bench_distribution(const char* name, const std::vector<V>& ins,
-                        const std::vector<V>& rnd, KeyOf key_of) {
+                        const std::vector<V>& rnd, KeyOf key_of,
+                        const fig3_panel* fig3 = nullptr) {
   const std::size_t cap = round_up_pow2(2 * ins.size() + 16);
   print_header(name, ins.size());
   std::printf("  %-18s %8s %8s %8s %8s %8s %8s\n", "impl", "insert", "findR", "findI",
@@ -99,20 +155,18 @@ void bench_distribution(const char* name, const std::vector<V>& ins,
                                      ins, rnd, cap, key_of)));
   print_ops_row("serialHash-HD", (run_one<serial_table_hd<Traits>, false>(
                                      ins, rnd, cap, key_of)));
-  print_ops_row("linearHash-D", (run_one<deterministic_table<Traits>, true>(
-                                    ins, rnd, cap, key_of)));
-  print_ops_row("linearHash-ND", (run_one<nd_linear_table<Traits>, true>(
-                                     ins, rnd, cap, key_of)));
-  print_ops_row("cuckooHash", (run_one<cuckoo_table<Traits>, true>(
-                                  ins, rnd, cap, key_of)));
-  print_ops_row("chainedHash", (run_one<chained_table<Traits, false>, true>(
-                                   ins, rnd, cap, key_of)));
-  print_ops_row("chainedHash-CR", (run_one<chained_table<Traits, true>, true>(
-                                      ins, rnd, cap, key_of)));
-  print_ops_row("hopscotchHash", (run_one<hopscotch_table<Traits, true>, true>(
-                                     ins, rnd, cap, key_of)));
-  print_ops_row("hopscotchHash-PC", (run_one<hopscotch_table<Traits, false>, true>(
-                                        ins, rnd, cap, key_of)));
+  const six_ops measured[kNumConcurrent] = {
+      run_one<deterministic_table<Traits>, true>(ins, rnd, cap, key_of),
+      run_one<nd_linear_table<Traits>, true>(ins, rnd, cap, key_of),
+      run_one<cuckoo_table<Traits>, true>(ins, rnd, cap, key_of),
+      run_one<chained_table<Traits, false>, true>(ins, rnd, cap, key_of),
+      run_one<chained_table<Traits, true>, true>(ins, rnd, cap, key_of),
+      run_one<hopscotch_table<Traits, true>, true>(ins, rnd, cap, key_of),
+      run_one<hopscotch_table<Traits, false>, true>(ins, rnd, cap, key_of)};
+  for (std::size_t i = 0; i < kNumConcurrent; ++i) {
+    print_ops_row(kConcurrentImpls[i], measured[i]);
+  }
+  if (fig3) print_fig3(*fig3, measured);
 }
 
 }  // namespace
@@ -126,7 +180,7 @@ int main() {
     const auto ins = workloads::random_int_seq(n, 1);
     const auto rnd = workloads::random_int_seq(n, 2);
     bench_distribution<int_entry<>>("randomSeq-int", ins, rnd,
-                                    [](std::uint64_t v) { return v; });
+                                    [](std::uint64_t v) { return v; }, &kFig3a);
   }
   {
     const auto ins = workloads::random_pair_seq(n, 1);
@@ -145,7 +199,7 @@ int main() {
     const auto rnd = workloads::trigram_pair_seq(n, 2);
     bench_distribution<string_pair_entry>(
         "trigramSeq-pairInt", ins.entries, rnd.entries,
-        [](const string_kv* v) { return v->key; });
+        [](const string_kv* v) { return v->key; }, &kFig3b);
   }
   {
     const auto ins = workloads::expt_int_seq(n, 1);

@@ -4,7 +4,7 @@
 //
 // Builds a graph, runs the serial, array-based, and hash-table-based BFS
 // and spanning forest implementations, reports times, and checks that the
-// deterministic variants agree exactly.
+// deterministic variants agree exactly (exit 1 if they do not).
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -54,8 +54,9 @@ int main(int argc, char** argv) {
   t.reset();
   const auto hashed =
       apps::hash_bfs<deterministic_table<int_entry<std::uint32_t>>>(g, 0);
+  const bool bfs_same = arr == hashed;
   std::printf("  BFS linearHash-D     %.3fs   (parents identical to array: %s)\n",
-              t.elapsed(), arr == hashed ? "yes" : "NO");
+              t.elapsed(), bfs_same ? "yes" : "NO");
   std::size_t reached = 0;
   for (const auto p : hashed) reached += p != apps::kNotReached;
   std::printf("  reached %zu vertices from the root\n", reached);
@@ -70,7 +71,8 @@ int main(int argc, char** argv) {
   t.reset();
   const auto fh = apps::hash_spanning_forest<
       deterministic_table<packed_pair_entry<combine_min>>>(g.num_vertices(), edges);
+  const bool sf_same = fa == fh;
   std::printf("  SF  linearHash-D     %.3fs   (forest identical to array: %s)\n",
-              t.elapsed(), fa == fh ? "yes" : "NO");
-  return 0;
+              t.elapsed(), sf_same ? "yes" : "NO");
+  return bfs_same && sf_same ? 0 : 1;
 }

@@ -2,6 +2,8 @@
 // (refinable) triangles have min angle >= alpha, report per-phase stats.
 //
 //   ./mesh_refine [n] [alpha_degrees] [cube|kuzmin]
+//
+// Exits 1 if the initial or the refined mesh is not a valid triangulation.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -42,6 +44,7 @@ int main(int argc, char** argv) {
   std::printf("  hash-table portion   : %.3fs (ELEMENTS + inserts; the part\n"
               "                         Table 4 of the paper measures)\n",
               stats.hash_seconds);
-  std::printf("  final mesh valid     : %s\n", m.check_valid() ? "yes" : "NO");
-  return 0;
+  const bool valid = m.check_valid();
+  std::printf("  final mesh valid     : %s\n", valid ? "yes" : "NO");
+  return valid ? 0 : 1;
 }

@@ -4,7 +4,8 @@
 //
 // Demonstrates the core API — phase-separated concurrent inserts, finds,
 // elements() and deletes — and the headline guarantee: the packed contents
-// are identical no matter how the inserts were interleaved.
+// are identical no matter how the inserts were interleaved. Exits 1 if they
+// are not.
 #include <cstdio>
 #include <cstdlib>
 
@@ -48,8 +49,9 @@ int main(int argc, char** argv) {
   phch::parallel_for(0, n, [&](std::size_t i) {
     reversed.insert(1 + phch::hash64(n - 1 - i) % n);
   });
+  const bool identical = contents == reversed.elements();
   std::printf("reverse-order insert gives identical elements(): %s\n",
-              contents == reversed.elements() ? "yes" : "NO (bug!)");
+              identical ? "yes" : "NO (bug!)");
 
   // --- delete phase --------------------------------------------------------
   t.reset();
@@ -58,5 +60,5 @@ int main(int argc, char** argv) {
   });
   std::printf("deleted half the keys in %.3fs; %zu remain\n", t.elapsed(),
               table.count());
-  return 0;
+  return identical ? 0 : 1;
 }

@@ -19,12 +19,18 @@
 // counts; a kernel supplies only a lane type, start(lane, i) (hash op i,
 // prefetch its first line) and step(lane) -> done (inspect the prefetched
 // line, then finish the operation or prefetch the next line). Only the
-// finds of the linear, cuckoo and chained tables are multi-step kernels:
+// finds of the linear and chained tables are multi-step kernels:
 //
 //   probe_engine (linearHash-D/ND) find        the probe scan pipelined
 //                 line by line
-//   cuckoo / chained find                      both candidate buckets
-//                 resolved inline, or one chain link per rotation
+//   chained find                               one chain link per rotation
+//
+// They stay on the ring because it measures a win there: run as handoffs
+// (prefetch the first line, then the scalar loop), the linear find was
+// slower at loads 0.75 and 0.9 and the chained find slower at load 0.5,
+// because a handoff overlaps only the first line of a long probe or chain;
+// a handoff that prefetched two lines ahead was still slower at every load
+// (EXPERIMENTS.md, ablation 6, has the numbers).
 //
 // run_handoff_block is the ring's one-step form and serves every other
 // block member: a lane is an op index and its key's hash. Start runs the
@@ -44,9 +50,7 @@
 // parallel drivers: blocked_for over kBatchBlock-op blocks, one block
 // member call per block. growable_table is the one table with its own
 // whole-batch members (its insert batch interleaves growth), and is
-// forwarded to. Every phase-concurrent table is one or the other; the
-// scalar per-op loops (*_batch_scalar) remain as the reference the block
-// members are tested against.
+// forwarded to. Every phase-concurrent table is one or the other.
 //
 // A batch is one phase (Definition 1): all its blocks share one class.
 // Each block's scope announces that class to the table's phase_runtime, so
@@ -144,34 +148,6 @@ void run_handoff_block(std::size_t n, const Prefetch& prefetch, const Op& op) {
 }
 
 }  // namespace batch_detail
-
-// ---------------------------------------------------------------------------
-// Scalar reference batches: plain per-op loops, no prefetching. The
-// semantic baseline the block members must match bit-for-bit.
-// ---------------------------------------------------------------------------
-
-template <typename Table, typename V>
-void insert_batch_scalar(Table& t, const V* values, std::size_t n) {
-  parallel_for(0, n, [&](std::size_t i) { t.insert(values[i]); });
-}
-
-template <typename Table, typename V>
-void insert_batch_scalar(Table& t, const std::vector<V>& values) {
-  insert_batch_scalar(t, values.data(), values.size());
-}
-
-template <typename Table, typename K>
-std::vector<typename Table::value_type> find_batch_scalar(
-    const Table& t, const std::vector<K>& keys) {
-  std::vector<typename Table::value_type> out(keys.size());
-  parallel_for(0, keys.size(), [&](std::size_t i) { out[i] = t.find(keys[i]); });
-  return out;
-}
-
-template <typename Table, typename K>
-void erase_batch_scalar(Table& t, const std::vector<K>& keys) {
-  parallel_for(0, keys.size(), [&](std::size_t i) { t.erase(keys[i]); });
-}
 
 // ---------------------------------------------------------------------------
 // Public batch API. A forwarding table (growable_table) runs its own batch

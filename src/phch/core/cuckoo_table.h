@@ -14,13 +14,12 @@
 //
 // The table models phase_table / deletable_table / block_table. Cuckoo
 // probes touch exactly two unrelated cache lines per operation, so each
-// block member's lanes (core/batch_ops.h's ring) prefetch *both* candidate
-// buckets (and their lock lines, for mutating ops) one rotation before
-// resolving each operation on warm lines. find_block resolves inline;
-// insert_block and erase_block run through run_handoff_block, whose step is
-// the scalar op from the hash the lane's start computed — the first
-// eviction and any chain after it run exactly the scalar code. The table
-// keeps no element count; count() is an O(capacity) scan.
+// block member's lanes (core/batch_ops.h's run_handoff_block) prefetch
+// *both* candidate buckets (and their lock lines, for mutating ops) one
+// rotation before resolving each operation on warm lines. The step is the
+// scalar op from the hash the lane's start computed — for an insert, the
+// first eviction and any chain after it run exactly the scalar code. The
+// table keeps no element count; count() is an O(capacity) scan.
 #pragma once
 
 #include <cassert>
@@ -68,7 +67,7 @@ class cuckoo_table {
 
   value_type find(key_type kq) const PHCH_REQUIRES_PHASE(query) {
     phase_runtime::scope guard(phase_, op_kind::query);
-    return find_impl(kq);
+    return find_impl(kq, Traits::hash(kq));
   }
 
   bool contains(key_type kq) const PHCH_REQUIRES_PHASE(query) {
@@ -82,51 +81,21 @@ class cuckoo_table {
 
   // --- pipelined block members (core/batch_ops.h) ---------------------------
   // Serial within a block; the free batch functions supply the cross-block
-  // parallelism. Each lane's start prefetches both candidate buckets (and
-  // their lock lines, for mutating ops), so by the time the ring rotates
-  // back the step runs on warm lines: a lookup inspects at most two
-  // resident slots, reusing the homes its start computed; a mutating op runs
-  // through run_handoff_block, whose scalar loop takes its first
-  // lock/probe/CAS from the start's hash on the lines just fetched
-  // (evictions past that point run the plain scalar chain).
+  // parallelism. All three run through run_handoff_block: a lane's start
+  // hashes the key once and prefetches both candidate buckets (and their
+  // lock lines, for mutating ops), so by the time the ring rotates back the
+  // scalar op runs from that hash on warm lines: a lookup inspects at most
+  // two resident slots; a mutating op takes its first lock/probe/CAS on the
+  // lines just fetched (evictions past that point run the plain scalar
+  // chain).
 
   template <typename K>
   void find_block(const K* keys, std::size_t n, value_type* out) const
       PHCH_REQUIRES_PHASE(query) {
     phase_runtime::scope guard(phase_, op_kind::query);
-    struct lane {
-      std::size_t idx;
-      std::size_t i1, i2;
-      key_type kq;
-    };
-    obs::tally t_slots(obs::counter::batch_probe_slots);
-    obs::tally t_hits(obs::counter::find_hits);
-    batch_detail::run_batch_ring<lane>(
-        n,
-        [&](lane& o, std::size_t i) {
-          const key_type kq = keys[i];
-          const std::uint64_t h = Traits::hash(kq);
-          o = lane{i, home1(h), home2(h), kq};
-          detail::prefetch_ro(&slots_[o.i1]);
-          detail::prefetch_ro(&slots_[o.i2]);
-        },
-        [&](lane& o) {
-          value_type result = Traits::empty();
-          std::uint64_t scanned = 0;  // a local: see probe_engine's block members
-          for (const std::size_t s : {o.i1, o.i2}) {
-            const value_type c = atomic_load(&slots_[s]);
-            ++scanned;
-            if (!Traits::is_empty(c) && Traits::key_equal(Traits::key(c), o.kq)) {
-              result = c;
-              break;
-            }
-          }
-          t_slots.add(scanned);
-          if (!Traits::is_empty(result)) t_hits.add();
-          out[o.idx] = result;
-          return true;
-        });
-    obs::count(obs::counter::find_ops, n);
+    batch_detail::run_handoff_block(
+        n, [&](std::size_t i) { return prefetch_candidates_ro(keys[i]); },
+        [&](std::size_t i, std::uint64_t h) { out[i] = find_impl(keys[i], h); });
   }
 
   template <typename V>
@@ -170,6 +139,15 @@ class cuckoo_table {
     detail::prefetch_rw(&slots_[i2]);
     detail::prefetch_rw(&locks_[i1]);
     detail::prefetch_rw(&locks_[i2]);
+    return h;
+  }
+
+  // A find lane's first touches: hash k once and prefetch both candidate
+  // slots read-only (a lookup takes no lock).
+  [[gnu::always_inline]] std::uint64_t prefetch_candidates_ro(key_type k) const {
+    const std::uint64_t h = Traits::hash(k);
+    detail::prefetch_ro(&slots_[home1(h)]);
+    detail::prefetch_ro(&slots_[home2(h)]);
     return h;
   }
 
@@ -265,10 +243,11 @@ class cuckoo_table {
     if (hit) obs::count(obs::counter::erase_hits);
   }
 
-  value_type find_impl(key_type kq) const {
+  // Scalar lookup of kq, whose key hashes to h, shared by find() and
+  // find_block's handoff.
+  value_type find_impl(key_type kq, std::uint64_t h) const {
     obs::count(obs::counter::find_ops);
     obs::tally slots(obs::counter::probe_slots);
-    const std::uint64_t h = Traits::hash(kq);
     for (const std::size_t s : {home1(h), home2(h)}) {
       const value_type c = atomic_load(&slots_[s]);
       slots.add();

@@ -53,16 +53,10 @@
 
 #define PHCH_CAPABILITY(name) PHCH_TSA(capability(name))
 #define PHCH_SCOPED_CAPABILITY PHCH_TSA(scoped_lockable)
-#define PHCH_GUARDED_BY(x) PHCH_TSA(guarded_by(x))
-#define PHCH_PT_GUARDED_BY(x) PHCH_TSA(pt_guarded_by(x))
-#define PHCH_REQUIRES(...) PHCH_TSA(requires_capability(__VA_ARGS__))
-#define PHCH_REQUIRES_SHARED(...) PHCH_TSA(requires_shared_capability(__VA_ARGS__))
 #define PHCH_ACQUIRE(...) PHCH_TSA(acquire_capability(__VA_ARGS__))
 #define PHCH_RELEASE(...) PHCH_TSA(release_capability(__VA_ARGS__))
 #define PHCH_TRY_ACQUIRE(...) PHCH_TSA(try_acquire_capability(__VA_ARGS__))
 #define PHCH_EXCLUDES(...) PHCH_TSA(locks_excluded(__VA_ARGS__))
-#define PHCH_ASSERT_CAPABILITY(x) PHCH_TSA(assert_capability(x))
-#define PHCH_RETURN_CAPABILITY(x) PHCH_TSA(lock_returned(x))
 #define PHCH_NO_TSA PHCH_TSA(no_thread_safety_analysis)
 
 namespace phch {

@@ -110,4 +110,15 @@ void parallel_erase(Table& t, const Seq& keys) {
   phch::parallel_for(0, keys.size(), [&](std::size_t i) { t.erase(keys[i]); });
 }
 
+// The scalar reference for find_block: a plain per-op lookup loop, no
+// prefetching (parallel_insert / parallel_erase are the insert and erase
+// references).
+template <typename Table, typename K>
+std::vector<typename Table::value_type> find_batch_scalar(
+    const Table& t, const std::vector<K>& keys) {
+  std::vector<typename Table::value_type> out(keys.size());
+  phch::parallel_for(0, keys.size(), [&](std::size_t i) { out[i] = t.find(keys[i]); });
+  return out;
+}
+
 }  // namespace phch::test

@@ -113,13 +113,13 @@ void check_pipelined_vs_scalar(const Seq& input, const Keys& queries,
   deterministic_table<Traits> piped(capacity);
   deterministic_table<Traits> scalar(capacity);
   insert_batch(piped, input);
-  insert_batch_scalar(scalar, input);
+  test::parallel_insert(scalar, input);
   expect_same_layout(piped, scalar);
   EXPECT_TRUE((test::ordering_invariant_holds<Traits>(piped.raw_slots(),
                                                       piped.capacity())));
 
   const auto via_pipe = find_batch(piped, queries);
-  const auto via_scalar = find_batch_scalar(scalar, queries);
+  const auto via_scalar = test::find_batch_scalar(scalar, queries);
   ASSERT_EQ(via_pipe.size(), via_scalar.size());
   for (std::size_t i = 0; i < via_pipe.size(); ++i) {
     ASSERT_TRUE(bits_equal(via_pipe[i], via_scalar[i])) << "query " << i;
@@ -129,7 +129,7 @@ void check_pipelined_vs_scalar(const Seq& input, const Keys& queries,
   Keys dels;
   for (std::size_t i = 0; i < queries.size(); i += 2) dels.push_back(queries[i]);
   erase_batch(piped, dels);
-  erase_batch_scalar(scalar, dels);
+  test::parallel_erase(scalar, dels);
   expect_same_layout(piped, scalar);
 }
 
@@ -170,7 +170,7 @@ TEST(BatchOpsDistributions, TrigramString) {
   deterministic_table<string_entry> piped(1 << 15);
   deterministic_table<string_entry> scalar(1 << 15);
   insert_batch(piped, words.keys);
-  insert_batch_scalar(scalar, words.keys);
+  test::parallel_insert(scalar, words.keys);
   EXPECT_TRUE((test::ordering_invariant_holds<string_entry>(piped.raw_slots(),
                                                             piped.capacity())));
   const auto ep = piped.elements();
@@ -181,12 +181,12 @@ TEST(BatchOpsDistributions, TrigramString) {
   }
   std::vector<const char*> qs(words.keys.begin(), words.keys.begin() + 2000);
   const auto fp = find_batch(piped, qs);
-  const auto fs = find_batch_scalar(scalar, qs);
+  const auto fs = test::find_batch_scalar(scalar, qs);
   for (std::size_t i = 0; i < qs.size(); ++i) {
     ASSERT_EQ(std::strcmp(fp[i], fs[i]), 0) << i;
   }
   erase_batch(piped, qs);
-  erase_batch_scalar(scalar, qs);
+  test::parallel_erase(scalar, qs);
   EXPECT_EQ(piped.count(), scalar.count());
 }
 
@@ -199,7 +199,7 @@ TEST(BatchOpsDistributions, TrigramPairInt) {
   deterministic_table<string_pair_entry> piped(1 << 15);
   deterministic_table<string_pair_entry> scalar(1 << 15);
   insert_batch(piped, words.entries);
-  insert_batch_scalar(scalar, words.entries);
+  test::parallel_insert(scalar, words.entries);
   const auto ep = piped.elements();
   const auto es = scalar.elements();
   ASSERT_EQ(ep.size(), es.size());
@@ -210,7 +210,7 @@ TEST(BatchOpsDistributions, TrigramPairInt) {
   std::vector<const char*> qs;
   for (std::size_t i = 0; i < 2000; ++i) qs.push_back(words.entries[i]->key);
   const auto fp = find_batch(piped, qs);
-  const auto fs = find_batch_scalar(scalar, qs);
+  const auto fs = test::find_batch_scalar(scalar, qs);
   for (std::size_t i = 0; i < qs.size(); ++i) {
     ASSERT_EQ(fp[i]->value, fs[i]->value) << i;
   }
@@ -227,7 +227,7 @@ TEST(BatchOps, InsertBatchCombining16ByteCasMatchesScalarLayout) {
   deterministic_table<pair_entry<combine_add>> piped(1 << 13);
   deterministic_table<pair_entry<combine_add>> scalar(1 << 13);
   insert_batch(piped, batch);
-  insert_batch_scalar(scalar, batch);
+  test::parallel_insert(scalar, batch);
   expect_same_layout(piped, scalar);
 }
 
@@ -241,7 +241,7 @@ TEST(BatchOps, EraseBatchInterleavedWithInsertBatchAcrossPhases) {
     // Insert phase: a fresh slab plus re-inserts of surviving older keys.
     auto ins = test::dup_keys(6000, 4000, 100 + round);
     insert_batch(piped, ins);
-    insert_batch_scalar(scalar, ins);
+    test::parallel_insert(scalar, ins);
     reference.insert(ins.begin(), ins.end());
     // Delete phase: every third key currently present.
     std::vector<std::uint64_t> dels;
@@ -250,7 +250,7 @@ TEST(BatchOps, EraseBatchInterleavedWithInsertBatchAcrossPhases) {
       if (i++ % 3 == 0) dels.push_back(k);
     }
     erase_batch(piped, dels);
-    erase_batch_scalar(scalar, dels);
+    test::parallel_erase(scalar, dels);
     for (const auto k : dels) reference.erase(k);
     // Phase boundary: layouts identical, contents equal to the reference.
     expect_same_layout(piped, scalar);
@@ -331,11 +331,11 @@ TYPED_TEST(BlockTables, EveryBlockLengthMatchesScalar) {
                                     keys.begin() + std::min<std::size_t>(n, 5000));
     dels.push_back(absent);  // an absent erase must be a no-op
     Table reference(1 << 14);
-    insert_batch_scalar(reference, keys);
-    const auto ref_finds = find_batch_scalar(reference, queries);
+    test::parallel_insert(reference, keys);
+    const auto ref_finds = test::find_batch_scalar(reference, queries);
     Table erased_ref(1 << 14);
-    insert_batch_scalar(erased_ref, keys);
-    erase_batch_scalar(erased_ref, dels);
+    test::parallel_insert(erased_ref, keys);
+    test::parallel_erase(erased_ref, dels);
 
     Table t(1 << 14);
     t.insert_block(keys.data(), keys.size());
@@ -492,6 +492,36 @@ void expect_one_hash_per_block_op() {
 TEST(BatchOps, LinearBlockOpsHashEachKeyOnce) {
   expect_one_hash_per_block_op<deterministic_table<test::counting_entry>>();
   expect_one_hash_per_block_op<nd_linear_table<test::counting_entry>>();
+}
+
+// A sparse table's handoff block hashes each key once as well: the lane's
+// prefetch hashes it, and the scalar op runs from that hash. Cuckoo's
+// insert_block is not counted, because its evictions hash their victims.
+template <typename Table>
+void expect_one_hash_per_sparse_block_op(bool count_inserts) {
+  using test::counting_entry;
+  const auto keys = test::unique_keys(3000, 43);
+  Table t(1 << 13);
+  counting_entry::hashes = 0;
+  t.insert_block(keys.data(), keys.size());
+  if (count_inserts) {
+    EXPECT_EQ(counting_entry::hashes.load(), keys.size());
+  }
+  std::vector<std::uint64_t> out(keys.size());
+  counting_entry::hashes = 0;
+  t.find_block(keys.data(), keys.size(), out.data());
+  EXPECT_EQ(counting_entry::hashes.load(), keys.size());
+  EXPECT_EQ(out, keys);
+  counting_entry::hashes = 0;
+  t.erase_block(keys.data(), keys.size());
+  EXPECT_EQ(counting_entry::hashes.load(), keys.size());
+  EXPECT_EQ(t.count(), 0u);
+}
+
+TEST(BatchOps, SparseBlockOpsHashEachKeyOnce) {
+  expect_one_hash_per_sparse_block_op<cuckoo_table<test::counting_entry>>(false);
+  expect_one_hash_per_sparse_block_op<hopscotch_table<test::counting_entry>>(true);
+  expect_one_hash_per_sparse_block_op<chained_table<test::counting_entry>>(true);
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include "phch/parallel/parallel_for.h"
 #include "phch/parallel/scheduler.h"
 #include "phch/workloads/sequences.h"
+#include "table_test_util.h"
 
 namespace phch {
 namespace {
@@ -231,14 +232,14 @@ void check_probe_ledger(bool block, int workers) {
     if (block) {
       insert_batch(t, keys);
     } else {
-      insert_batch_scalar(t, keys);
+      test::parallel_insert(t, keys);
     }
-    const auto found = block ? find_batch(t, keys) : find_batch_scalar(t, keys);
+    const auto found = block ? find_batch(t, keys) : test::find_batch_scalar(t, keys);
     ASSERT_EQ(found.size(), n);
     if (block) {
       erase_batch(t, uniq);
     } else {
-      erase_batch_scalar(t, uniq);
+      test::parallel_erase(t, uniq);
     }
     live = obs::snapshot();
   }

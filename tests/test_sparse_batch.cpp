@@ -91,7 +91,7 @@ void check_batch_vs_scalar(const Seq& input, const Keys& queries,
   Table batched(capacity);
   Table scalar(capacity);
   insert_batch(batched, input);  // free fn -> block members
-  insert_batch_scalar(scalar, input);
+  test::parallel_insert(scalar, input);
 
   ASSERT_EQ(batched.count(), scalar.count());
   {
@@ -104,7 +104,7 @@ void check_batch_vs_scalar(const Seq& input, const Keys& queries,
   }
 
   const auto fb = find_batch(batched, queries);
-  const auto fs = find_batch_scalar(scalar, queries);
+  const auto fs = test::find_batch_scalar(scalar, queries);
   ASSERT_EQ(fb.size(), fs.size());
   for (std::size_t i = 0; i < fb.size(); ++i) {
     ASSERT_TRUE(bits_equal(fb[i], fs[i])) << "query " << i;
@@ -113,7 +113,7 @@ void check_batch_vs_scalar(const Seq& input, const Keys& queries,
   Keys dels;
   for (std::size_t i = 0; i < queries.size(); i += 2) dels.push_back(queries[i]);
   erase_batch(batched, dels);  // free fn -> block members
-  erase_batch_scalar(scalar, dels);
+  test::parallel_erase(scalar, dels);
   ASSERT_EQ(batched.count(), scalar.count());
   const auto eb = sorted(batched.elements(), less);
   const auto es = sorted(scalar.elements(), less);
@@ -125,7 +125,7 @@ void check_batch_vs_scalar(const Seq& input, const Keys& queries,
   Keys all;
   for (const auto& v : input) all.push_back(Table::traits::key(v));
   erase_batch(batched, all);
-  erase_batch_scalar(scalar, all);
+  test::parallel_erase(scalar, all);
   ASSERT_EQ(batched.count(), 0u);
   ASSERT_EQ(scalar.count(), 0u);
 }
@@ -176,7 +176,7 @@ TYPED_TEST(SparseBatch, TrigramString) {
   Table batched(1 << 15);
   Table scalar(1 << 15);
   insert_batch(batched, words.keys);
-  insert_batch_scalar(scalar, words.keys);
+  test::parallel_insert(scalar, words.keys);
   ASSERT_EQ(batched.count(), scalar.count());
   const auto by_contents = [](const char* a, const char* b) {
     return std::strcmp(a, b) < 0;
@@ -189,12 +189,12 @@ TYPED_TEST(SparseBatch, TrigramString) {
   }
   std::vector<const char*> qs(words.keys.begin(), words.keys.begin() + 2000);
   const auto fb = find_batch(batched, qs);
-  const auto fs = find_batch_scalar(scalar, qs);
+  const auto fs = test::find_batch_scalar(scalar, qs);
   for (std::size_t i = 0; i < qs.size(); ++i) {
     ASSERT_EQ(std::strcmp(fb[i], fs[i]), 0) << i;
   }
   erase_batch(batched, qs);
-  erase_batch_scalar(scalar, qs);
+  test::parallel_erase(scalar, qs);
   ASSERT_EQ(batched.count(), scalar.count());
 }
 
@@ -207,7 +207,7 @@ TYPED_TEST(SparseBatch, TrigramPairInt) {
   Table batched(1 << 15);
   Table scalar(1 << 15);
   insert_batch(batched, words.entries);
-  insert_batch_scalar(scalar, words.entries);
+  test::parallel_insert(scalar, words.entries);
   ASSERT_EQ(batched.count(), scalar.count());
   const auto by_contents = [](const string_pair_entry::value_type a,
                               const string_pair_entry::value_type b) {
@@ -224,7 +224,7 @@ TYPED_TEST(SparseBatch, TrigramPairInt) {
   std::vector<const char*> qs;
   for (std::size_t i = 0; i < 2000; ++i) qs.push_back(words.entries[i]->key);
   const auto fb = find_batch(batched, qs);
-  const auto fs = find_batch_scalar(scalar, qs);
+  const auto fs = test::find_batch_scalar(scalar, qs);
   for (std::size_t i = 0; i < qs.size(); ++i) {
     ASSERT_EQ(fb[i]->value, fs[i]->value) << i;
   }

@@ -29,6 +29,7 @@
 #include "phch/parallel/scheduler.h"
 #include "phch/utils/rand.h"
 #include "phch/workloads/sequences.h"
+#include "table_test_util.h"
 
 namespace phch {
 namespace {
@@ -111,15 +112,15 @@ void check_exactness(int workers) {
   if constexpr (kBatch) {
     insert_batch(t, seq);
   } else {
-    insert_batch_scalar(t, seq);
+    test::parallel_insert(t, seq);
   }
   const obs::metrics_snapshot after_insert = obs::snapshot();
-  const auto found = kBatch ? find_batch(t, seq) : find_batch_scalar(t, seq);
+  const auto found = kBatch ? find_batch(t, seq) : test::find_batch_scalar(t, seq);
   const obs::metrics_snapshot after_find = obs::snapshot();
   if constexpr (kBatch) {
     erase_batch(t, uniq);
   } else {
-    erase_batch_scalar(t, uniq);
+    test::parallel_erase(t, uniq);
   }
   const obs::metrics_snapshot after_erase = obs::snapshot();
 
@@ -187,7 +188,7 @@ TEST_F(TelemetryOn, MarksCaptureQuiescentDeltas) {
 
 TEST_F(TelemetryOn, PhaseTransitionsRecordedOncePerBoundary) {
   deterministic_table<int_entry<>> t(1 << 10);
-  insert_batch_scalar(t, std::vector<std::uint64_t>{1, 2, 3});
+  test::parallel_insert(t, std::vector<std::uint64_t>{1, 2, 3});
   (void)t.find(1);  // insert -> query boundary
   t.erase(2);       // query -> erase boundary
   (void)t.find(3);  // erase -> query boundary

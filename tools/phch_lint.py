@@ -38,12 +38,6 @@ because they are *project policy*, not C++ rules:
                             grow real code.
   pragma-once-missing       every scanned header starts with #pragma once.
 
-Backends: the default backend is a pure-Python lexer (no dependencies, runs
-anywhere). When the libclang Python bindings are importable,
-`--backend clang` sharpens the atomic census by asking the AST for
-std::atomic member declarations; everything else is identical. The CI job
-runs whichever backend the runner supports — findings are the same format.
-
 Directives (in source comments):
   // phch_lint: allow(check-name)   suppress that check on this line (or,
                                     on a line of its own, the next line).
@@ -291,30 +285,6 @@ def census_atomics(files: list) -> tuple:
             if pm:
                 plain_names.add(pm.group(1))
     return atomic_names, atomic_names & plain_names
-
-
-def census_atomics_clang(paths: list, include_dir: str):
-    """libclang-backed census: exact std::atomic member/variable names.
-    Returns a name set, or None when the bindings or library are absent."""
-    try:
-        from clang import cindex  # type: ignore
-        index = cindex.Index.create()
-    except Exception:
-        return None
-    names = set()
-    for p in paths:
-        try:
-            tu = index.parse(p, args=["-std=c++20", "-x", "c++",
-                                      f"-I{include_dir}"])
-        except Exception:
-            return None
-        for cur in tu.cursor.walk_preorder():
-            if cur.kind in (cindex.CursorKind.FIELD_DECL,
-                            cindex.CursorKind.VAR_DECL):
-                t = cur.type.get_canonical().spelling
-                if "atomic<" in t or t.startswith("std::atomic"):
-                    names.add(cur.spelling)
-    return names
 
 
 # --------------------------------------------------------------------------
@@ -776,10 +746,6 @@ def main(argv=None) -> int:
                     help="also write findings as JSON")
     ap.add_argument("--emit-contract", action="store_true",
                     help="print a contract census TSV and exit")
-    ap.add_argument("--backend", choices=("python", "clang"),
-                    default="python",
-                    help="atomic-census backend (clang falls back to "
-                         "python when libclang is unavailable)")
     ap.add_argument("--max-suppressions", type=int, default=None,
                     metavar="N", help="fail when more than N "
                     "`phch_lint: allow(...)` directives fire (CI: 0)")
@@ -797,14 +763,6 @@ def main(argv=None) -> int:
     files = load_sources(pairs)
 
     atomic_names, ambiguous = census_atomics(files)
-    if args.backend == "clang":
-        clang_names = census_atomics_clang([a for a, _ in pairs],
-                                           os.path.join(root, "src"))
-        if clang_names is not None:
-            atomic_names |= clang_names
-        else:
-            print("phch_lint: libclang unavailable; using python census",
-                  file=sys.stderr)
 
     accesses = []
     for sf in files:
