@@ -22,10 +22,6 @@
 // ≈ pipelined; as load (and probe length) grows, the ring keeps every
 // chained miss overlapped and pulls ahead of home-line-only prefetch.
 //
-// Also measures the occupancy-counter contention microbenchmark: ns per
-// increment of one shared atomic vs parallel/striped_counter.h, across
-// PHCH_THREADS workers.
-//
 // Writes machine-readable results to BENCH_batch.json (or argv[1]).
 #include <cstdio>
 #include <optional>
@@ -42,7 +38,6 @@
 #include "phch/obs/export.h"
 #include "phch/obs/telemetry.h"
 #include "phch/parallel/parallel_for.h"
-#include "phch/parallel/striped_counter.h"
 
 using namespace phch;
 using namespace phch::bench;
@@ -313,26 +308,6 @@ int main(int argc, char** argv) {
                 "cuckoo at this load)\n");
   }
 
-  // Occupancy-counter contention: every worker hammering one cache line vs
-  // each worker hammering its own stripe.
-  const std::size_t incs = scaled_size(std::size_t{1} << 22);
-  std::atomic<std::int64_t> global{0};
-  const double t_global = time_median([] {}, [&] {
-    parallel_for(0, incs,
-                 [&](std::size_t) { global.fetch_add(1, std::memory_order_relaxed); });
-  });
-  striped_counter striped;
-  const double t_striped = time_median([&] { striped.reset(); },
-                                       [&] {
-                                         parallel_for(0, incs,
-                                                      [&](std::size_t) { striped.increment(); });
-                                       });
-  const double g_ns = 1e9 * t_global / static_cast<double>(incs);
-  const double s_ns = 1e9 * t_striped / static_cast<double>(incs);
-  std::printf("\ncounter contention (%zu increments, %d threads):\n", incs,
-              num_workers());
-  std::printf("  %-22s %8.2f ns/inc\n", "shared atomic", g_ns);
-  std::printf("  %-22s %8.2f ns/inc\n", "striped counter", s_ns);
   std::printf("\nshape check: pipelined find should beat prefetch-ahead from load 0.5\n"
               "up, by more as probe chains lengthen; at 0.25 load the two are close.\n");
 
@@ -383,10 +358,6 @@ int main(int argc, char** argv) {
                  i + 1 < sparse.size() ? "," : "");
   }
   std::fprintf(f, "  ]},\n");
-  std::fprintf(f,
-               "  \"counter\": {\"threads\": %d, \"increments\": %zu, "
-               "\"shared_atomic_ns\": %.2f, \"striped_ns\": %.2f},\n",
-               num_workers(), incs, g_ns, s_ns);
   // Everything the runs above recorded (all zeros when telemetry is
   // compiled out).
   std::fprintf(f, "  \"telemetry\": {\"compiled\": %s,\n    ",

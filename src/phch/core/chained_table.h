@@ -24,6 +24,7 @@
 // run_handoff_block: the key is hashed once and its bucket head and lock
 // line are prefetched one rotation ahead of the scalar op.
 // The table keeps no element count; count() is an O(buckets + nodes) scan.
+// phch_lint: table-header
 #pragma once
 
 #include <cassert>
@@ -41,7 +42,6 @@
 #include "phch/parallel/parallel_for.h"
 #include "phch/parallel/primitives.h"
 #include "phch/parallel/spinlock.h"
-#include "phch/utils/phase_caps.h"
 
 namespace phch {
 
@@ -72,28 +72,28 @@ class chained_table {
                   });
   }
 
-  void insert(value_type v) PHCH_REQUIRES_PHASE(insert) {
+  void insert(value_type v) {
     phase_runtime::scope guard(phase_, op_kind::insert);
     insert_impl(v, bucket(Traits::key(v)));
   }
 
-  void erase(key_type kq) PHCH_REQUIRES_PHASE(erase) {
+  void erase(key_type kq) {
     phase_runtime::scope guard(phase_, op_kind::erase);
     erase_impl(kq, bucket(kq));
   }
 
-  value_type find(key_type kq) const PHCH_REQUIRES_PHASE(query) {
+  value_type find(key_type kq) const {
     phase_runtime::scope guard(phase_, op_kind::query);
     return find_impl(kq);
   }
 
-  bool contains(key_type kq) const PHCH_REQUIRES_PHASE(query) {
+  bool contains(key_type kq) const {
     return !Traits::is_empty(find(kq));
   }
 
   // Paper's scheme: per-bucket chain counts, a prefix sum for offsets, then
   // parallel per-bucket copies.
-  std::vector<value_type> elements() const PHCH_REQUIRES_PHASE(query) {
+  std::vector<value_type> elements() const {
     phase_runtime::scope guard(phase_, op_kind::query);
     std::vector<std::size_t> offsets(num_buckets_);
     parallel_for(0, num_buckets_, [&](std::size_t b) {
@@ -119,8 +119,7 @@ class chained_table {
   // each node one rotation before inspecting it. Every miss of the pointer
   // chase overlaps with up to kBatchWidth-1 others.
   template <typename K>
-  void find_block(const K* keys, std::size_t n, value_type* out) const
-      PHCH_REQUIRES_PHASE(query) {
+  void find_block(const K* keys, std::size_t n, value_type* out) const {
     phase_runtime::scope guard(phase_, op_kind::query);
     struct lane {
       std::size_t idx;
@@ -166,7 +165,7 @@ class chained_table {
   // Mutating blocks run through run_handoff_block: the key is hashed once,
   // and its bucket head and lock line are prefetched ahead of the scalar op.
   template <typename V>
-  void insert_block(const V* values, std::size_t n) PHCH_REQUIRES_PHASE(insert) {
+  void insert_block(const V* values, std::size_t n) {
     phase_runtime::scope guard(phase_, op_kind::insert);
     batch_detail::run_handoff_block(
         n, [&](std::size_t i) { return prefetch_bucket(Traits::key(values[i])); },
@@ -174,7 +173,7 @@ class chained_table {
   }
 
   template <typename K>
-  void erase_block(const K* keys, std::size_t n) PHCH_REQUIRES_PHASE(erase) {
+  void erase_block(const K* keys, std::size_t n) {
     phase_runtime::scope guard(phase_, op_kind::erase);
     batch_detail::run_handoff_block(
         n, [&](std::size_t i) { return prefetch_bucket(keys[i]); },
@@ -407,11 +406,6 @@ class chained_table {
   std::size_t lock_mask_;
   mutable node_pool pool_;
   mutable phase_runtime phase_;
-
- public:
-  // Phase-capability tokens (utils/phase_caps.h): the static half of the
-  // phase contract the phase scopes check at runtime.
-  PHCH_PHASE_CAPABILITIES();
 };
 
 }  // namespace phch

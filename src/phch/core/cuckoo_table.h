@@ -20,6 +20,7 @@
 // scalar op from the hash the lane's start computed — for an insert, the
 // first eviction and any chain after it run exactly the scalar code. The
 // table keeps no element count; count() is an O(capacity) scan.
+// phch_lint: table-header
 #pragma once
 
 #include <cassert>
@@ -34,7 +35,6 @@
 #include "phch/obs/telemetry.h"
 #include "phch/parallel/atomics.h"
 #include "phch/parallel/spinlock.h"
-#include "phch/utils/phase_caps.h"
 
 namespace phch {
 
@@ -55,26 +55,26 @@ class cuckoo_table {
 
   void clear() { slots_.clear(); }
 
-  void insert(value_type v) PHCH_REQUIRES_PHASE(insert) {
+  void insert(value_type v) {
     phase_runtime::scope guard(phase_, op_kind::insert);
     insert_impl(v, Traits::hash(Traits::key(v)));
   }
 
-  void erase(key_type kq) PHCH_REQUIRES_PHASE(erase) {
+  void erase(key_type kq) {
     phase_runtime::scope guard(phase_, op_kind::erase);
     erase_impl(kq, Traits::hash(kq));
   }
 
-  value_type find(key_type kq) const PHCH_REQUIRES_PHASE(query) {
+  value_type find(key_type kq) const {
     phase_runtime::scope guard(phase_, op_kind::query);
     return find_impl(kq, Traits::hash(kq));
   }
 
-  bool contains(key_type kq) const PHCH_REQUIRES_PHASE(query) {
+  bool contains(key_type kq) const {
     return !Traits::is_empty(find(kq));
   }
 
-  std::vector<value_type> elements() const PHCH_REQUIRES_PHASE(query) {
+  std::vector<value_type> elements() const {
     phase_runtime::scope guard(phase_, op_kind::query);
     return slots_.elements();
   }
@@ -90,8 +90,7 @@ class cuckoo_table {
   // chain).
 
   template <typename K>
-  void find_block(const K* keys, std::size_t n, value_type* out) const
-      PHCH_REQUIRES_PHASE(query) {
+  void find_block(const K* keys, std::size_t n, value_type* out) const {
     phase_runtime::scope guard(phase_, op_kind::query);
     batch_detail::run_handoff_block(
         n, [&](std::size_t i) { return prefetch_candidates_ro(keys[i]); },
@@ -99,7 +98,7 @@ class cuckoo_table {
   }
 
   template <typename V>
-  void insert_block(const V* values, std::size_t n) PHCH_REQUIRES_PHASE(insert) {
+  void insert_block(const V* values, std::size_t n) {
     phase_runtime::scope guard(phase_, op_kind::insert);
     batch_detail::run_handoff_block(
         n, [&](std::size_t i) { return prefetch_candidates(Traits::key(values[i])); },
@@ -107,7 +106,7 @@ class cuckoo_table {
   }
 
   template <typename K>
-  void erase_block(const K* keys, std::size_t n) PHCH_REQUIRES_PHASE(erase) {
+  void erase_block(const K* keys, std::size_t n) {
     phase_runtime::scope guard(phase_, op_kind::erase);
     batch_detail::run_handoff_block(
         n, [&](std::size_t i) { return prefetch_candidates(keys[i]); },
@@ -262,11 +261,6 @@ class cuckoo_table {
   slot_array<Traits> slots_;
   mutable std::vector<spinlock> locks_;
   mutable phase_runtime phase_;
-
- public:
-  // Phase-capability tokens (utils/phase_caps.h): the static half of the
-  // phase contract the phase scopes check at runtime.
-  PHCH_PHASE_CAPABILITIES();
 };
 
 }  // namespace phch

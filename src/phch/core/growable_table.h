@@ -51,6 +51,7 @@
 // after another, with one reservation per chunk — never per element — and
 // grows between chunks, so a single batch may cross several capacity
 // doublings.
+// phch_lint: table-header
 #pragma once
 
 #include <algorithm>
@@ -66,7 +67,6 @@
 #include "phch/obs/trace.h"
 #include "phch/parallel/scheduler.h"
 #include "phch/parallel/spinlock.h"  // cpu_relax
-#include "phch/utils/phase_caps.h"
 
 namespace phch {
 
@@ -89,22 +89,16 @@ class growable_table {
   std::size_t capacity() const noexcept { return cur()->capacity(); }
   std::size_t count() const { return cur()->count(); }
 
-  void insert(value_type v) PHCH_REQUIRES_PHASE(insert) {
+  void insert(value_type v) {
     insert_reserved(&v, 1, [&](inner_table& t) { t.insert(v); });
   }
 
   // Erases and queries take no enter()/leave(): the phase discipline keeps
   // them out of insert phases, and only inserts grow.
-  void erase(key_type kq) PHCH_REQUIRES_PHASE(erase) { cur()->erase(kq); }
-  value_type find(key_type kq) const PHCH_REQUIRES_PHASE(query) {
-    return cur()->find(kq);
-  }
-  bool contains(key_type kq) const PHCH_REQUIRES_PHASE(query) {
-    return cur()->contains(kq);
-  }
-  std::vector<value_type> elements() const PHCH_REQUIRES_PHASE(query) {
-    return cur()->elements();
-  }
+  void erase(key_type kq) { cur()->erase(kq); }
+  value_type find(key_type kq) const { return cur()->find(kq); }
+  bool contains(key_type kq) const { return cur()->contains(kq); }
+  std::vector<value_type> elements() const { return cur()->elements(); }
 
   // --- whole-batch operations ----------------------------------------------
   //
@@ -117,8 +111,7 @@ class growable_table {
   // insert stolen by one of them could wait in resync() for that enter()
   // forever.
 
-  void insert_batch(const value_type* values, std::size_t n)
-      PHCH_REQUIRES_PHASE(insert) {
+  void insert_batch(const value_type* values, std::size_t n) {
     for (std::size_t s = 0; s < n; s += kGrowChunk) {
       const value_type* part = values + s;
       const std::size_t chunk = std::min(kGrowChunk, n - s);
@@ -127,13 +120,11 @@ class growable_table {
       });
     }
   }
-  std::vector<value_type> find_batch(const std::vector<key_type>& keys) const
-      PHCH_REQUIRES_PHASE(query) {
+  std::vector<value_type> find_batch(const std::vector<key_type>& keys) const {
     return phch::find_batch(*cur(), keys);
   }
 
-  void erase_batch(const std::vector<key_type>& keys)
-      PHCH_REQUIRES_PHASE(erase) {
+  void erase_batch(const std::vector<key_type>& keys) {
     phch::erase_batch(*cur(), keys);
   }
 
@@ -144,11 +135,6 @@ class growable_table {
   // Read-only view of the current flat table, for layout inspection at
   // quiescent points (racy against a concurrent growth).
   const inner_table& inner() const noexcept { return *cur(); }
-
-  // Phase-capability tokens (utils/phase_caps.h): the static half of the
-  // phase contract the inner table's phase scopes check at runtime. Public
-  // so callers' phase-region markers can name them in their own annotations.
-  PHCH_PHASE_CAPABILITIES();
 
  private:
   // Elements per growth-checked chunk of a batch insert. Small enough that

@@ -32,6 +32,7 @@
 // mutating ops) one rotation before the scalar walk resolves the operation
 // on warm lines. The table keeps no element count; count() is an
 // O(capacity) scan.
+// phch_lint: table-header
 #pragma once
 
 #include <atomic>
@@ -49,7 +50,6 @@
 #include "phch/parallel/atomics.h"
 #include "phch/parallel/parallel_for.h"
 #include "phch/parallel/spinlock.h"
-#include "phch/utils/phase_caps.h"
 
 namespace phch {
 
@@ -78,26 +78,26 @@ class hopscotch_table {
     parallel_for(0, capacity(), [&](std::size_t i) { hop_[i] = 0; });
   }
 
-  void insert(value_type v) PHCH_REQUIRES_PHASE(insert) {
+  void insert(value_type v) {
     phase_runtime::scope guard(phase_, op_kind::insert);
     insert_impl(v, home(Traits::key(v)));
   }
 
-  void erase(key_type kq) PHCH_REQUIRES_PHASE(erase) {
+  void erase(key_type kq) {
     phase_runtime::scope guard(phase_, op_kind::erase);
     erase_impl(kq, home(kq));
   }
 
-  value_type find(key_type kq) const PHCH_REQUIRES_PHASE(query) {
+  value_type find(key_type kq) const {
     phase_runtime::scope guard(phase_, op_kind::query);
     return find_impl(kq, home(kq));
   }
 
-  bool contains(key_type kq) const PHCH_REQUIRES_PHASE(query) {
+  bool contains(key_type kq) const {
     return !Traits::is_empty(find(kq));
   }
 
-  std::vector<value_type> elements() const PHCH_REQUIRES_PHASE(query) {
+  std::vector<value_type> elements() const {
     phase_runtime::scope guard(phase_, op_kind::query);
     return slots_.elements();
   }
@@ -109,8 +109,7 @@ class hopscotch_table {
   // ring rotates back the scalar walk runs from that home on warm lines.
 
   template <typename K>
-  void find_block(const K* keys, std::size_t n, value_type* out) const
-      PHCH_REQUIRES_PHASE(query) {
+  void find_block(const K* keys, std::size_t n, value_type* out) const {
     phase_runtime::scope guard(phase_, op_kind::query);
     batch_detail::run_handoff_block(
         n, [&](std::size_t i) { return prefetch_neighborhood_ro(keys[i]); },
@@ -120,7 +119,7 @@ class hopscotch_table {
   }
 
   template <typename V>
-  void insert_block(const V* values, std::size_t n) PHCH_REQUIRES_PHASE(insert) {
+  void insert_block(const V* values, std::size_t n) {
     phase_runtime::scope guard(phase_, op_kind::insert);
     batch_detail::run_handoff_block(
         n, [&](std::size_t i) { return prefetch_neighborhood_rw(Traits::key(values[i])); },
@@ -128,7 +127,7 @@ class hopscotch_table {
   }
 
   template <typename K>
-  void erase_block(const K* keys, std::size_t n) PHCH_REQUIRES_PHASE(erase) {
+  void erase_block(const K* keys, std::size_t n) {
     phase_runtime::scope guard(phase_, op_kind::erase);
     batch_detail::run_handoff_block(
         n, [&](std::size_t i) { return prefetch_neighborhood_rw(keys[i]); },
@@ -343,11 +342,6 @@ class hopscotch_table {
   mutable std::vector<spinlock> locks_;
   std::vector<std::atomic<std::uint32_t>> timestamps_;
   mutable phase_runtime phase_;
-
- public:
-  // Phase-capability tokens (utils/phase_caps.h): the static half of the
-  // phase contract the phase scopes check at runtime.
-  PHCH_PHASE_CAPABILITIES();
 };
 
 }  // namespace phch

@@ -8,8 +8,7 @@
 //
 //     state = (phase epoch << 2) | current operation class
 //
-// (its compile-time mirror is utils/phase_caps.h, DESIGN.md §15; state_'s
-// orderings are pinned in tools/atomics_contract.tsv).
+// (state_'s orderings are pinned in tools/atomics_contract.tsv).
 //
 // Every table operation, scalar or block, runs inside one
 // phase_runtime::scope. Same-class operations see one relaxed load and a

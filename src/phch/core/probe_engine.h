@@ -38,6 +38,7 @@
 // it, with the op's probe-depth sample, to the caller's stripe once. The
 // block inserts and erases run those same bodies; find_block tallies per
 // block instead. Compiled out, both are dead stores.
+// phch_lint: table-header
 #pragma once
 
 #include <cassert>
@@ -52,7 +53,6 @@
 #include "phch/obs/histogram.h"
 #include "phch/obs/telemetry.h"
 #include "phch/parallel/atomics.h"
-#include "phch/utils/phase_caps.h"
 
 namespace phch {
 
@@ -142,7 +142,7 @@ class probe_engine {
   // otherwise). Safe to call concurrently with other inserts only. No return
   // value: commutativity is with respect to table state, and "was it new?"
   // is not well defined under concurrent merging.
-  void insert(value_type v) PHCH_REQUIRES_PHASE(insert) {
+  void insert(value_type v) {
     phase_runtime::scope guard(phase_, op_kind::insert);
     insert_impl(v, home(Traits::key(v)));
   }
@@ -217,7 +217,7 @@ class probe_engine {
   // DELETE (Figure 1, lines 25-41). Safe to call concurrently with other
   // erases only. Removes the (single) entry whose key equals `kq`, filling
   // the hole history-independently via FindReplacement.
-  void erase(key_type kq) PHCH_REQUIRES_PHASE(erase) {
+  void erase(key_type kq) {
     phase_runtime::scope guard(phase_, op_kind::erase);
     erase_impl(kq, home(kq));
   }
@@ -273,7 +273,7 @@ class probe_engine {
   // Under prioritized order the probe stops at the first slot whose priority
   // is not higher than kq — absent keys can be cheaper than in standard
   // linear probing.
-  value_type find(key_type kq) const PHCH_REQUIRES_PHASE(query) {
+  value_type find(key_type kq) const {
     phase_runtime::scope guard(phase_, op_kind::query);
     obs::op_tally tally(obs::counter::find_ops);
     const std::size_t cap = capacity();
@@ -296,14 +296,14 @@ class probe_engine {
     }
   }
 
-  bool contains(key_type kq) const PHCH_REQUIRES_PHASE(query) {
+  bool contains(key_type kq) const {
     return !Traits::is_empty(find(kq));
   }
 
   // ELEMENTS(): the occupied slots packed in slot order. Under prioritized
   // order the result is a deterministic function of the table's contents
   // (history independence). Same phase class as find.
-  std::vector<value_type> elements() const PHCH_REQUIRES_PHASE(query) {
+  std::vector<value_type> elements() const {
     phase_runtime::scope guard(phase_, op_kind::query);
     return slots_.elements();
   }
@@ -340,8 +340,7 @@ class probe_engine {
 
   // Pipelined finds: the whole read-only probe scan rotates line by line.
   template <typename K>
-  void find_block(const K* keys, std::size_t n, value_type* out) const
-      PHCH_REQUIRES_PHASE(query) {
+  void find_block(const K* keys, std::size_t n, value_type* out) const {
     phase_runtime::scope guard(phase_, op_kind::query);
     const value_type* slots = slots_.data();
     const std::size_t cap = capacity();
@@ -404,7 +403,7 @@ class probe_engine {
   // Figure-1 loop (insert_impl / erase_impl) from that home one rotation
   // later, so every block op is exactly a scalar op.
   template <typename V>
-  void insert_block(const V* values, std::size_t n) PHCH_REQUIRES_PHASE(insert) {
+  void insert_block(const V* values, std::size_t n) {
     phase_runtime::scope guard(phase_, op_kind::insert);
     batch_detail::run_handoff_block(
         n, [&](std::size_t i) { return prefetch_home(Traits::key(values[i])); },
@@ -414,7 +413,7 @@ class probe_engine {
   }
 
   template <typename K>
-  void erase_block(const K* keys, std::size_t n) PHCH_REQUIRES_PHASE(erase) {
+  void erase_block(const K* keys, std::size_t n) {
     phase_runtime::scope guard(phase_, op_kind::erase);
     batch_detail::run_handoff_block(
         n, [&](std::size_t i) { return prefetch_home(keys[i]); },
@@ -495,12 +494,6 @@ class probe_engine {
 
   slot_array<Traits> slots_;
   mutable phase_runtime phase_;
-
- public:
-  // Phase-capability tokens (utils/phase_caps.h): the static half of the
-  // phase contract the phase scopes check at runtime. Public so callers'
-  // phase-region markers can name them in their own annotations.
-  PHCH_PHASE_CAPABILITIES();
 };
 
 }  // namespace phch

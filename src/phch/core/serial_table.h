@@ -18,10 +18,6 @@
 #include "phch/core/entry_traits.h"
 #include "phch/core/table_common.h"
 
-// phch_lint: not-a-table
-// (Single-threaded reference implementations: no concurrency contract, so
-// no phase-capability surface — DESIGN.md §15.)
-
 namespace phch {
 
 template <typename Traits = int_entry<>>

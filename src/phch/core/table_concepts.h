@@ -83,7 +83,10 @@ concept block_table =
 
 // A table with its own whole-batch operations, which the free batch
 // functions forward to. growable_table is the one such table: its insert
-// batch must interleave growth checks with the inserts.
+// batch must interleave growth checks with the inserts. It is not a
+// block_table on purpose: block inserts run inside blocked_for's parallel
+// region, so every resync would migrate serially, and a prototype measured
+// slower at 4 workers (DESIGN.md §9).
 template <typename T>
 concept batch_forwarding_table =
     requires(T& t, const T& ct, const typename T::value_type* vs, std::size_t n,

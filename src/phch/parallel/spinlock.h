@@ -7,11 +7,10 @@
 #include <thread>
 
 #include "phch/utils/arch.h"  // cpu_relax
-#include "phch/utils/phase_caps.h"
 
 namespace phch {
 
-class PHCH_CAPABILITY("mutex") spinlock {
+class spinlock {
  public:
   spinlock() noexcept = default;
   spinlock(const spinlock&) = delete;
@@ -19,7 +18,7 @@ class PHCH_CAPABILITY("mutex") spinlock {
 
   // Escalates from pause to yield so an oversubscribed work-stealing pool
   // (more runnable threads than cores) cannot starve the lock holder.
-  void lock() noexcept PHCH_ACQUIRE() {
+  void lock() noexcept {
     int spins = 0;
     for (;;) {
       if (!locked_.exchange(true, std::memory_order_acquire)) return;
@@ -33,12 +32,12 @@ class PHCH_CAPABILITY("mutex") spinlock {
     }
   }
 
-  bool try_lock() noexcept PHCH_TRY_ACQUIRE(true) {
+  bool try_lock() noexcept {
     return !locked_.load(std::memory_order_relaxed) &&
            !locked_.exchange(true, std::memory_order_acquire);
   }
 
-  void unlock() noexcept PHCH_RELEASE() {
+  void unlock() noexcept {
     locked_.store(false, std::memory_order_release);
   }
 

@@ -1,7 +1,6 @@
 // Contention-free striped counter for hot-path counting. No table keeps
-// one any more; its users are phasebench's `counter` rung, which measures
-// what the occupancy counter the tables once kept cost per operation, and
-// bench_batch_mlp's counter-contention microbenchmark.
+// one any more; its user is phasebench's `counter` rung, which measures
+// what the occupancy counter the tables once kept cost per operation.
 //
 // A single shared std::atomic counter serializes every increment on one
 // cache line: under concurrent inserts the fetch_add ping-pongs the line

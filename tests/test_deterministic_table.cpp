@@ -245,35 +245,5 @@ TEST(DeterministicTable, StringKeysDedupByContent) {
   EXPECT_TRUE(t.contains("same"));
 }
 
-// --- phase-capability region markers (utils/phase_caps.h) --------------------
-
-TEST(DeterministicTable, PhaseRegionMarkersAdmitSameClassOperations) {
-  // The markers are compile-time contracts (under clang -Wthread-safety a
-  // different-class call inside a marked region is a build error — the CI
-  // static-analysis job proves that); at runtime they must be free and
-  // inert. This exercises every marker against its own class so the
-  // annotated overloads are instantiated in at least one marked region.
-  deterministic_table<> t(128);
-  {
-    insert_phase region(t);
-    t.insert(1);
-    t.insert(2);
-  }
-  {
-    query_phase region(t);
-    EXPECT_TRUE(t.contains(1));
-    EXPECT_EQ(t.elements().size(), 2u);
-  }
-  {
-    erase_phase region(t);
-    t.erase(1);
-  }
-  {
-    query_phase region(t);
-    EXPECT_FALSE(t.contains(1));
-    EXPECT_TRUE(t.contains(2));
-  }
-}
-
 }  // namespace
 }  // namespace phch

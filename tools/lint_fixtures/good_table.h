@@ -1,6 +1,6 @@
 // phch_lint: table-header
 // Known-good fixture: a minimal "table" that satisfies every phch_lint
-// policy — annotated public operations, phase scopes, explicitly ordered
+// policy — phase scopes on every public operation, explicitly ordered
 // atomics covered by the fixture contract, no vendor intrinsics.
 #pragma once
 
@@ -15,21 +15,21 @@ struct fixture_phase {
 
 class good_table {
  public:
-  void insert(int v) PHCH_REQUIRES_PHASE(insert) {
+  void insert(int v) {
     typename fixture_phase::scope guard(phase_, 0);
     last_.store(v, std::memory_order_release);
   }
 
-  int find(int) const PHCH_REQUIRES_PHASE(query) {
+  int find(int) const {
     typename fixture_phase::scope guard(phase_, 2);
     return last_.load(std::memory_order_acquire);
   }
 
-  bool contains(int k) const PHCH_REQUIRES_PHASE(query) {
+  bool contains(int k) const {
     return find(k) != 0;  // delegation counts as a scope
   }
 
-  void insert_batch(const int* v, std::size_t n) PHCH_REQUIRES_PHASE(insert) {
+  void insert_batch(const int* v, std::size_t n) {
     insert_batch_range(v, n);  // so does delegation to a *_range form
   }
 

@@ -1,17 +1,14 @@
 #!/usr/bin/env python3
 """phch_lint: project-specific static checks for the phase-concurrent tables.
 
-The lint closes the gaps that -Wthread-safety and clang-tidy do not cover,
+The lint closes the gaps that the compiler and clang-tidy do not cover,
 because they are *project policy*, not C++ rules:
 
-  phase-annotation-missing  every public operation of a phase-concurrent
-                            table must carry PHCH_REQUIRES_PHASE(...) (or an
-                            explicit PHCH_NO_TSA opt-out), so new tables
-                            cannot silently skip the static phase contract.
-  phase-scope-missing       every public table operation must open a phase
-                            scope (a phase_runtime::scope guard, or a
-                            delegation to an operation, or its *_impl /
-                            *_range form, that does). The block members
+  phase-scope-missing       every public operation of a table header must
+                            open a phase scope: a phase_runtime::scope
+                            guard, a delegation to another operation, or a
+                            call to an *_impl / *_range helper of the same
+                            file whose body opens one. The block members
                             (insert_block / find_block / erase_block) are
                             operations too: each opens its own scope.
   atomic-implicit-order     no atomic access may rely on the implicit
@@ -45,14 +42,11 @@ Directives (in source comments):
                                     --max-suppressions N (default: no
                                     limit) fails the run when exceeded —
                                     CI pins it to 0 for src/phch.
-  // phch_lint: table-header        treat this file as a table header for
-                                    the phase checks even without
-                                    PHCH_PHASE_CAPABILITIES() (used by the
+  // phch_lint: table-header        mark this file as a phase-concurrent
+                                    table header: the phase checks scan
+                                    only files that carry it (the five
+                                    table headers of src/phch and the
                                     lint fixtures).
-  // phch_lint: not-a-table         opposite: skip the phase checks for
-                                    this file (serial_table.h: its
-                                    single-threaded reference tables
-                                    carry no concurrency contract).
 
 Modes:
   phch_lint.py [paths...]              lint (default paths: src/phch)
@@ -82,7 +76,6 @@ from dataclasses import dataclass, field
 # --------------------------------------------------------------------------
 
 ALL_CHECKS = (
-    "phase-annotation-missing",
     "phase-scope-missing",
     "atomic-implicit-order",
     "atomic-contract-missing",
@@ -495,7 +488,7 @@ def emit_contract(accesses: list, existing_rows: list) -> str:
 # Phase-contract checks (table headers)
 # --------------------------------------------------------------------------
 
-# Public operations every phase-concurrent table must annotate and scope.
+# Public operations every phase-concurrent table must scope.
 REQUIRED_OPS = (
     "insert", "erase",
     "find", "contains", "elements", "for_each",
@@ -503,33 +496,47 @@ REQUIRED_OPS = (
     "insert_block", "find_block", "erase_block",
 )
 
-SCOPE_EVIDENCE_RE = re.compile(
-    r"(Phase\s*::\s*scope|::\s*scope\s+\w+\s*\(|"
-    r"\b(?:" + "|".join(REQUIRED_OPS) + r")\s*\(|"      # delegation to an op
-    r"\b\w+_(?:impl|range)\s*\(|"                       # ... or its impl/range
-    r"\bphch\s*::\s*(?:insert|find|erase)_batch\s*\()")
+OPS_PATTERN = "|".join(REQUIRED_OPS)
+HELPER_PATTERN = r"\w+_(?:impl|range)"
+
+SCOPE_RE = re.compile(r"::\s*scope\s+\w+\s*\(")
+OP_CALL_RE = re.compile(r"\b(?:" + OPS_PATTERN + r")\s*\(")
+BATCH_DRIVER_RE = re.compile(r"\bphch\s*::\s*(?:insert|find|erase)_batch\s*\(")
+HELPER_CALL_RE = re.compile(r"\b(" + HELPER_PATTERN + r")\s*\(")
+# A call through a data member (`slots_.elements()`) reaches storage, not
+# another table operation, so it is no delegation.
+MEMBER_RECEIVER_RE = re.compile(r"\w_\s*(?:\.|->)\s*$")
+
+
+def delegates(body: str) -> bool:
+    """True if `body` hands its work to another table operation (the same
+    table's, or an inner table's) or to a phch:: batch driver."""
+    if BATCH_DRIVER_RE.search(body):
+        return True
+    return any(not MEMBER_RECEIVER_RE.search(body[max(0, m.start() - 80):
+                                                  m.start()])
+               for m in OP_CALL_RE.finditer(body))
 
 
 def is_table_header(sf: SourceFile) -> bool:
-    if re.search(r"//\s*phch_lint:\s*not-a-table", sf.raw):
-        return False
-    if re.search(r"//\s*phch_lint:\s*table-header", sf.raw):
-        return True
-    return "PHCH_PHASE_CAPABILITIES()" in sf.raw
+    return re.search(r"//\s*phch_lint:\s*table-header", sf.raw) is not None
 
 
-def find_method_definitions(sf: SourceFile, names: tuple):
-    """Yield (name, decl_text, body_text, line) for method *definitions* of
-    the given names (declarations without bodies are skipped)."""
+def find_method_definitions(sf: SourceFile, names: str):
+    """Yield (name, body_text, line) for method *definitions* whose name
+    matches the regex `names` (declarations without bodies are skipped)."""
     code = sf.code
-    name_re = re.compile(r"\b(" + "|".join(names) + r")\s*\(")
+    name_re = re.compile(r"\b(" + names + r")\s*\(")
     for m in name_re.finditer(code):
         # Reject call sites: a definition's name is preceded by a type (or
-        # qualifier), not by `.`/`->`/`(`/`,`/binary ops/`return`.
+        # qualifier), not by `.`/`->`/`(`/`,`/binary ops/`return`. A `>`
+        # not after `-` closes a template return type (`std::vector<T> f(`).
         j = m.start() - 1
         while j >= 0 and code[j].isspace():
             j -= 1
-        if j >= 0 and (code[j] in ".>(,=+-*/%!<|&?:" or code[j] == ";"):
+        template_close = j >= 1 and code[j] == ">" and code[j - 1] != "-"
+        if j >= 0 and not template_close and \
+                (code[j] in ".>(,=+-*/%!<|&?:" or code[j] == ";"):
             prev_word = re.search(r"(\w+)\s*$", code[:m.start()])
             if not (code[j] == ":" and j >= 1 and code[j - 1] != ":"):
                 if not (prev_word and prev_word.group(1) in
@@ -542,7 +549,7 @@ def find_method_definitions(sf: SourceFile, names: tuple):
         close = match_balanced(code, m.end() - 1, "(", ")")
         if close < 0:
             continue
-        # Scan the declaration tail (qualifiers, annotations, trailing
+        # Scan the declaration tail (qualifiers, noexcept, trailing
         # return) up to `{` (definition), `;` (declaration) or `=` (default).
         k = close
         while k < len(code):
@@ -552,7 +559,7 @@ def find_method_definitions(sf: SourceFile, names: tuple):
             if c in ";=":
                 k = -1
                 break
-            if c == "(":  # annotation argument list, e.g. PHCH_EXCLUDES(..)
+            if c == "(":  # a tail argument list, e.g. noexcept(..)
                 k = match_balanced(code, k, "(", ")")
                 if k < 0:
                     break
@@ -563,29 +570,27 @@ def find_method_definitions(sf: SourceFile, names: tuple):
         body_end = match_balanced(code, k, "{", "}")
         if body_end < 0:
             continue
-        decl = code[m.start():k]
         body = code[k:body_end]
-        yield (m.group(1), decl, body, line_of(code, m.start()))
+        yield (m.group(1), body, line_of(code, m.start()))
 
 
 def check_phase_contract(sf: SourceFile) -> list:
     findings = []
     if not is_table_header(sf):
         return findings
-    for name, decl, body, line in find_method_definitions(sf, REQUIRED_OPS):
-        if "PHCH_REQUIRES_PHASE" not in decl and "PHCH_NO_TSA" not in decl:
-            findings.append(Finding(
-                "phase-annotation-missing", sf.path, line,
-                f"public table operation `{name}` lacks "
-                f"PHCH_REQUIRES_PHASE(insert|erase|query) (or an explicit "
-                f"PHCH_NO_TSA opt-out)", name))
-        if not SCOPE_EVIDENCE_RE.search(body) and f"{name}(" not in \
-                body.replace(" ", ""):
+    # A *_impl / *_range helper stands in for a scope only if it opens one.
+    scoped_helpers = {
+        name for name, body, _ in find_method_definitions(sf, HELPER_PATTERN)
+        if SCOPE_RE.search(body)}
+    for name, body, line in find_method_definitions(sf, OPS_PATTERN):
+        if not (SCOPE_RE.search(body) or delegates(body) or
+                any(h in scoped_helpers
+                    for h in HELPER_CALL_RE.findall(body))):
             findings.append(Finding(
                 "phase-scope-missing", sf.path, line,
                 f"public table operation `{name}` opens no phase scope "
                 f"(expected a phase_runtime::scope guard, or delegation to an "
-                f"operation, or its _impl/_range form, that opens one)",
+                f"operation, or to an _impl/_range helper that opens one)",
                 name))
     return findings
 

@@ -54,11 +54,14 @@ class GoodFixture(unittest.TestCase):
 
 
 class BadFixtures(unittest.TestCase):
-    def test_missing_phase_scope_and_annotation(self):
+    def test_missing_phase_scope(self):
         code, out = run_lint(["bad_missing_phase_scope.h"])
         self.assertEqual(code, 1, out)
         self.assertIn("phase-scope-missing", checks_in(out))
-        self.assertIn("phase-annotation-missing", checks_in(out))
+        scope = [ln for ln in out.splitlines() if "phase-scope-missing" in ln]
+        self.assertEqual(len(scope), 2, out)
+        self.assertIn("`erase`", scope[0])
+        self.assertIn("`elements`", scope[1])
 
     def test_block_member_without_scope(self):
         code, out = run_lint(["bad_block_without_scope.h"])
@@ -66,7 +69,6 @@ class BadFixtures(unittest.TestCase):
         scope = [ln for ln in out.splitlines() if "phase-scope-missing" in ln]
         self.assertEqual(len(scope), 1, out)
         self.assertIn("`insert_block`", scope[0])
-        self.assertNotIn("phase-annotation-missing", checks_in(out))
 
     def test_unannotated_atomic(self):
         code, out = run_lint(["bad_unannotated_atomic.h"])
@@ -201,6 +203,18 @@ class LexerUnits(unittest.TestCase):
 
 
 class RepoTree(unittest.TestCase):
+    def test_phase_checks_scan_exactly_the_five_table_headers(self):
+        pairs = phch_lint.gather_files(["src/phch"], REPO_ROOT)
+        tables = {sf.path for sf in phch_lint.load_sources(pairs)
+                  if phch_lint.is_table_header(sf)}
+        self.assertEqual(tables, {
+            "src/phch/core/probe_engine.h",
+            "src/phch/core/cuckoo_table.h",
+            "src/phch/core/hopscotch_table.h",
+            "src/phch/core/chained_table.h",
+            "src/phch/core/growable_table.h",
+        })
+
     def test_src_phch_is_clean_with_zero_suppressions(self):
         code, out = run_lint(["src/phch"], root=REPO_ROOT,
                              contract="tools/atomics_contract.tsv",
