@@ -47,9 +47,9 @@ inline bool bits_equal(const T& a, const T& b) noexcept {
   return std::memcmp(&a, &b, sizeof(T)) == 0;
 }
 
-// Below this many slots a parallel clear costs more in fork-join overhead
-// than the fill itself; run it serially.
-inline constexpr std::size_t kSerialClearThreshold = 4096;
+// Slot arrays below this many bytes clear serially: at 4 workers a root
+// parallel_for cost more than the serial fill up to ~1 MB (EXPERIMENTS.md).
+inline constexpr std::size_t kSerialClearBytes = std::size_t{1} << 20;
 
 // Slot arrays of at least this many bytes are placed on 2 MB pages.
 inline constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
@@ -87,7 +87,7 @@ class slot_array {
   const value_type& operator[](std::size_t i) const noexcept { return slots_[i]; }
 
   void clear() {
-    if (capacity_ <= kSerialClearThreshold) {
+    if (capacity_ * sizeof(value_type) < kSerialClearBytes) {
       for (std::size_t i = 0; i < capacity_; ++i) slots_[i] = Traits::empty();
       return;
     }

@@ -40,6 +40,7 @@ probe_stats analyze_slots(const typename Traits::value_type* slots, std::size_t 
       capacity,
       [&](std::size_t j) { return !Traits::is_empty(slots[j]); },
       [&](std::size_t j) {
+        if (Traits::is_empty(slots[j])) return std::size_t{0};  // pack gets every slot
         const std::size_t home = Traits::hash(Traits::key(slots[j])) & mask;
         return ((j - home) & mask) + 1;
       });

@@ -41,38 +41,27 @@ class csr_graph {
       sym[2 * i] = edges[i];
       sym[2 * i + 1] = edge{edges[i].v, edges[i].u};
     });
-    sym = filter(sym, [](const edge& e) { return e.u != e.v; });
     radix_sort(sym, 64, [](const edge& e) {
       return (static_cast<std::uint64_t>(e.u) << 32) | e.v;
     });
-    {
-      const std::vector<edge>& s = sym;
-      sym = pack(
-          s.size(), [&](std::size_t i) { return i == 0 || !(s[i] == s[i - 1]); },
-          [&](std::size_t i) { return s[i]; });
-    }
+    sym = pack(
+        sym.size(),
+        [&](std::size_t i) { return sym[i].u != sym[i].v && (i == 0 || !(sym[i] == sym[i - 1])); },
+        [&](std::size_t i) { return sym[i]; });
 
+    // offsets[v] is v's first edge: index i in [0, m] is the first edge of
+    // every vertex in (sym[i-1].u, sym[i].u], reading sym[-1].u as -1, sym[m].u as n.
     csr_graph g;
-    g.offsets_.assign(n + 1, 0);
-    std::vector<std::size_t> degree(n, 0);
-    parallel_for(0, sym.size(), [&](std::size_t i) {
-      if (i == 0 || sym[i].u != sym[i - 1].u) {
-        std::size_t j = i;
-        while (j < sym.size() && sym[j].u == sym[i].u) ++j;
-        degree[sym[i].u] = j - i;
-      }
+    const std::size_t m = sym.size();
+    g.offsets_.resize(n + 1);
+    parallel_for(0, m + 1, [&](std::size_t i) {
+      const std::size_t lo = i == 0 ? 0 : std::size_t{sym[i - 1].u} + 1;
+      const std::size_t hi = i == m ? n : sym[i].u;
+      for (std::size_t v = lo; v <= hi; ++v) g.offsets_[v] = i;
     });
-    std::vector<std::size_t> off(degree.begin(), degree.end());
-    scan_add_inplace(off);
-    parallel_for(0, n, [&](std::size_t v) {
-      g.offsets_[v] = static_cast<std::uint64_t>(off[v]);
-    });
-    g.offsets_[n] = sym.size();
-    g.neighbors_.resize(sym.size());
-    parallel_for(0, sym.size(),
-                 [&](std::size_t i) { g.neighbors_[i] = sym[i].v; });
+    g.neighbors_ = tabulate(m, [&](std::size_t i) { return sym[i].v; });
     g.num_vertices_ = n;
-    g.num_edges_ = sym.size() / 2;
+    g.num_edges_ = m / 2;
     return g;
   }
 

@@ -103,7 +103,8 @@ T scan_add_inplace(std::vector<T>& a) {
 
 // Stable pack: returns get(i) for each i in [0, n) with keep(i) true, in
 // index order. This is exactly the paper's ELEMENTS() skeleton: count per
-// block, prefix-sum the counts, then copy with cache-friendly writes.
+// block, prefix-sum the counts, then copy with cache-friendly writes. The
+// copy stores get(i) for every i, so get must be cheap and valid on [0, n).
 template <typename Keep, typename Get>
 auto pack(std::size_t n, Keep&& keep, Get&& get) {
   using T = std::decay_t<decltype(get(std::size_t{0}))>;
@@ -119,9 +120,12 @@ auto pack(std::size_t n, Keep&& keep, Get&& get) {
   const std::size_t total = scan_add_inplace(counts);
   std::vector<T> out(total);
   blocked_for(0, n, bsize, [&](std::size_t b, std::size_t s, std::size_t e) {
-    std::size_t o = counts[b];
-    for (std::size_t i = s; i < e; ++i)
-      if (keep(i)) out[o++] = get(i);
+    T* o = out.data() + counts[b];
+    T* const end = out.data() + (b + 1 < num_blocks ? counts[b + 1] : total);
+    for (std::size_t i = s; i < e && o != end; ++i) {
+      *o = get(i);
+      o += keep(i) ? 1 : 0;
+    }
   });
   return out;
 }

@@ -7,15 +7,17 @@
 // halves, ping-ponging between the input and one scratch buffer), then
 // merges the sorted halves with a divide-and-conquer merge that bisects the
 // larger run and binary-searches the split point in the smaller one. Under
-// the work-stealing scheduler every level of this recursion parallelizes —
-// including when the sort itself is called from inside another parallel
-// construct, which the old flat pool ran fully serially.
+// the work-stealing scheduler every level of this recursion parallelizes,
+// also when the sort itself runs inside another parallel construct.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
+#include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "phch/parallel/parallel_for.h"
@@ -91,41 +93,45 @@ std::vector<T> sorted(std::vector<T> a, Comp comp = Comp{}) {
   return a;
 }
 
-// Stable counting sort of `in` by key(x) in [0, num_buckets). Parallel
-// per-block histograms, a column-major prefix sum over (bucket, block), and
-// a stable scatter.
-template <typename T, typename Key>
-std::vector<T> stable_counting_sort(const std::vector<T>& in, std::size_t num_buckets,
-                                    Key&& key) {
-  const std::size_t n = in.size();
-  std::vector<T> out(n);
-  if (n == 0) return out;
-  const std::size_t bsize = n / detail::num_scan_blocks(n) + 1;
-  const std::size_t num_blocks = (n + bsize - 1) / bsize;
-  // counts[bucket * num_blocks + block]: column-major so the serial scan
-  // visits all blocks of bucket 0, then bucket 1, ... giving stability.
-  std::vector<std::size_t> counts(num_buckets * num_blocks, 0);
-  blocked_for(0, n, bsize, [&](std::size_t b, std::size_t s, std::size_t e) {
-    for (std::size_t i = s; i < e; ++i) counts[key(in[i]) * num_blocks + b]++;
-  });
-  scan_add_inplace(counts);
-  blocked_for(0, n, bsize, [&](std::size_t b, std::size_t s, std::size_t e) {
-    std::vector<std::size_t> offsets(num_buckets);
-    for (std::size_t k = 0; k < num_buckets; ++k) offsets[k] = counts[k * num_blocks + b];
-    for (std::size_t i = s; i < e; ++i) out[offsets[key(in[i])]++] = in[i];
-  });
-  return out;
-}
-
-// Stable LSD radix sort by key(x), an unsigned integer < 2^bits.
+// Stable LSD radix sort by key(x), an unsigned integer < 2^bits: one stable
+// 8-bit counting pass, over blocks fixed by (n, p), per digit that varies
+// across `a`. The passes ping-pong between `a` and one uninitialized scratch
+// buffer (first touched by the parallel scatter); an odd count copies back.
 template <typename T, typename Key>
 void radix_sort(std::vector<T>& a, int bits, Key&& key) {
   constexpr int kRadixBits = 8;
+  constexpr std::size_t kDigits = std::size_t{1} << kRadixBits;
+  const std::size_t n = a.size();
+  if (n < 2) return;
+  const std::uint64_t k0 = key(a[0]);
+  const std::uint64_t varying =
+      reduce(std::size_t{1}, n, std::uint64_t{0}, std::bit_or<>{},
+             [&](std::size_t i) { return key(a[i]) ^ k0; });
+  const auto scratch = std::make_unique_for_overwrite<T[]>(n);
+  const std::size_t bsize = n / detail::num_scan_blocks(n) + 1;
+  const std::size_t num_blocks = (n + bsize - 1) / bsize;
+  // counts[digit * num_blocks + block]: column-major so the serial scan
+  // visits all blocks of digit 0, then digit 1, ... giving stability.
+  std::vector<std::size_t> counts(kDigits * num_blocks);
+  T* src = a.data();
+  T* dst = scratch.get();
   for (int shift = 0; shift < bits; shift += kRadixBits) {
-    a = stable_counting_sort(a, std::size_t{1} << kRadixBits, [&](const T& x) {
-      return static_cast<std::size_t>((key(x) >> shift) & ((1u << kRadixBits) - 1));
+    if (((varying >> shift) & (kDigits - 1)) == 0) continue;
+    auto digit = [&](const T& x) { return (std::uint64_t{key(x)} >> shift) & (kDigits - 1); };
+    blocked_for(0, n, bsize, [&](std::size_t b, std::size_t s, std::size_t e) {
+      std::array<std::size_t, kDigits> c{};
+      for (std::size_t i = s; i < e; ++i) ++c[digit(src[i])];
+      for (std::size_t d = 0; d < kDigits; ++d) counts[d * num_blocks + b] = c[d];
     });
+    scan_add_inplace(counts);
+    blocked_for(0, n, bsize, [&](std::size_t b, std::size_t s, std::size_t e) {
+      std::array<std::size_t, kDigits> offsets;
+      for (std::size_t d = 0; d < kDigits; ++d) offsets[d] = counts[d * num_blocks + b];
+      for (std::size_t i = s; i < e; ++i) dst[offsets[digit(src[i])]++] = src[i];
+    });
+    std::swap(src, dst);
   }
+  if (src != a.data()) parallel_for(0, n, [&](std::size_t i) { a[i] = src[i]; });
 }
 
 }  // namespace phch

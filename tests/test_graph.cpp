@@ -1,6 +1,7 @@
 // CSR graph construction and the three generators (3D-grid, random-k, rMat).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "phch/graph/generators.h"
@@ -48,6 +49,56 @@ TEST(CsrGraph, IsolatedVerticesHaveZeroDegree) {
   EXPECT_EQ(g.neighbors(4), g.neighbors(1) + g.degree(1));
   EXPECT_EQ(g.offsets_entry(4)[1], g.offsets_entry(4)[0]);
   EXPECT_EQ(g.offsets_entry(4), g.offsets_entry(0) + 4);
+}
+
+// from_edges against a std::sort + std::unique reference, vertex by vertex.
+void expect_matches_reference(std::size_t n, const std::vector<edge>& edges) {
+  std::vector<edge> ref;
+  for (const edge& e : edges) {
+    if (e.u == e.v) continue;
+    ref.push_back(e);
+    ref.push_back(edge{e.v, e.u});
+  }
+  const auto by_endpoints = [](const edge& a, const edge& b) {
+    return a.u != b.u ? a.u < b.u : a.v < b.v;
+  };
+  std::sort(ref.begin(), ref.end(), by_endpoints);
+  ref.erase(std::unique(ref.begin(), ref.end()), ref.end());
+
+  const auto g = csr_graph::from_edges(n, edges);
+  ASSERT_EQ(g.num_vertices(), n);
+  ASSERT_EQ(g.num_edges(), ref.size() / 2);
+  std::size_t k = 0;
+  for (vertex_id v = 0; v < n; ++v) {
+    std::size_t d = 0;
+    while (k + d < ref.size() && ref[k + d].u == v) ++d;
+    ASSERT_EQ(g.degree(v), d) << "vertex " << v;
+    for (std::size_t j = 0; j < d; ++j) ASSERT_EQ(g.neighbors(v)[j], ref[k + j].v) << v;
+    k += d;
+  }
+}
+
+// Appends self-loops and repeated edges (same and reversed direction).
+std::vector<edge> with_loops_and_duplicates(std::vector<edge> edges, std::size_t n) {
+  const std::size_t m = edges.size();
+  for (std::size_t i = 0; i < m; i += 7) {
+    edges.push_back(edges[i]);
+    edges.push_back(edge{edges[i].v, edges[i].u});
+  }
+  for (std::size_t v = 0; v < n; v += 5) edges.push_back(edge{vertex_id(v), vertex_id(v)});
+  return edges;
+}
+
+TEST(CsrGraph, FromEdgesMatchesSortUniqueReference) {
+  expect_matches_reference(1000, with_loops_and_duplicates(random_k_edges(1000, 5, 3), 1000));
+  expect_matches_reference(1u << 16, with_loops_and_duplicates(random_k_edges(1u << 16, 5, 1),
+                                                               1u << 16));
+  expect_matches_reference(4096, with_loops_and_duplicates(rmat_edges(12, 40000, 5), 4096));
+  expect_matches_reference(125, with_loops_and_duplicates(grid3d_edges(5), 125));
+  expect_matches_reference(4096, with_loops_and_duplicates(grid3d_edges(16), 4096));
+  expect_matches_reference(0, {});
+  expect_matches_reference(1, {{0, 0}, {0, 0}});
+  expect_matches_reference(2, {{1, 0}, {0, 0}, {0, 1}, {1, 1}});
 }
 
 TEST(Grid3d, TorusHasDegreeSix) {

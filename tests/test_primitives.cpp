@@ -2,6 +2,7 @@
 // correctness against sequential references, across a size sweep.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <numeric>
 #include <vector>
 
@@ -46,12 +47,21 @@ TEST_P(PrimitivesSweep, ExclusiveScanMatchesSequential) {
 
 TEST_P(PrimitivesSweep, PackKeepsOrderAndSelection) {
   const std::size_t n = GetParam();
-  const auto keep = [](std::size_t i) { return hash64(i) % 3 == 0; };
-  const auto out = pack(n, keep, [](std::size_t i) { return i; });
-  std::vector<std::size_t> expected;
-  for (std::size_t i = 0; i < n; ++i)
-    if (keep(i)) expected.push_back(i);
-  EXPECT_EQ(out, expected);
+  // Random, all, none, sparse (most blocks keep nothing) and a prefix (the
+  // later blocks keep nothing, the earlier ones everything).
+  const std::function<bool(std::size_t)> keeps[] = {
+      [](std::size_t i) { return hash64(i) % 3 == 0; },
+      [](std::size_t) { return true; },
+      [](std::size_t) { return false; },
+      [](std::size_t i) { return i % 5000 == 17; },
+      [n](std::size_t i) { return i < n / 2; }};
+  for (const auto& keep : keeps) {
+    const auto out = pack(n, keep, [](std::size_t i) { return i; });
+    std::vector<std::size_t> expected;
+    for (std::size_t i = 0; i < n; ++i)
+      if (keep(i)) expected.push_back(i);
+    EXPECT_EQ(out, expected);
+  }
 }
 
 TEST_P(PrimitivesSweep, FilterMatchesStdCopyIf) {

@@ -1,4 +1,4 @@
-// parallel_sort / counting sort / radix sort against std::sort references.
+// parallel_sort and radix_sort against std::sort / std::stable_sort references.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -49,24 +49,63 @@ TEST(Sort, AllEqualKeys) {
   EXPECT_TRUE(std::all_of(v.begin(), v.end(), [](int x) { return x == 7; }));
 }
 
-TEST(CountingSort, StableAndCorrect) {
-  struct item {
-    std::uint32_t key;
-    std::uint32_t seq;
-    bool operator==(const item&) const = default;
-  };
-  const std::size_t n = 100000;
-  auto v = tabulate(n, [](std::size_t i) {
-    return item{static_cast<std::uint32_t>(hash64(i) % 64),
-                static_cast<std::uint32_t>(i)};
-  });
-  const auto out = stable_counting_sort(v, 64, [](const item& x) {
-    return static_cast<std::size_t>(x.key);
-  });
+struct keyed {
+  std::uint64_t key;
+  std::uint32_t seq;
+  bool operator==(const keyed&) const = default;
+};
+
+// Radix-sorts v by x.key with `bits` and checks the result, in v's own
+// buffer, against std::stable_sort.
+void expect_stable_radix_sort(std::vector<keyed> v, int bits) {
   auto expected = v;
   std::stable_sort(expected.begin(), expected.end(),
-                   [](const item& a, const item& b) { return a.key < b.key; });
-  EXPECT_EQ(out, expected);
+                   [](const keyed& a, const keyed& b) { return a.key < b.key; });
+  const keyed* before = v.data();
+  radix_sort(v, bits, [](const keyed& x) { return x.key; });
+  EXPECT_EQ(v.data(), before);
+  EXPECT_EQ(v, expected);
+}
+
+// Sequence numbers in input order, so stability shows in the output.
+template <typename Key>
+std::vector<keyed> records(std::size_t n, Key&& key) {
+  return tabulate(n, [&](std::size_t i) { return keyed{key(i), static_cast<std::uint32_t>(i)}; });
+}
+
+// One 8-bit digit: a single counting-sort pass.
+TEST(CountingSort, StableAndCorrect) {
+  expect_stable_radix_sort(records(100000, [](std::size_t i) { return hash64(i) % 64; }), 6);
+}
+
+TEST(RadixSort, SkipsDigitsThatDoNotVary) {
+  // Only bits 0-7 and 40-47 vary, so two of the eight digits get a pass.
+  expect_stable_radix_sort(records(100000,
+                                   [](std::size_t i) {
+                                     const std::uint64_t h = hash64(i);
+                                     return (h & 0xff) | (h & 0xff0000000000ULL) |
+                                            0x0300000000001100ULL;
+                                   }),
+                           64);
+}
+
+TEST(RadixSort, OddAndEvenPassCountsLeaveTheResultInPlace) {
+  for (int digits = 1; digits <= 4; ++digits) {
+    const std::uint64_t mask = (std::uint64_t{1} << (8 * digits)) - 1;
+    expect_stable_radix_sort(
+        records(50000, [mask](std::size_t i) { return hash64(i) & mask; }), 64);
+  }
+}
+
+TEST(RadixSort, TinyInputs) {
+  expect_stable_radix_sort({}, 64);
+  expect_stable_radix_sort({{5, 0}}, 64);
+  expect_stable_radix_sort({{9, 0}, {3, 1}}, 64);
+  expect_stable_radix_sort({{3, 0}, {3, 1}}, 64);
+}
+
+TEST(RadixSort, AllEqualKeysKeepInputOrder) {
+  expect_stable_radix_sort(records(20000, [](std::size_t) { return 0xabcdULL; }), 64);
 }
 
 TEST(RadixSort, FullWidth64BitKeys) {

@@ -60,8 +60,8 @@ TEST(SlotArray, StorageIsCacheLineAligned) {
 TEST(SlotArray, ClearResetsEverySlotAtBothSidesOfTheSerialThreshold) {
   // Below the threshold clear() runs serially, above it in parallel; both
   // must leave every slot empty.
-  for (const std::size_t cap : {std::size_t{64}, kSerialClearThreshold,
-                                2 * kSerialClearThreshold}) {
+  constexpr std::size_t kSerialSlots = kSerialClearBytes / sizeof(int_entry<>::value_type);
+  for (const std::size_t cap : {std::size_t{64}, kSerialSlots / 2, kSerialSlots}) {
     slot_array<int_entry<>> a(cap);
     for (std::size_t i = 0; i < a.capacity(); ++i) a[i] = i + 1;
     EXPECT_EQ(a.count(), a.capacity());
